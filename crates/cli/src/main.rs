@@ -44,7 +44,10 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use prov_core::{ImpactQuery, IndexProj, LineageQuery, NaiveImpact, NaiveLineage, PlanCache};
+use prov_core::{
+    CoreError, Env, Executed, ImpactQuery, IndexProj, LineageQuery, NaiveLineage, QueryRequest,
+    RunSelection,
+};
 use prov_dataflow::{to_dot, to_dot_with_diagnostics, AnalyzeConfig, Dataflow};
 use prov_engine::{BehaviorRegistry, Engine, FailedInvocation, RetryPolicy};
 use prov_model::{Index, PortRef, ProcessorName, RunId, Value};
@@ -467,48 +470,37 @@ fn save_workflow(args: &Args, store: &TraceStore, df: &Dataflow) -> Result<(), S
     Ok(())
 }
 
-fn parse_workflow_json(origin: &str, json: &str) -> Result<Dataflow, String> {
-    let mut df: Dataflow = serde_json::from_str(json).map_err(|e| format!("{origin}: {e}"))?;
-    df.reindex();
-    prov_dataflow::validate(&df).map_err(|e| format!("{origin}: {e}"))?;
-    Ok(df)
-}
-
 /// Loads a workflow spec from `--workflow FILE`.
 fn load_workflow(args: &Args) -> Result<Dataflow, String> {
     let path = args.required("workflow")?;
     let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse_workflow_json(path, &json)
+    Dataflow::from_json(&json).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Resolves the workflow spec for a query: `--workflow FILE` wins; else
-/// `--wf NAME` is fetched from the database registry; else, if the
-/// database registers exactly one workflow, that one is used.
-fn resolve_workflow(args: &Args, store: &TraceStore) -> Result<Dataflow, String> {
-    if args.get("workflow").is_some() {
-        return load_workflow(args);
+/// `--workflow FILE`, when given: the caller-supplied spec that wins over
+/// the database registry in [`prov_core::exec`].
+fn supplied_workflow(args: &Args) -> Result<Option<Dataflow>, String> {
+    args.get("workflow").map(|_| load_workflow(args)).transpose()
+}
+
+/// Renders a request refusal, adding the flag that fixes it.
+fn query_err(e: CoreError) -> String {
+    match e {
+        CoreError::NoWorkflow => format!("{e}; pass --workflow FILE"),
+        CoreError::AmbiguousWorkflow { .. } => format!("{e}; pick one with --wf NAME"),
+        _ => e.to_string(),
     }
-    let name = match args.get("wf") {
-        Some(n) => prov_model::ProcessorName::from(n),
-        None => {
-            let names = store.workflow_names();
-            match names.as_slice() {
-                [only] => only.clone(),
-                [] => return Err("no workflow registered in the db; pass --workflow FILE".into()),
-                many => {
-                    return Err(format!(
-                        "db registers {} workflows ({}); pick one with --wf NAME",
-                        many.len(),
-                        many.iter().map(|n| n.as_str()).collect::<Vec<_>>().join(", ")
-                    ))
-                }
-            }
-        }
-    };
-    let json = store
-        .workflow_json(&name)
-        .ok_or_else(|| format!("workflow {name:?} is not registered in the db"))?;
-    parse_workflow_json(name.as_str(), &json)
+}
+
+/// Resolves the workflow spec for the spec-level verbs (`audit`, `explain`,
+/// `diff`): `--workflow FILE` wins; else `--wf NAME` is fetched from the
+/// database registry; else, if the database registers exactly one
+/// workflow, that one is used.
+fn resolve_workflow(args: &Args, store: &TraceStore) -> Result<Dataflow, String> {
+    match supplied_workflow(args)? {
+        Some(df) => Ok(df),
+        None => prov_core::registered_workflow(store, args.get("wf")).map_err(query_err),
+    }
 }
 
 fn cmd_testbed(args: &Args) -> Result<(), String> {
@@ -734,57 +726,74 @@ fn parse_focus(args: &Args) -> Vec<ProcessorName> {
         .unwrap_or_default()
 }
 
-fn select_runs(args: &Args, store: &TraceStore) -> Result<Vec<RunId>, String> {
+fn run_selection(args: &Args) -> Result<RunSelection, String> {
     if args.has_flag("all-runs") {
-        return Ok(store.runs().iter().map(|i| i.id).collect());
+        return Ok(RunSelection::All);
     }
-    let run: u64 = args.get_parsed("run")?.unwrap_or(0);
-    Ok(vec![RunId(run)])
+    Ok(RunSelection::One(RunId(args.get_parsed("run")?.unwrap_or(0))))
+}
+
+fn select_runs(args: &Args, store: &TraceStore) -> Result<Vec<RunId>, String> {
+    Ok(match run_selection(args)? {
+        RunSelection::All => store.runs().iter().map(|i| i.id).collect(),
+        RunSelection::One(run) => vec![run],
+    })
+}
+
+/// One local query request (`--run N | --all-runs`, `--algo`, `--workflow
+/// FILE | --wf NAME`, `--tolerance F`) through [`prov_core::exec`], under a
+/// fresh [`QueryCtx`] for `text`.
+fn exec_local(
+    args: &Args,
+    store: &TraceStore,
+    text: &str,
+    algo: &str,
+    obs: &Obs,
+) -> Result<Executed, String> {
+    let workflow = supplied_workflow(args)?;
+    let mut ctx = QueryCtx::new(text);
+    if let Some(tolerance) = args.get_parsed("tolerance")? {
+        ctx.tolerance = tolerance;
+    }
+    let env = Env { store, workflow: workflow.as_ref(), obs, ctx: &ctx };
+    let request =
+        QueryRequest { query: text, runs: run_selection(args)?, algo, wf: args.get("wf") };
+    prov_core::exec(&env, &request).map_err(query_err)
+}
+
+/// Executes `text` and prints what every query verb prints: the query in
+/// the paper's notation, the plan size when INDEXPROJ planned one, and one
+/// answer per run.
+fn print_query(
+    args: &Args,
+    store: &TraceStore,
+    text: &str,
+    default_algo: &str,
+    obs: &Obs,
+) -> Result<(), String> {
+    println!("{}", prov_core::parse_query(text).map_err(|e| e.to_string())?);
+    let done = exec_local(args, store, text, args.get("algo").unwrap_or(default_algo), obs)?;
+    if let Some(steps) = done.plan_steps {
+        println!("plan: {steps} trace lookups");
+    }
+    for ans in &done.answers {
+        print!("{ans}");
+    }
+    Ok(())
 }
 
 fn cmd_lineage(args: &Args) -> Result<(), String> {
     let store = open_db(args)?;
     let target = parse_port_ref(args.required("target")?)?;
-    let index = parse_index(args)?;
-    let focus = parse_focus(args);
-    let query = LineageQuery::focused(target, index, focus);
-    let runs = select_runs(args, &store)?;
-    let algo = args.get("algo").unwrap_or("indexproj");
-
-    println!("{query}");
-    match algo {
-        "ni" => {
-            let ni = NaiveLineage::new();
-            for ans in ni.run_multi(&store, &runs, &query).map_err(|e| e.to_string())? {
-                print!("{ans}");
-            }
-        }
-        "indexproj" => {
-            let df = resolve_workflow(args, &store)?;
-            let ip = IndexProj::new(&df);
-            let plan = ip.plan(&query).map_err(|e| e.to_string())?;
-            println!("plan: {} trace lookups", plan.steps.len());
-            for ans in plan.execute_multi(&store, &runs).map_err(|e| e.to_string())? {
-                print!("{ans}");
-            }
-        }
-        other => return Err(format!("unknown --algo {other:?} (ni|indexproj)")),
-    }
-    Ok(())
+    let query = LineageQuery::focused(target, parse_index(args)?, parse_focus(args));
+    print_query(args, &store, &query.to_string(), "indexproj", &Obs::disabled())
 }
 
 fn cmd_impact(args: &Args) -> Result<(), String> {
     let store = open_db(args)?;
     let source = parse_port_ref(args.required("target")?)?;
-    let index = parse_index(args)?;
-    let focus = parse_focus(args);
-    let query = ImpactQuery::focused(source, index, focus);
-    let runs = select_runs(args, &store)?;
-    println!("{query}");
-    for ans in NaiveImpact::new().run_multi(&store, &runs, &query).map_err(|e| e.to_string())? {
-        print!("{ans}");
-    }
-    Ok(())
+    let query = ImpactQuery::focused(source, parse_index(args)?, parse_focus(args));
+    print_query(args, &store, &query.to_string(), "ni", &Obs::disabled())
 }
 
 /// Audits stored traces against the workflow specification (Prop. 1,
@@ -806,26 +815,17 @@ fn cmd_audit(args: &Args) -> Result<(), String> {
     }
 }
 
-/// Hashes an impact query into the same fingerprint space as
-/// [`PlanCache::fingerprint`] uses for lineage queries.
-fn impact_fingerprint(query: &ImpactQuery) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    query.hash(&mut h);
-    h.finish()
-}
-
 /// Queries written in the paper's own notation, e.g.
 /// `tprov query --db t.wal --query 'lin(<2TO1_FINAL:Y[1,2]>, {LISTGEN_1})'`.
 ///
-/// Every execution runs under a [`QueryCtx`]: the store's WAL/snapshot
-/// hooks and the query layer journal typed events (trace-id-stamped, so
-/// per-query attribution survives `TPROV_QUERY_THREADS` fan-out), and on
-/// exit the ring is drained into `<db>.journal.jsonl` /
-/// `<db>.slow.jsonl` for `tprov tail` / `tprov slow`. With INDEXPROJ the
-/// cost model's prediction is attached up front, so a finished query
-/// whose observed lookups/rows violate the prediction is flagged as
-/// cost-model drift in the slow log.
+/// The store's WAL/snapshot hooks and the query layer journal typed events
+/// (trace-id-stamped, so per-query attribution survives
+/// `TPROV_QUERY_THREADS` fan-out), and on exit the ring is drained into
+/// `<db>.journal.jsonl` / `<db>.slow.jsonl` for `tprov tail` / `tprov
+/// slow`. With INDEXPROJ the cost model's prediction is attached up front
+/// (by [`prov_core::exec`]), so a finished query whose observed
+/// lookups/rows violate the prediction is flagged as cost-model drift in
+/// the slow log.
 fn cmd_query(args: &Args) -> Result<(), String> {
     if let Some(addr) = args.get("replica") {
         return query_via_replica(args, addr);
@@ -834,74 +834,10 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         return query_via_server(args, addr);
     }
     let store = open_db(args)?;
-    let raw = args.required("query")?;
-    let runs = select_runs(args, &store)?;
     let journal = Journal::from_env();
     store.attach_journal(&journal);
     let obs = Obs::disabled().with_journal(journal.clone());
-    let tolerance: f64 = args.get_parsed("tolerance")?.unwrap_or(10.0);
-    match prov_core::parse_query(raw).map_err(|e| e.to_string())? {
-        prov_core::ParsedQuery::Lineage(query) => {
-            println!("{query}");
-            let ctx = QueryCtx::new(raw).with_fingerprint(PlanCache::fingerprint(&query));
-            match args.get("algo").unwrap_or("ni") {
-                "ni" => {
-                    for ans in NaiveLineage::new()
-                        .run_multi_ctx(&store, &runs, &query, &obs, &ctx)
-                        .map_err(|e| e.to_string())?
-                    {
-                        print!("{ans}");
-                    }
-                }
-                "indexproj" => {
-                    let df = resolve_workflow(args, &store)?;
-                    let ip = IndexProj::new(&df);
-                    // Explain (rather than bare plan) so the cost model's
-                    // prediction rides along and drift is detectable.
-                    let ex = ip
-                        .explain_with(
-                            &query,
-                            &store.index_catalog(),
-                            |step, id| {
-                                Some(store.port_cardinality(
-                                    id,
-                                    runs[0],
-                                    &step.processor,
-                                    &step.port,
-                                ))
-                            },
-                            &Obs::disabled(),
-                        )
-                        .map_err(|e| e.to_string())?;
-                    let ctx = ctx.with_prediction(
-                        ex.cost.index_lookups,
-                        ex.cost.rows_scanned,
-                        ex.cost.grounded,
-                        tolerance,
-                    );
-                    println!("plan: {} trace lookups", ex.plan.steps.len());
-                    for ans in ex
-                        .plan
-                        .execute_multi_ctx(&store, &runs, &obs, &ctx)
-                        .map_err(|e| e.to_string())?
-                    {
-                        print!("{ans}");
-                    }
-                }
-                other => return Err(format!("unknown --algo {other:?} (ni|indexproj)")),
-            }
-        }
-        prov_core::ParsedQuery::Impact(query) => {
-            println!("{query}");
-            let ctx = QueryCtx::new(raw).with_fingerprint(impact_fingerprint(&query));
-            let imp = NaiveImpact::new();
-            for &run in &runs {
-                let ans =
-                    imp.run_ctx(&store, run, &query, &obs, &ctx).map_err(|e| e.to_string())?;
-                print!("{ans}");
-            }
-        }
-    }
+    print_query(args, &store, args.required("query")?, "ni", &obs)?;
     journal_io::persist(args.required("db")?, &journal)?;
     Ok(())
 }
@@ -1148,7 +1084,6 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
             return Err("profile supports lineage queries only (lin(<P:Y[i]>, {focus}))".into())
         }
     };
-    let runs = select_runs(args, &store)?;
     let algo = args.get("algo").unwrap_or("both");
     if !matches!(algo, "ni" | "indexproj" | "both") {
         return Err(format!("unknown --algo {algo:?} (ni|indexproj|both)"));
@@ -1160,43 +1095,17 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     obs.journal.register_metrics(&obs.metrics);
     let before = obs.metrics.snapshot();
     println!("{query}");
-    let fingerprint = PlanCache::fingerprint(&query);
-    let tolerance: f64 = args.get_parsed("tolerance")?.unwrap_or(10.0);
 
-    let mut ran_ni = false;
-    let mut ran_ip = false;
-    if algo != "indexproj" {
-        // Each algorithm gets its own trace id, so the journal separates
-        // NI's events from INDEXPROJ's in the same process.
-        let ctx = QueryCtx::new(raw).with_fingerprint(fingerprint);
-        let answers = NaiveLineage::new()
-            .run_multi_ctx(&store, &runs, &query, &obs, &ctx)
-            .map_err(|e| e.to_string())?;
-        let bindings: usize = answers.iter().map(|a| a.bindings.len()).sum();
-        println!("NI: {} run(s), {bindings} lineage binding(s)", answers.len());
-        ran_ni = true;
-    }
-    if algo != "ni" {
-        let df = resolve_workflow(args, &store)?;
-        let ex = IndexProj::new(&df)
-            .explain_with(
-                &query,
-                &store.index_catalog(),
-                |step, id| Some(store.port_cardinality(id, runs[0], &step.processor, &step.port)),
-                &obs,
-            )
-            .map_err(|e| e.to_string())?;
-        let ctx = QueryCtx::new(raw).with_fingerprint(fingerprint).with_prediction(
-            ex.cost.index_lookups,
-            ex.cost.rows_scanned,
-            ex.cost.grounded,
-            tolerance,
-        );
-        let answers =
-            ex.plan.execute_multi_ctx(&store, &runs, &obs, &ctx).map_err(|e| e.to_string())?;
-        let bindings: usize = answers.iter().map(|a| a.bindings.len()).sum();
-        println!("INDEXPROJ: {} run(s), {bindings} lineage binding(s)", answers.len());
-        ran_ip = true;
+    // Each algorithm is its own request, so it gets its own trace id and
+    // the journal separates NI's events from INDEXPROJ's.
+    let ran_ni = algo != "indexproj";
+    let ran_ip = algo != "ni";
+    for (ran, name, label) in [(ran_ni, "ni", "NI"), (ran_ip, "indexproj", "INDEXPROJ")] {
+        if ran {
+            let answers = exec_local(args, &store, raw, name, &obs)?.answers;
+            let bindings: usize = answers.iter().map(|a| a.bindings.len()).sum();
+            println!("{label}: {} run(s), {bindings} lineage binding(s)", answers.len());
+        }
     }
 
     // Per-stage table with midpoint-interpolated quantiles: span

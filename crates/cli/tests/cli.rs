@@ -166,6 +166,28 @@ fn query_command_parses_paper_notation() {
     let out = tprov(&["query", "--db", db.arg(), "--query", "lin(oops"]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("parse error"));
+
+    // A store with no runs: `--all-runs` selects nothing, so the query is
+    // planned (its cost prediction ungrounded) and answers nothing — it
+    // used to index the first of zero runs and panic.
+    let fresh = TempDb::new("query-fresh");
+    for verb in ["query", "profile"] {
+        let out = tprov(&[
+            verb,
+            "--db",
+            fresh.arg(),
+            "--workflow",
+            &db.sidecar("testbed"),
+            "--all-runs",
+            "--algo",
+            "indexproj",
+            "--query",
+            "lin(<2TO1_FINAL:Y[0,0]>, {LISTGEN_1})",
+        ]);
+        assert_eq!(out.status.code(), Some(0), "{verb}: {}", stderr(&out));
+        assert!(!stdout(&out).contains("binding(s):"), "{verb}: {}", stdout(&out));
+        assert!(stdout(&out).contains("⟨2TO1_FINAL:Y[0,0]⟩"), "{verb}: {}", stdout(&out));
+    }
 }
 
 #[test]

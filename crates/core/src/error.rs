@@ -5,6 +5,8 @@ use std::fmt;
 use prov_dataflow::DataflowError;
 use prov_store::StoreError;
 
+use crate::ParseError;
+
 /// Errors raised by lineage query processing.
 #[derive(Debug)]
 pub enum CoreError {
@@ -31,6 +33,27 @@ pub enum CoreError {
         /// The query's source text.
         query: String,
     },
+    /// The request's query text is not in the paper notation.
+    Parse(ParseError),
+    /// The request names an algorithm other than `ni` or `indexproj`.
+    UnknownAlgo {
+        /// The algorithm name as requested.
+        algo: String,
+    },
+    /// INDEXPROJ needs a workflow specification, and the request supplied
+    /// none while the store registers none.
+    NoWorkflow,
+    /// INDEXPROJ needs a workflow specification, and the request named
+    /// none while the store registers several.
+    AmbiguousWorkflow {
+        /// The registered workflow names.
+        names: Vec<String>,
+    },
+    /// The request names a workflow the store does not register.
+    WorkflowNotRegistered {
+        /// The workflow name as requested.
+        name: String,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -51,6 +74,22 @@ impl fmt::Display for CoreError {
             CoreError::DeadlineExceeded { query } => {
                 write!(f, "query {query:?} abandoned: deadline exceeded")
             }
+            CoreError::Parse(e) => write!(f, "{e}"),
+            CoreError::UnknownAlgo { algo } => {
+                write!(f, "unknown algo {algo:?} (use ni or indexproj)")
+            }
+            CoreError::NoWorkflow => write!(f, "no workflow registered in the store"),
+            CoreError::AmbiguousWorkflow { names } => {
+                write!(
+                    f,
+                    "store registers {} workflows ({}) and the request names none",
+                    names.len(),
+                    names.join(", ")
+                )
+            }
+            CoreError::WorkflowNotRegistered { name } => {
+                write!(f, "workflow {name:?} is not registered in the store")
+            }
         }
     }
 }
@@ -66,6 +105,12 @@ impl From<DataflowError> for CoreError {
 impl From<StoreError> for CoreError {
     fn from(e: StoreError) -> Self {
         CoreError::Store(e)
+    }
+}
+
+impl From<ParseError> for CoreError {
+    fn from(e: ParseError) -> Self {
+        CoreError::Parse(e)
     }
 }
 

@@ -17,10 +17,11 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use prov_model::{Binding, Index, PortRef, ProcessorName, RunId};
-use prov_obs::{JournalEvent, Obs, QueryCtx};
+use prov_obs::{Obs, QueryCtx};
 use prov_store::{ReadView, TraceStore};
 
-use crate::{CoreError, FocusSet, LineageAnswer, Result};
+use crate::lifecycle::Lifecycle;
+use crate::{FocusSet, LineageAnswer, Result};
 
 /// A forward query: starting from element `index` of the value on
 /// `source`, collect the bindings at the interesting processors along
@@ -71,18 +72,20 @@ impl NaiveImpact {
         run: RunId,
         query: &ImpactQuery,
     ) -> Result<LineageAnswer> {
-        self.run_pinned(&store.pin(run), query)
+        self.run_ctx(store, run, query, &Obs::disabled(), &QueryCtx::detached())
     }
 
-    /// Answers `query` against an already-pinned read snapshot; the whole
-    /// forward traversal is lock-free after the pin.
-    pub fn run_pinned(&self, view: &ReadView, query: &ImpactQuery) -> Result<LineageAnswer> {
-        self.run_pinned_inner(view, query, &Obs::disabled(), None)
+    /// Answers `query` over several runs.
+    pub fn run_multi(
+        &self,
+        store: &TraceStore,
+        runs: &[RunId],
+        query: &ImpactQuery,
+    ) -> Result<Vec<LineageAnswer>> {
+        runs.iter().map(|&r| self.run(store, r, query)).collect()
     }
 
-    /// [`NaiveImpact::run`] under a [`QueryCtx`]: journals
-    /// `QueryStarted`/`QueryFinished` with the traversal's exact probe
-    /// totals and enforces the deadline between hops.
+    /// [`NaiveImpact::run`] observed by `obs` under `ctx`.
     pub fn run_ctx(
         &self,
         store: &TraceStore,
@@ -91,22 +94,22 @@ impl NaiveImpact {
         obs: &Obs,
         ctx: &QueryCtx,
     ) -> Result<LineageAnswer> {
-        self.run_pinned_inner(&store.pin(run), query, obs, Some(ctx))
+        self.run_pinned(&store.pin(run), query, obs, ctx)
     }
 
-    fn run_pinned_inner(
+    /// Answers `query` against an already-pinned read snapshot; the whole
+    /// forward traversal is lock-free after the pin. Journals
+    /// `QueryStarted`/`QueryFinished` with the traversal's exact probe
+    /// totals and enforces the deadline between hops.
+    pub fn run_pinned(
         &self,
         view: &ReadView,
         query: &ImpactQuery,
         obs: &Obs,
-        ctx: Option<&QueryCtx>,
+        ctx: &QueryCtx,
     ) -> Result<LineageAnswer> {
-        let started = std::time::Instant::now();
         let run = view.run();
-        if let Some(c) = ctx {
-            obs.journal
-                .record(JournalEvent::QueryStarted { trace: c.trace, query: c.query.clone() });
-        }
+        let life = Lifecycle::start(obs, ctx);
         let mut probe = view.probe_guard();
         let mut visited: HashSet<(ProcessorName, Arc<str>, Index)> = HashSet::new();
         let mut stack =
@@ -118,11 +121,7 @@ impl NaiveImpact {
             if !visited.insert(node.clone()) {
                 continue;
             }
-            if let Some(c) = ctx {
-                if c.deadline_exceeded() {
-                    return Err(CoreError::DeadlineExceeded { query: c.query.clone() });
-                }
-            }
+            life.check_deadline()?;
             let (processor, port, index) = node;
             let focused = query.focus.contains(&processor);
 
@@ -176,41 +175,11 @@ impl NaiveImpact {
             }
         }
 
-        if let Some(c) = ctx {
-            let dur = started.elapsed();
-            let totals = probe.so_far();
-            obs.journal.record(JournalEvent::QueryFinished {
-                trace: c.trace,
-                run: run.0,
-                fingerprint: c.fingerprint,
-                steps: trace_queries as u32,
-                bindings: bindings.len() as u64,
-                // The forward traversal interleaves graph bookkeeping and
-                // trace access; all time is charged to t2 (trace work
-                // dominates, as in the NI baseline).
-                t1_ns: 0,
-                t2_ns: dur.as_nanos() as u64,
-                dur_ns: dur.as_nanos() as u64,
-                index_lookups: totals.index_lookups,
-                records_read: totals.records_read,
-                rows_scanned: totals.rows_scanned,
-                predicted_lookups: c.predicted_lookups,
-                predicted_rows: c.predicted_rows,
-                drift: false,
-                slow: c.is_slow(dur),
-            });
-        }
+        // The forward traversal interleaves graph bookkeeping and trace
+        // access; all time is charged to t2 (trace work dominates, as in
+        // the NI baseline).
+        life.finish(run, trace_queries, bindings.len(), probe.so_far(), None);
         Ok(LineageAnswer::new(run, bindings, trace_queries, visited.len()))
-    }
-
-    /// Answers `query` over several runs.
-    pub fn run_multi(
-        &self,
-        store: &TraceStore,
-        runs: &[RunId],
-        query: &ImpactQuery,
-    ) -> Result<Vec<LineageAnswer>> {
-        runs.iter().map(|&r| self.run(store, r, query)).collect()
     }
 }
 

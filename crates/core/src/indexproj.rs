@@ -31,7 +31,8 @@ use prov_model::{Binding, Index, ProcessorName, RunId};
 use prov_obs::{JournalEvent, Obs, QueryCtx};
 use prov_store::{ProbeStats, ReadView, TraceStore};
 
-use crate::{CoreError, CostEstimate, FocusSet, LineageAnswer, LineageQuery, Result};
+use crate::lifecycle::Lifecycle;
+use crate::{CoreError, FocusSet, LineageAnswer, LineageQuery, Result};
 
 /// What a plan step reads from the trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -98,85 +99,64 @@ impl LineagePlan {
     }
 
     /// Executes the plan against one run (phase *s2*): one indexed trace
-    /// query per step. Large plans fan their (mutually independent) steps
-    /// out across scoped threads; results are recombined in step order, so
-    /// the answer — and which error surfaces, if any — is identical to the
-    /// sequential loop's.
+    /// query per step.
     pub fn execute(&self, store: &TraceStore, run: RunId) -> Result<LineageAnswer> {
-        self.execute_with(store, run, &Obs::disabled())
+        self.execute_pinned(&store.pin(run), &Obs::disabled(), &QueryCtx::detached())
     }
 
-    /// [`LineagePlan::execute`] with observability: each step records an
-    /// `indexproj.step` span charging the paper's `t2` account, and answer
-    /// assembly records an `indexproj.assemble` span charging `t1`.
+    /// Executes the plan against several runs, sharing the (already paid)
+    /// planning phase — the multi-run scenario of §3.4 and Fig. 4.
+    pub fn execute_multi(&self, store: &TraceStore, runs: &[RunId]) -> Result<Vec<LineageAnswer>> {
+        self.execute_multi_ctx(store, runs, &Obs::disabled(), &QueryCtx::detached())
+    }
+
+    /// Executes the plan against an already-pinned read snapshot
+    /// ([`TraceStore::pin`], one brief read lock; every step then probes
+    /// the immutable snapshot lock-free), observed by `obs` under `ctx`.
+    /// The answer is for the view's run *as of the pin*: events recorded
+    /// after the pin are not visible, which makes answers stable even
+    /// while an engine is streaming into the same store.
     ///
-    /// The run's trace is pinned once ([`TraceStore::pin`], one brief read
-    /// lock); every step then probes the immutable snapshot lock-free.
-    pub fn execute_with(&self, store: &TraceStore, run: RunId, obs: &Obs) -> Result<LineageAnswer> {
-        self.execute_pinned(&store.pin(run), obs)
-    }
-
-    /// [`LineagePlan::execute_with`] under a [`QueryCtx`]: journal events
-    /// (`QueryStarted`/`PlanStep`/`QueryFinished`) are stamped with the
-    /// context's trace id, the deadline is enforced between steps, and the
-    /// attached cost prediction (if any) is drift-checked on completion.
-    pub fn execute_ctx(
-        &self,
-        store: &TraceStore,
-        run: RunId,
-        obs: &Obs,
-        ctx: &QueryCtx,
-    ) -> Result<LineageAnswer> {
-        self.execute_pinned_ctx(&store.pin(run), obs, ctx)
-    }
-
-    /// Executes the plan against an already-pinned read snapshot. The
-    /// answer is for the view's run *as of the pin*: events recorded after
-    /// [`TraceStore::pin`] returned are not visible, which makes answers
-    /// stable even while an engine is streaming into the same store.
-    pub fn execute_pinned(&self, view: &ReadView, obs: &Obs) -> Result<LineageAnswer> {
-        self.execute_view(view, obs, self.steps.len() >= crate::par::STEP_FANOUT_MIN, None)
-    }
-
-    /// [`LineagePlan::execute_pinned`] under a [`QueryCtx`].
-    pub fn execute_pinned_ctx(
+    /// Each step records an `indexproj.step` span charging the paper's
+    /// `t2` account, and answer assembly an `indexproj.assemble` span
+    /// charging `t1`. Journal events (`QueryStarted`/`PlanStep`/
+    /// `QueryFinished`) are stamped with the context's trace id, the
+    /// deadline is enforced between steps, and the attached cost
+    /// prediction (if any) is drift-checked on completion. Large plans fan
+    /// their (mutually independent) steps out across scoped threads;
+    /// results are recombined in step order, so the answer — and which
+    /// error surfaces, if any — is identical to the sequential loop's.
+    pub fn execute_pinned(
         &self,
         view: &ReadView,
         obs: &Obs,
         ctx: &QueryCtx,
     ) -> Result<LineageAnswer> {
-        self.execute_view(view, obs, self.steps.len() >= crate::par::STEP_FANOUT_MIN, Some(ctx))
+        self.execute_view(view, obs, ctx, self.steps.len() >= crate::par::STEP_FANOUT_MIN)
     }
 
     /// Each step counts its probe work into a step-local [`ProbeStats`]
     /// (flushed into the shared counters exactly once, on drop — early
     /// returns and panics included), so span arguments and `PlanStep`
     /// journal events carry the step's *exact* cost even when steps fan
-    /// out across worker threads under `TPROV_QUERY_THREADS`.
+    /// out across worker threads under `TPROV_QUERY_THREADS`. When `obs`
+    /// can record neither spans nor events, steps skip the timing and the
+    /// local counters altogether.
     fn execute_view(
         &self,
         view: &ReadView,
         obs: &Obs,
+        ctx: &QueryCtx,
         fan_steps: bool,
-        ctx: Option<&QueryCtx>,
     ) -> Result<LineageAnswer> {
         use std::time::Instant;
-        let profiling = obs.profiler.is_enabled();
-        let observing = profiling || ctx.is_some();
-        let started = Instant::now();
+        let life = Lifecycle::start(obs, ctx);
+        let observing = obs.profiler.is_enabled() || life.journals();
         let run_u64 = view.run().0;
-        if let Some(c) = ctx {
-            obs.journal
-                .record(JournalEvent::QueryStarted { trace: c.trace, query: c.query.clone() });
-        }
         // (bindings, step-local probe counters, step duration).
         type StepOut = (Vec<Binding>, ProbeStats, u64);
         let timed_step = |&(idx, step): &(usize, &PlanStep)| -> Result<StepOut> {
-            if let Some(c) = ctx {
-                if c.deadline_exceeded() {
-                    return Err(CoreError::DeadlineExceeded { query: c.query.clone() });
-                }
-            }
+            life.check_deadline()?;
             if !observing {
                 let mut guard = view.probe_guard();
                 let out = Self::step_bindings(view, step, &mut guard)?;
@@ -200,9 +180,9 @@ impl LineagePlan {
             if out.is_ok() {
                 span.arg("rows", rows);
             }
-            if let Some(c) = ctx {
+            if life.journals() {
                 obs.journal.record(JournalEvent::PlanStep {
-                    trace: c.trace,
+                    trace: ctx.trace,
                     run: run_u64,
                     step: idx as u32,
                     index_lookups: local.index_lookups,
@@ -234,76 +214,24 @@ impl LineagePlan {
         }
         assemble.arg("bindings", bindings.len() as u64);
         assemble.stop();
-        if let Some(c) = ctx {
-            let dur = started.elapsed();
-            let dur_ns = dur.as_nanos() as u64;
-            let actual_rows = totals.records_read + totals.rows_scanned;
-            let drift = match (c.predicted_lookups, c.predicted_rows) {
-                (Some(lookups), Some(rows)) => {
-                    let est = CostEstimate {
-                        per_step: vec![],
-                        index_lookups: lookups,
-                        rows_scanned: rows,
-                        grounded: c.rows_grounded,
-                    };
-                    !est.check(totals.index_lookups, actual_rows, c.tolerance).ok
-                }
-                _ => false,
-            };
-            obs.journal.record(JournalEvent::QueryFinished {
-                trace: c.trace,
-                run: run_u64,
-                fingerprint: c.fingerprint,
-                steps: self.steps.len() as u32,
-                bindings: bindings.len() as u64,
-                // Under fan-out t2 sums worker time, which can exceed the
-                // wall clock; t1 is the remainder when there is one.
-                t1_ns: dur_ns.saturating_sub(t2_ns),
-                t2_ns,
-                dur_ns,
-                index_lookups: totals.index_lookups,
-                records_read: totals.records_read,
-                rows_scanned: totals.rows_scanned,
-                predicted_lookups: c.predicted_lookups,
-                predicted_rows: c.predicted_rows,
-                drift,
-                slow: c.is_slow(dur),
-            });
-        }
+        life.finish(view.run(), self.steps.len(), bindings.len(), totals, Some(t2_ns));
         Ok(LineageAnswer::new(view.run(), bindings, self.steps.len(), self.nodes_visited))
     }
 
-    /// Executes the plan against several runs, sharing the (already paid)
-    /// planning phase — the multi-run scenario of §3.4 and Fig. 4. Enough
-    /// runs are executed concurrently, one plan shared by all workers;
-    /// answers come back in run order and any error is reported for the
-    /// lowest failing run index, exactly as sequentially.
-    pub fn execute_multi(&self, store: &TraceStore, runs: &[RunId]) -> Result<Vec<LineageAnswer>> {
-        self.execute_multi_with(store, runs, &Obs::disabled())
-    }
-
-    /// [`LineagePlan::execute_multi`] with observability. The `Obs` handle
-    /// is shared by every worker thread; spans land on one timeline with
-    /// per-worker `tid`s, so aggregated totals equal the sequential run's.
+    /// [`LineagePlan::execute_multi`] observed by `obs` under `ctx`.
+    /// Enough runs are executed concurrently, one plan shared by all
+    /// workers; answers come back in run order and any error is reported
+    /// for the lowest failing run index, exactly as sequentially. Every
+    /// run's execution shares the context's trace id and emits its own
+    /// `QueryFinished` (carrying the run id), so a multi-run sweep
+    /// reassembles into per-run totals from the journal alone; spans land
+    /// on one timeline with per-worker `tid`s.
     ///
     /// Each worker pins its run's snapshot up front and runs the plan's
     /// steps *sequentially* against it: with one worker per run there is
     /// nothing left to gain from nested step fan-out, and suppressing it
     /// keeps the thread count bounded by the pool size instead of its
     /// square. After the pin, a worker acquires **zero** locks.
-    pub fn execute_multi_with(
-        &self,
-        store: &TraceStore,
-        runs: &[RunId],
-        obs: &Obs,
-    ) -> Result<Vec<LineageAnswer>> {
-        self.execute_multi_inner(store, runs, obs, None)
-    }
-
-    /// [`LineagePlan::execute_multi_with`] under a [`QueryCtx`]: every
-    /// run's execution shares the context's trace id and emits its own
-    /// `QueryFinished` (carrying the run id), so a multi-run sweep
-    /// reassembles into per-run totals from the journal alone.
     pub fn execute_multi_ctx(
         &self,
         store: &TraceStore,
@@ -311,25 +239,14 @@ impl LineagePlan {
         obs: &Obs,
         ctx: &QueryCtx,
     ) -> Result<Vec<LineageAnswer>> {
-        self.execute_multi_inner(store, runs, obs, Some(ctx))
-    }
-
-    fn execute_multi_inner(
-        &self,
-        store: &TraceStore,
-        runs: &[RunId],
-        obs: &Obs,
-        ctx: Option<&QueryCtx>,
-    ) -> Result<Vec<LineageAnswer>> {
         if runs.len() >= crate::par::RUN_FANOUT_MIN {
-            crate::par::parallel_map(runs, |&r| self.execute_view(&store.pin(r), obs, false, ctx))
+            crate::par::parallel_map(runs, |&r| self.execute_view(&store.pin(r), obs, ctx, false))
                 .into_iter()
                 .collect()
         } else {
             // Few runs: keep the per-run step fan-out decision of the
             // single-run path.
-            let fan = self.steps.len() >= crate::par::STEP_FANOUT_MIN;
-            runs.iter().map(|&r| self.execute_view(&store.pin(r), obs, fan, ctx)).collect()
+            runs.iter().map(|&r| self.execute_pinned(&store.pin(r), obs, ctx)).collect()
         }
     }
 }
@@ -437,18 +354,6 @@ impl<'a> IndexProj<'a> {
         self.plan(query)?.execute(store, run)
     }
 
-    /// Plans and executes in one call, with observability (spans for the
-    /// *s1* planning phase and each *s2* step).
-    pub fn run_with(
-        &self,
-        store: &TraceStore,
-        run: RunId,
-        query: &LineageQuery,
-        obs: &Obs,
-    ) -> Result<LineageAnswer> {
-        self.plan_with(query, obs)?.execute_with(store, run, obs)
-    }
-
     /// Plans once and executes over several runs.
     pub fn run_multi(
         &self,
@@ -457,31 +362,6 @@ impl<'a> IndexProj<'a> {
         query: &LineageQuery,
     ) -> Result<Vec<LineageAnswer>> {
         self.plan(query)?.execute_multi(store, runs)
-    }
-
-    /// Plans once and executes over several runs, with observability.
-    pub fn run_multi_with(
-        &self,
-        store: &TraceStore,
-        runs: &[RunId],
-        query: &LineageQuery,
-        obs: &Obs,
-    ) -> Result<Vec<LineageAnswer>> {
-        self.plan_with(query, obs)?.execute_multi_with(store, runs, obs)
-    }
-
-    /// Plans and executes under a [`QueryCtx`] (trace-id stamping,
-    /// deadline enforcement, drift check — see
-    /// [`LineagePlan::execute_ctx`]).
-    pub fn run_ctx(
-        &self,
-        store: &TraceStore,
-        run: RunId,
-        query: &LineageQuery,
-        obs: &Obs,
-        ctx: &QueryCtx,
-    ) -> Result<LineageAnswer> {
-        self.plan_with(query, obs)?.execute_ctx(store, run, obs, ctx)
     }
 }
 
@@ -858,7 +738,8 @@ mod tests {
         let store = TraceStore::in_memory();
         let run = store.begin_run(&ProcessorName::from("wf"));
         let obs = prov_obs::Obs::enabled();
-        let answer = ip.run_with(&store, run, &q, &obs).unwrap();
+        let plan = ip.plan_with(&q, &obs).unwrap();
+        let answer = plan.execute_pinned(&store.pin(run), &obs, &QueryCtx::new("q")).unwrap();
         let spans = obs.profiler.spans();
         let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
         assert_eq!(count("indexproj.plan"), 1);

@@ -22,6 +22,10 @@
 //! [`LineagePlan::execute`] takes the run id as a parameter, so a sweep
 //! over `n` runs costs one *s1* plus `n × s2`. [`PlanCache`] memoises plans
 //! per `(target, index, 𝒫)`.
+//!
+//! Callers that start from a *request* — query text, a run selection, an
+//! algorithm name — go through [`exec`], the one dispatcher the CLI, the
+//! replica endpoint and the daemon share.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,8 +37,10 @@ mod audit;
 mod cost;
 mod diff;
 mod error;
+mod exec;
 mod impact;
 mod indexproj;
+mod lifecycle;
 mod naive;
 mod par;
 mod parse;
@@ -47,6 +53,7 @@ pub use audit::{audit_run, AuditReport, AuditViolation};
 pub use cost::{CostCheck, CostEstimate, CostModel, StepCost};
 pub use diff::{diff_lineage, diff_traces, LineageDiff, TraceDiff};
 pub use error::CoreError;
+pub use exec::{exec, registered_workflow, Env, Executed, QueryRequest, RunSelection};
 pub use impact::{ImpactQuery, NaiveImpact};
 pub use indexproj::{IndexProj, LineagePlan, PlanStep, StepKind};
 pub use naive::NaiveLineage;

@@ -18,10 +18,11 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use prov_model::{Binding, Index, ProcessorName, RunId};
-use prov_obs::{JournalEvent, Obs, QueryCtx};
+use prov_obs::{Obs, QueryCtx};
 use prov_store::{ReadView, TraceStore};
 
-use crate::{CoreError, LineageAnswer, LineageQuery, Result};
+use crate::lifecycle::Lifecycle;
+use crate::{LineageAnswer, LineageQuery, Result};
 
 /// The naïve lineage query processor.
 #[derive(Debug, Default, Clone, Copy)]
@@ -41,67 +42,45 @@ impl NaiveLineage {
         run: RunId,
         query: &LineageQuery,
     ) -> Result<LineageAnswer> {
-        self.run_with(store, run, query, &Obs::disabled())
+        self.run_pinned(&store.pin(run), query, &Obs::disabled(), &QueryCtx::detached())
     }
 
-    /// [`NaiveLineage::run`] with observability: one `ni.traverse` span
-    /// covers the whole traversal, and every popped node records an
-    /// `ni.hop` span charging the paper's `t2` account — the trace
-    /// accesses that invert one provenance-graph node — tagged with its
-    /// distance from the query target (`depth`). `t1` (pure traversal
-    /// bookkeeping) is the traverse span minus the sum of its hops.
-    pub fn run_with(
+    /// Answers `query` over several runs. NI shares nothing between runs:
+    /// each run costs one full provenance-graph traversal (the behaviour
+    /// Fig. 4 contrasts with INDEXPROJ's shared phase s1).
+    pub fn run_multi(
         &self,
         store: &TraceStore,
-        run: RunId,
+        runs: &[RunId],
         query: &LineageQuery,
-        obs: &Obs,
-    ) -> Result<LineageAnswer> {
-        self.run_pinned(&store.pin(run), query, obs)
+    ) -> Result<Vec<LineageAnswer>> {
+        self.run_multi_ctx(store, runs, query, &Obs::disabled(), &QueryCtx::detached())
     }
 
     /// Answers `query` against an already-pinned read snapshot
-    /// ([`prov_store::TraceStore::pin`]). The whole traversal probes the
-    /// immutable view without acquiring any lock, and sees the run's trace
-    /// exactly as of the pin even while recording continues.
+    /// ([`prov_store::TraceStore::pin`]), observed by `obs` under `ctx`.
+    /// The whole traversal probes the immutable view without acquiring
+    /// any lock, and sees the run's trace exactly as of the pin even while
+    /// recording continues.
+    ///
+    /// One `ni.traverse` span covers the whole traversal, and every popped
+    /// node records an `ni.hop` span charging the paper's `t2` account —
+    /// the trace accesses that invert one provenance-graph node — tagged
+    /// with its distance from the query target (`depth`). `t1` (pure
+    /// traversal bookkeeping) is the traverse span minus the sum of its
+    /// hops. The traversal's trace accesses accumulate into query-local
+    /// counters (journalled as one `QueryFinished` with exact totals —
+    /// per-hop events would swamp the ring on deep graphs), and the
+    /// deadline is enforced between hops.
     pub fn run_pinned(
         &self,
         view: &ReadView,
         query: &LineageQuery,
         obs: &Obs,
-    ) -> Result<LineageAnswer> {
-        self.run_pinned_inner(view, query, obs, None)
-    }
-
-    /// [`NaiveLineage::run_with`] under a [`QueryCtx`]: the traversal's
-    /// trace accesses accumulate into query-local counters (journalled as
-    /// one `QueryFinished` with exact totals — per-hop events would swamp
-    /// the ring on deep graphs), and the deadline is enforced between
-    /// hops.
-    pub fn run_ctx(
-        &self,
-        store: &TraceStore,
-        run: RunId,
-        query: &LineageQuery,
-        obs: &Obs,
         ctx: &QueryCtx,
     ) -> Result<LineageAnswer> {
-        self.run_pinned_inner(&store.pin(run), query, obs, Some(ctx))
-    }
-
-    fn run_pinned_inner(
-        &self,
-        view: &ReadView,
-        query: &LineageQuery,
-        obs: &Obs,
-        ctx: Option<&QueryCtx>,
-    ) -> Result<LineageAnswer> {
-        let started = std::time::Instant::now();
         let run = view.run();
-        if let Some(c) = ctx {
-            obs.journal
-                .record(JournalEvent::QueryStarted { trace: c.trace, query: c.query.clone() });
-        }
+        let life = Lifecycle::start(obs, ctx);
         // One guard spans the whole traversal: exactly one flush into the
         // shared counters, even if a hop errors out (or the deadline
         // fires) partway through.
@@ -123,12 +102,8 @@ impl NaiveLineage {
             if !visited.insert((processor.clone(), port.clone(), index.clone())) {
                 continue;
             }
-            if let Some(c) = ctx {
-                if c.deadline_exceeded() {
-                    return Err(CoreError::DeadlineExceeded { query: c.query.clone() });
-                }
-            }
-            let hop_start = ctx.map(|_| std::time::Instant::now());
+            life.check_deadline()?;
+            let hop_start = life.journals().then(std::time::Instant::now);
             max_depth = max_depth.max(depth);
             let mut hop = obs.span("ni.hop", "t2");
             hop.arg("depth", depth);
@@ -202,81 +177,17 @@ impl NaiveLineage {
         traverse.arg("nodes", visited.len() as u64);
         traverse.arg("max_depth", max_depth);
         traverse.stop();
-        if let Some(c) = ctx {
-            let dur = started.elapsed();
-            let dur_ns = dur.as_nanos() as u64;
-            let totals = probe.so_far();
-            let actual_rows = totals.records_read + totals.rows_scanned;
-            let drift = match (c.predicted_lookups, c.predicted_rows) {
-                (Some(lookups), Some(rows)) => {
-                    let est = crate::CostEstimate {
-                        per_step: vec![],
-                        index_lookups: lookups,
-                        rows_scanned: rows,
-                        grounded: c.rows_grounded,
-                    };
-                    !est.check(totals.index_lookups, actual_rows, c.tolerance).ok
-                }
-                _ => false,
-            };
-            obs.journal.record(JournalEvent::QueryFinished {
-                trace: c.trace,
-                run: run.0,
-                fingerprint: c.fingerprint,
-                steps: trace_queries as u32,
-                bindings: bindings.len() as u64,
-                t1_ns: dur_ns.saturating_sub(t2_ns),
-                t2_ns,
-                dur_ns,
-                index_lookups: totals.index_lookups,
-                records_read: totals.records_read,
-                rows_scanned: totals.rows_scanned,
-                predicted_lookups: c.predicted_lookups,
-                predicted_rows: c.predicted_rows,
-                drift,
-                slow: c.is_slow(dur),
-            });
-        }
+        life.finish(run, trace_queries, bindings.len(), probe.so_far(), Some(t2_ns));
         Ok(LineageAnswer::new(run, bindings, trace_queries, visited.len()))
     }
 
-    /// Answers `query` over several runs. NI shares nothing between runs:
-    /// each run costs one full provenance-graph traversal (the behaviour
-    /// Fig. 4 contrasts with INDEXPROJ's shared phase s1). The traversals
-    /// are independent, so enough runs are fanned out across threads;
-    /// answers come back in run order.
-    pub fn run_multi(
-        &self,
-        store: &TraceStore,
-        runs: &[RunId],
-        query: &LineageQuery,
-    ) -> Result<Vec<LineageAnswer>> {
-        self.run_multi_with(store, runs, query, &Obs::disabled())
-    }
-
-    /// [`NaiveLineage::run_multi`] with observability; the shared `Obs`
-    /// collects every worker's spans on one timeline. Each worker pins its
-    /// run's snapshot once and traverses it lock-free.
-    pub fn run_multi_with(
-        &self,
-        store: &TraceStore,
-        runs: &[RunId],
-        query: &LineageQuery,
-        obs: &Obs,
-    ) -> Result<Vec<LineageAnswer>> {
-        if runs.len() >= crate::par::RUN_FANOUT_MIN {
-            crate::par::parallel_map(runs, |&r| self.run_pinned(&store.pin(r), query, obs))
-                .into_iter()
-                .collect()
-        } else {
-            runs.iter().map(|&r| self.run_with(store, r, query, obs)).collect()
-        }
-    }
-
-    /// [`NaiveLineage::run_multi_with`] under a [`QueryCtx`]: every run's
-    /// traversal journals its own `QueryStarted`/`QueryFinished` pair
-    /// under the shared trace id, so per-query totals reassemble even
-    /// when runs fan out across threads.
+    /// [`NaiveLineage::run_multi`] observed by `obs` under `ctx`. The
+    /// traversals are independent, so enough runs are fanned out across
+    /// threads, each worker pinning its run's snapshot once and traversing
+    /// it lock-free; answers come back in run order. Every run's traversal
+    /// journals its own `QueryStarted`/`QueryFinished` pair under the
+    /// shared trace id, and the shared `Obs` collects every worker's spans
+    /// on one timeline.
     pub fn run_multi_ctx(
         &self,
         store: &TraceStore,
@@ -285,16 +196,11 @@ impl NaiveLineage {
         obs: &Obs,
         ctx: &QueryCtx,
     ) -> Result<Vec<LineageAnswer>> {
+        let one = |&r: &RunId| self.run_pinned(&store.pin(r), query, obs, ctx);
         if runs.len() >= crate::par::RUN_FANOUT_MIN {
-            crate::par::parallel_map(runs, |&r| {
-                self.run_pinned_inner(&store.pin(r), query, obs, Some(ctx))
-            })
-            .into_iter()
-            .collect()
+            crate::par::parallel_map(runs, one).into_iter().collect()
         } else {
-            runs.iter()
-                .map(|&r| self.run_pinned_inner(&store.pin(r), query, obs, Some(ctx)))
-                .collect()
+            runs.iter().map(one).collect()
         }
     }
 }
@@ -423,7 +329,8 @@ mod tests {
         );
         let obs = prov_obs::Obs::enabled();
         let plain = NaiveLineage::new().run(&store, run, &q).unwrap();
-        let profiled = NaiveLineage::new().run_with(&store, run, &q, &obs).unwrap();
+        let profiled =
+            NaiveLineage::new().run_pinned(&store.pin(run), &q, &obs, &QueryCtx::new("q")).unwrap();
         assert_eq!(plain.bindings, profiled.bindings);
         let spans = obs.profiler.spans();
         let traverses = spans.iter().filter(|s| s.name == "ni.traverse").count();

@@ -34,6 +34,15 @@ pub enum ParsedQuery {
     Impact(ImpactQuery),
 }
 
+impl std::fmt::Display for ParsedQuery {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ParsedQuery::Lineage(q) => q.fmt(f),
+            ParsedQuery::Impact(q) => q.fmt(f),
+        }
+    }
+}
+
 /// A parse failure, with a human-oriented message and the byte offset at
 /// which parsing stopped.
 #[derive(Debug, Clone, PartialEq)]

@@ -82,7 +82,8 @@ impl<'a> PlanCache<'a> {
     /// (target, index and focus set). Doubles as the cache bucket key and
     /// as the plan fingerprint in journal events and the slow-query log,
     /// so `tprov slow` aggregates line up with `PlanCacheMiss` events.
-    pub fn fingerprint(query: &LineageQuery) -> u64 {
+    /// Impact queries hash into the same space.
+    pub fn fingerprint(query: &impl Hash) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         query.hash(&mut h);
         h.finish()

@@ -43,6 +43,9 @@ pub enum DataflowError {
         /// The positive fragment lengths found, in input-port order.
         lens: Vec<usize>,
     },
+    /// A serialized specification is not well-formed dataflow JSON
+    /// (carries the parser's message).
+    InvalidJson(String),
 }
 
 impl fmt::Display for DataflowError {
@@ -74,6 +77,7 @@ impl fmt::Display for DataflowError {
                     "processor {processor:?}: dot iteration requires equal positive mismatches, found {lens:?}"
                 )
             }
+            DataflowError::InvalidJson(message) => write!(f, "invalid workflow JSON: {message}"),
         }
     }
 }

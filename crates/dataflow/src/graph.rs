@@ -207,6 +207,17 @@ impl Dataflow {
         Dataflow { name, inputs, outputs, processors, arcs, index }
     }
 
+    /// Loads a serialized specification — the one way a stored or
+    /// hand-written workflow JSON becomes a usable `Dataflow`: parse,
+    /// rebuild the name index, [`validate`](crate::validate).
+    pub fn from_json(json: &str) -> Result<Dataflow> {
+        let mut df: Dataflow =
+            serde_json::from_str(json).map_err(|e| DataflowError::InvalidJson(e.to_string()))?;
+        df.reindex();
+        crate::validate(&df)?;
+        Ok(df)
+    }
+
     /// Rebuilds the name index (needed after deserialization).
     pub fn reindex(&mut self) {
         self.index = self.processors.iter().enumerate().map(|(i, p)| (p.name.clone(), i)).collect();
@@ -400,6 +411,21 @@ mod tests {
         back.reindex();
         assert!(back.processor(&"Q".into()).is_some());
         assert_eq!(back.node_count(), 2);
+    }
+
+    #[test]
+    fn from_json_loads_indexed_and_validated() {
+        let d = tiny();
+        let back = Dataflow::from_json(&serde_json::to_string(&d).unwrap()).unwrap();
+        assert_eq!(back.index.len(), 2, "the name index is rebuilt");
+        assert_eq!(back.arcs, d.arcs);
+        assert!(back.processor(&"Q".into()).is_some());
+        assert!(matches!(Dataflow::from_json("{not json"), Err(DataflowError::InvalidJson(_))));
+        // Well-formed JSON, invalid dataflow: a second processor named P.
+        let mut dup = d.clone();
+        dup.processors.push(dup.processors[0].clone());
+        let err = Dataflow::from_json(&serde_json::to_string(&dup).unwrap()).unwrap_err();
+        assert_eq!(err, DataflowError::DuplicateName("P".into()));
     }
 
     #[test]

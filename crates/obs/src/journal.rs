@@ -109,8 +109,9 @@ pub struct QueryCtx {
     /// Whether the row prediction was grounded in live cardinalities
     /// (ungrounded predictions are not drift-checked).
     pub rows_grounded: bool,
-    /// Tolerance factor for the drift check (observed rows may exceed
-    /// `predicted / tolerance`... see `CostEstimate::check`).
+    /// Tolerance factor for the drift check (see `CostEstimate::check`);
+    /// the factor a prediction attached by `prov_core::exec` is checked
+    /// with.
     pub tolerance: f64,
 }
 
@@ -121,14 +122,28 @@ impl QueryCtx {
         QueryCtx {
             trace: TraceId::next(),
             query: query.into(),
+            slow_threshold: slow_threshold_from_env(),
+            ..Self::detached()
+        }
+    }
+
+    /// The context of an execution nobody observes — what the bare
+    /// (`run`/`execute`) tier of the query layer runs under: trace id 0
+    /// (never minted by [`TraceId::next`]), no deadline, no slow
+    /// threshold, no prediction. Free to construct: no trace id is
+    /// consumed and the environment is not read.
+    pub fn detached() -> Self {
+        QueryCtx {
+            trace: TraceId(0),
+            query: String::new(),
             fingerprint: 0,
             deadline: None,
             deadline_at: None,
-            slow_threshold: slow_threshold_from_env(),
+            slow_threshold: None,
             predicted_lookups: None,
             predicted_rows: None,
             rows_grounded: false,
-            tolerance: 1.0,
+            tolerance: 10.0,
         }
     }
 

@@ -28,11 +28,10 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 
-use prov_core::{parse_query, IndexProj, NaiveImpact, NaiveLineage, ParsedQuery};
-use prov_dataflow::Dataflow;
+use prov_core::{exec, Env, RunSelection};
 use prov_engine::{Backoff, Clock, RetryPolicy, SystemClock};
-use prov_model::{ProcessorName, RunId};
-use prov_obs::{Journal, JournalEvent};
+use prov_model::RunId;
+use prov_obs::{Journal, JournalEvent, Obs, QueryCtx};
 use prov_store::{FaultPlan, FaultReader, ReplPosition, TailState, TraceStore, WalCursor};
 
 use crate::primary::prefix_crc;
@@ -611,10 +610,22 @@ fn handle_query_conn(follower: &Follower, mut stream: TcpStream, shutdown: &Atom
             continue;
         }
         let store = follower.store();
-        match execute_query(&store, &req) {
-            Ok(answers) => {
+        let obs = Obs::disabled().with_journal(follower.journal.clone());
+        let env =
+            Env { store: &store, workflow: None, obs: &obs, ctx: &QueryCtx::new(&*req.query) };
+        let runs = if req.all_runs { RunSelection::All } else { RunSelection::One(RunId(req.run)) };
+        let request = prov_core::QueryRequest {
+            query: &req.query,
+            runs,
+            algo: &req.algo,
+            wf: req.wf.as_deref(),
+        };
+        match exec(&env, &request) {
+            Ok(done) => {
                 let resp = QueryResponse {
-                    answers,
+                    // The `Display` the CLI prints: primary and replica
+                    // output are comparable byte for byte.
+                    answers: done.answers.iter().map(|a| a.to_string()).collect(),
                     lag_frames: status.lag_frames,
                     lag_bytes: status.lag_bytes,
                     generation: status.generation,
@@ -624,10 +635,10 @@ fn handle_query_conn(follower: &Follower, mut stream: TcpStream, shutdown: &Atom
                     return;
                 }
             }
-            Err(message) => {
+            Err(e) => {
                 let err = QueryError {
                     code: "query_failed".into(),
-                    message,
+                    message: e.to_string(),
                     lag_frames: None,
                     max_lag: None,
                 };
@@ -665,71 +676,6 @@ pub(crate) fn staleness_check(
         lag_frames: Some(lag),
         max_lag: Some(max),
     })
-}
-
-/// Resolves the workflow spec for an `indexproj` query from the replica's
-/// *replicated* registry (workflow registrations travel through the WAL,
-/// so a caught-up replica plans against the same spec as the primary).
-fn replica_workflow(store: &TraceStore, wf: &Option<String>) -> Result<Dataflow, String> {
-    let name = match wf {
-        Some(n) => ProcessorName::from(n.as_str()),
-        None => {
-            let names = store.workflow_names();
-            match names.as_slice() {
-                [only] => only.clone(),
-                [] => return Err("no workflow registered on the replica".into()),
-                many => {
-                    return Err(format!(
-                        "replica registers {} workflows; name one with wf",
-                        many.len()
-                    ))
-                }
-            }
-        }
-    };
-    let json = store
-        .workflow_json(&name)
-        .ok_or_else(|| format!("workflow {name:?} is not registered on the replica"))?;
-    let mut df: Dataflow = serde_json::from_str(&json).map_err(|e| e.to_string())?;
-    df.reindex();
-    prov_dataflow::validate(&df).map_err(|e| e.to_string())?;
-    Ok(df)
-}
-
-/// Executes a replica query against `store`, rendering each answer with
-/// the same `Display` the CLI uses — primary and replica output are
-/// comparable byte for byte.
-pub fn execute_query(store: &TraceStore, req: &QueryRequest) -> Result<Vec<String>, String> {
-    let runs: Vec<RunId> = if req.all_runs {
-        store.runs().iter().map(|i| i.id).collect()
-    } else {
-        vec![RunId(req.run)]
-    };
-    match parse_query(&req.query).map_err(|e| e.to_string())? {
-        ParsedQuery::Lineage(query) => match req.algo.as_str() {
-            "ni" => NaiveLineage::new()
-                .run_multi(store, &runs, &query)
-                .map(|v| v.iter().map(|a| a.to_string()).collect())
-                .map_err(|e| e.to_string()),
-            "indexproj" => {
-                let df = replica_workflow(store, &req.wf)?;
-                let ip = IndexProj::new(&df);
-                let plan = ip.plan(&query).map_err(|e| e.to_string())?;
-                plan.execute_multi(store, &runs)
-                    .map(|v| v.iter().map(|a| a.to_string()).collect())
-                    .map_err(|e| e.to_string())
-            }
-            other => Err(format!("unknown algo {other:?} (use ni or indexproj)")),
-        },
-        ParsedQuery::Impact(query) => {
-            let ni = NaiveImpact::new();
-            let mut out = Vec::new();
-            for run in &runs {
-                out.push(ni.run(store, *run, &query).map_err(|e| e.to_string())?.to_string());
-            }
-            Ok(out)
-        }
-    }
 }
 
 /// Connects to a replica query endpoint, runs one request, returns the

@@ -32,8 +32,7 @@ pub mod protocol;
 pub mod verify;
 
 pub use follower::{
-    execute_query, query_replica, status_path, Follower, FollowerConfig, ReplStatus,
-    ReplicaQueryServer,
+    query_replica, status_path, Follower, FollowerConfig, ReplStatus, ReplicaQueryServer,
 };
 pub use primary::{snapshot_backs_marker, PrimaryConfig, ReplServer};
 pub use protocol::{QueryError, QueryRequest, QueryResponse};

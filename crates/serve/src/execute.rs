@@ -1,122 +1,31 @@
-//! Deadline-aware query execution for the daemon.
-//!
-//! Mirrors the replica's query executor (`prov_repl::execute_query`) —
-//! answers render through the same `Display` the CLI uses, so a served
-//! answer is byte-identical to a local one — but threads a
-//! [`QueryCtx`] through the `_ctx` entry points so a per-request deadline
-//! driven by the daemon's injectable clock aborts the query *between plan
-//! steps*, surfacing as a typed timeout instead of a hung session.
+//! The daemon's query executor: a [`ServeQuery`] off the wire becomes a
+//! [`prov_core::exec`] request, and the answers render through the same
+//! `Display` the CLI uses — a served answer is byte-identical to a local
+//! one. The session's [`QueryCtx`] carries the request's clock deadline,
+//! so an expired request aborts *between plan steps* with
+//! [`CoreError::DeadlineExceeded`], which the session turns into the typed
+//! `timeout` reply.
 
-use prov_core::{parse_query, CoreError, IndexProj, NaiveImpact, NaiveLineage, ParsedQuery};
-use prov_dataflow::Dataflow;
-use prov_model::{ProcessorName, RunId};
+use prov_core::{exec, CoreError, Env, QueryRequest, RunSelection};
+use prov_model::RunId;
 use prov_obs::{Obs, QueryCtx};
 use prov_store::TraceStore;
 
 use crate::protocol::ServeQuery;
 
-/// How a served query failed: a deadline expiry is distinguished so the
-/// session can send the typed `timeout` error and journal it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ExecError {
-    /// The request's deadline passed; execution was abandoned between
-    /// plan steps.
-    Timeout {
-        /// The query's source text.
-        query: String,
-    },
-    /// Any other failure (parse error, unknown run, planner refusal...).
-    Failed(String),
-}
-
-impl std::fmt::Display for ExecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecError::Timeout { query } => write!(f, "deadline exceeded executing {query:?}"),
-            ExecError::Failed(m) => write!(f, "{m}"),
-        }
-    }
-}
-
-impl std::error::Error for ExecError {}
-
-fn core_err(e: CoreError) -> ExecError {
-    match e {
-        CoreError::DeadlineExceeded { query } => ExecError::Timeout { query },
-        other => ExecError::Failed(other.to_string()),
-    }
-}
-
-/// Resolves the workflow spec for an `indexproj` query from the store's
-/// registry (the serve path registers specs via `IngestBegin`, so a
-/// daemon plans against exactly what its writers declared).
-fn registered_workflow(store: &TraceStore, wf: &Option<String>) -> Result<Dataflow, ExecError> {
-    let name = match wf {
-        Some(n) => ProcessorName::from(n.as_str()),
-        None => {
-            let names = store.workflow_names();
-            match names.as_slice() {
-                [only] => only.clone(),
-                [] => return Err(ExecError::Failed("no workflow registered on the server".into())),
-                many => {
-                    return Err(ExecError::Failed(format!(
-                        "server registers {} workflows; name one with wf",
-                        many.len()
-                    )))
-                }
-            }
-        }
-    };
-    let json = store
-        .workflow_json(&name)
-        .ok_or_else(|| ExecError::Failed(format!("workflow {name:?} is not registered")))?;
-    let mut df: Dataflow =
-        serde_json::from_str(&json).map_err(|e| ExecError::Failed(e.to_string()))?;
-    df.reindex();
-    prov_dataflow::validate(&df).map_err(|e| ExecError::Failed(e.to_string()))?;
-    Ok(df)
-}
-
-/// Executes one served query under `ctx` (which carries the request's
-/// clock deadline). Answers use the CLI's rendering.
+/// Executes one served query under `ctx`, planning `indexproj` requests
+/// against the store's registered workflow (the serve path registers specs
+/// via `IngestBegin`).
 pub fn execute_query(
     store: &TraceStore,
     req: &ServeQuery,
     obs: &Obs,
     ctx: &QueryCtx,
-) -> Result<Vec<String>, ExecError> {
-    let runs: Vec<RunId> = if req.all_runs {
-        store.runs().iter().map(|i| i.id).collect()
-    } else {
-        vec![RunId(req.run)]
-    };
-    match parse_query(&req.query).map_err(|e| ExecError::Failed(e.to_string()))? {
-        ParsedQuery::Lineage(query) => match req.algo.as_str() {
-            "ni" => NaiveLineage::new()
-                .run_multi_ctx(store, &runs, &query, obs, ctx)
-                .map(|v| v.iter().map(|a| a.to_string()).collect())
-                .map_err(core_err),
-            "indexproj" => {
-                let df = registered_workflow(store, &req.wf)?;
-                let ip = IndexProj::new(&df);
-                let plan = ip.plan(&query).map_err(core_err)?;
-                plan.execute_multi_ctx(store, &runs, obs, ctx)
-                    .map(|v| v.iter().map(|a| a.to_string()).collect())
-                    .map_err(core_err)
-            }
-            other => {
-                Err(ExecError::Failed(format!("unknown algo {other:?} (use ni or indexproj)")))
-            }
-        },
-        ParsedQuery::Impact(query) => {
-            let ni = NaiveImpact::new();
-            let mut out = Vec::new();
-            for run in &runs {
-                out.push(ni.run_ctx(store, *run, &query, obs, ctx).map_err(core_err)?.to_string());
-            }
-            Ok(out)
-        }
-    }
+) -> Result<Vec<String>, CoreError> {
+    let runs = if req.all_runs { RunSelection::All } else { RunSelection::One(RunId(req.run)) };
+    let request = QueryRequest { query: &req.query, runs, algo: &req.algo, wf: req.wf.as_deref() };
+    let done = exec(&Env { store, workflow: None, obs, ctx }, &request)?;
+    Ok(done.answers.iter().map(|a| a.to_string()).collect())
 }
 
 #[cfg(test)]
@@ -126,8 +35,7 @@ mod tests {
     use std::sync::Arc;
 
     use prov_engine::TraceSink;
-    use prov_engine::{PortBinding, XformEvent};
-    use prov_model::{Index, Value};
+    use prov_model::ProcessorName;
     use prov_obs::TimeSource;
 
     #[derive(Debug)]
@@ -138,59 +46,25 @@ mod tests {
         }
     }
 
-    fn seeded_store() -> (TraceStore, RunId) {
+    /// The dispatcher's own cases live with `prov_core::exec`; this pins
+    /// the one thing the session depends on — an expired clock deadline
+    /// comes back as the variant it maps to the typed `timeout` reply.
+    #[test]
+    fn an_expired_clock_deadline_is_the_typed_deadline_error() {
         let store = TraceStore::in_memory();
         let run = store.begin_run(&ProcessorName::from("wf"));
-        store.record_xform(
-            run,
-            XformEvent {
-                processor: ProcessorName::from("P"),
-                invocation: 0,
-                inputs: vec![PortBinding::new("x", Index::empty(), Value::str("in"))],
-                outputs: vec![PortBinding::new("y", Index::empty(), Value::str("out"))],
-            },
-        );
-        (store, run)
-    }
-
-    fn req(run: RunId, query: &str, algo: &str) -> ServeQuery {
-        ServeQuery {
-            query: query.into(),
+        let req = ServeQuery {
+            query: "lin(<P:y[]>)".into(),
             run: run.0,
             all_runs: false,
-            algo: algo.into(),
+            algo: "ni".into(),
             wf: None,
             deadline_ms: None,
-        }
-    }
-
-    #[test]
-    fn naive_lineage_answers_through_the_serve_executor() {
-        let (store, run) = seeded_store();
-        let obs = Obs::disabled();
-        let ctx = QueryCtx::new("q");
-        let out = execute_query(&store, &req(run, "lin(<P:y[]>)", "ni"), &obs, &ctx).unwrap();
-        assert_eq!(out.len(), 1);
-        assert!(out[0].starts_with("run:"), "answer uses the CLI rendering: {}", out[0]);
-    }
-
-    #[test]
-    fn an_expired_clock_deadline_is_a_typed_timeout() {
-        let (store, run) = seeded_store();
-        let obs = Obs::disabled();
+        };
         // Deadline already in the past on the injected clock.
         let clock = Arc::new(Frozen(AtomicU64::new(10_000)));
         let ctx = QueryCtx::new("q").with_clock_deadline(clock, 1);
-        let err = execute_query(&store, &req(run, "lin(<P:y[]>)", "ni"), &obs, &ctx).unwrap_err();
-        assert!(matches!(err, ExecError::Timeout { .. }), "got {err:?}");
-    }
-
-    #[test]
-    fn parse_failures_are_plain_failures_not_timeouts() {
-        let (store, run) = seeded_store();
-        let obs = Obs::disabled();
-        let ctx = QueryCtx::new("q");
-        let err = execute_query(&store, &req(run, "not a query", "ni"), &obs, &ctx).unwrap_err();
-        assert!(matches!(err, ExecError::Failed(_)));
+        let err = execute_query(&store, &req, &Obs::disabled(), &ctx).unwrap_err();
+        assert!(matches!(err, CoreError::DeadlineExceeded { .. }), "got {err:?}");
     }
 }

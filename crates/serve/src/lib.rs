@@ -36,7 +36,7 @@ mod server;
 pub mod signal;
 
 pub use client::{RemoteSink, ServeClient, DEFAULT_BATCH_EVENTS, DEFAULT_PIPELINE_DEPTH};
-pub use execute::{execute_query, ExecError};
+pub use execute::execute_query;
 pub use server::{DrainReport, ProvServer, ServeConfig};
 
 /// Client-visible failure of a serve-protocol interaction.

@@ -44,12 +44,13 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
+use prov_core::CoreError;
 use prov_engine::{Clock, ClockSource, SystemClock, TraceSink};
 use prov_model::{ProcessorName, RunId};
 use prov_obs::{Counter, Gauge, JournalEvent, Obs, QueryCtx, TimeSource};
 use prov_store::SharedStore;
 
-use crate::execute::{execute_query, ExecError};
+use crate::execute::execute_query;
 use crate::protocol::{self as p, ServeErrorMsg};
 use crate::ServeError;
 
@@ -327,15 +328,17 @@ fn session(mut stream: TcpStream, shared: Arc<Shared>) {
         Ok(w) => Arc::new(Mutex::new(w)),
         Err(_) => return,
     };
+    // The idle window opens before the welcome goes out: whatever the
+    // client does after `connect` returns is ordered after this reading.
+    let clock = Arc::clone(&shared.cfg.clock);
+    let mut last_active = clock.now_micros();
     {
         let welcome = p::Welcome { proto: p::PROTO_VERSION, max_frame: p::MAX_FRAME_LEN };
         if p::write_json(&mut *writer.lock(), p::TAG_WELCOME, &welcome).is_err() {
             return;
         }
     }
-    let clock = Arc::clone(&shared.cfg.clock);
     let mut pipes: HashMap<u64, IngestPipe> = HashMap::new();
-    let mut last_active = clock.now_micros();
     loop {
         if shared.draining.load(Ordering::SeqCst) {
             break;
@@ -508,7 +511,7 @@ fn handle_frame(
                     let ok = p::ServeQueryOk { answers };
                     p::write_json(&mut *writer.lock(), p::TAG_QUERY_OK, &ok).is_ok()
                 }
-                Err(ExecError::Timeout { query }) => {
+                Err(CoreError::DeadlineExceeded { query }) => {
                     shared.metrics.request_timeouts.inc();
                     shared.obs.journal.record(JournalEvent::RequestTimeout {
                         trace: ctx.trace,
@@ -522,8 +525,8 @@ fn handle_frame(
                     let _ = p::write_json(&mut *writer.lock(), p::TAG_ERR, &msg);
                     true
                 }
-                Err(ExecError::Failed(message)) => {
-                    let msg = ServeErrorMsg::new("query_failed", message);
+                Err(e) => {
+                    let msg = ServeErrorMsg::new("query_failed", e.to_string());
                     let _ = p::write_json(&mut *writer.lock(), p::TAG_ERR, &msg);
                     true
                 }

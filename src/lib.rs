@@ -79,12 +79,12 @@ pub use prov_workgen as workgen;
 /// One-stop imports for typical use.
 pub mod prelude {
     pub use prov_core::{
-        ImpactQuery, IndexProj, LineageAnswer, LineagePlan, LineageQuery, NaiveImpact,
-        NaiveLineage, PlanCache, PlanCacheStats,
+        exec, Env, ImpactQuery, IndexProj, LineageAnswer, LineagePlan, LineageQuery, NaiveImpact,
+        NaiveLineage, PlanCache, PlanCacheStats, QueryRequest, RunSelection,
     };
     pub use prov_dataflow::{BaseType, Dataflow, DataflowBuilder, PortType};
     pub use prov_engine::{Behavior, BehaviorRegistry, Engine, ExecutionMode, RunOutcome};
     pub use prov_model::{Atom, Binding, Index, PortRef, ProcessorName, RunId, Value, ValueId};
-    pub use prov_obs::{Obs, Profiler, Registry};
+    pub use prov_obs::{Obs, Profiler, QueryCtx, Registry};
     pub use prov_store::TraceStore;
 }

@@ -118,17 +118,18 @@ proptest! {
         let query = testbed::focused_query(&[0, d as u32 - 1]);
         let plan = IndexProj::new(&df).plan(&query).unwrap();
 
+        let ctx = QueryCtx::new("q");
         let seq_obs = Obs::enabled();
         let before = store.stats().snapshot();
         let seq_answers: Vec<_> = runs
             .iter()
-            .map(|&r| plan.execute_with(&store, r, &seq_obs).unwrap())
+            .map(|&r| plan.execute_pinned(&store.pin(r), &seq_obs, &ctx).unwrap())
             .collect();
         let seq_work = store.stats().snapshot().since(before);
 
         let par_obs = Obs::enabled();
         let before = store.stats().snapshot();
-        let par_answers = plan.execute_multi_with(&store, &runs, &par_obs).unwrap();
+        let par_answers = plan.execute_multi_ctx(&store, &runs, &par_obs, &ctx).unwrap();
         let par_work = store.stats().snapshot().since(before);
 
         prop_assert_eq!(seq_answers.len(), par_answers.len());
@@ -141,10 +142,10 @@ proptest! {
         // NI's traversal spans are fan-out-invariant the same way.
         let seq_ni = Obs::enabled();
         for &r in &runs {
-            NaiveLineage::new().run_with(&store, r, &query, &seq_ni).unwrap();
+            NaiveLineage::new().run_pinned(&store.pin(r), &query, &seq_ni, &ctx).unwrap();
         }
         let par_ni = Obs::enabled();
-        NaiveLineage::new().run_multi_with(&store, &runs, &query, &par_ni).unwrap();
+        NaiveLineage::new().run_multi_ctx(&store, &runs, &query, &par_ni, &ctx).unwrap();
         prop_assert_eq!(span_totals(&seq_ni.profiler), span_totals(&par_ni.profiler));
     }
 
@@ -162,7 +163,7 @@ proptest! {
         let obs = Obs::enabled();
         let plan = IndexProj::new(&df).plan_with(&query, &obs).unwrap();
         prop_assert!(plan.steps.len() >= 16, "plan too small to fan out: {}", plan.steps.len());
-        let answer = plan.execute_with(&store, run, &obs).unwrap();
+        let answer = plan.execute_pinned(&store.pin(run), &obs, &QueryCtx::new("q")).unwrap();
 
         let totals = span_totals(&obs.profiler);
         let (step_count, step_rows) = totals["indexproj.step"];

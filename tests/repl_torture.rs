@@ -397,7 +397,16 @@ fn replica_queries_render_identically_and_refuse_stale() {
             max_lag_frames: Some(0),
         };
         let resp = query_replica(&qaddr, &req).unwrap();
-        let expected = prov_repl::execute_query(&p.store, &req).unwrap();
+        let local = taverna_prov::lineage::QueryRequest {
+            query: &req.query,
+            runs: RunSelection::All,
+            algo,
+            wf: None,
+        };
+        let (obs, ctx) = (Obs::disabled(), QueryCtx::new(&*req.query));
+        let env = Env { store: &p.store, workflow: None, obs: &obs, ctx: &ctx };
+        let expected: Vec<String> =
+            exec(&env, &local).unwrap().answers.iter().map(|a| a.to_string()).collect();
         assert_eq!(resp.answers, expected, "{algo}: replica rendering diverged");
         assert_eq!(resp.lag_frames, 0);
     }

@@ -107,10 +107,14 @@ fn queries() -> Vec<LineageQuery> {
     qs
 }
 
+/// A path no other call — in this process or a concurrent one — hands out:
+/// tests run on parallel threads and share tags (`reference`).
 fn tmp(tag: &str) -> PathBuf {
+    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let dir = std::env::temp_dir().join("prov-resume-torture");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{tag}-{}.wal", std::process::id()));
+    let path = dir.join(format!("{tag}-{}-{n}.wal", std::process::id()));
     cleanup(&path);
     path
 }

@@ -239,11 +239,12 @@ proptest! {
 
         let q = testbed::focused_query(&[0, d as u32 - 1]);
         let plan = IndexProj::new(&df).plan(&q).unwrap();
-        let ip_view = plan.execute_pinned(&view, &Obs::disabled()).unwrap();
+        let ctx = QueryCtx::new("q");
+        let ip_view = plan.execute_pinned(&view, &Obs::disabled(), &ctx).unwrap();
         let ip_ref = plan.execute(&reference, ref_run).unwrap();
         prop_assert!(ip_view.same_bindings(&ip_ref), "INDEXPROJ through pinned view diverged");
 
-        let ni_view = NaiveLineage::new().run_pinned(&view, &q, &Obs::disabled()).unwrap();
+        let ni_view = NaiveLineage::new().run_pinned(&view, &q, &Obs::disabled(), &ctx).unwrap();
         let ni_ref = NaiveLineage::new().run(&reference, ref_run, &q).unwrap();
         prop_assert!(ni_view.same_bindings(&ni_ref), "NI through pinned view diverged");
 
