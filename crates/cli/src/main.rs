@@ -46,7 +46,7 @@ use std::sync::Arc;
 
 use prov_core::{
     CoreError, Env, Executed, ImpactQuery, IndexProj, LineageQuery, NaiveLineage, QueryRequest,
-    RunSelection,
+    RunSelection, WorkflowCache,
 };
 use prov_dataflow::{to_dot, to_dot_with_diagnostics, AnalyzeConfig, Dataflow};
 use prov_engine::{BehaviorRegistry, Engine, FailedInvocation, RetryPolicy};
@@ -303,8 +303,8 @@ fn query_via_replica(args: &Args, addr: &str) -> Result<(), String> {
 /// one shared store. The bound address is written to `<db>.serve.addr`
 /// so scripts can use `--addr 127.0.0.1:0`; on SIGTERM/ctrl-c (or after
 /// `--for-ms`) the daemon drains, fsyncs, snapshots, and exits 0,
-/// leaving its `serve.*` counters in a `<db>.serve.json` sidecar that
-/// `tprov metrics` folds back in.
+/// leaving its `serve.*`, `workflow_cache.*` and `plan_cache.*` counters in
+/// a `<db>.serve.json` sidecar that `tprov metrics` folds back in.
 fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
     let db = args.required("db")?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:0");
@@ -352,7 +352,8 @@ fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
         std::thread::sleep(std::time::Duration::from_millis(25));
     }
     let report = server.shutdown();
-    // Persist the serve.* metric family so `tprov metrics` on this
+    // Persist the daemon's metric families (its sessions, and the
+    // workflows and plans it kept resident) so `tprov metrics` on this
     // database reports the daemon's last run (atomic tmp+rename, like the
     // replication sidecar).
     let snap = registry.snapshot();
@@ -360,7 +361,9 @@ fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
         .counters
         .iter()
         .chain(snap.gauges.iter())
-        .filter(|(k, _)| k.starts_with("serve."))
+        .filter(|(k, _)| {
+            ["serve.", "workflow_cache.", "plan_cache."].iter().any(|family| k.starts_with(family))
+        })
         .collect();
     let sidecar = format!("{db}.serve.json");
     let tmp = format!("{sidecar}.tmp");
@@ -755,7 +758,8 @@ fn exec_local(
     if let Some(tolerance) = args.get_parsed("tolerance")? {
         ctx.tolerance = tolerance;
     }
-    let env = Env { store, workflow: workflow.as_ref(), obs, ctx: &ctx };
+    let workflows = WorkflowCache::new();
+    let env = Env { store, workflow: workflow.as_ref(), workflows: &workflows, obs, ctx: &ctx };
     let request =
         QueryRequest { query: text, runs: run_selection(args)?, algo, wf: args.get("wf") };
     prov_core::exec(&env, &request).map_err(query_err)
@@ -868,9 +872,10 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
         registry.set_gauge("repl.connected", u64::from(s.connected));
     }
     // When a daemon last served this database, `tprov serve` left its
-    // `serve.*` counter family in a `<db>.serve.json` sidecar at
-    // shutdown; fold it in so one `metrics` call covers the store, its
-    // replication health, and its serve surface.
+    // `serve.*`, `workflow_cache.*` and `plan_cache.*` counter families in
+    // a `<db>.serve.json` sidecar at shutdown; fold it in so one `metrics`
+    // call covers the store, its replication health, and its serve
+    // surface.
     let serve_sidecar = format!("{}.serve.json", args.required("db")?);
     if let Ok(text) = std::fs::read_to_string(&serve_sidecar) {
         let m: std::collections::BTreeMap<String, u64> = serde_json::from_str(&text)

@@ -701,14 +701,16 @@ fn metrics_json_schema_is_locked() {
     assert!(stdout(&out).contains("p95="), "{}", stdout(&out));
 
     // A `<db>.serve.json` sidecar (written by `tprov serve` at shutdown)
-    // folds the daemon's serve.* family into the same snapshot; the
-    // family's member names are part of the scrape contract.
+    // folds the daemon's serve.* family, and the counters of the
+    // workflows and plans it kept resident, into the same snapshot; the
+    // member names are part of the scrape contract.
     let serve_sidecar = format!("{}.serve.json", db.arg());
     std::fs::write(
         &serve_sidecar,
-        r#"{"serve.active_conns":0,"serve.backpressure_waits":3,"serve.conns_accepted":7,
-            "serve.conns_refused":1,"serve.draining":1,"serve.ingest_batches":40,
-            "serve.queries":5,"serve.request_timeouts":2}"#,
+        r#"{"plan_cache.hits":3,"plan_cache.misses":2,"serve.active_conns":0,
+            "serve.backpressure_waits":3,"serve.conns_accepted":7,"serve.conns_refused":1,
+            "serve.draining":1,"serve.ingest_batches":40,"serve.queries":5,
+            "serve.request_timeouts":2,"workflow_cache.hits":4,"workflow_cache.loads":1}"#,
     )
     .unwrap();
     let out = tprov(&["metrics", "--db", db.arg(), "--format", "json"]);
@@ -716,6 +718,10 @@ fn metrics_json_schema_is_locked() {
     let snap: serde_json::Value = serde_json::from_str(&stdout(&out)).unwrap();
     let gauges = sorted_keys(&snap["gauges"]);
     for required in [
+        "plan_cache.hits",
+        "plan_cache.misses",
+        "workflow_cache.hits",
+        "workflow_cache.loads",
         "serve.active_conns",
         "serve.backpressure_waits",
         "serve.conns_accepted",
@@ -1177,10 +1183,15 @@ fn serve_run_query_roundtrip_matches_local_and_drains_on_sigterm() {
     assert!(stdout(&out).contains("workflow=upper"), "{}", stdout(&out));
     assert!(stdout(&out).contains("finished"), "{}", stdout(&out));
 
-    // The serve.* family landed in the sidecar and `metrics` folds it in.
-    let out = tprov(&["metrics", "--db", srv.arg()]);
+    // The serve.* family landed in the sidecar and `metrics` folds it in,
+    // with the resident cache's counters: one INDEXPROJ request, so one
+    // specification load and one plan compile.
+    let out = tprov(&["metrics", "--db", srv.arg(), "--format", "json"]);
     assert!(out.status.success(), "{}", stderr(&out));
-    assert!(stdout(&out).contains("serve.conns_accepted"), "{}", stdout(&out));
+    let snap: serde_json::Value = serde_json::from_str(&stdout(&out)).unwrap();
+    assert!(json_u64(&snap["gauges"]["serve.conns_accepted"]) >= 4, "{}", stdout(&out));
+    assert_eq!(json_u64(&snap["gauges"]["workflow_cache.loads"]), 1, "{}", stdout(&out));
+    assert_eq!(json_u64(&snap["gauges"]["plan_cache.misses"]), 1, "{}", stdout(&out));
 
     let _ = std::fs::remove_file(&wf_path);
 }

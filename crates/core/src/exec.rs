@@ -6,19 +6,23 @@
 //! and optional workflow name in; answers out. What lies between is the
 //! paper's *plan once (t1), probe per run (t2)* and is written down here
 //! once: parse → select runs → pick the algorithm → resolve the workflow
-//! specification → plan → attach the cost prediction → execute through the
-//! `(obs, ctx)` tier of [`NaiveLineage`] / [`LineagePlan`](crate::LineagePlan)
-//! / [`NaiveImpact`]. Rendering is [`LineageAnswer`]'s `Display`, so local,
+//! specification → plan (both resident in the caller's [`WorkflowCache`]:
+//! loaded and compiled only on a miss) → attach the cost prediction →
+//! execute through the `(obs, ctx)` tier of [`NaiveLineage`] /
+//! [`LineagePlan`](crate::LineagePlan) / [`NaiveImpact`]. Rendering is [`LineageAnswer`]'s `Display`, so local,
 //! replicated and served answers for one request are byte-identical.
+
+use std::sync::Arc;
 
 use prov_dataflow::Dataflow;
 use prov_model::{ProcessorName, RunId};
 use prov_obs::{Obs, QueryCtx};
 use prov_store::TraceStore;
 
+use crate::verify::explain_plan;
 use crate::{
     parse_query, CoreError, IndexProj, LineageAnswer, NaiveImpact, NaiveLineage, ParsedQuery,
-    PlanCache, Result,
+    PlanCache, Result, WorkflowCache,
 };
 
 /// Where a request executes: the store it reads, the observability it
@@ -29,8 +33,13 @@ pub struct Env<'a> {
     /// The trace store.
     pub store: &'a TraceStore,
     /// A caller-supplied workflow specification (the CLI's
-    /// `--workflow FILE`); wins over the store's registry.
+    /// `--workflow FILE`); wins over the store's registry and bypasses
+    /// `workflows`.
     pub workflow: Option<&'a Dataflow>,
+    /// The registered workflows this process keeps resident, with their
+    /// plans: owned by a daemon or a replica for its lifetime, fresh and
+    /// empty for a one-shot request.
+    pub workflows: &'a WorkflowCache,
     /// Spans, metrics and the event journal.
     pub obs: &'a Obs,
     /// The request's context.
@@ -103,36 +112,35 @@ pub fn exec(env: &Env<'_>, req: &QueryRequest<'_>) -> Result<Executed> {
         ParsedQuery::Lineage(q) => match req.algo {
             "ni" => (None, NaiveLineage::new().run_multi_ctx(store, &runs, q, obs, &ctx)?),
             "indexproj" => {
-                let registered;
-                let df = match env.workflow {
-                    Some(df) => df,
+                let resident;
+                let (df, plan) = match env.workflow {
+                    Some(df) => (df, Arc::new(IndexProj::new(df).plan_with(q, obs)?)),
                     None => {
-                        registered = registered_workflow(store, req.wf)?;
-                        &registered
+                        let (name, spec) = registered_spec(store, req.wf)?;
+                        resident = env.workflows.resident(name, spec)?;
+                        (resident.dataflow(), resident.plan(q, obs)?)
                     }
                 };
-                let ip = IndexProj::new(df);
-                let plan = if journalled {
-                    // Explain (rather than bare plan) so the cost model's
-                    // prediction rides along and drift is detectable.
+                if journalled {
+                    // The cost model's prediction rides along so drift is
+                    // detectable; it is grounded per request, whether or
+                    // not the plan was compiled for this one.
                     let first = runs.first().copied();
-                    let ex = ip.explain_with(
-                        q,
+                    let ex = explain_plan(
+                        df,
+                        Arc::clone(&plan),
                         &store.index_catalog(),
                         |step, id| {
                             first
                                 .map(|r| store.port_cardinality(id, r, &step.processor, &step.port))
                         },
                         obs,
-                    )?;
+                    );
                     let c = ctx.to_mut();
                     c.predicted_lookups = Some(ex.cost.index_lookups);
                     c.predicted_rows = Some(ex.cost.rows_scanned);
                     c.rows_grounded = ex.cost.grounded;
-                    ex.plan
-                } else {
-                    ip.plan_with(q, obs)?
-                };
+                }
                 (Some(plan.steps.len()), plan.execute_multi_ctx(store, &runs, obs, &ctx)?)
             }
             other => return Err(CoreError::UnknownAlgo { algo: other.to_string() }),
@@ -147,11 +155,11 @@ pub fn exec(env: &Env<'_>, req: &QueryRequest<'_>) -> Result<Executed> {
     Ok(Executed { plan_steps, answers })
 }
 
-/// Loads a workflow specification from the store's registry — the named
-/// one, else the only one. Registrations travel through the WAL, so a
-/// daemon plans against exactly what its writers declared and a caught-up
-/// replica against the same spec as its primary.
-pub fn registered_workflow(store: &TraceStore, wf: Option<&str>) -> Result<Dataflow> {
+/// The specification a request plans against, as registered: the named
+/// workflow, else the store's only one. Registrations travel through the
+/// WAL, so a daemon plans against exactly what its writers declared and a
+/// caught-up replica against the same spec as its primary.
+fn registered_spec(store: &TraceStore, wf: Option<&str>) -> Result<(ProcessorName, Arc<str>)> {
     let name = match wf {
         Some(n) => ProcessorName::from(n),
         None => {
@@ -167,8 +175,14 @@ pub fn registered_workflow(store: &TraceStore, wf: Option<&str>) -> Result<Dataf
             }
         }
     };
-    let json = store
+    let spec = store
         .workflow_json(&name)
         .ok_or_else(|| CoreError::WorkflowNotRegistered { name: name.to_string() })?;
-    Ok(Dataflow::from_json(&json)?)
+    Ok((name, spec))
+}
+
+/// Loads a workflow specification from the store's registry for a caller
+/// that wants its own copy (the CLI's spec-level verbs).
+pub fn registered_workflow(store: &TraceStore, wf: Option<&str>) -> Result<Dataflow> {
+    Ok(Dataflow::from_json(&registered_spec(store, wf)?.1)?)
 }

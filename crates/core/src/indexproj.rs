@@ -264,6 +264,11 @@ impl<'a> IndexProj<'a> {
         IndexProj { df, depths: OnceLock::new() }
     }
 
+    /// A query processor whose Algorithm 1 result is already at hand.
+    pub(crate) fn with_depths(df: &'a Dataflow, depths: Arc<DepthInfo>) -> Self {
+        IndexProj { df, depths: OnceLock::from(depths) }
+    }
+
     /// The workflow specification this processor plans against.
     pub fn dataflow(&self) -> &'a Dataflow {
         self.df

@@ -59,9 +59,11 @@ pub use indexproj::{IndexProj, LineagePlan, PlanStep, StepKind};
 pub use naive::NaiveLineage;
 pub use par::{query_workers, set_query_threads, MAX_QUERY_THREADS};
 pub use parse::{parse_lineage, parse_query, ParseError, ParsedQuery};
-pub use plan_cache::{PlanCache, PlanCacheStats};
+pub use plan_cache::{PlanCache, PlanCacheStats, WorkflowCache, WorkflowCacheStats, PLAN_MEMO_CAP};
 pub use query::{FocusSet, LineageQuery};
-pub use verify::{step_index_id, verify_plan, Explanation, PlanReport, StepClass, VerifiedStep};
+pub use verify::{
+    explain_plan, step_index_id, verify_plan, Explanation, PlanReport, StepClass, VerifiedStep,
+};
 
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;

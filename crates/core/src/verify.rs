@@ -27,6 +27,8 @@
 //! `tprov explain`; [`IndexProj::plan_checked`] is the pre-flight hook
 //! that refuses to hand out a plan with error-level findings.
 
+use std::sync::Arc;
+
 use prov_dataflow::{
     sort_diagnostics, Dataflow, DiagCode, Diagnostic, Location, NodeRef, ProcessorKind,
 };
@@ -285,7 +287,7 @@ fn step_location(df: &Dataflow, step: &PlanStep) -> Location {
 #[derive(Debug, Clone)]
 pub struct Explanation {
     /// The compiled plan.
-    pub plan: LineagePlan,
+    pub plan: Arc<LineagePlan>,
     /// Verifier verdicts and diagnostics.
     pub report: PlanReport,
     /// Per-port slice statistics backing the cost estimate, one per step
@@ -300,6 +302,29 @@ impl Explanation {
     pub fn is_servable(&self) -> bool {
         self.report.is_servable()
     }
+}
+
+/// Verifies and costs an already compiled `plan` of `df` — what a request
+/// served from a cached plan still owes its journal. `stats` supplies
+/// per-step slice cardinalities (return `None` when unknown). Records an
+/// `explain.verify` span charging the paper's `t1` account — verification
+/// is pure graph work.
+pub fn explain_plan(
+    df: &Dataflow,
+    plan: Arc<LineagePlan>,
+    catalog: &IndexCatalog,
+    mut stats: impl FnMut(&PlanStep, IndexId) -> Option<PortCardinality>,
+    obs: &Obs,
+) -> Explanation {
+    let mut span = obs.span("explain.verify", "t1");
+    let report = verify_plan(df, &plan, catalog);
+    let cardinalities: Vec<Option<PortCardinality>> =
+        plan.steps.iter().zip(&report.steps).map(|(step, v)| stats(step, v.index_id)).collect();
+    let cost = CostModel::default().estimate(&plan, &report, &cardinalities);
+    span.arg("steps", plan.steps.len() as u64);
+    span.arg("findings", report.diagnostics.len() as u64);
+    span.stop();
+    Explanation { plan, report, cardinalities, cost }
 }
 
 impl<'a> IndexProj<'a> {
@@ -332,26 +357,17 @@ impl<'a> IndexProj<'a> {
     }
 
     /// The general form: `stats` supplies per-step slice cardinalities
-    /// (return `None` when unknown). Records an `explain.verify` span
-    /// charging the paper's `t1` account — verification is pure graph
-    /// work.
+    /// (return `None` when unknown); compiles `query`, then
+    /// [`explain_plan`].
     pub fn explain_with(
         &self,
         query: &LineageQuery,
         catalog: &IndexCatalog,
-        mut stats: impl FnMut(&PlanStep, IndexId) -> Option<PortCardinality>,
+        stats: impl FnMut(&PlanStep, IndexId) -> Option<PortCardinality>,
         obs: &Obs,
     ) -> Result<Explanation> {
-        let plan = self.plan_with(query, obs)?;
-        let mut span = obs.span("explain.verify", "t1");
-        let report = verify_plan(self.dataflow(), &plan, catalog);
-        let cardinalities: Vec<Option<PortCardinality>> =
-            plan.steps.iter().zip(&report.steps).map(|(step, v)| stats(step, v.index_id)).collect();
-        let cost = CostModel::default().estimate(&plan, &report, &cardinalities);
-        span.arg("steps", plan.steps.len() as u64);
-        span.arg("findings", report.diagnostics.len() as u64);
-        span.stop();
-        Ok(Explanation { plan, report, cardinalities, cost })
+        let plan = Arc::new(self.plan_with(query, obs)?);
+        Ok(explain_plan(self.dataflow(), plan, catalog, stats, obs))
     }
 
     /// Pre-flight planning: compiles `query` and refuses to return the

@@ -4,7 +4,8 @@
 use std::sync::Arc;
 
 use prov_core::{
-    exec, parse_query, CoreError, Env, Executed, ParsedQuery, PlanCache, QueryRequest, RunSelection,
+    exec, parse_query, CoreError, Env, Executed, NaiveLineage, ParsedQuery, PlanCache,
+    PlanCacheStats, QueryRequest, RunSelection, WorkflowCache, WorkflowCacheStats, PLAN_MEMO_CAP,
 };
 use prov_dataflow::{Dataflow, DataflowError};
 use prov_model::{ProcessorName, RunId};
@@ -65,7 +66,8 @@ fn every_request_shape_answers_identically_through_the_one_path() {
             for (store, workflow, wf) in sources {
                 for obs in [Obs::disabled(), Obs::enabled()] {
                     let ctx = QueryCtx::new(query);
-                    let env = Env { store, workflow, obs: &obs, ctx: &ctx };
+                    let workflows = WorkflowCache::new();
+                    let env = Env { store, workflow, workflows: &workflows, obs: &obs, ctx: &ctx };
                     let req = QueryRequest { wf, ..request(query, selection, algo) };
                     let done = exec(&env, &req)
                         .unwrap_or_else(|e| panic!("{algo} {selection:?} {wf:?}: {e}"));
@@ -83,8 +85,8 @@ fn every_request_shape_answers_identically_through_the_one_path() {
             }
             assert!(renderings.windows(2).all(|w| w[0] == w[1]), "{algo}: {renderings:?}");
         }
-        let (obs, ctx) = (Obs::disabled(), QueryCtx::new(LIN));
-        let env = Env { store: &sole, workflow: None, obs: &obs, ctx: &ctx };
+        let (obs, ctx, workflows) = (Obs::disabled(), QueryCtx::new(LIN), WorkflowCache::new());
+        let env = Env { store: &sole, workflow: None, workflows: &workflows, obs: &obs, ctx: &ctx };
         let ni = exec(&env, &request(LIN, selection, "ni")).unwrap();
         let ip = exec(&env, &request(LIN, selection, "indexproj")).unwrap();
         assert_eq!(rendered(&ni), rendered(&ip), "NI ≢ INDEXPROJ on {selection:?}");
@@ -98,8 +100,8 @@ fn every_request_shape_answers_identically_through_the_one_path() {
 fn journalled_requests_carry_fingerprint_and_prediction() {
     let df = testbed::generate(3);
     let sole = store(&df, 2, &["testbed"]);
-    let (obs, ctx) = (Obs::enabled(), QueryCtx::new(LIN));
-    let env = Env { store: &sole, workflow: None, obs: &obs, ctx: &ctx };
+    let (obs, ctx, workflows) = (Obs::enabled(), QueryCtx::new(LIN), WorkflowCache::new());
+    let env = Env { store: &sole, workflow: None, workflows: &workflows, obs: &obs, ctx: &ctx };
     exec(&env, &request(LIN, RunSelection::All, "indexproj")).unwrap();
     let ParsedQuery::Lineage(q) = parse_query(LIN).unwrap() else { unreachable!() };
     let mut finished = 0;
@@ -140,8 +142,10 @@ fn every_refusal_is_typed() {
     invalid.register_workflow(&"dup".into(), serde_json::to_string(&dup).unwrap());
 
     let obs = Obs::disabled();
+    let workflows = WorkflowCache::new();
     let run = |store: &TraceStore, ctx: &QueryCtx, req: QueryRequest<'_>| {
-        exec(&Env { store, workflow: None, obs: &obs, ctx }, &req).unwrap_err()
+        exec(&Env { store, workflow: None, workflows: &workflows, obs: &obs, ctx }, &req)
+            .unwrap_err()
     };
     let ctx = QueryCtx::new("q");
     let one = RunSelection::One(RunId(0));
@@ -172,4 +176,156 @@ fn every_refusal_is_typed() {
         let e = run(&sole, &expired, request(query, one, algo));
         assert!(matches!(e, CoreError::DeadlineExceeded { .. }), "{algo} {query}: {e:?}");
     }
+}
+
+// ------------------------------------------------ the resident workflow cache
+
+const FOCUS_CHAIN: &str = "lin(<2TO1_FINAL:Y[0,1]>, {LISTGEN_1,CHAIN_A_1,CHAIN_A_2,CHAIN_A_3})";
+
+fn indexproj(store: &TraceStore, workflows: &WorkflowCache, obs: &Obs, query: &str) -> Executed {
+    let ctx = QueryCtx::new(query);
+    let env = Env { store, workflow: None, workflows, obs, ctx: &ctx };
+    exec(&env, &request(query, RunSelection::All, "indexproj")).unwrap()
+}
+
+fn stats(loads: u64, hits: u64, plan_hits: u64, plan_misses: u64) -> WorkflowCacheStats {
+    WorkflowCacheStats {
+        loads,
+        hits,
+        plans: PlanCacheStats { hits: plan_hits, misses: plan_misses },
+    }
+}
+
+/// N identical requests cost one specification load and one plan compile
+/// — `Dataflow::from_json` is reached on a miss only — and the supplied
+/// `--workflow` spec goes around the cache altogether.
+#[test]
+fn repeated_requests_load_and_plan_once() {
+    let df = testbed::generate(3);
+    let sole = store(&df, 2, &["testbed"]);
+    let (workflows, obs) = (WorkflowCache::new(), Obs::disabled());
+    let first = rendered(&indexproj(&sole, &workflows, &obs, LIN));
+    for _ in 0..9 {
+        assert_eq!(rendered(&indexproj(&sole, &workflows, &obs, LIN)), first);
+    }
+    assert_eq!(workflows.stats(), stats(1, 9, 9, 1));
+    assert_eq!(workflows.cached_plans(), 1);
+    // NI never resolves a workflow; a supplied spec bypasses the cache.
+    let ctx = QueryCtx::new(LIN);
+    let env =
+        Env { store: &sole, workflow: Some(&df), workflows: &workflows, obs: &obs, ctx: &ctx };
+    exec(&env, &request(LIN, RunSelection::All, "indexproj")).unwrap();
+    exec(&env, &request(LIN, RunSelection::All, "ni")).unwrap();
+    assert_eq!(workflows.stats(), stats(1, 9, 9, 1));
+}
+
+/// Re-registering identical bytes keeps the entry and its plans;
+/// different bytes replace both, and the next answer is planned against
+/// the new specification.
+#[test]
+fn reregistration_invalidates_by_content() {
+    let df = testbed::generate(3);
+    let sole = store(&df, 1, &["testbed"]);
+    let (workflows, obs) = (WorkflowCache::new(), Obs::disabled());
+    let name = ProcessorName::from("testbed");
+    let before = indexproj(&sole, &workflows, &obs, FOCUS_CHAIN);
+    sole.register_workflow(&name, serde_json::to_string(&df).unwrap());
+    let same = indexproj(&sole, &workflows, &obs, FOCUS_CHAIN);
+    assert_eq!(workflows.stats(), stats(1, 1, 1, 1), "identical bytes keep entry and plans");
+    assert_eq!(rendered(&same), rendered(&before));
+
+    // A two-stage chain under the same name: CHAIN_A_3 no longer exists,
+    // so the same query compiles to a shorter plan.
+    let shorter = testbed::generate(2);
+    sole.register_workflow(&name, serde_json::to_string(&shorter).unwrap());
+    let after = indexproj(&sole, &workflows, &obs, FOCUS_CHAIN);
+    assert_eq!(workflows.stats(), stats(2, 1, 1, 2), "different bytes reload and re-plan");
+    assert!(
+        after.plan_steps < before.plan_steps,
+        "{:?} vs {:?}",
+        after.plan_steps,
+        before.plan_steps
+    );
+    assert_eq!(workflows.cached_plans(), 1, "the old spec's plans went with it");
+}
+
+/// Eight sessions asking at once after a registration converge on one
+/// resident entry and one plan: the specification is parsed once, and a
+/// lost compile race counts as a hit.
+#[test]
+fn concurrent_requests_converge_on_one_entry() {
+    let df = testbed::generate(3);
+    let sole = store(&df, 1, &["testbed"]);
+    let (workflows, obs) = (WorkflowCache::new(), Obs::disabled());
+    let gate = std::sync::Barrier::new(8);
+    std::thread::scope(|s| {
+        for _ in 0..8 {
+            s.spawn(|| {
+                gate.wait();
+                for _ in 0..5 {
+                    indexproj(&sole, &workflows, &obs, LIN);
+                }
+            });
+        }
+    });
+    assert_eq!(workflows.stats(), stats(1, 39, 39, 1));
+    assert_eq!(workflows.cached_plans(), 1);
+}
+
+/// A client sweeping indexes cannot grow a resident memo past its cap,
+/// and forgetting plans never changes an answer: every INDEXPROJ answer
+/// of the sweep equals NI's.
+#[test]
+fn an_index_sweep_stays_under_the_plan_cap() {
+    // The smallest list whose index space overflows the memo.
+    const D: usize = 68;
+    const { assert!(D * D > PLAN_MEMO_CAP) };
+    let df = testbed::generate(1);
+    let sole = TraceStore::in_memory();
+    let run = testbed::run(&df, D, &sole).run_id;
+    sole.register_workflow(&df.name, serde_json::to_string(&df).unwrap());
+    let (workflows, obs) = (WorkflowCache::new(), Obs::disabled());
+    let ni = NaiveLineage::new();
+    for n in 0..D * D {
+        let text = format!("lin(<2TO1_FINAL:Y[{},{}]>, {{LISTGEN_1}})", n / D, n % D);
+        let done = indexproj(&sole, &workflows, &obs, &text);
+        assert!(workflows.cached_plans() <= PLAN_MEMO_CAP, "{n}: {}", workflows.cached_plans());
+        let ParsedQuery::Lineage(q) = parse_query(&text).unwrap() else { unreachable!() };
+        let oracle = ni.run(&sole, run, &q).unwrap();
+        assert!(done.answers[0].same_bindings(&oracle), "{text}");
+    }
+    let sweep = (D * D) as u64;
+    assert_eq!(workflows.stats(), stats(1, sweep - 1, 0, sweep));
+    assert_eq!(workflows.cached_plans(), D * D - PLAN_MEMO_CAP, "a full memo starts over");
+}
+
+/// With the journal on, a request served from a cached plan still
+/// finishes with its fingerprint and a grounded prediction, and compiles
+/// nothing: `PlanCacheMiss` fires once for the pair.
+#[test]
+fn journalled_hits_keep_fingerprint_and_prediction() {
+    let df = testbed::generate(3);
+    let sole = store(&df, 1, &["testbed"]);
+    let (workflows, obs) = (WorkflowCache::new(), Obs::enabled());
+    indexproj(&sole, &workflows, &obs, LIN);
+    indexproj(&sole, &workflows, &obs, LIN);
+    assert_eq!(workflows.stats(), stats(1, 1, 1, 1));
+    let ParsedQuery::Lineage(q) = parse_query(LIN).unwrap() else { unreachable!() };
+    let events = obs.journal.events();
+    let misses =
+        events.iter().filter(|e| matches!(e.event, JournalEvent::PlanCacheMiss { .. })).count();
+    assert_eq!(misses, 1, "only the compile is a miss");
+    let finished: Vec<_> = events
+        .iter()
+        .filter_map(|e| match e.event {
+            JournalEvent::QueryFinished { fingerprint, predicted_lookups, drift, .. } => {
+                Some((fingerprint, predicted_lookups, drift))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(finished.len(), 2);
+    assert_eq!(finished[0], finished[1], "the hit is journalled exactly like the compile");
+    assert_eq!(finished[1].0, PlanCache::fingerprint(&q));
+    assert!(finished[1].1.is_some() && !finished[1].2);
 }

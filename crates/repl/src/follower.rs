@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 
-use prov_core::{exec, Env, RunSelection};
+use prov_core::{exec, Env, RunSelection, WorkflowCache};
 use prov_engine::{Backoff, Clock, RetryPolicy, SystemClock};
 use prov_model::RunId;
 use prov_obs::{Journal, JournalEvent, Obs, QueryCtx};
@@ -137,6 +137,10 @@ pub struct Follower {
     stop: AtomicBool,
     current: Mutex<Option<TcpStream>>,
     journal: Journal,
+    /// Registered workflows and plans resident across replica queries;
+    /// turns over when a replicated `Workflow` record (or a re-bootstrap)
+    /// changes what the store registers.
+    workflows: WorkflowCache,
 }
 
 impl std::fmt::Debug for Follower {
@@ -168,6 +172,7 @@ impl Follower {
             stop: AtomicBool::new(false),
             current: Mutex::new(None),
             journal,
+            workflows: WorkflowCache::new(),
         });
         follower.write_sidecar();
         Ok(follower)
@@ -182,6 +187,12 @@ impl Follower {
     /// an older `Arc` finish against the pre-bootstrap state).
     pub fn store(&self) -> Arc<TraceStore> {
         Arc::clone(&self.store.read())
+    }
+
+    /// Counters of the workflows and plans kept resident for replica
+    /// queries.
+    pub fn workflow_cache_stats(&self) -> prov_core::WorkflowCacheStats {
+        self.workflows.stats()
     }
 
     /// A copy of the current replication status.
@@ -611,8 +622,13 @@ fn handle_query_conn(follower: &Follower, mut stream: TcpStream, shutdown: &Atom
         }
         let store = follower.store();
         let obs = Obs::disabled().with_journal(follower.journal.clone());
-        let env =
-            Env { store: &store, workflow: None, obs: &obs, ctx: &QueryCtx::new(&*req.query) };
+        let env = Env {
+            store: &store,
+            workflow: None,
+            workflows: &follower.workflows,
+            obs: &obs,
+            ctx: &QueryCtx::new(&*req.query),
+        };
         let runs = if req.all_runs { RunSelection::All } else { RunSelection::One(RunId(req.run)) };
         let request = prov_core::QueryRequest {
             query: &req.query,

@@ -6,25 +6,38 @@
 //! [`CoreError::DeadlineExceeded`], which the session turns into the typed
 //! `timeout` reply.
 
-use prov_core::{exec, CoreError, Env, QueryRequest, RunSelection};
+use prov_core::{exec, CoreError, Env, QueryRequest, RunSelection, WorkflowCache};
 use prov_model::RunId;
 use prov_obs::{Obs, QueryCtx};
 use prov_store::TraceStore;
 
 use crate::protocol::ServeQuery;
 
-/// Executes one served query under `ctx`, planning `indexproj` requests
-/// against the store's registered workflow (the serve path registers specs
-/// via `IngestBegin`).
+/// Executes one served query under `ctx`, one-shot: `indexproj` requests
+/// load the store's registered workflow (the serve path registers specs
+/// via `IngestBegin`) and plan from scratch, as a daemon's first request
+/// for that workflow and query does.
 pub fn execute_query(
     store: &TraceStore,
     req: &ServeQuery,
     obs: &Obs,
     ctx: &QueryCtx,
 ) -> Result<Vec<String>, CoreError> {
+    execute_resident(store, &WorkflowCache::new(), req, obs, ctx)
+}
+
+/// [`execute_query`] against the workflows and plans a daemon keeps
+/// resident across requests.
+pub(crate) fn execute_resident(
+    store: &TraceStore,
+    workflows: &WorkflowCache,
+    req: &ServeQuery,
+    obs: &Obs,
+    ctx: &QueryCtx,
+) -> Result<Vec<String>, CoreError> {
     let runs = if req.all_runs { RunSelection::All } else { RunSelection::One(RunId(req.run)) };
     let request = QueryRequest { query: &req.query, runs, algo: &req.algo, wf: req.wf.as_deref() };
-    let done = exec(&Env { store, workflow: None, obs, ctx }, &request)?;
+    let done = exec(&Env { store, workflow: None, workflows, obs, ctx }, &request)?;
     Ok(done.answers.iter().map(|a| a.to_string()).collect())
 }
 

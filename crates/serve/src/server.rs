@@ -44,13 +44,13 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use prov_core::CoreError;
+use prov_core::{CoreError, WorkflowCache};
 use prov_engine::{Clock, ClockSource, SystemClock, TraceSink};
 use prov_model::{ProcessorName, RunId};
 use prov_obs::{Counter, Gauge, JournalEvent, Obs, QueryCtx, TimeSource};
 use prov_store::SharedStore;
 
-use crate::execute::execute_query;
+use crate::execute::execute_resident;
 use crate::protocol::{self as p, ServeErrorMsg};
 use crate::ServeError;
 
@@ -127,6 +127,9 @@ impl ServeMetrics {
 
 struct Shared {
     store: SharedStore,
+    /// Registered workflows parsed, and plans compiled, by earlier
+    /// requests of any session.
+    workflows: WorkflowCache,
     obs: Obs,
     cfg: ServeConfig,
     active: AtomicU64,
@@ -180,8 +183,11 @@ impl ProvServer {
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let metrics = ServeMetrics::register(&obs);
+        let workflows = WorkflowCache::new();
+        workflows.register_metrics(&obs.metrics);
         let shared = Arc::new(Shared {
             store,
+            workflows,
             obs,
             cfg,
             active: AtomicU64::new(0),
@@ -506,7 +512,7 @@ fn handle_frame(
                 deadline_micros = clock.now_micros().saturating_add(ms.saturating_mul(1000));
                 ctx = ctx.with_clock_deadline(source, deadline_micros);
             }
-            match execute_query(&shared.store, &req, &shared.obs, &ctx) {
+            match execute_resident(&shared.store, &shared.workflows, &req, &shared.obs, &ctx) {
                 Ok(answers) => {
                     let ok = p::ServeQueryOk { answers };
                     p::write_json(&mut *writer.lock(), p::TAG_QUERY_OK, &ok).is_ok()

@@ -92,8 +92,11 @@ pub struct RunInfo {
 struct Inner {
     runs: BTreeMap<RunId, RunInfo>,
     /// Registered workflow specifications, by name (serialised JSON; the
-    /// store stays ignorant of the dataflow crate).
-    workflows: BTreeMap<ProcessorName, String>,
+    /// store stays ignorant of the dataflow crate). The `Arc` is the
+    /// registration's identity: it changes exactly when the bytes do, so a
+    /// reader holding a spec it parsed earlier revalidates with
+    /// `Arc::ptr_eq`.
+    workflows: BTreeMap<ProcessorName, Arc<str>>,
     next_run: u64,
     /// Next global xform row id. Ids stay globally monotone across shards
     /// (the public `XformRecord::id` contract); row *positions* inside a
@@ -493,7 +496,7 @@ impl TraceStore {
             let _ = std::fs::remove_file(&tmp);
             let mut w = WalWriter::open(&tmp)?.with_metrics(self.wal_metrics.clone());
             for (name, json) in &inner.workflows {
-                w.append(&LogRecord::Workflow { name: name.clone(), json: json.clone() })?;
+                w.append(&LogRecord::Workflow { name: name.clone(), json: json.to_string() })?;
                 frames += 1;
             }
             for info in inner.runs.values() {
@@ -631,7 +634,7 @@ impl TraceStore {
         {
             let inner = self.inner.read();
             for (name, json) in &inner.workflows {
-                w.append(&LogRecord::Workflow { name: name.clone(), json: json.clone() })?;
+                w.append(&LogRecord::Workflow { name: name.clone(), json: json.to_string() })?;
             }
             for info in inner.runs.values() {
                 w.append(&LogRecord::BeginRun { run: info.id, workflow: info.workflow.clone() })?;
@@ -1103,8 +1106,10 @@ impl TraceStore {
         }
     }
 
-    /// The registered specification JSON of a workflow, if any.
-    pub fn workflow_json(&self, name: &ProcessorName) -> Option<String> {
+    /// The registered specification JSON of a workflow, if any. Two calls
+    /// return the same allocation unless different bytes were registered
+    /// in between.
+    pub fn workflow_json(&self, name: &ProcessorName) -> Option<Arc<str>> {
         self.inner.read().workflows.get(name).cloned()
     }
 
@@ -1188,7 +1193,11 @@ impl Inner {
                 self.shards.remove(&run);
             }
             LogRecord::Workflow { name, json } => {
-                self.workflows.insert(name, json);
+                // Identical bytes (every `IngestBegin` re-registers its
+                // spec) keep the registration's identity.
+                if self.workflows.get(&name).map(|old| &**old) != Some(json.as_str()) {
+                    self.workflows.insert(name, json.into());
+                }
             }
             // Markers delimit recovery phases; replay itself ignores them.
             LogRecord::Snapshot { .. } => {}
@@ -1717,16 +1726,20 @@ mod tests {
         {
             let s = TraceStore::open(&path).unwrap();
             s.register_workflow(&"wf".into(), "{\"fake\":1}".to_string());
-            assert_eq!(s.workflow_json(&"wf".into()).unwrap(), "{\"fake\":1}");
+            assert_eq!(&*s.workflow_json(&"wf".into()).unwrap(), "{\"fake\":1}");
         }
         let s = TraceStore::open(&path).unwrap();
         assert_eq!(s.workflow_names(), vec![ProcessorName::from("wf")]);
         s.checkpoint().unwrap();
         let s = TraceStore::open(&path).unwrap();
-        assert_eq!(s.workflow_json(&"wf".into()).unwrap(), "{\"fake\":1}");
-        // Re-registration overwrites.
+        assert_eq!(&*s.workflow_json(&"wf".into()).unwrap(), "{\"fake\":1}");
+        // Re-registration overwrites — and hands out a new identity
+        // exactly when the bytes change.
+        let first = s.workflow_json(&"wf".into()).unwrap();
+        s.register_workflow(&"wf".into(), "{\"fake\":1}".to_string());
+        assert!(Arc::ptr_eq(&first, &s.workflow_json(&"wf".into()).unwrap()));
         s.register_workflow(&"wf".into(), "{\"fake\":2}".to_string());
-        assert_eq!(s.workflow_json(&"wf".into()).unwrap(), "{\"fake\":2}");
+        assert_eq!(&*s.workflow_json(&"wf".into()).unwrap(), "{\"fake\":2}");
     }
 
     #[test]
@@ -1914,7 +1927,7 @@ mod tests {
         assert_eq!(s.wal_metrics().recovery_replayed_frames.get(), 1);
         assert_eq!(s.trace_record_count(RunId(0)), 3);
         assert!(s.runs()[0].finished);
-        assert_eq!(s.workflow_json(&"wf".into()).unwrap(), "{\"fake\":1}");
+        assert_eq!(&*s.workflow_json(&"wf".into()).unwrap(), "{\"fake\":1}");
         assert_eq!(s.xforms_producing(RunId(0), &"P".into(), "y", &Index::empty()).len(), 2);
         // Run ids continue past the replayed space.
         assert_eq!(s.begin_run(&"wf".into()), RunId(1));

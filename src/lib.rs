@@ -80,7 +80,7 @@ pub use prov_workgen as workgen;
 pub mod prelude {
     pub use prov_core::{
         exec, Env, ImpactQuery, IndexProj, LineageAnswer, LineagePlan, LineageQuery, NaiveImpact,
-        NaiveLineage, PlanCache, PlanCacheStats, QueryRequest, RunSelection,
+        NaiveLineage, PlanCache, PlanCacheStats, QueryRequest, RunSelection, WorkflowCache,
     };
     pub use prov_dataflow::{BaseType, Dataflow, DataflowBuilder, PortType};
     pub use prov_engine::{Behavior, BehaviorRegistry, Engine, ExecutionMode, RunOutcome};

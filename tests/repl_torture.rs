@@ -404,7 +404,9 @@ fn replica_queries_render_identically_and_refuse_stale() {
             wf: None,
         };
         let (obs, ctx) = (Obs::disabled(), QueryCtx::new(&*req.query));
-        let env = Env { store: &p.store, workflow: None, obs: &obs, ctx: &ctx };
+        let workflows = WorkflowCache::new();
+        let env =
+            Env { store: &p.store, workflow: None, workflows: &workflows, obs: &obs, ctx: &ctx };
         let expected: Vec<String> =
             exec(&env, &local).unwrap().answers.iter().map(|a| a.to_string()).collect();
         assert_eq!(resp.answers, expected, "{algo}: replica rendering diverged");
@@ -445,6 +447,87 @@ fn replica_queries_render_identically_and_refuse_stale() {
     server.shutdown();
     cleanup(&fdb);
     cleanup(&lonely_db);
+    cleanup(&p.path);
+}
+
+/// A replica keeps the registered workflow and its plans resident across
+/// queries, and its cache turns over when — and only when — a replicated
+/// `Workflow` record changes the registration: no hook beyond the record
+/// itself arriving through `apply_replicated`.
+#[test]
+fn replica_cache_turns_over_with_a_replicated_workflow_record() {
+    let p = primary("cache", 1, false);
+    let mut server = ReplServer::spawn(
+        Arc::clone(&p.store),
+        "127.0.0.1:0",
+        Journal::disabled(),
+        PrimaryConfig { chunk_bytes: 1024, poll_interval_ms: 2 },
+    )
+    .unwrap();
+    let fdb = tmp("cache-f");
+    let follower = Follower::open(&fdb, Journal::disabled()).unwrap();
+    let handle = follower.start(server.addr().to_string(), fast_config(None));
+    assert!(follower.wait_caught_up(CATCH_UP));
+    let qserver = follower.serve_queries("127.0.0.1:0").unwrap();
+    let qaddr = qserver.addr().to_string();
+    let req = QueryRequest {
+        query: "lin(<2TO1_FINAL:Y[0,1]>, {LISTGEN_1,CHAIN_A_1,CHAIN_A_2,CHAIN_A_3})".into(),
+        run: 0,
+        all_runs: true,
+        algo: "indexproj".into(),
+        wf: None,
+        max_lag_frames: None,
+    };
+    let on_primary = || {
+        let local = taverna_prov::lineage::QueryRequest {
+            query: &req.query,
+            runs: RunSelection::All,
+            algo: "indexproj",
+            wf: None,
+        };
+        let (obs, ctx, workflows) =
+            (Obs::disabled(), QueryCtx::new(&*req.query), WorkflowCache::new());
+        let env =
+            Env { store: &p.store, workflow: None, workflows: &workflows, obs: &obs, ctx: &ctx };
+        exec(&env, &local).unwrap().answers.iter().map(|a| a.to_string()).collect::<Vec<_>>()
+    };
+    let counters = || {
+        let s = follower.workflow_cache_stats();
+        [s.loads, s.hits, s.plans.misses, s.plans.hits]
+    };
+
+    let before = on_primary();
+    for _ in 0..3 {
+        assert_eq!(query_replica(&qaddr, &req).unwrap().answers, before);
+    }
+    assert_eq!(counters(), [1, 2, 1, 2]);
+
+    // Identical bytes and a new run: more records arrive, the entry stays.
+    let spec = serde_json::to_string(&p.df).unwrap();
+    p.store.register_workflow(&ProcessorName::from("testbed"), spec);
+    testbed::run(&p.df, 3, &*p.store);
+    p.store.sync_wal().unwrap();
+    wait_converged(&follower, &p, "cache-same");
+    assert_eq!(query_replica(&qaddr, &req).unwrap().answers, on_primary());
+    assert_eq!(counters(), [1, 3, 1, 3]);
+
+    // Different bytes under the same name: the next replica answer is
+    // planned against the new specification, like the primary's.
+    let shorter = serde_json::to_string(&testbed::generate(2)).unwrap();
+    p.store.register_workflow(&ProcessorName::from("testbed"), shorter);
+    p.store.sync_wal().unwrap();
+    wait_converged(&follower, &p, "cache-new");
+    let after = on_primary();
+    assert_ne!(after[0], before[0], "the shorter chain must change the answer");
+    assert_eq!(query_replica(&qaddr, &req).unwrap().answers, after);
+    assert_eq!(counters(), [2, 3, 2, 3]);
+
+    drop(qserver);
+    follower.stop();
+    let _ = handle.join();
+    drop(follower);
+    server.shutdown();
+    cleanup(&fdb);
     cleanup(&p.path);
 }
 
