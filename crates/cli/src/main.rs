@@ -823,8 +823,8 @@ fn cmd_audit(args: &Args) -> Result<(), String> {
 /// `tprov query --db t.wal --query 'lin(<2TO1_FINAL:Y[1,2]>, {LISTGEN_1})'`.
 ///
 /// The store's WAL/snapshot hooks and the query layer journal typed events
-/// (trace-id-stamped, so per-query attribution survives
-/// `TPROV_QUERY_THREADS` fan-out), and on exit the ring is drained into
+/// (trace-id-stamped, so per-query attribution survives concurrent
+/// queries on one store), and on exit the ring is drained into
 /// `<db>.journal.jsonl` / `<db>.slow.jsonl` for `tprov tail` / `tprov
 /// slow`. With INDEXPROJ the cost model's prediction is attached up front
 /// (by [`prov_core::exec`]), so a finished query whose observed
@@ -854,10 +854,6 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
     let store = open_db(args)?;
     let registry = Registry::new();
     store.register_metrics(&registry);
-    // The query worker pool size in effect (TPROV_QUERY_THREADS else the
-    // hardware default) — so operators can see what fan-out a deployment
-    // actually runs with.
-    registry.set_gauge("query.workers", prov_core::query_workers() as u64);
     // When this database is a replica, `tprov replicate follow` maintains
     // a `<db>.repl.json` sidecar (written atomically on every status
     // change); surface its lag as gauges so one `metrics` call covers

@@ -76,12 +76,10 @@ pub struct LineagePlan {
 }
 
 impl LineagePlan {
-    /// One step's resolved bindings — independent of every other step, so
-    /// steps can execute in any order or concurrently. Reads only the
-    /// pinned view: no store lock is touched. Probe work accumulates into
-    /// `probe` (the caller owns the flush into the shared counters), so
-    /// each step's exact cost is attributable even when steps run
-    /// concurrently on worker threads.
+    /// One step's resolved bindings. Reads only the pinned view: no store
+    /// lock is touched. Probe work accumulates into `probe` (the caller
+    /// owns the flush into the shared counters), so each step's exact cost
+    /// is attributable.
     fn step_bindings(
         view: &ReadView,
         step: &PlanStep,
@@ -122,32 +120,21 @@ impl LineagePlan {
     /// charging `t1`. Journal events (`QueryStarted`/`PlanStep`/
     /// `QueryFinished`) are stamped with the context's trace id, the
     /// deadline is enforced between steps, and the attached cost
-    /// prediction (if any) is drift-checked on completion. Large plans fan
-    /// their (mutually independent) steps out across scoped threads;
-    /// results are recombined in step order, so the answer — and which
-    /// error surfaces, if any — is identical to the sequential loop's.
+    /// prediction (if any) is drift-checked on completion. Steps run in
+    /// plan order on the caller's thread; the first failing step's error
+    /// is the query's.
+    ///
+    /// Each step counts its probe work into a step-local [`ProbeStats`]
+    /// (flushed into the shared counters exactly once, on drop — early
+    /// returns and panics included), so span arguments and `PlanStep`
+    /// journal events carry the step's *exact* cost. When `obs` can record
+    /// neither spans nor events, steps skip the timing and the local
+    /// counters altogether.
     pub fn execute_pinned(
         &self,
         view: &ReadView,
         obs: &Obs,
         ctx: &QueryCtx,
-    ) -> Result<LineageAnswer> {
-        self.execute_view(view, obs, ctx, self.steps.len() >= crate::par::STEP_FANOUT_MIN)
-    }
-
-    /// Each step counts its probe work into a step-local [`ProbeStats`]
-    /// (flushed into the shared counters exactly once, on drop — early
-    /// returns and panics included), so span arguments and `PlanStep`
-    /// journal events carry the step's *exact* cost even when steps fan
-    /// out across worker threads under `TPROV_QUERY_THREADS`. When `obs`
-    /// can record neither spans nor events, steps skip the timing and the
-    /// local counters altogether.
-    fn execute_view(
-        &self,
-        view: &ReadView,
-        obs: &Obs,
-        ctx: &QueryCtx,
-        fan_steps: bool,
     ) -> Result<LineageAnswer> {
         use std::time::Instant;
         let life = Lifecycle::start(obs, ctx);
@@ -155,7 +142,7 @@ impl LineagePlan {
         let run_u64 = view.run().0;
         // (bindings, step-local probe counters, step duration).
         type StepOut = (Vec<Binding>, ProbeStats, u64);
-        let timed_step = |&(idx, step): &(usize, &PlanStep)| -> Result<StepOut> {
+        let timed_step = |(idx, step): (usize, &PlanStep)| -> Result<StepOut> {
             life.check_deadline()?;
             if !observing {
                 let mut guard = view.probe_guard();
@@ -194,18 +181,13 @@ impl LineagePlan {
             }
             out.map(|b| (b, local, dur_ns))
         };
-        let indexed: Vec<(usize, &PlanStep)> = self.steps.iter().enumerate().collect();
-        let per_step: Vec<Result<StepOut>> = if fan_steps {
-            crate::par::parallel_map(&indexed, timed_step)
-        } else {
-            indexed.iter().map(timed_step).collect()
-        };
+        let per_step =
+            self.steps.iter().enumerate().map(timed_step).collect::<Result<Vec<StepOut>>>()?;
         let mut assemble = obs.span("indexproj.assemble", "t1");
         let mut bindings: Vec<Binding> = Vec::new();
         let mut totals = ProbeStats::new();
         let mut t2_ns = 0u64;
-        for step_result in per_step {
-            let (step_bindings, local, dur_ns) = step_result?;
+        for (step_bindings, local, dur_ns) in per_step {
             totals.index_lookups += local.index_lookups;
             totals.records_read += local.records_read;
             totals.rows_scanned += local.rows_scanned;
@@ -218,20 +200,13 @@ impl LineagePlan {
         Ok(LineageAnswer::new(view.run(), bindings, self.steps.len(), self.nodes_visited))
     }
 
-    /// [`LineagePlan::execute_multi`] observed by `obs` under `ctx`.
-    /// Enough runs are executed concurrently, one plan shared by all
-    /// workers; answers come back in run order and any error is reported
-    /// for the lowest failing run index, exactly as sequentially. Every
-    /// run's execution shares the context's trace id and emits its own
-    /// `QueryFinished` (carrying the run id), so a multi-run sweep
-    /// reassembles into per-run totals from the journal alone; spans land
-    /// on one timeline with per-worker `tid`s.
-    ///
-    /// Each worker pins its run's snapshot up front and runs the plan's
-    /// steps *sequentially* against it: with one worker per run there is
-    /// nothing left to gain from nested step fan-out, and suppressing it
-    /// keeps the thread count bounded by the pool size instead of its
-    /// square. After the pin, a worker acquires **zero** locks.
+    /// [`LineagePlan::execute_multi`] observed by `obs` under `ctx`: one
+    /// plan shared by every run, the runs taken in order — pin one, run
+    /// its steps, next. After its pin a run acquires **zero** locks. The
+    /// first failing run's error is the sweep's. Every run's execution
+    /// shares the context's trace id and emits its own `QueryFinished`
+    /// (carrying the run id), so a multi-run sweep reassembles into
+    /// per-run totals from the journal alone.
     pub fn execute_multi_ctx(
         &self,
         store: &TraceStore,
@@ -239,15 +214,7 @@ impl LineagePlan {
         obs: &Obs,
         ctx: &QueryCtx,
     ) -> Result<Vec<LineageAnswer>> {
-        if runs.len() >= crate::par::RUN_FANOUT_MIN {
-            crate::par::parallel_map(runs, |&r| self.execute_view(&store.pin(r), obs, ctx, false))
-                .into_iter()
-                .collect()
-        } else {
-            // Few runs: keep the per-run step fan-out decision of the
-            // single-run path.
-            runs.iter().map(|&r| self.execute_pinned(&store.pin(r), obs, ctx)).collect()
-        }
+        runs.iter().map(|&r| self.execute_pinned(&store.pin(r), obs, ctx)).collect()
     }
 }
 

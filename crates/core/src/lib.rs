@@ -42,7 +42,6 @@ mod impact;
 mod indexproj;
 mod lifecycle;
 mod naive;
-mod par;
 mod parse;
 mod plan_cache;
 mod query;
@@ -57,7 +56,6 @@ pub use exec::{exec, registered_workflow, Env, Executed, QueryRequest, RunSelect
 pub use impact::{ImpactQuery, NaiveImpact};
 pub use indexproj::{IndexProj, LineagePlan, PlanStep, StepKind};
 pub use naive::NaiveLineage;
-pub use par::{query_workers, set_query_threads, MAX_QUERY_THREADS};
 pub use parse::{parse_lineage, parse_query, ParseError, ParsedQuery};
 pub use plan_cache::{PlanCache, PlanCacheStats, WorkflowCache, WorkflowCacheStats, PLAN_MEMO_CAP};
 pub use query::{FocusSet, LineageQuery};
@@ -67,3 +65,11 @@ pub use verify::{
 
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;
+
+/// Does nothing: queries always execute on the caller's thread.
+///
+/// Exists only because the frozen benchmark adapter
+/// (`ledger/src/driver.rs`) still calls it; ROADMAP item 2(a) deletes the
+/// call and this shim together.
+#[doc(hidden)]
+pub fn set_query_threads(_: Option<usize>) {}

@@ -82,8 +82,7 @@ impl<'a> Lifecycle<'a> {
             fingerprint: c.fingerprint,
             steps: steps as u32,
             bindings: bindings as u64,
-            // Under fan-out t2 sums worker time, which can exceed the
-            // wall clock; t1 is the remainder when there is one.
+            // t1 is the remainder: everything that was not trace access.
             t1_ns: dur_ns.saturating_sub(t2_ns),
             t2_ns,
             dur_ns,

@@ -181,13 +181,11 @@ impl NaiveLineage {
         Ok(LineageAnswer::new(run, bindings, trace_queries, visited.len()))
     }
 
-    /// [`NaiveLineage::run_multi`] observed by `obs` under `ctx`. The
-    /// traversals are independent, so enough runs are fanned out across
-    /// threads, each worker pinning its run's snapshot once and traversing
-    /// it lock-free; answers come back in run order. Every run's traversal
+    /// [`NaiveLineage::run_multi`] observed by `obs` under `ctx`: the runs
+    /// are traversed in order, each pinned once and traversed lock-free;
+    /// the first failing run's error is the sweep's. Every run's traversal
     /// journals its own `QueryStarted`/`QueryFinished` pair under the
-    /// shared trace id, and the shared `Obs` collects every worker's spans
-    /// on one timeline.
+    /// shared trace id.
     pub fn run_multi_ctx(
         &self,
         store: &TraceStore,
@@ -196,12 +194,7 @@ impl NaiveLineage {
         obs: &Obs,
         ctx: &QueryCtx,
     ) -> Result<Vec<LineageAnswer>> {
-        let one = |&r: &RunId| self.run_pinned(&store.pin(r), query, obs, ctx);
-        if runs.len() >= crate::par::RUN_FANOUT_MIN {
-            crate::par::parallel_map(runs, one).into_iter().collect()
-        } else {
-            runs.iter().map(one).collect()
-        }
+        runs.iter().map(|&r| self.run_pinned(&store.pin(r), query, obs, ctx)).collect()
     }
 }
 

@@ -396,6 +396,8 @@ mod tests {
             Index::single(0),
             [ProcessorName::from("wf")],
         );
+        // Concurrent callers are the point of the test, not query fan-out.
+        #[allow(clippy::disallowed_methods)]
         std::thread::scope(|s| {
             for _ in 0..8 {
                 s.spawn(|| {

@@ -41,11 +41,11 @@ fn rendered(done: &Executed) -> Vec<String> {
 /// {NI, INDEXPROJ, impact} × {one run, all runs, zero runs} × {workflow
 /// supplied, by name, sole registered} × {journal off, on}: the right
 /// number of answers, a plan size exactly when a plan was compiled,
-/// NI ≡ INDEXPROJ, and the same rendering whichever way the workflow
-/// was resolved and whether or not anybody was watching. The zero-run row
-/// under a journal is the regression for the CLI's old `runs[0]` panic:
-/// with no first run to ground the cost prediction in, the query is
-/// planned all the same and nothing executes.
+/// NI ≡ INDEXPROJ, all runs ≡ each run alone, and the same rendering
+/// whichever way the workflow was resolved and whether or not anybody was
+/// watching. The zero-run row under a journal is the regression for the
+/// CLI's old `runs[0]` panic: with no first run to ground the cost
+/// prediction in, the query is planned all the same and nothing executes.
 #[test]
 fn every_request_shape_answers_identically_through_the_one_path() {
     let df = testbed::generate(3);
@@ -91,6 +91,18 @@ fn every_request_shape_answers_identically_through_the_one_path() {
         let ip = exec(&env, &request(LIN, selection, "indexproj")).unwrap();
         assert_eq!(rendered(&ni), rendered(&ip), "NI ≢ INDEXPROJ on {selection:?}");
         assert!(ni.answers.iter().all(|a| a.bindings.len() == 1));
+        // A multi-run request answers exactly as its runs one at a time,
+        // work accounting included.
+        for (algo, done) in [("ni", &ni), ("indexproj", &ip)] {
+            let one_by_one: Vec<_> = done
+                .answers
+                .iter()
+                .flat_map(|a| {
+                    exec(&env, &request(LIN, RunSelection::One(a.run), algo)).unwrap().answers
+                })
+                .collect();
+            assert_eq!(done.answers, one_by_one, "{algo} {selection:?}");
+        }
     }
 }
 
@@ -258,6 +270,8 @@ fn concurrent_requests_converge_on_one_entry() {
     let sole = store(&df, 1, &["testbed"]);
     let (workflows, obs) = (WorkflowCache::new(), Obs::disabled());
     let gate = std::sync::Barrier::new(8);
+    // Concurrent callers are the point of the test, not query fan-out.
+    #[allow(clippy::disallowed_methods)]
     std::thread::scope(|s| {
         for _ in 0..8 {
             s.spawn(|| {

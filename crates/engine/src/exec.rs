@@ -444,7 +444,7 @@ impl Engine {
                 // barrier, so every upstream value is available.
                 type LevelResult = (ProcessorName, Result<Vec<(Arc<str>, Value)>>);
                 for level in layer_processors(df, &depths) {
-                    let results: Vec<LevelResult> = crossbeam::thread::scope(|s| {
+                    let results: Vec<LevelResult> = std::thread::scope(|s| {
                         let handles: Vec<_> = level
                             .iter()
                             .map(|pname| {
@@ -452,7 +452,7 @@ impl Engine {
                                 let inputs_ref = &inputs;
                                 let depths_ref = &depths;
                                 let scope_ref = &scope_name;
-                                s.spawn(move |_| {
+                                s.spawn(move || {
                                     (
                                         pname.clone(),
                                         self.process_one(
@@ -467,8 +467,7 @@ impl Engine {
                             .into_iter()
                             .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                             .collect()
-                    })
-                    .unwrap_or_else(|p| std::panic::resume_unwind(p));
+                    });
                     for (pname, produced) in results {
                         for (port, value) in produced? {
                             out_values.insert((pname.clone(), port), value);

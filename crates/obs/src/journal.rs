@@ -48,9 +48,9 @@ pub const SLOW_QUERY_ENV: &str = "TPROV_SLOW_QUERY_MS";
 /// this many writer threads never share a head counter or slot mutex.
 const SHARDS: usize = 16;
 
-/// An identifier shared by every journal event of one logical query,
-/// including events emitted from worker threads under
-/// `TPROV_QUERY_THREADS` fan-out.
+/// An identifier shared by every journal event of one logical query, so
+/// the events of queries running concurrently on one journal (daemon
+/// sessions, say) stay apart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct TraceId(pub u64);
 
@@ -223,7 +223,7 @@ pub enum JournalEvent {
     },
     /// One plan step (or traversal slice) finished, with the exact probe
     /// counters it incurred — attribution stays per-query even when
-    /// steps fan out across worker threads.
+    /// several queries run at once against one store.
     PlanStep {
         /// Trace id of the owning query.
         trace: TraceId,

@@ -7,10 +7,10 @@
 //! implicitly on drop. A disabled profiler never reads the clock and
 //! never locks — guards from it are inert.
 //!
-//! Spans record the OS thread they finished on, so work fanned out across
-//! scoped threads (`prov-core`'s `par.rs`) aggregates correctly: every
-//! worker pushes into the same vector under a short lock, and the Chrome
-//! trace export lays threads out as separate `tid` rows.
+//! Spans record the OS thread they finished on, so work from concurrent
+//! threads (the engine's parallel scheduler, daemon sessions) aggregates
+//! correctly: every thread pushes into the same vector under a short lock,
+//! and the Chrome trace export lays threads out as separate `tid` rows.
 
 use std::borrow::Cow;
 use std::collections::HashMap;

@@ -47,10 +47,6 @@ pub const TAG_QUERY_OK: u8 = 0x12;
 /// Replica → client: typed refusal (staleness bound, parse failure, ...).
 pub const TAG_QUERY_ERR: u8 = 0x13;
 
-/// Historical name for the shared frame bound, kept for callers that
-/// predate the codec extraction into `prov-wire`.
-pub const MAX_MESSAGE_LEN: u32 = MAX_FRAME_LEN;
-
 /// The follower's opening offer: "my log is `offset` durable bytes /
 /// `frames` frames whose CRC-32 is `prefix_crc`; lineage I last knew was
 /// `generation`". `force_bootstrap` asks for a full re-seed regardless.
@@ -191,7 +187,7 @@ mod tests {
         // follower fed a forged length can tell "hostile prefix" apart
         // from ordinary decode noise.
         let typed = frame_too_large(&err).expect("typed FrameTooLarge through repl path");
-        assert_eq!(typed.max, u64::from(MAX_MESSAGE_LEN));
+        assert_eq!(typed.max, u64::from(MAX_FRAME_LEN));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Property test for the event journal's attribution contract: the typed
 //! event stream reassembles into per-query totals that agree exactly with
 //! (a) each query's own `QueryFinished` summary and (b) the store's
-//! aggregate counters — no matter how many worker threads the query
-//! layer fans out across. This is what makes `tprov tail`/`tprov slow`
-//! trustworthy: counters never leak between concurrent queries.
+//! aggregate counters — no matter how many callers query one store and
+//! one journal at the same time, as daemon sessions do. This is what makes
+//! `tprov tail`/`tprov slow` trustworthy: counters never leak between
+//! concurrent queries.
 
 use std::collections::HashMap;
 
@@ -25,7 +26,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Testbed workloads at random size, queried by INDEXPROJ with the
-    /// journal on, under 1–4 query worker threads. For every trace id:
+    /// journal on, from 1–4 caller threads at once. For every trace id:
     /// Σ `PlanStep` counters == the `QueryFinished` totals; and across
     /// all traces the journal accounts for the store's whole counter
     /// delta — per-query attribution loses and invents nothing.
@@ -33,10 +34,9 @@ proptest! {
     fn journal_events_reassemble_into_store_counters(
         l in 2usize..=3,
         d in 2usize..=4,
-        threads in 1usize..=4,
+        callers in 1usize..=4,
         n_runs in 1usize..=5,
     ) {
-        prov_core::set_query_threads(Some(threads));
         let df = testbed::generate(l);
         let store = TraceStore::in_memory();
         let runs: Vec<RunId> = (0..n_runs).map(|_| testbed::run(&df, d, &store).run_id).collect();
@@ -45,23 +45,38 @@ proptest! {
         store.attach_journal(&journal);
         let obs = Obs::disabled().with_journal(journal.clone());
         let ip = IndexProj::new(&df);
-        let before = store.stats().snapshot();
 
-        // Four distinct point queries, each under its own trace id; with
-        // enough runs each single query additionally fans out internally.
-        let mut wanted = Vec::new();
-        for (i, j) in [(0u32, 0u32), (0, 1), (1, 0), (1, 1)] {
-            let q = LineageQuery::focused(
-                PortRef::new("testbed", "product"),
-                Index::from(vec![i, j]),
-                [ProcessorName::from("LISTGEN_1")],
-            );
-            let raw = format!("lin(<testbed:product[{i},{j}]>, {{LISTGEN_1}})");
-            let ctx = QueryCtx::new(raw).with_fingerprint(PlanCache::fingerprint(&q));
-            wanted.push(ctx.trace);
-            let plan = ip.plan(&q).unwrap();
-            plan.execute_multi_ctx(&store, &runs, &obs, &ctx).unwrap();
-        }
+        // Four distinct point queries, each under its own trace id, dealt
+        // round-robin to the callers; every caller sweeps all runs.
+        let queries: Vec<(LineageQuery, QueryCtx)> = [(0u32, 0u32), (0, 1), (1, 0), (1, 1)]
+            .into_iter()
+            .map(|(i, j)| {
+                let q = LineageQuery::focused(
+                    PortRef::new("testbed", "product"),
+                    Index::from(vec![i, j]),
+                    [ProcessorName::from("LISTGEN_1")],
+                );
+                let raw = format!("lin(<testbed:product[{i},{j}]>, {{LISTGEN_1}})");
+                let ctx = QueryCtx::new(raw).with_fingerprint(PlanCache::fingerprint(&q));
+                (q, ctx)
+            })
+            .collect();
+        let wanted: Vec<_> = queries.iter().map(|(_, ctx)| ctx.trace).collect();
+        let before = store.stats().snapshot();
+        let gate = std::sync::Barrier::new(callers);
+        std::thread::scope(|s| {
+            for caller in 0..callers {
+                let (ip, queries, store, runs, obs, gate) =
+                    (&ip, &queries, &store, &runs, &obs, &gate);
+                s.spawn(move || {
+                    gate.wait();
+                    for (q, ctx) in queries.iter().skip(caller).step_by(callers) {
+                        let plan = ip.plan(q).unwrap();
+                        plan.execute_multi_ctx(store, runs, obs, ctx).unwrap();
+                    }
+                });
+            }
+        });
         let delta = store.stats().snapshot().since(before);
 
         let events = journal.drain();

@@ -1,8 +1,8 @@
 //! Hot-path overhaul, end to end: batched ingest must be observationally
 //! equivalent to event-at-a-time ingest through the whole pipeline, run
 //! scans must stay proportional to the run (not the heap), plan caching
-//! must absorb repeated queries, and multi-run fan-out must answer
-//! exactly like a sequential sweep.
+//! must absorb repeated queries, and a multi-run execution must answer
+//! exactly like executing the plan run by run.
 
 use std::sync::Mutex;
 
@@ -117,19 +117,18 @@ fn plan_cache_absorbs_repeated_fig4_queries() {
 fn multi_run_fanout_matches_sequential_execution() {
     let df = testbed::generate(4);
     let store = TraceStore::in_memory();
-    // Enough runs to cross the parallel fan-out threshold.
     let runs: Vec<RunId> = (0..6).map(|_| testbed::run(&df, 3, &store).run_id).collect();
 
     let q = testbed::focused_query(&[1, 1]);
     let plan = IndexProj::new(&df).plan(&q).unwrap();
 
-    let sequential: Vec<LineageAnswer> =
+    let per_run: Vec<LineageAnswer> =
         runs.iter().map(|&r| plan.execute(&store, r).unwrap()).collect();
-    let fanned = plan.execute_multi(&store, &runs).unwrap();
+    let multi = plan.execute_multi(&store, &runs).unwrap();
 
-    assert_eq!(sequential.len(), fanned.len());
-    for (s, f) in sequential.iter().zip(&fanned) {
-        assert!(s.same_bindings(f), "parallel multi-run answer diverges");
+    assert_eq!(per_run.len(), multi.len());
+    for (s, m) in per_run.iter().zip(&multi) {
+        assert!(s.same_bindings(m), "multi-run answer diverges");
     }
 }
 
