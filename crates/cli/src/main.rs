@@ -20,11 +20,11 @@
 //! tprov slow     --db t.wal [--format json]
 //! tprov wal verify t.wal
 //! tprov replicate serve  --db t.wal [--listen 127.0.0.1:7070]
-//! tprov replicate follow --db replica.wal --from HOST:PORT [--serve ADDR] [--once]
-//! tprov query    --replica HOST:PORT --query 'lin(...)' [--max-lag N]
+//! tprov replicate follow --db replica.wal --from HOST:PORT [--once]
 //! tprov serve    t.wal [--addr 127.0.0.1:7071] [--max-conns N] [--for-ms N]
+//! tprov serve    replica.wal --follow HOST:PORT [--addr ADDR]
 //! tprov run      --server HOST:PORT --workflow wf.json --input name=<json> …
-//! tprov query    --server HOST:PORT --query 'lin(...)' [--deadline-ms N]
+//! tprov query    --server HOST:PORT --query 'lin(...)' [--deadline-ms N] [--max-lag N]
 //! ```
 //!
 //! Workflows executed through `tprov` have their specification saved next
@@ -224,28 +224,17 @@ fn cmd_repl_serve(args: &Args) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `tprov replicate follow --db LOCAL --from ADDR [--serve ADDR]
-/// [--once] [--timeout-ms N]`: replay a primary's WAL into a local
-/// replica, optionally serving read-only queries. With `--once`, exits 0
-/// as soon as the replica is caught up (1 on timeout) — the scriptable
-/// "seed a replica" form.
+/// `tprov replicate follow --db LOCAL --from ADDR [--once]
+/// [--timeout-ms N] [--for-ms N]`: replay a primary's WAL into a local
+/// replica, serving nothing (`tprov serve LOCAL --follow ADDR` serves
+/// one). With `--once`, exits 0 as soon as the replica is caught up (1 on
+/// timeout) — the scriptable "seed a replica" form.
 fn cmd_repl_follow(args: &Args) -> Result<ExitCode, String> {
     let db = args.required("db")?;
     let from = args.required("from")?;
     let journal = Journal::from_env();
     let follower = prov_repl::Follower::open(db, journal.clone()).map_err(|e| e.to_string())?;
     let handle = follower.start(from, prov_repl::FollowerConfig::default());
-    let qserver = match args.get("serve") {
-        Some(listen) => {
-            let s = follower.serve_queries(listen).map_err(|e| e.to_string())?;
-            let addr_file = format!("{db}.replica.addr");
-            std::fs::write(&addr_file, s.addr().to_string())
-                .map_err(|e| format!("{addr_file}: {e}"))?;
-            println!("replica query endpoint on {} (address in {addr_file})", s.addr());
-            Some((s, addr_file))
-        }
-        None => None,
-    };
     let caught_up = if args.has_flag("once") {
         let timeout: u64 = args.get_parsed("timeout-ms")?.unwrap_or(60_000);
         follower.wait_caught_up(std::time::Duration::from_millis(timeout))
@@ -256,10 +245,6 @@ fn cmd_repl_follow(args: &Args) -> Result<ExitCode, String> {
     };
     follower.stop();
     let _ = handle.join();
-    if let Some((server, addr_file)) = qserver {
-        drop(server);
-        let _ = std::fs::remove_file(&addr_file);
-    }
     let s = follower.status();
     println!(
         "caught_up={caught_up} generation={} frames={} lag_frames={} bootstraps={} resyncs={}",
@@ -269,48 +254,21 @@ fn cmd_repl_follow(args: &Args) -> Result<ExitCode, String> {
     Ok(if caught_up { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }
 
-/// Routes `tprov query --replica ADDR` to a replica's query endpoint.
-/// `--max-lag N` bounds acceptable staleness in frames; a replica beyond
-/// the bound refuses with a typed error (nonzero exit).
-fn query_via_replica(args: &Args, addr: &str) -> Result<(), String> {
-    let req = prov_repl::QueryRequest {
-        query: args.required("query")?.to_string(),
-        run: args.get_parsed("run")?.unwrap_or(0),
-        all_runs: args.has_flag("all-runs"),
-        algo: args.get("algo").unwrap_or("ni").to_string(),
-        wf: args.get("wf").map(str::to_string),
-        max_lag_frames: args.get_parsed("max-lag")?,
-    };
-    match prov_repl::query_replica(addr, &req) {
-        Ok(resp) => {
-            for ans in &resp.answers {
-                print!("{ans}");
-            }
-            println!(
-                "replica: generation {} offset {} lag {} frames / {} bytes",
-                resp.generation, resp.offset, resp.lag_frames, resp.lag_bytes
-            );
-            Ok(())
-        }
-        Err(e @ prov_repl::ReplError::ReplicaStale { .. }) => Err(e.to_string()),
-        Err(e) => Err(format!("replica {addr}: {e}")),
-    }
-}
-
-/// `tprov serve <db> [--addr ADDR] [--max-conns N] [--queue-depth N]
-/// [--deadline-ms N] [--idle-ms N] [--drain-ms N] [--for-ms N]`: run the
-/// provenance daemon — concurrent ingest streams and lineage queries over
-/// one shared store. The bound address is written to `<db>.serve.addr`
-/// so scripts can use `--addr 127.0.0.1:0`; on SIGTERM/ctrl-c (or after
-/// `--for-ms`) the daemon drains, fsyncs, snapshots, and exits 0,
-/// leaving its `serve.*`, `workflow_cache.*` and `plan_cache.*` counters in
-/// a `<db>.serve.json` sidecar that `tprov metrics` folds back in.
+/// `tprov serve <db> [--follow PRIMARY] [--addr ADDR] [--max-conns N]
+/// [--queue-depth N] [--deadline-ms N] [--idle-ms N] [--drain-ms N]
+/// [--for-ms N]`: run the provenance daemon — concurrent ingest streams and
+/// lineage queries over one shared store. The bound address is written to
+/// `<db>.serve.addr` so scripts can use `--addr 127.0.0.1:0`; on
+/// SIGTERM/ctrl-c (or after `--for-ms`) the daemon drains, fsyncs,
+/// snapshots, and exits 0, leaving its `serve.*`, `workflow_cache.*` and
+/// `plan_cache.*` counters in a `<db>.serve.json` sidecar that `tprov
+/// metrics` folds back in. With `--follow`, `<db>` is a read replica of
+/// PRIMARY (a `replicate serve` address): it replicates while it serves,
+/// refuses ingest, and its drain leaves the replicated WAL untouched.
 fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
     let db = args.required("db")?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:0");
-    let store = prov_store::SharedStore::open(db).map_err(|e| format!("cannot open {db}: {e}"))?;
     let journal = Journal::from_env();
-    store.attach_journal(&journal);
     // Metrics on, profiler off: a long-running daemon accumulating
     // unbounded spans would leak; counters and gauges are fixed-size.
     let obs = Obs {
@@ -335,8 +293,24 @@ fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
     if let Some(ms) = args.get_parsed("drain-ms")? {
         cfg.drain_deadline_ms = ms;
     }
-    let server =
-        prov_serve::ProvServer::start(store, obs, cfg, addr).map_err(|e| format!("{addr}: {e}"))?;
+    let (server, following) = match args.get("follow") {
+        Some(primary) => {
+            let follower =
+                prov_repl::Follower::open(db, journal.clone()).map_err(|e| e.to_string())?;
+            let server = prov_serve::ProvServer::follow(Arc::clone(&follower), obs, cfg, addr)
+                .map_err(|e| format!("{addr}: {e}"))?;
+            let handle = follower.start(primary, prov_repl::FollowerConfig::default());
+            (server, Some((follower, handle)))
+        }
+        None => {
+            let store =
+                prov_store::SharedStore::open(db).map_err(|e| format!("cannot open {db}: {e}"))?;
+            store.attach_journal(&journal);
+            let server = prov_serve::ProvServer::start(store, obs, cfg, addr)
+                .map_err(|e| format!("{addr}: {e}"))?;
+            (server, None)
+        }
+    };
     let addr_file = format!("{db}.serve.addr");
     std::fs::write(&addr_file, server.local_addr().to_string())
         .map_err(|e| format!("{addr_file}: {e}"))?;
@@ -352,6 +326,10 @@ fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
         std::thread::sleep(std::time::Duration::from_millis(25));
     }
     let report = server.shutdown();
+    if let Some((follower, handle)) = following {
+        follower.stop();
+        let _ = handle.join();
+    }
     // Persist the daemon's metric families (its sessions, and the
     // workflows and plans it kept resident) so `tprov metrics` on this
     // database reports the daemon's last run (atomic tmp+rename, like the
@@ -381,7 +359,10 @@ fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
 /// Routes `tprov query --server ADDR` to a provenance daemon. The daemon
 /// answers with the same rendering as a local query; `--deadline-ms N`
 /// bounds execution server-side — a query past it aborts between plan
-/// steps with a typed timeout (nonzero exit).
+/// steps with a typed timeout (nonzero exit). A follower's answer is
+/// followed by its replication position, and `--max-lag N` refuses it
+/// (nonzero exit) when the follower lagged its primary by more than N
+/// frames.
 fn query_via_server(args: &Args, addr: &str) -> Result<(), String> {
     let req = prov_serve::protocol::ServeQuery {
         query: args.required("query")?.to_string(),
@@ -393,8 +374,17 @@ fn query_via_server(args: &Args, addr: &str) -> Result<(), String> {
     };
     let mut client =
         prov_serve::ServeClient::connect(addr).map_err(|e| format!("server {addr}: {e}"))?;
-    for ans in client.query(&req).map_err(|e| format!("server {addr}: {e}"))? {
+    let ok = client
+        .query_bounded(&req, args.get_parsed("max-lag")?)
+        .map_err(|e| format!("server {addr}: {e}"))?;
+    for ans in &ok.answers {
         print!("{ans}");
+    }
+    if let Some(at) = ok.replica {
+        println!(
+            "replica: generation {} offset {} lag {} frames / {} bytes",
+            at.generation, at.offset, at.lag_frames, at.lag_bytes
+        );
     }
     Ok(())
 }
@@ -416,8 +406,6 @@ fn print_usage() {
          \x20 impact   --db FILE --target P:X [--index 0] [--focus wf] [--run N]\n\
          \x20 query    --db FILE --query 'lin(<P:Y[1,2]>, {{A}})' [--algo ni|indexproj]\n\
          \x20          [--workflow WF.json] [--run N | --all-runs]\n\
-         \x20          [--replica HOST:PORT [--max-lag N]]  query a read replica;\n\
-         \x20          a replica beyond the staleness bound refuses (exit 1)\n\
          \x20 audit    --db FILE --workflow WF.json [--run N | --all-runs]\n\
          \x20 diff     --db FILE --a N --b N --target P:Y [--index ..] [--focus ..]\n\
          \x20 find-value --db FILE --value <json> [--run N] [--lineage] [--focus ..]\n\
@@ -443,15 +431,17 @@ fn print_usage() {
          \x20          the WAL and snapshots (exit 1 on corruption)\n\
          \x20 replicate serve  --db FILE [--listen ADDR] [--for-ms N]\n\
          \x20          stream the WAL to followers (address in <db>.repl.addr)\n\
-         \x20 replicate follow --db LOCAL --from ADDR [--serve ADDR] [--once]\n\
-         \x20          [--timeout-ms N]  replay a primary into a local replica;\n\
-         \x20          --serve answers read-only queries, --once exits when caught up\n\
-         \x20 serve    DB [--addr ADDR] [--max-conns N] [--queue-depth N]\n\
+         \x20 replicate follow --db LOCAL --from ADDR [--once] [--timeout-ms N]\n\
+         \x20          replay a primary into a local replica;\n\
+         \x20          --once exits when caught up\n\
+         \x20 serve    DB [--follow ADDR] [--addr ADDR] [--max-conns N] [--queue-depth N]\n\
          \x20          [--deadline-ms N] [--idle-ms N] [--drain-ms N] [--for-ms N]\n\
          \x20          provenance daemon: concurrent ingest + queries on one store\n\
          \x20          (address in <db>.serve.addr; SIGTERM drains and exits 0);\n\
+         \x20          --follow serves DB read-only as a replica of a `replicate serve`;\n\
          \x20          `run --server ADDR` streams a run's trace to it, and\n\
-         \x20          `query --server ADDR [--deadline-ms N]` queries it\n\n\
+         \x20          `query --server ADDR [--deadline-ms N] [--max-lag N]` queries it;\n\
+         \x20          a replica beyond the --max-lag bound is refused (exit 1)\n\n\
          queries use the db-registered workflow spec when --workflow is omitted"
     );
 }
@@ -831,9 +821,6 @@ fn cmd_audit(args: &Args) -> Result<(), String> {
 /// lookups/rows violate the prediction is flagged as cost-model drift in
 /// the slow log.
 fn cmd_query(args: &Args) -> Result<(), String> {
-    if let Some(addr) = args.get("replica") {
-        return query_via_replica(args, addr);
-    }
     if let Some(addr) = args.get("server") {
         return query_via_server(args, addr);
     }
@@ -854,10 +841,11 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
     let store = open_db(args)?;
     let registry = Registry::new();
     store.register_metrics(&registry);
-    // When this database is a replica, `tprov replicate follow` maintains
-    // a `<db>.repl.json` sidecar (written atomically on every status
-    // change); surface its lag as gauges so one `metrics` call covers
-    // both the store and its replication health.
+    // When this database is a replica, its follower (`tprov serve
+    // --follow` or `tprov replicate follow`) maintains a `<db>.repl.json`
+    // sidecar (written atomically on every status change); surface its
+    // lag as gauges so one `metrics` call covers both the store and its
+    // replication health.
     let sidecar = prov_repl::status_path(std::path::Path::new(args.required("db")?));
     if let Ok(text) = std::fs::read_to_string(&sidecar) {
         let s: prov_repl::ReplStatus = serde_json::from_str(&text)

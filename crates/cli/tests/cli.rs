@@ -781,7 +781,7 @@ impl Drop for ChildGuard {
     }
 }
 
-/// Polls an address sidecar written by `replicate serve`/`follow --serve`.
+/// Polls an address sidecar written by `replicate serve`/`serve`.
 fn wait_addr(path: &str) -> String {
     for _ in 0..200 {
         if let Ok(addr) = std::fs::read_to_string(path) {
@@ -794,11 +794,44 @@ fn wait_addr(path: &str) -> String {
     panic!("no address appeared at {path}");
 }
 
+/// Sends SIGTERM to a spawned daemon and returns its exit code once it
+/// has drained (`None` if it never exits).
+fn terminate(daemon: &mut ChildGuard) -> Option<i32> {
+    let pid = daemon.0.id().to_string();
+    assert!(std::process::Command::new("kill")
+        .args(["-TERM", &pid])
+        .status()
+        .expect("kill runs")
+        .success());
+    for _ in 0..200 {
+        if let Ok(Some(status)) = daemon.0.try_wait() {
+            return status.code();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(25));
+    }
+    None
+}
+
+/// Spawns `tprov serve DB --follow PRIMARY` and returns it with the
+/// address it serves on.
+fn serve_follow(db: &TempDb, primary: &str) -> (ChildGuard, String) {
+    let child = ChildGuard(
+        std::process::Command::new(env!("CARGO_BIN_EXE_tprov"))
+            .args(["serve", db.arg(), "--follow", primary, "--addr", "127.0.0.1:0"])
+            .stdout(std::process::Stdio::null())
+            .spawn()
+            .expect("serve --follow spawns"),
+    );
+    let addr = wait_addr(&format!("{}.serve.addr", db.arg()));
+    (child, addr)
+}
+
 /// End-to-end replication through the CLI: `replicate serve` a primary,
 /// `replicate follow --once` a replica to byte-identical convergence,
 /// surface the lag gauges via `metrics`, answer a bounded-staleness query
-/// through `--replica`, and get the typed refusal from a replica that has
-/// never reached its primary.
+/// from a `serve --follow` daemon through `query --server`, find its
+/// serve counters in `metrics` after it drains, and get the typed refusal
+/// from a replica that has never reached its primary.
 #[test]
 fn replicate_serve_follow_query_and_stale_refusal() {
     let db = TempDb::new("replsrv");
@@ -841,28 +874,12 @@ fn replicate_serve_follow_query_and_stale_refusal() {
     assert_eq!(json_u64(&snap["gauges"]["repl.lag_frames"]), 0);
     assert_eq!(json_u64(&snap["gauges"]["repl.lag_bytes"]), 0);
 
-    // A live replica answers `query --replica` within a zero lag bound,
-    // rendering exactly like a local query against the same bytes.
+    // A live replica daemon answers `query --server` within a zero lag
+    // bound, rendering exactly like a local query against the same bytes.
     let qreplica = TempDb::new("replsrv-live");
-    let live = ChildGuard(
-        std::process::Command::new(env!("CARGO_BIN_EXE_tprov"))
-            .args([
-                "replicate",
-                "follow",
-                "--db",
-                qreplica.arg(),
-                "--from",
-                &addr,
-                "--serve",
-                "127.0.0.1:0",
-            ])
-            .stdout(std::process::Stdio::null())
-            .spawn()
-            .expect("follow spawns"),
-    );
-    let qaddr = wait_addr(&format!("{}.replica.addr", qreplica.arg()));
+    let (mut live, qaddr) = serve_follow(&qreplica, &addr);
     let query = "lin(<2TO1_FINAL:Y[0,1]>, {LISTGEN_1})";
-    let out = retry_query(&["query", "--replica", &qaddr, "--query", query, "--max-lag", "0"]);
+    let out = retry_query(&["query", "--server", &qaddr, "--query", query, "--max-lag", "0"]);
     assert!(out.status.success(), "{}\n{}", stdout(&out), stderr(&out));
     assert!(stdout(&out).contains("lag 0 frames"), "{}", stdout(&out));
     let answer_lines = |s: &str| {
@@ -876,33 +893,24 @@ fn replicate_serve_follow_query_and_stale_refusal() {
     let local_answers = answer_lines(&stdout(&local));
     assert!(!local_answers.is_empty(), "{}", stdout(&local));
     assert_eq!(answer_lines(&stdout(&out)), local_answers, "replica rendering diverged");
-    drop(live);
+
+    // SIGTERM drains the replica daemon like any other; its serve
+    // counters then reach `tprov metrics` beside the lag gauges.
+    assert_eq!(terminate(&mut live), Some(0), "replica daemon must exit 0 on SIGTERM");
+    let out = tprov(&["metrics", "--db", qreplica.arg(), "--format", "json"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let snap: serde_json::Value = serde_json::from_str(&stdout(&out)).unwrap();
+    assert_eq!(json_u64(&snap["gauges"]["repl.lag_frames"]), 0);
+    assert!(json_u64(&snap["gauges"]["serve.queries"]) >= 1, "{}", stdout(&out));
     drop(server);
 
     // A replica that has never reached any primary has unknown lag: any
     // bounded query is refused with the typed staleness error (exit 1).
     let lonely = TempDb::new("replsrv-lonely");
-    let lonely_guard = ChildGuard(
-        std::process::Command::new(env!("CARGO_BIN_EXE_tprov"))
-            .args([
-                "replicate",
-                "follow",
-                "--db",
-                lonely.arg(),
-                "--from",
-                "127.0.0.1:9",
-                "--serve",
-                "127.0.0.1:0",
-            ])
-            .stdout(std::process::Stdio::null())
-            .spawn()
-            .expect("follow spawns"),
-    );
-    let lonely_addr = wait_addr(&format!("{}.replica.addr", lonely.arg()));
-    let out = tprov(&["query", "--replica", &lonely_addr, "--query", query, "--max-lag", "10"]);
+    let (_lonely_guard, lonely_addr) = serve_follow(&lonely, "127.0.0.1:9");
+    let out = tprov(&["query", "--server", &lonely_addr, "--query", query, "--max-lag", "10"]);
     assert!(!out.status.success(), "stale replica must refuse: {}", stdout(&out));
     assert!(stderr(&out).contains("stale"), "{}", stderr(&out));
-    drop(lonely_guard);
 }
 
 /// Retries a replica query while the freshly spawned follower finishes
@@ -1161,21 +1169,7 @@ fn serve_run_query_roundtrip_matches_local_and_drains_on_sigterm() {
     assert!(stderr(&out).contains("timeout"), "{}", stderr(&out));
 
     // SIGTERM: the daemon drains, fsyncs, snapshots, and exits 0.
-    let pid = daemon.0.id().to_string();
-    assert!(std::process::Command::new("kill")
-        .args(["-TERM", &pid])
-        .status()
-        .expect("kill runs")
-        .success());
-    let mut code = None;
-    for _ in 0..200 {
-        if let Ok(Some(status)) = daemon.0.try_wait() {
-            code = status.code();
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(25));
-    }
-    assert_eq!(code, Some(0), "daemon must exit 0 on SIGTERM");
+    assert_eq!(terminate(&mut daemon), Some(0), "daemon must exit 0 on SIGTERM");
 
     // The drained store reopens clean with the streamed run finished.
     let out = tprov(&["runs", "--db", srv.arg()]);

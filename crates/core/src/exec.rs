@@ -1,8 +1,8 @@
 //! The one request-level query path.
 //!
 //! Every consumer that starts from a *request* — `tprov
-//! query|lineage|impact|profile`, the replica query endpoint, a daemon
-//! session — calls [`exec`]: query text, run selection, algorithm name
+//! query|lineage|impact|profile` and a daemon session (on a primary or a
+//! replica) — calls [`exec`]: query text, run selection, algorithm name
 //! and optional workflow name in; answers out. What lies between is the
 //! paper's *plan once (t1), probe per run (t2)* and is written down here
 //! once: parse → select runs → pick the algorithm → resolve the workflow
@@ -37,8 +37,8 @@ pub struct Env<'a> {
     /// `workflows`.
     pub workflow: Option<&'a Dataflow>,
     /// The registered workflows this process keeps resident, with their
-    /// plans: owned by a daemon or a replica for its lifetime, fresh and
-    /// empty for a one-shot request.
+    /// plans: owned by a daemon (primary or replica) for its lifetime,
+    /// fresh and empty for a one-shot request.
     pub workflows: &'a WorkflowCache,
     /// Spans, metrics and the event journal.
     pub obs: &'a Obs,

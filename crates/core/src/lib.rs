@@ -24,8 +24,8 @@
 //! per `(target, index, 𝒫)`.
 //!
 //! Callers that start from a *request* — query text, a run selection, an
-//! algorithm name — go through [`exec`], the one dispatcher the CLI, the
-//! replica endpoint and the daemon share.
+//! algorithm name — go through [`exec`], the one dispatcher the CLI and
+//! the daemon (primary or replica) share.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

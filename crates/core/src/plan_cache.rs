@@ -244,7 +244,7 @@ pub struct WorkflowCacheStats {
 
 /// The registered workflows a long-lived process has planned against,
 /// kept resident so the paper's *t1* is paid once per workflow and query,
-/// not once per request: a daemon and a replica each own one for their
+/// not once per request: a daemon, primary or replica, owns one for its
 /// lifetime; a one-shot caller passes a fresh one and pays exactly what it
 /// always did.
 ///

@@ -1,5 +1,5 @@
-//! The follower side: replay the primary's WAL continuously, serve
-//! read-only lineage queries, survive kills and primary rewrites.
+//! The follower side: replay the primary's WAL continuously, survive
+//! kills and primary rewrites.
 //!
 //! A [`Follower`] owns a local [`TraceStore`] whose WAL is kept a
 //! byte-for-byte prefix of the primary's: every shipped frame payload is
@@ -11,14 +11,14 @@
 //! snapshot ([`protocol::TAG_BOOTSTRAP`]) or a from-zero replay.
 //!
 //! Staleness is tracked as `(primary durable frames) − (local durable
-//! frames)` from the primary's heartbeats, persisted to a `<db>.repl.json`
-//! sidecar (where `tprov metrics` picks up `repl.lag_frames` /
-//! `repl.lag_bytes`), and enforced by the replica query endpoint: a
-//! request with `max_lag_frames` beyond the current lag gets a typed
-//! `replica_stale` refusal instead of a stale answer.
+//! frames)` from the primary's heartbeats and persisted to a
+//! `<db>.repl.json` sidecar (where `tprov metrics` picks up
+//! `repl.lag_frames` / `repl.lag_bytes`). The follower answers no queries
+//! itself: `prov_serve::ProvServer::follow` serves its [`Follower::store`]
+//! read-only and reports [`Follower::status`]'s position with each answer.
 
 use std::io::{self, Read};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -28,16 +28,12 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 
-use prov_core::{exec, Env, RunSelection, WorkflowCache};
 use prov_engine::{Backoff, Clock, RetryPolicy, SystemClock};
-use prov_model::RunId;
-use prov_obs::{Journal, JournalEvent, Obs, QueryCtx};
+use prov_obs::{Journal, JournalEvent};
 use prov_store::{FaultPlan, FaultReader, ReplPosition, TailState, TraceStore, WalCursor};
 
 use crate::primary::prefix_crc;
-use crate::protocol::{
-    self, BootstrapHeader, Hello, QueryError, QueryRequest, QueryResponse, Resync, StreamFrom,
-};
+use crate::protocol::{self, BootstrapHeader, Hello, Resync, StreamFrom};
 use crate::ReplError;
 
 /// Where a follower of the store at `db` persists its replication status
@@ -106,7 +102,8 @@ pub struct ReplStatus {
     /// A replication session is currently established.
     pub connected: bool,
     /// At least one heartbeat has arrived since the follower started —
-    /// until then lag is unknown, and a bounded query is refused.
+    /// until then lag is unknown (`u64::MAX`), and a bounded query is
+    /// refused.
     pub heard_from_primary: bool,
     /// Resync round-trips (lineage changes, damaged chunks).
     pub resyncs: u64,
@@ -137,10 +134,6 @@ pub struct Follower {
     stop: AtomicBool,
     current: Mutex<Option<TcpStream>>,
     journal: Journal,
-    /// Registered workflows and plans resident across replica queries;
-    /// turns over when a replicated `Workflow` record (or a re-bootstrap)
-    /// changes what the store registers.
-    workflows: WorkflowCache,
 }
 
 impl std::fmt::Debug for Follower {
@@ -161,6 +154,9 @@ impl Follower {
             generation: pos.generation,
             offset: pos.durable_len,
             frames: pos.durable_frames,
+            // No heartbeat heard yet: lag is the unknown sentinel.
+            lag_frames: u64::MAX,
+            lag_bytes: u64::MAX,
             ..ReplStatus::default()
         };
         let status_file = status_path(&db);
@@ -172,27 +168,15 @@ impl Follower {
             stop: AtomicBool::new(false),
             current: Mutex::new(None),
             journal,
-            workflows: WorkflowCache::new(),
         });
         follower.write_sidecar();
         Ok(follower)
-    }
-
-    /// The local database path.
-    pub fn db(&self) -> &Path {
-        &self.db
     }
 
     /// The current store (swapped atomically on bootstrap; queries holding
     /// an older `Arc` finish against the pre-bootstrap state).
     pub fn store(&self) -> Arc<TraceStore> {
         Arc::clone(&self.store.read())
-    }
-
-    /// Counters of the workflows and plans kept resident for replica
-    /// queries.
-    pub fn workflow_cache_stats(&self) -> prov_core::WorkflowCacheStats {
-        self.workflows.stats()
     }
 
     /// A copy of the current replication status.
@@ -515,8 +499,8 @@ impl Follower {
     /// Mutates the status under its lock, recomputes lag, persists the
     /// sidecar. Lag is only meaningful once a heartbeat has been heard —
     /// before that (and again after a stall resets `heard_from_primary`)
-    /// it is reported as the unknown sentinel `u64::MAX`, matching the
-    /// staleness gate's treatment of bounded queries.
+    /// it is reported as the unknown sentinel `u64::MAX`, which exceeds
+    /// every staleness bound a client can ask for.
     fn with_status(&self, f: impl FnOnce(&mut ReplStatus)) {
         {
             let mut s = self.status.lock();
@@ -541,234 +525,16 @@ impl Follower {
             let _ = std::fs::rename(&tmp, &self.status_file);
         }
     }
-
-    /// Binds `listen` and serves replica queries ([`protocol::TAG_QUERY`])
-    /// against the follower's store until the handle is dropped.
-    pub fn serve_queries(self: &Arc<Self>, listen: &str) -> Result<ReplicaQueryServer, ReplError> {
-        let listener =
-            TcpListener::bind(listen).map_err(|e| ReplError::Io(format!("bind {listen}: {e}")))?;
-        let addr = listener.local_addr().map_err(|e| ReplError::Io(e.to_string()))?;
-        listener.set_nonblocking(true).map_err(|e| ReplError::Io(e.to_string()))?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let me = Arc::clone(self);
-        let flag = Arc::clone(&shutdown);
-        let handle = std::thread::spawn(move || {
-            while !flag.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let me = Arc::clone(&me);
-                        let flag = Arc::clone(&flag);
-                        std::thread::spawn(move || handle_query_conn(&me, stream, &flag));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(10)),
-                }
-            }
-        });
-        Ok(ReplicaQueryServer { addr, shutdown, handle: Some(handle) })
-    }
-}
-
-/// A running replica query listener; dropping it shuts it down.
-pub struct ReplicaQueryServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl ReplicaQueryServer {
-    /// The bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-}
-
-impl Drop for ReplicaQueryServer {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-fn handle_query_conn(follower: &Follower, mut stream: TcpStream, shutdown: &AtomicBool) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    loop {
-        if shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        let (tag, payload) = match protocol::read_msg(&mut stream) {
-            Ok(Some(msg)) => msg,
-            Ok(None) => return,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            Err(_) => return,
-        };
-        if tag != protocol::TAG_QUERY {
-            return;
-        }
-        let Ok(req) = protocol::decode::<QueryRequest>(&payload) else { return };
-        let status = follower.status();
-        if let Some(err) = staleness_check(&status, req.max_lag_frames) {
-            let _ = protocol::write_json(&mut stream, protocol::TAG_QUERY_ERR, &err);
-            continue;
-        }
-        let store = follower.store();
-        let obs = Obs::disabled().with_journal(follower.journal.clone());
-        let env = Env {
-            store: &store,
-            workflow: None,
-            workflows: &follower.workflows,
-            obs: &obs,
-            ctx: &QueryCtx::new(&*req.query),
-        };
-        let runs = if req.all_runs { RunSelection::All } else { RunSelection::One(RunId(req.run)) };
-        let request = prov_core::QueryRequest {
-            query: &req.query,
-            runs,
-            algo: &req.algo,
-            wf: req.wf.as_deref(),
-        };
-        match exec(&env, &request) {
-            Ok(done) => {
-                let resp = QueryResponse {
-                    // The `Display` the CLI prints: primary and replica
-                    // output are comparable byte for byte.
-                    answers: done.answers.iter().map(|a| a.to_string()).collect(),
-                    lag_frames: status.lag_frames,
-                    lag_bytes: status.lag_bytes,
-                    generation: status.generation,
-                    offset: status.offset,
-                };
-                if protocol::write_json(&mut stream, protocol::TAG_QUERY_OK, &resp).is_err() {
-                    return;
-                }
-            }
-            Err(e) => {
-                let err = QueryError {
-                    code: "query_failed".into(),
-                    message: e.to_string(),
-                    lag_frames: None,
-                    max_lag: None,
-                };
-                if protocol::write_json(&mut stream, protocol::TAG_QUERY_ERR, &err).is_err() {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// The staleness gate: a request bounded by `max_lag_frames` is refused
-/// (typed `replica_stale`) when the replica's lag exceeds the bound — and
-/// a replica that has never heard a heartbeat treats its lag as unknown,
-/// i.e. unbounded, so a bounded request is always refused until primary
-/// contact. Unbounded requests (`None`) are never refused.
-pub(crate) fn staleness_check(
-    status: &ReplStatus,
-    max_lag_frames: Option<u64>,
-) -> Option<QueryError> {
-    let max = max_lag_frames?;
-    let known = status.heard_from_primary;
-    let lag = if known { status.lag_frames } else { u64::MAX };
-    if lag <= max {
-        return None;
-    }
-    let message = if known {
-        format!("replica lags the primary by {lag} frames (bound: {max})")
-    } else {
-        format!("replica has not heard from the primary; lag unknown (bound: {max})")
-    };
-    Some(QueryError {
-        code: "replica_stale".into(),
-        message,
-        lag_frames: Some(lag),
-        max_lag: Some(max),
-    })
-}
-
-/// Connects to a replica query endpoint, runs one request, returns the
-/// typed result. A `replica_stale` refusal surfaces as
-/// [`ReplError::ReplicaStale`].
-pub fn query_replica(addr: &str, req: &QueryRequest) -> Result<QueryResponse, ReplError> {
-    let mut stream =
-        TcpStream::connect(addr).map_err(|e| ReplError::Io(format!("connect {addr}: {e}")))?;
-    let _ = stream.set_nodelay(true);
-    protocol::write_json(&mut stream, protocol::TAG_QUERY, req)
-        .map_err(|e| ReplError::Io(e.to_string()))?;
-    let (tag, payload) = match protocol::read_msg(&mut stream) {
-        Ok(Some(msg)) => msg,
-        Ok(None) => return Err(ReplError::Io("replica closed the connection".into())),
-        Err(e) => return Err(ReplError::Io(e.to_string())),
-    };
-    match tag {
-        protocol::TAG_QUERY_OK => {
-            protocol::decode(&payload).map_err(|e| ReplError::Protocol(e.to_string()))
-        }
-        protocol::TAG_QUERY_ERR => {
-            let err: QueryError =
-                protocol::decode(&payload).map_err(|e| ReplError::Protocol(e.to_string()))?;
-            if err.code == "replica_stale" {
-                Err(ReplError::ReplicaStale {
-                    lag_frames: err.lag_frames.unwrap_or(u64::MAX),
-                    max_lag: err.max_lag.unwrap_or(0),
-                })
-            } else {
-                Err(ReplError::Remote { code: err.code, message: err.message })
-            }
-        }
-        other => Err(ReplError::Protocol(format!("unexpected reply tag {other:#x}"))),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn status(heard: bool, lag: u64) -> ReplStatus {
-        ReplStatus { heard_from_primary: heard, lag_frames: lag, ..ReplStatus::default() }
-    }
-
-    #[test]
-    fn unbounded_queries_are_never_refused() {
-        assert!(staleness_check(&status(false, 0), None).is_none());
-        assert!(staleness_check(&status(true, 1_000_000), None).is_none());
-    }
-
-    #[test]
-    fn bounded_queries_refuse_beyond_the_lag_bound() {
-        assert!(staleness_check(&status(true, 3), Some(3)).is_none());
-        let err = staleness_check(&status(true, 4), Some(3)).unwrap();
-        assert_eq!(err.code, "replica_stale");
-        assert_eq!(err.lag_frames, Some(4));
-        assert_eq!(err.max_lag, Some(3));
-    }
-
-    #[test]
-    fn unknown_lag_refuses_any_bounded_query() {
-        // Never heard a heartbeat: even a generous bound is refused, and
-        // the reported lag is the unknown sentinel.
-        let err = staleness_check(&status(false, 0), Some(1_000_000)).unwrap();
-        assert_eq!(err.code, "replica_stale");
-        assert_eq!(err.lag_frames, Some(u64::MAX));
-    }
-
-    #[test]
-    fn zero_lag_satisfies_a_zero_bound() {
-        assert!(staleness_check(&status(true, 0), Some(0)).is_none());
-    }
-
     #[test]
     fn a_stalled_primary_trips_the_heartbeat_window() {
         use prov_engine::VirtualClock;
-        use std::sync::atomic::AtomicBool;
+        use std::net::TcpListener;
 
         // A "primary" that accepts connections and then goes silent —
         // never a STREAM_FROM, never a heartbeat.

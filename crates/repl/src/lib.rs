@@ -1,8 +1,10 @@
 //! # prov-repl
 //!
-//! Replicated lineage serving: WAL shipping from a primary
-//! [`prov_store::TraceStore`] to follower stores that replay continuously
-//! and answer read-only lineage queries.
+//! WAL-shipping replication: a primary [`prov_store::TraceStore`] streams
+//! its durable log to follower stores that replay it continuously. This
+//! crate ships bytes and answers no queries; `prov_serve::ProvServer::follow`
+//! serves a follower's store read-only, through the same server, protocol
+//! and query path as a primary.
 //!
 //! The design leans on two properties the store already guarantees:
 //!
@@ -18,8 +20,8 @@
 //!    so replica reads are stale-but-consistent, never wrong.
 //!
 //! Modules: [`protocol`] (wire format), [`primary`] (fan-out server),
-//! [`follower`] (replay loop + replica query endpoint), [`verify`]
-//! (offline WAL/snapshot integrity sweep).
+//! [`follower`] (replay loop and lag tracking), [`verify`] (offline
+//! WAL/snapshot integrity sweep).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -31,11 +33,8 @@ pub mod primary;
 pub mod protocol;
 pub mod verify;
 
-pub use follower::{
-    query_replica, status_path, Follower, FollowerConfig, ReplStatus, ReplicaQueryServer,
-};
+pub use follower::{status_path, Follower, FollowerConfig, ReplStatus};
 pub use primary::{snapshot_backs_marker, PrimaryConfig, ReplServer};
-pub use protocol::{QueryError, QueryRequest, QueryResponse};
 pub use verify::{verify_store, SnapshotVerdict, VerifyReport};
 
 /// Typed replication errors.
@@ -47,21 +46,6 @@ pub enum ReplError {
     Protocol(String),
     /// The local store refused an operation.
     Store(String),
-    /// A replica refused to answer beyond the requested staleness bound.
-    ReplicaStale {
-        /// Frames the replica lagged by (`u64::MAX`: lag unknown — the
-        /// replica has not heard from its primary).
-        lag_frames: u64,
-        /// The bound the request imposed.
-        max_lag: u64,
-    },
-    /// The replica returned a typed error other than staleness.
-    Remote {
-        /// Machine-matchable error class.
-        code: String,
-        /// Human-oriented detail.
-        message: String,
-    },
 }
 
 impl std::fmt::Display for ReplError {
@@ -70,17 +54,6 @@ impl std::fmt::Display for ReplError {
             ReplError::Io(m) => write!(f, "replication i/o: {m}"),
             ReplError::Protocol(m) => write!(f, "replication protocol: {m}"),
             ReplError::Store(m) => write!(f, "replication store: {m}"),
-            ReplError::ReplicaStale { lag_frames, max_lag } => {
-                if *lag_frames == u64::MAX {
-                    write!(
-                        f,
-                        "replica stale: lag unknown (no primary contact), bound {max_lag} frames"
-                    )
-                } else {
-                    write!(f, "replica stale: lags {lag_frames} frames, bound {max_lag}")
-                }
-            }
-            ReplError::Remote { code, message } => write!(f, "replica error [{code}]: {message}"),
         }
     }
 }

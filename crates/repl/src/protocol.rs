@@ -1,4 +1,4 @@
-//! Wire protocol for WAL shipping and replica queries.
+//! Wire protocol for WAL shipping.
 //!
 //! The *framing* — `tag (1 byte) | len (u32 LE) | payload[len]`, the
 //! inbound length guards, and the timeout-safe readers — lives in the
@@ -21,8 +21,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use prov_store::ReplPosition;
-
 pub use prov_wire::{
     decode, frame_too_large, read_exact_retry, read_msg, read_raw, write_json, write_msg,
     FrameTooLarge, MAX_FRAME_LEN, MAX_RAW_LEN,
@@ -40,12 +38,6 @@ pub const TAG_FRAMES: u8 = 0x04;
 pub const TAG_HEARTBEAT: u8 = 0x05;
 /// Primary → follower: the WAL lineage changed; re-handshake.
 pub const TAG_RESYNC: u8 = 0x06;
-/// Client → replica: execute a lineage/impact query.
-pub const TAG_QUERY: u8 = 0x11;
-/// Replica → client: rendered answers plus the replica's position.
-pub const TAG_QUERY_OK: u8 = 0x12;
-/// Replica → client: typed refusal (staleness bound, parse failure, ...).
-pub const TAG_QUERY_ERR: u8 = 0x13;
 
 /// The follower's opening offer: "my log is `offset` durable bytes /
 /// `frames` frames whose CRC-32 is `prefix_crc`; lineage I last knew was
@@ -93,57 +85,6 @@ pub struct Resync {
     /// Human-oriented cause ("generation changed", ...).
     pub reason: String,
 }
-
-/// A query shipped to a read replica.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct QueryRequest {
-    /// Query text, `lin(...)` or `impact(...)` (see `prov_core::parse_query`).
-    pub query: String,
-    /// Run (trace) id to query when `all_runs` is false.
-    pub run: u64,
-    /// Query every run the replica knows.
-    pub all_runs: bool,
-    /// `"ni"` or `"indexproj"`.
-    pub algo: String,
-    /// Workflow name for `indexproj` when the replica registers several.
-    pub wf: Option<String>,
-    /// Refuse to answer if the replica lags the primary by more than this
-    /// many frames (`None`: answer at any staleness).
-    pub max_lag_frames: Option<u64>,
-}
-
-/// A replica's successful answer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct QueryResponse {
-    /// Rendered [`prov_core::LineageAnswer`]s, one per queried run.
-    pub answers: Vec<String>,
-    /// Frames the replica lagged the primary by at answer time.
-    pub lag_frames: u64,
-    /// Bytes the replica lagged the primary by at answer time.
-    pub lag_bytes: u64,
-    /// Lineage the replica was on.
-    pub generation: u64,
-    /// The replica's durable WAL offset.
-    pub offset: u64,
-}
-
-/// A replica's typed refusal. `code` is machine-matchable:
-/// `"replica_stale"` for a staleness-bound violation, `"query_failed"` for
-/// parse/execution errors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct QueryError {
-    /// Machine-matchable error class.
-    pub code: String,
-    /// Human-oriented detail.
-    pub message: String,
-    /// The replica's lag when it refused (staleness refusals).
-    pub lag_frames: Option<u64>,
-    /// The bound the request imposed (staleness refusals).
-    pub max_lag: Option<u64>,
-}
-
-/// Re-exported so both ends speak the same position type.
-pub type Position = ReplPosition;
 
 #[cfg(test)]
 mod tests {

@@ -71,13 +71,28 @@ impl ServeClient {
     /// Runs one query; a deadline expiry on the server surfaces as
     /// [`ServeError::Timeout`].
     pub fn query(&mut self, req: &p::ServeQuery) -> Result<Vec<String>, ServeError> {
+        self.query_bounded(req, None).map(|ok| ok.answers)
+    }
+
+    /// Runs one query and, when a follower answered, refuses the answer
+    /// as [`ServeError::ReplicaStale`] if the follower lagged its primary
+    /// by more than `max_lag` frames. A primary's answer carries no
+    /// position and passes any bound.
+    pub fn query_bounded(
+        &mut self,
+        req: &p::ServeQuery,
+        max_lag: Option<u64>,
+    ) -> Result<p::ServeQueryOk, ServeError> {
         p::write_json(&mut self.stream, p::TAG_QUERY, req).map_err(io_err)?;
         let (tag, payload) = read_reply(&mut self.stream)?;
         if tag != p::TAG_QUERY_OK {
             return Err(ServeError::Protocol(format!("expected QUERY_OK, got tag {tag:#x}")));
         }
         let ok: p::ServeQueryOk = p::decode(&payload).map_err(io_err)?;
-        Ok(ok.answers)
+        if let Some(at) = &ok.replica {
+            staleness_check(at.lag_frames, max_lag)?;
+        }
+        Ok(ok)
     }
 
     /// Liveness probe.
@@ -104,6 +119,17 @@ impl ServeClient {
     /// injection).
     pub fn into_stream(self) -> TcpStream {
         self.stream
+    }
+}
+
+/// The staleness bound: a follower's answer is refused when its lag
+/// exceeds `max_lag` frames. Unknown lag (`u64::MAX`: the follower has
+/// not heard from its primary) exceeds every bound, so a bounded query is
+/// refused until primary contact; an unbounded one (`None`) never is.
+fn staleness_check(lag_frames: u64, max_lag: Option<u64>) -> Result<(), ServeError> {
+    match max_lag {
+        Some(max) if lag_frames > max => Err(ServeError::ReplicaStale { lag_frames, max_lag: max }),
+        _ => Ok(()),
     }
 }
 
@@ -334,5 +360,37 @@ impl TraceSink for RemoteSink {
 
     fn finish_run(&self, _run: RunId) {
         let _ = self.finish();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unbounded_queries_are_never_refused() {
+        assert!(staleness_check(u64::MAX, None).is_ok());
+        assert!(staleness_check(1_000_000, None).is_ok());
+    }
+
+    #[test]
+    fn bounded_queries_refuse_beyond_the_lag_bound() {
+        assert!(staleness_check(3, Some(3)).is_ok());
+        let err = staleness_check(4, Some(3)).unwrap_err();
+        assert_eq!(err, ServeError::ReplicaStale { lag_frames: 4, max_lag: 3 });
+    }
+
+    #[test]
+    fn unknown_lag_refuses_any_bounded_query() {
+        // Never heard a heartbeat: even a generous bound is refused, and
+        // the reported lag is the unknown sentinel.
+        let err = staleness_check(u64::MAX, Some(1_000_000)).unwrap_err();
+        assert_eq!(err, ServeError::ReplicaStale { lag_frames: u64::MAX, max_lag: 1_000_000 });
+        assert!(err.to_string().contains("stale"), "{err}");
+    }
+
+    #[test]
+    fn zero_lag_satisfies_a_zero_bound() {
+        assert!(staleness_check(0, Some(0)).is_ok());
     }
 }

@@ -23,6 +23,12 @@
 //! * **idle reaping** and a **graceful drain** (SIGTERM/ctrl-c/remote
 //!   shutdown): stop accepting, let sessions finish and ack queued
 //!   ingest, fsync, snapshot, exit cleanly.
+//!
+//! The same server fronts a read replica: [`ProvServer::follow`] serves a
+//! [`prov_repl::Follower`]'s store read-only (ingest gets a typed
+//! `read_only`), stamps every answer with the follower's position, and
+//! leaves the replicated WAL untouched on drain. A client bounds
+//! staleness with [`ServeClient::query_bounded`].
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)] // deny, not forbid: `signal` opts a single FFI shim back in
@@ -60,6 +66,15 @@ pub enum ServeError {
     },
     /// The daemon is draining and refused new work.
     ShuttingDown,
+    /// A follower answered from further behind its primary than the
+    /// caller's bound allows.
+    ReplicaStale {
+        /// Frames the follower lagged by (`u64::MAX`: lag unknown — it has
+        /// not heard from its primary).
+        lag_frames: u64,
+        /// The bound the caller imposed.
+        max_lag: u64,
+    },
     /// Any other typed server error (`query_failed`, `bad_request`, ...).
     Remote {
         /// The machine-matchable code.
@@ -79,6 +94,12 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::Timeout { message } => write!(f, "server timeout: {message}"),
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
+            ServeError::ReplicaStale { lag_frames: u64::MAX, max_lag } => {
+                write!(f, "replica stale: lag unknown (no primary contact), bound {max_lag} frames")
+            }
+            ServeError::ReplicaStale { lag_frames, max_lag } => {
+                write!(f, "replica stale: lags {lag_frames} frames, bound {max_lag}")
+            }
             ServeError::Remote { code, message } => write!(f, "server error [{code}]: {message}"),
         }
     }

@@ -133,6 +133,24 @@ pub struct ServeQuery {
 pub struct ServeQueryOk {
     /// One rendered answer per queried run.
     pub answers: Vec<String>,
+    /// Where a follower stood when it answered; `None` from a primary.
+    pub replica: Option<ReplicaPosition>,
+}
+
+/// A follower's replication position, read just before it executes a
+/// query: the answers cover at least this durable prefix of the
+/// primary's WAL.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ReplicaPosition {
+    /// WAL lineage (leading snapshot marker generation, 0 if none).
+    pub generation: u64,
+    /// Durable WAL length in bytes.
+    pub offset: u64,
+    /// Frames behind the primary's last heartbeat; `u64::MAX` while the
+    /// follower has not heard from its primary (lag unknown).
+    pub lag_frames: u64,
+    /// Bytes behind the primary's last heartbeat (`u64::MAX`: unknown).
+    pub lag_bytes: u64,
 }
 
 /// Reply to [`TAG_PING`] / [`TAG_SHUTDOWN`].
@@ -146,7 +164,7 @@ pub struct Pong {
 
 /// Typed error reply. `code` is machine-matchable:
 /// `busy` | `timeout` | `shutting_down` | `query_failed` | `bad_request`
-/// | `ingest_failed`.
+/// | `ingest_failed` | `read_only`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ServeErrorMsg {
     /// Machine-matchable error class.

@@ -33,6 +33,15 @@
 //! loop exits; sessions finish the request in flight, drain and ack their
 //! ingest queues, and close; `shutdown` waits for the session count to hit
 //! zero (bounded by the drain deadline), fsyncs, snapshots, and returns.
+//!
+//! # Read replicas
+//!
+//! A server started with [`ProvServer::follow`] reads a
+//! [`Follower`]'s store instead of owning one. Ingest requests get a
+//! typed `read_only`, each answer carries the follower's position, and
+//! the drain neither fsyncs nor snapshots: the follower fsyncs every
+//! chunk it applies, and a snapshot would truncate a WAL that must stay
+//! a byte prefix of the primary's.
 
 use std::collections::HashMap;
 use std::io;
@@ -48,7 +57,8 @@ use prov_core::{CoreError, WorkflowCache};
 use prov_engine::{Clock, ClockSource, SystemClock, TraceSink};
 use prov_model::{ProcessorName, RunId};
 use prov_obs::{Counter, Gauge, JournalEvent, Obs, QueryCtx, TimeSource};
-use prov_store::SharedStore;
+use prov_repl::Follower;
+use prov_store::{SharedStore, TraceStore};
 
 use crate::execute::execute_resident;
 use crate::protocol::{self as p, ServeErrorMsg};
@@ -125,8 +135,38 @@ impl ServeMetrics {
     }
 }
 
+/// Where a server's store comes from.
+enum Source {
+    /// A store this server owns: it takes ingest, and its drain fsyncs and
+    /// snapshots.
+    Owned(SharedStore),
+    /// A follower's replica, read-only. Read per query, because a
+    /// bootstrap swaps the follower's store.
+    Follower(Arc<Follower>),
+}
+
+impl Source {
+    /// The store a query reads and, on a follower, the position it reads
+    /// at (taken first, so the answer is never older than it claims).
+    fn for_query(&self) -> (Arc<TraceStore>, Option<p::ReplicaPosition>) {
+        match self {
+            Source::Owned(store) => (store.arc(), None),
+            Source::Follower(follower) => {
+                let s = follower.status();
+                let at = p::ReplicaPosition {
+                    generation: s.generation,
+                    offset: s.offset,
+                    lag_frames: s.lag_frames,
+                    lag_bytes: s.lag_bytes,
+                };
+                (follower.store(), Some(at))
+            }
+        }
+    }
+}
+
 struct Shared {
-    store: SharedStore,
+    source: Source,
     /// Registered workflows parsed, and plans compiled, by earlier
     /// requests of any session.
     workflows: WorkflowCache,
@@ -179,6 +219,22 @@ impl ProvServer {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts
     /// accepting.
     pub fn start(store: SharedStore, obs: Obs, cfg: ServeConfig, addr: &str) -> io::Result<Self> {
+        Self::launch(Source::Owned(store), obs, cfg, addr)
+    }
+
+    /// Like [`ProvServer::start`], but serves `follower`'s replica
+    /// read-only (see the module docs). Starting and stopping the
+    /// follower's replication stays with the caller.
+    pub fn follow(
+        follower: Arc<Follower>,
+        obs: Obs,
+        cfg: ServeConfig,
+        addr: &str,
+    ) -> io::Result<Self> {
+        Self::launch(Source::Follower(follower), obs, cfg, addr)
+    }
+
+    fn launch(source: Source, obs: Obs, cfg: ServeConfig, addr: &str) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
@@ -186,7 +242,7 @@ impl ProvServer {
         let workflows = WorkflowCache::new();
         workflows.register_metrics(&obs.metrics);
         let shared = Arc::new(Shared {
-            store,
+            source,
             workflows,
             obs,
             cfg,
@@ -225,8 +281,9 @@ impl ProvServer {
     }
 
     /// Drains and shuts down: waits (up to the drain deadline) for
-    /// sessions to finish, then fsyncs the WAL and writes a snapshot so
-    /// the next open replays nothing. Returns what the drain observed.
+    /// sessions to finish, then — on a store it owns — fsyncs the WAL and
+    /// writes a snapshot so the next open replays nothing. Returns what
+    /// the drain observed.
     pub fn shutdown(mut self) -> DrainReport {
         self.begin_drain();
         if let Some(h) = self.accept.take() {
@@ -238,8 +295,10 @@ impl ProvServer {
             std::thread::sleep(Duration::from_millis(2));
         }
         let active = self.active();
-        let _ = self.shared.store.sync_wal();
-        let _ = self.shared.store.snapshot();
+        if let Source::Owned(store) = &self.shared.source {
+            let _ = store.sync_wal();
+            let _ = store.snapshot();
+        }
         DrainReport { forced: active > 0, active_at_exit: active }
     }
 }
@@ -415,21 +474,22 @@ fn handle_frame(
             false
         }
         p::TAG_INGEST_BEGIN => {
+            let Some(store) = writable(shared, writer) else { return true };
             let begin: p::IngestBegin = match p::decode(payload) {
                 Ok(b) => b,
                 Err(e) => return bad_request(writer, e),
             };
             let name = ProcessorName::from(begin.workflow.as_str());
             if let Some(json) = begin.workflow_json {
-                shared.store.register_workflow(&name, json);
+                store.register_workflow(&name, json);
             }
-            let run = shared.store.begin_run(&name);
+            let run = store.begin_run(&name);
             let (tx, rx) = std::sync::mpsc::sync_channel(shared.cfg.queue_depth.max(1));
-            let applier_shared = Arc::clone(shared);
+            let applier_store = store.clone();
             let applier_writer = Arc::clone(writer);
             let applier = std::thread::Builder::new()
                 .name("serve-applier".into())
-                .spawn(move || applier(run, rx, applier_writer, applier_shared));
+                .spawn(move || applier(run, rx, applier_writer, applier_store));
             match applier {
                 Ok(handle) => {
                     pipes.insert(run.0, IngestPipe { tx: Some(tx), applier: Some(handle) });
@@ -444,6 +504,9 @@ fn handle_frame(
             }
         }
         p::TAG_INGEST_BATCH => {
+            if writable(shared, writer).is_none() {
+                return true;
+            }
             let batch: p::IngestBatch = match p::decode(payload) {
                 Ok(b) => b,
                 Err(e) => return bad_request(writer, e),
@@ -475,6 +538,7 @@ fn handle_frame(
             }
         }
         p::TAG_INGEST_FINISH => {
+            let Some(store) = writable(shared, writer) else { return true };
             let finish: p::IngestFinish = match p::decode(payload) {
                 Ok(f) => f,
                 Err(e) => return bad_request(writer, e),
@@ -489,12 +553,12 @@ fn handle_frame(
             };
             pipe.close(); // drains + acks every queued batch
             let run = RunId(finish.run);
-            shared.store.finish_run(run);
-            let _ = shared.store.sync_wal();
+            store.finish_run(run);
+            let _ = store.sync_wal();
             let ack = p::IngestAck {
                 run: finish.run,
                 seq: finish.seq,
-                durable_frames: shared.store.repl_position().durable_frames,
+                durable_frames: store.repl_position().durable_frames,
             };
             p::write_json(&mut *writer.lock(), p::TAG_INGEST_ACK, &ack).is_ok()
         }
@@ -512,9 +576,10 @@ fn handle_frame(
                 deadline_micros = clock.now_micros().saturating_add(ms.saturating_mul(1000));
                 ctx = ctx.with_clock_deadline(source, deadline_micros);
             }
-            match execute_resident(&shared.store, &shared.workflows, &req, &shared.obs, &ctx) {
+            let (store, replica) = shared.source.for_query();
+            match execute_resident(&store, &shared.workflows, &req, &shared.obs, &ctx) {
                 Ok(answers) => {
-                    let ok = p::ServeQueryOk { answers };
+                    let ok = p::ServeQueryOk { answers, replica };
                     p::write_json(&mut *writer.lock(), p::TAG_QUERY_OK, &ok).is_ok()
                 }
                 Err(CoreError::DeadlineExceeded { query }) => {
@@ -552,6 +617,20 @@ fn bad_request(writer: &Arc<Mutex<TcpStream>>, e: impl std::fmt::Display) -> boo
     true
 }
 
+/// The store ingest writes to. A follower has none: the request gets a
+/// typed `read_only`, and the session stays open for queries.
+fn writable<'a>(shared: &'a Shared, writer: &Arc<Mutex<TcpStream>>) -> Option<&'a SharedStore> {
+    match &shared.source {
+        Source::Owned(store) => Some(store),
+        Source::Follower(_) => {
+            let msg =
+                ServeErrorMsg::new("read_only", "a follower takes no ingest; write to its primary");
+            let _ = p::write_json(&mut *writer.lock(), p::TAG_ERR, &msg);
+            None
+        }
+    }
+}
+
 /// The applier: drains the session's bounded queue, applies every queued
 /// batch, performs one WAL group commit, then acks each batch. Exits when
 /// the session drops the sender (finish, disconnect, or drain) — after
@@ -560,7 +639,7 @@ fn applier(
     run: RunId,
     rx: Receiver<p::IngestBatch>,
     writer: Arc<Mutex<TcpStream>>,
-    shared: Arc<Shared>,
+    store: SharedStore,
 ) {
     while let Ok(first) = rx.recv() {
         let mut group = vec![first];
@@ -570,12 +649,12 @@ fn applier(
         let mut seqs = Vec::with_capacity(group.len());
         for batch in group {
             seqs.push(batch.seq);
-            shared.store.record_batch(run, batch.events);
+            store.record_batch(run, batch.events);
         }
         // One fsync for the whole group: the ack below is a durability
         // promise, so it must not precede this.
-        let durable = shared.store.sync_wal().is_ok();
-        let durable_frames = shared.store.repl_position().durable_frames;
+        let durable = store.sync_wal().is_ok();
+        let durable_frames = store.repl_position().durable_frames;
         let mut w = writer.lock();
         for seq in seqs {
             if durable {

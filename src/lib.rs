@@ -17,8 +17,9 @@
 //!   traverses the spec graph instead of the provenance graph;
 //! * [`workgen`] — the synthetic testbed of §4.1 plus the GK/PD workflows;
 //! * [`repl`] — WAL-shipping replication: a primary streams its durable
-//!   log to follower stores that replay continuously and serve read-only
-//!   lineage queries under an explicit staleness bound.
+//!   log to follower stores that replay continuously; the serve daemon
+//!   (`prov_serve::ProvServer::follow`) answers lineage queries from a
+//!   follower read-only, under a staleness bound its client checks.
 //!
 //! ## Quickstart
 //!

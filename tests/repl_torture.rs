@@ -14,14 +14,15 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use prov_engine::{Backoff, RetryPolicy};
-use prov_obs::{Journal, JournalEvent};
-use prov_repl::{
-    query_replica, Follower, FollowerConfig, PrimaryConfig, QueryRequest, ReplError, ReplServer,
-};
-use prov_store::FaultPlan;
+use prov_engine::{Backoff, Clock, RetryPolicy, VirtualClock};
+use prov_obs::{Journal, JournalEvent, Registry};
+use prov_repl::{Follower, FollowerConfig, PrimaryConfig, ReplServer};
+use prov_serve::protocol::{self as p, ServeQuery};
+use prov_serve::{DrainReport, ProvServer, ServeClient, ServeConfig, ServeError};
+use prov_store::{FaultPlan, SharedStore};
 use prov_workgen::testbed;
 use taverna_prov::prelude::*;
 
@@ -367,87 +368,147 @@ fn live_appends_checkpoints_and_snapshots_resync() {
     cleanup(&p.path);
 }
 
-#[test]
-fn replica_queries_render_identically_and_refuse_stale() {
-    let p = primary("query", 2, false);
-    let mut server = ReplServer::spawn(
+/// A follower of `primary` (caught up) — or, with `None`, of no primary
+/// at all — served read-only by its own `ProvServer`, whose metrics and
+/// journal are on as under `tprov serve --follow`.
+struct Replica {
+    db: PathBuf,
+    follower: Arc<Follower>,
+    handle: Option<JoinHandle<()>>,
+    server: Option<ProvServer>,
+    registry: Registry,
+}
+
+fn replica(primary: Option<&ReplServer>, tag: &str, cfg: ServeConfig) -> Replica {
+    let db = tmp(tag);
+    let follower = Follower::open(&db, Journal::disabled()).unwrap();
+    let obs = Obs {
+        metrics: Registry::new(),
+        profiler: prov_obs::Profiler::disabled(),
+        journal: Journal::new(1 << 14),
+    };
+    let registry = obs.metrics.clone();
+    let server = ProvServer::follow(Arc::clone(&follower), obs, cfg, "127.0.0.1:0").unwrap();
+    let handle = primary.map(|p| follower.start(p.addr().to_string(), fast_config(None)));
+    if handle.is_some() {
+        assert!(follower.wait_caught_up(CATCH_UP), "{tag}: {:?}", follower.status());
+    }
+    Replica { db, follower, handle, server: Some(server), registry }
+}
+
+impl Replica {
+    fn addr(&self) -> String {
+        self.server.as_ref().unwrap().local_addr().to_string()
+    }
+
+    fn client(&self) -> ServeClient {
+        ServeClient::connect(&self.addr()).unwrap()
+    }
+
+    /// Drains the server, then stops the follower — `tprov serve
+    /// --follow`'s exit order.
+    fn stop(&mut self) -> DrainReport {
+        let report = self.server.take().unwrap().shutdown();
+        self.follower.stop();
+        if let Some(h) = self.handle.take() {
+            h.join().unwrap();
+        }
+        report
+    }
+}
+
+impl Drop for Replica {
+    fn drop(&mut self) {
+        if self.server.is_some() {
+            self.stop();
+        }
+        cleanup(&self.db);
+    }
+}
+
+/// A primary with `n_runs` testbed runs, its WAL shipper, and a replica
+/// daemon of it; dropping it tears all three down.
+struct Replicated {
+    r: Replica,
+    _ship: ReplServer,
+    p: Primary,
+}
+
+fn replicated(tag: &str, n_runs: usize, cfg: ServeConfig) -> Replicated {
+    let p = primary(tag, n_runs, false);
+    let ship = ReplServer::spawn(
         Arc::clone(&p.store),
         "127.0.0.1:0",
         Journal::disabled(),
-        PrimaryConfig::default(),
+        PrimaryConfig { chunk_bytes: 1024, poll_interval_ms: 2 },
     )
     .unwrap();
-    let fdb = tmp("query-f");
-    let follower = Follower::open(&fdb, Journal::disabled()).unwrap();
-    let handle = follower.start(server.addr().to_string(), fast_config(None));
-    assert!(follower.wait_caught_up(CATCH_UP));
-    let qserver = follower.serve_queries("127.0.0.1:0").unwrap();
-    let qaddr = qserver.addr().to_string();
+    let r = replica(Some(&ship), &format!("{tag}-f"), cfg);
+    Replicated { r, _ship: ship, p }
+}
+
+impl Drop for Replicated {
+    fn drop(&mut self) {
+        cleanup(&self.p.path);
+    }
+}
+
+fn request(query: &str, algo: &str, all_runs: bool) -> ServeQuery {
+    ServeQuery {
+        query: query.into(),
+        run: 0,
+        all_runs,
+        algo: algo.into(),
+        wf: None,
+        deadline_ms: None,
+    }
+}
+
+/// What `exec` renders for `req` on the primary's own store.
+fn on_primary(store: &TraceStore, req: &ServeQuery) -> Vec<String> {
+    let local = taverna_prov::lineage::QueryRequest {
+        query: &req.query,
+        runs: if req.all_runs { RunSelection::All } else { RunSelection::One(RunId(req.run)) },
+        algo: &req.algo,
+        wf: None,
+    };
+    let (obs, ctx, workflows) = (Obs::disabled(), QueryCtx::new(&*req.query), WorkflowCache::new());
+    let env = Env { store, workflow: None, workflows: &workflows, obs: &obs, ctx: &ctx };
+    exec(&env, &local).unwrap().answers.iter().map(|a| a.to_string()).collect()
+}
+
+const LIN: &str = "lin(<testbed:product[0,1]>, {LISTGEN_1})";
+
+#[test]
+fn replica_queries_render_identically_and_refuse_stale() {
+    let f = replicated("query", 2, ServeConfig::default());
+    let mut client = f.r.client();
 
     // Both algorithms, bounded at zero staleness: a caught-up replica of a
     // static primary answers, and renders byte-identically to the same
     // execution on the primary.
     for algo in ["ni", "indexproj"] {
-        let req = QueryRequest {
-            query: "lin(<testbed:product[0,1]>, {LISTGEN_1})".into(),
-            run: 0,
-            all_runs: true,
-            algo: algo.into(),
-            wf: None,
-            max_lag_frames: Some(0),
-        };
-        let resp = query_replica(&qaddr, &req).unwrap();
-        let local = taverna_prov::lineage::QueryRequest {
-            query: &req.query,
-            runs: RunSelection::All,
-            algo,
-            wf: None,
-        };
-        let (obs, ctx) = (Obs::disabled(), QueryCtx::new(&*req.query));
-        let workflows = WorkflowCache::new();
-        let env =
-            Env { store: &p.store, workflow: None, workflows: &workflows, obs: &obs, ctx: &ctx };
-        let expected: Vec<String> =
-            exec(&env, &local).unwrap().answers.iter().map(|a| a.to_string()).collect();
-        assert_eq!(resp.answers, expected, "{algo}: replica rendering diverged");
-        assert_eq!(resp.lag_frames, 0);
+        let req = request(LIN, algo, true);
+        let ok = client.query_bounded(&req, Some(0)).unwrap();
+        assert_eq!(ok.answers, on_primary(&f.p.store, &req), "{algo}: replica rendering diverged");
+        assert_eq!(ok.replica.unwrap().lag_frames, 0);
     }
 
     // A follower that has never reached any primary has unknown lag: any
     // bounded query gets the typed staleness refusal, however generous
     // the bound; an unbounded one is answered from local state.
-    let lonely_db = tmp("query-lonely");
-    let lonely = Follower::open(&lonely_db, Journal::disabled()).unwrap();
-    let lonely_q = lonely.serve_queries("127.0.0.1:0").unwrap();
-    let mut req = QueryRequest {
-        query: "lin(<testbed:product[0,1]>, {LISTGEN_1})".into(),
-        run: 0,
-        all_runs: false,
-        algo: "ni".into(),
-        wf: None,
-        max_lag_frames: Some(1_000_000),
-    };
-    match query_replica(&lonely_q.addr().to_string(), &req) {
-        Err(ReplError::ReplicaStale { lag_frames, max_lag }) => {
+    let lonely = replica(None, "query-lonely", ServeConfig::default());
+    let mut client = lonely.client();
+    let req = request(LIN, "ni", false);
+    match client.query_bounded(&req, Some(1_000_000)) {
+        Err(ServeError::ReplicaStale { lag_frames, max_lag }) => {
             assert_eq!(lag_frames, u64::MAX);
             assert_eq!(max_lag, 1_000_000);
         }
         other => panic!("expected a typed staleness refusal, got {other:?}"),
     }
-    req.max_lag_frames = None;
-    let resp = query_replica(&lonely_q.addr().to_string(), &req).unwrap();
-    assert!(resp.answers.iter().all(|a| a.contains("0 bindings") || !a.is_empty()));
-
-    drop(lonely_q);
-    drop(qserver);
-    follower.stop();
-    let _ = handle.join();
-    drop(follower);
-    drop(lonely);
-    server.shutdown();
-    cleanup(&fdb);
-    cleanup(&lonely_db);
-    cleanup(&p.path);
+    let ok = client.query_bounded(&req, None).unwrap();
+    assert_eq!(ok.replica.unwrap().lag_frames, u64::MAX);
 }
 
 /// A replica keeps the registered workflow and its plans resident across
@@ -456,49 +517,26 @@ fn replica_queries_render_identically_and_refuse_stale() {
 /// itself arriving through `apply_replicated`.
 #[test]
 fn replica_cache_turns_over_with_a_replicated_workflow_record() {
-    let p = primary("cache", 1, false);
-    let mut server = ReplServer::spawn(
-        Arc::clone(&p.store),
-        "127.0.0.1:0",
-        Journal::disabled(),
-        PrimaryConfig { chunk_bytes: 1024, poll_interval_ms: 2 },
-    )
-    .unwrap();
-    let fdb = tmp("cache-f");
-    let follower = Follower::open(&fdb, Journal::disabled()).unwrap();
-    let handle = follower.start(server.addr().to_string(), fast_config(None));
-    assert!(follower.wait_caught_up(CATCH_UP));
-    let qserver = follower.serve_queries("127.0.0.1:0").unwrap();
-    let qaddr = qserver.addr().to_string();
-    let req = QueryRequest {
-        query: "lin(<2TO1_FINAL:Y[0,1]>, {LISTGEN_1,CHAIN_A_1,CHAIN_A_2,CHAIN_A_3})".into(),
-        run: 0,
-        all_runs: true,
-        algo: "indexproj".into(),
-        wf: None,
-        max_lag_frames: None,
-    };
-    let on_primary = || {
-        let local = taverna_prov::lineage::QueryRequest {
-            query: &req.query,
-            runs: RunSelection::All,
-            algo: "indexproj",
-            wf: None,
-        };
-        let (obs, ctx, workflows) =
-            (Obs::disabled(), QueryCtx::new(&*req.query), WorkflowCache::new());
-        let env =
-            Env { store: &p.store, workflow: None, workflows: &workflows, obs: &obs, ctx: &ctx };
-        exec(&env, &local).unwrap().answers.iter().map(|a| a.to_string()).collect::<Vec<_>>()
-    };
+    let Replicated { r, p, .. } = &replicated("cache", 1, ServeConfig::default());
+    let mut client = r.client();
+    let req = request(
+        "lin(<2TO1_FINAL:Y[0,1]>, {LISTGEN_1,CHAIN_A_1,CHAIN_A_2,CHAIN_A_3})",
+        "indexproj",
+        true,
+    );
     let counters = || {
-        let s = follower.workflow_cache_stats();
-        [s.loads, s.hits, s.plans.misses, s.plans.hits]
+        let snap = r.registry.snapshot();
+        [
+            snap.counter("workflow_cache.loads"),
+            snap.counter("workflow_cache.hits"),
+            snap.counter("plan_cache.misses"),
+            snap.counter("plan_cache.hits"),
+        ]
     };
 
-    let before = on_primary();
+    let before = on_primary(&p.store, &req);
     for _ in 0..3 {
-        assert_eq!(query_replica(&qaddr, &req).unwrap().answers, before);
+        assert_eq!(client.query(&req).unwrap(), before);
     }
     assert_eq!(counters(), [1, 2, 1, 2]);
 
@@ -507,8 +545,8 @@ fn replica_cache_turns_over_with_a_replicated_workflow_record() {
     p.store.register_workflow(&ProcessorName::from("testbed"), spec);
     testbed::run(&p.df, 3, &*p.store);
     p.store.sync_wal().unwrap();
-    wait_converged(&follower, &p, "cache-same");
-    assert_eq!(query_replica(&qaddr, &req).unwrap().answers, on_primary());
+    wait_converged(&r.follower, p, "cache-same");
+    assert_eq!(client.query(&req).unwrap(), on_primary(&p.store, &req));
     assert_eq!(counters(), [1, 3, 1, 3]);
 
     // Different bytes under the same name: the next replica answer is
@@ -516,19 +554,118 @@ fn replica_cache_turns_over_with_a_replicated_workflow_record() {
     let shorter = serde_json::to_string(&testbed::generate(2)).unwrap();
     p.store.register_workflow(&ProcessorName::from("testbed"), shorter);
     p.store.sync_wal().unwrap();
-    wait_converged(&follower, &p, "cache-new");
-    let after = on_primary();
+    wait_converged(&r.follower, p, "cache-new");
+    let after = on_primary(&p.store, &req);
     assert_ne!(after[0], before[0], "the shorter chain must change the answer");
-    assert_eq!(query_replica(&qaddr, &req).unwrap().answers, after);
+    assert_eq!(client.query(&req).unwrap(), after);
     assert_eq!(counters(), [2, 3, 2, 3]);
+}
 
-    drop(qserver);
-    follower.stop();
-    let _ = handle.join();
-    drop(follower);
+#[test]
+fn replica_daemon_refuses_ingest_as_read_only_and_keeps_the_session() {
+    let f = replicated("ro", 1, ServeConfig::default());
+    let mut stream = f.r.client().into_stream();
+    let begin = p::IngestBegin { workflow: "testbed".into(), workflow_json: None };
+    p::write_json(&mut stream, p::TAG_INGEST_BEGIN, &begin).unwrap();
+    let batch = p::IngestBatch { run: 0, seq: 0, events: Vec::new() };
+    p::write_json(&mut stream, p::TAG_INGEST_BATCH, &batch).unwrap();
+    p::write_json(&mut stream, p::TAG_INGEST_FINISH, &p::IngestFinish { run: 0, seq: 0 }).unwrap();
+    for frame in ["INGEST_BEGIN", "INGEST_BATCH", "INGEST_FINISH"] {
+        let (tag, payload) = p::read_msg(&mut stream).unwrap().unwrap();
+        assert_eq!(tag, p::TAG_ERR, "{frame}");
+        let err: p::ServeErrorMsg = p::decode(&payload).unwrap();
+        assert_eq!(err.code, "read_only", "{frame}: {err:?}");
+    }
+
+    // The same session still answers, from the unchanged replica.
+    let req = request(LIN, "ni", true);
+    p::write_json(&mut stream, p::TAG_QUERY, &req).unwrap();
+    let (tag, payload) = p::read_msg(&mut stream).unwrap().unwrap();
+    assert_eq!(tag, p::TAG_QUERY_OK);
+    let ok: p::ServeQueryOk = p::decode(&payload).unwrap();
+    assert_eq!(ok.answers, on_primary(&f.p.store, &req));
+    assert_eq!(f.r.follower.store().runs().len(), f.p.runs.len(), "a refused ingest began a run");
+}
+
+/// A `VirtualClock` that moves 1 ms forward on every reading: a request's
+/// deadline passes during its own execution, without a sleep.
+#[derive(Debug, Default)]
+struct Ticking(VirtualClock);
+
+impl Clock for Ticking {
+    fn now_micros(&self) -> u64 {
+        self.0.sleep_micros(1_000);
+        self.0.now_micros()
+    }
+
+    fn sleep_micros(&self, micros: u64) {
+        self.0.sleep_micros(micros);
+    }
+}
+
+#[test]
+fn replica_daemon_times_out_past_its_deadline_on_a_virtual_clock() {
+    let cfg = ServeConfig { clock: Arc::new(Ticking::default()), ..ServeConfig::default() };
+    let f = replicated("deadline", 1, cfg);
+    let mut client = f.r.client();
+    let expired = ServeQuery { deadline_ms: Some(0), ..request(LIN, "ni", true) };
+    match client.query(&expired) {
+        Err(ServeError::Timeout { .. }) => {}
+        other => panic!("expected a typed timeout, got {other:?}"),
+    }
+    assert_eq!(f.r.registry.snapshot().counter("serve.request_timeouts"), 1);
+    // No deadline, same session: answered.
+    let req = request(LIN, "ni", true);
+    assert_eq!(client.query(&req).unwrap(), on_primary(&f.p.store, &req));
+}
+
+#[test]
+fn replica_daemon_refuses_the_connection_past_its_limit_as_busy() {
+    let f = replicated("busy", 1, ServeConfig { max_connections: 2, ..ServeConfig::default() });
+    let _held = (f.r.client(), f.r.client());
+    match ServeClient::connect(&f.r.addr()) {
+        Err(ServeError::Busy { active, limit }) => assert_eq!((active, limit), (2, 2)),
+        other => panic!("expected a typed busy refusal, got {other:?}"),
+    }
+    assert_eq!(f.r.registry.snapshot().counter("serve.conns_refused"), 1);
+}
+
+/// A follower's drain must not snapshot: that would truncate its WAL to a
+/// marker, so it would no longer be a byte prefix of the primary's and
+/// the next start would need a bootstrap.
+#[test]
+fn replica_daemon_drain_keeps_the_wal_a_byte_prefix() {
+    let mut f = replicated("drain", 2, ServeConfig::default());
+    let snapshots = TraceStore::snapshot_files(&f.r.db);
+    let req = request(LIN, "indexproj", true);
+    assert_eq!(f.r.client().query(&req).unwrap(), on_primary(&f.p.store, &req));
+
+    let report = f.r.stop();
+    assert!(!report.forced, "{report:?}");
+    assert_eq!(
+        std::fs::read(&f.r.db).unwrap(),
+        std::fs::read(&f.p.path).unwrap(),
+        "the drained replica's WAL is no longer the primary's bytes"
+    );
+    assert_eq!(TraceStore::snapshot_files(&f.r.db), snapshots, "the drain wrote a snapshot");
+}
+
+/// A primary's answer carries no position, so any lag bound passes.
+#[test]
+fn primary_daemon_answers_any_lag_bound() {
+    let store = SharedStore::new(TraceStore::in_memory());
+    let df = testbed::generate(3);
+    store.register_workflow(&ProcessorName::from("testbed"), serde_json::to_string(&df).unwrap());
+    testbed::run(&df, 3, &*store);
+    let cfg = ServeConfig::default();
+    let server = ProvServer::start(store.clone(), Obs::disabled(), cfg, "127.0.0.1:0").unwrap();
+    let mut client = ServeClient::connect(&server.local_addr().to_string()).unwrap();
+    let req = request(LIN, "indexproj", true);
+    let ok = client.query_bounded(&req, Some(0)).unwrap();
+    assert_eq!(ok.replica, None);
+    assert_eq!(ok.answers, on_primary(&store, &req));
+    drop(client);
     server.shutdown();
-    cleanup(&fdb);
-    cleanup(&p.path);
 }
 
 /// Splitmix64 — deterministic offsets for the seeded pass.
