@@ -19,7 +19,6 @@
 //! tprov tail     --db t.wal [--last 20] [--format json] [--follow]
 //! tprov slow     --db t.wal [--format json]
 //! tprov wal verify t.wal
-//! tprov replicate serve  --db t.wal [--listen 127.0.0.1:7070]
 //! tprov replicate follow --db replica.wal --from HOST:PORT [--once]
 //! tprov serve    t.wal [--addr 127.0.0.1:7071] [--max-conns N] [--for-ms N]
 //! tprov serve    replica.wal --follow HOST:PORT [--addr ADDR]
@@ -133,8 +132,7 @@ fn run(argv: Vec<String>) -> Result<ExitCode, String> {
     }
 }
 
-/// Dispatches the two-level commands: `wal verify`, `replicate serve`,
-/// `replicate follow`.
+/// Dispatches the two-level commands: `wal verify`, `replicate follow`.
 fn run_verbed(cmd: &str, rest: &[String]) -> Result<ExitCode, String> {
     let Some((verb, vrest)) = rest.split_first() else {
         return Err(format!("usage: tprov {cmd} <verb> ...; try `tprov help`"));
@@ -151,7 +149,6 @@ fn run_verbed(cmd: &str, rest: &[String]) -> Result<ExitCode, String> {
     let args = Args::parse(&vrest)?;
     match (cmd, verb.as_str()) {
         ("wal", "verify") => cmd_wal_verify(&args),
-        ("replicate", "serve") => cmd_repl_serve(&args),
         ("replicate", "follow") => cmd_repl_follow(&args),
         _ => Err(format!("unknown command `{cmd} {verb}`; try `tprov help`")),
     }
@@ -196,39 +193,12 @@ fn cmd_wal_verify(args: &Args) -> Result<ExitCode, String> {
     }
 }
 
-/// `tprov replicate serve --db F [--listen ADDR] [--for-ms N]`: stream
-/// this database's durable WAL to followers. The bound address is written
-/// to `<db>.repl.addr` so scripts can use `--listen 127.0.0.1:0`.
-fn cmd_repl_serve(args: &Args) -> Result<ExitCode, String> {
-    let db = args.required("db")?;
-    let listen = args.get("listen").unwrap_or("127.0.0.1:0");
-    let store = Arc::new(TraceStore::open(db).map_err(|e| format!("cannot open {db}: {e}"))?);
-    let journal = Journal::from_env();
-    store.attach_journal(&journal);
-    let mut server = prov_repl::ReplServer::spawn(
-        Arc::clone(&store),
-        listen,
-        journal.clone(),
-        prov_repl::PrimaryConfig::default(),
-    )
-    .map_err(|e| e.to_string())?;
-    let addr_file = format!("{db}.repl.addr");
-    std::fs::write(&addr_file, server.addr().to_string())
-        .map_err(|e| format!("{addr_file}: {e}"))?;
-    println!("serving WAL of {db} on {} (address in {addr_file})", server.addr());
-    let ms: u64 = args.get_parsed("for-ms")?.unwrap_or(u64::MAX);
-    std::thread::sleep(std::time::Duration::from_millis(ms));
-    server.shutdown();
-    let _ = std::fs::remove_file(&addr_file);
-    journal_io::persist(db, &journal)?;
-    Ok(ExitCode::SUCCESS)
-}
-
 /// `tprov replicate follow --db LOCAL --from ADDR [--once]
-/// [--timeout-ms N] [--for-ms N]`: replay a primary's WAL into a local
-/// replica, serving nothing (`tprov serve LOCAL --follow ADDR` serves
-/// one). With `--once`, exits 0 as soon as the replica is caught up (1 on
-/// timeout) — the scriptable "seed a replica" form.
+/// [--timeout-ms N] [--for-ms N]`: replay into a local replica the WAL of
+/// the primary whose `tprov serve` daemon listens on ADDR (its
+/// `<db>.serve.addr`), serving nothing (`tprov serve LOCAL --follow ADDR`
+/// serves one). With `--once`, exits 0 as soon as the replica is caught
+/// up (1 on timeout) — the scriptable "seed a replica" form.
 fn cmd_repl_follow(args: &Args) -> Result<ExitCode, String> {
     let db = args.required("db")?;
     let from = args.required("from")?;
@@ -262,9 +232,11 @@ fn cmd_repl_follow(args: &Args) -> Result<ExitCode, String> {
 /// SIGTERM/ctrl-c (or after `--for-ms`) the daemon drains, fsyncs,
 /// snapshots, and exits 0, leaving its `serve.*`, `workflow_cache.*` and
 /// `plan_cache.*` counters in a `<db>.serve.json` sidecar that `tprov
-/// metrics` folds back in. With `--follow`, `<db>` is a read replica of
-/// PRIMARY (a `replicate serve` address): it replicates while it serves,
-/// refuses ingest, and its drain leaves the replicated WAL untouched.
+/// metrics` folds back in. A primary's daemon also ships its WAL to
+/// followers on the same address. With `--follow`, `<db>` is a read
+/// replica of PRIMARY (the primary's `tprov serve` address): it
+/// replicates while it serves, refuses ingest, and its drain leaves the
+/// replicated WAL untouched.
 fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
     let db = args.required("db")?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:0");
@@ -429,16 +401,15 @@ fn print_usage() {
          \x20 trace-dot --db FILE [--run N] [--json]       print a run's provenance graph\n\
          \x20 wal verify DB                                offline CRC + frame sweep of\n\
          \x20          the WAL and snapshots (exit 1 on corruption)\n\
-         \x20 replicate serve  --db FILE [--listen ADDR] [--for-ms N]\n\
-         \x20          stream the WAL to followers (address in <db>.repl.addr)\n\
          \x20 replicate follow --db LOCAL --from ADDR [--once] [--timeout-ms N]\n\
-         \x20          replay a primary into a local replica;\n\
+         \x20          replay the primary served at ADDR into a local replica;\n\
          \x20          --once exits when caught up\n\
          \x20 serve    DB [--follow ADDR] [--addr ADDR] [--max-conns N] [--queue-depth N]\n\
          \x20          [--deadline-ms N] [--idle-ms N] [--drain-ms N] [--for-ms N]\n\
          \x20          provenance daemon: concurrent ingest + queries on one store\n\
          \x20          (address in <db>.serve.addr; SIGTERM drains and exits 0);\n\
-         \x20          --follow serves DB read-only as a replica of a `replicate serve`;\n\
+         \x20          followers replicate from that same address;\n\
+         \x20          --follow serves DB read-only as a replica of the `serve` at ADDR;\n\
          \x20          `run --server ADDR` streams a run's trace to it, and\n\
          \x20          `query --server ADDR [--deadline-ms N] [--max-lag N]` queries it;\n\
          \x20          a replica beyond the --max-lag bound is refused (exit 1)\n\n\

@@ -781,7 +781,7 @@ impl Drop for ChildGuard {
     }
 }
 
-/// Polls an address sidecar written by `replicate serve`/`serve`.
+/// Polls the address sidecar a `tprov serve` daemon writes.
 fn wait_addr(path: &str) -> String {
     for _ in 0..200 {
         if let Ok(addr) = std::fs::read_to_string(path) {
@@ -826,26 +826,27 @@ fn serve_follow(db: &TempDb, primary: &str) -> (ChildGuard, String) {
     (child, addr)
 }
 
-/// End-to-end replication through the CLI: `replicate serve` a primary,
-/// `replicate follow --once` a replica to byte-identical convergence,
-/// surface the lag gauges via `metrics`, answer a bounded-staleness query
-/// from a `serve --follow` daemon through `query --server`, find its
-/// serve counters in `metrics` after it drains, and get the typed refusal
-/// from a replica that has never reached its primary.
+/// End-to-end replication through the CLI, from a `tprov serve` primary:
+/// `replicate follow --once` seeds a replica to byte-identical
+/// convergence with lag gauges at 0; a `serve --follow` replica then
+/// receives, live, a run streamed into the primary by `run --server`, and
+/// answers for it within a zero lag bound exactly as the primary does; its
+/// serve counters reach `metrics` after it drains; and a replica that has
+/// never reached its primary refuses a bounded query.
 #[test]
-fn replicate_serve_follow_query_and_stale_refusal() {
+fn serve_primary_ships_runs_to_followers_and_stale_replicas_refuse() {
     let db = TempDb::new("replsrv");
     let replica = TempDb::new("replsrv-replica");
     assert!(tprov(&["testbed", "--db", db.arg(), "--l", "3", "--d", "2"]).status.success());
 
-    let server = ChildGuard(
+    let mut primary = ChildGuard(
         std::process::Command::new(env!("CARGO_BIN_EXE_tprov"))
-            .args(["replicate", "serve", "--db", db.arg(), "--listen", "127.0.0.1:0"])
+            .args(["serve", db.arg(), "--addr", "127.0.0.1:0"])
             .stdout(std::process::Stdio::null())
             .spawn()
             .expect("serve spawns"),
     );
-    let addr = wait_addr(&format!("{}.repl.addr", db.arg()));
+    let addr = wait_addr(&format!("{}.serve.addr", db.arg()));
 
     // Seed the replica to caught-up and stop (exit 0 = converged).
     let out = tprov(&[
@@ -874,25 +875,45 @@ fn replicate_serve_follow_query_and_stale_refusal() {
     assert_eq!(json_u64(&snap["gauges"]["repl.lag_frames"]), 0);
     assert_eq!(json_u64(&snap["gauges"]["repl.lag_bytes"]), 0);
 
-    // A live replica daemon answers `query --server` within a zero lag
-    // bound, rendering exactly like a local query against the same bytes.
+    // A live replica daemon, connected: it answers within a zero lag bound.
     let qreplica = TempDb::new("replsrv-live");
     let (mut live, qaddr) = serve_follow(&qreplica, &addr);
-    let query = "lin(<2TO1_FINAL:Y[0,1]>, {LISTGEN_1})";
-    let out = retry_query(&["query", "--server", &qaddr, "--query", query, "--max-lag", "0"]);
+    let seeded = "lin(<2TO1_FINAL:Y[0,1]>, {LISTGEN_1})";
+    let out = retry_query(&["query", "--server", &qaddr, "--query", seeded, "--max-lag", "0"]);
     assert!(out.status.success(), "{}\n{}", stdout(&out), stderr(&out));
     assert!(stdout(&out).contains("lag 0 frames"), "{}", stdout(&out));
+
+    // A run streamed into the primary's daemon reaches the replica: within
+    // a zero lag bound it lists the new run, rendering exactly like the
+    // primary.
+    let wf_path = author_upper_workflow(&db);
+    let input = r#"xs={"List":[{"Atom":{"Str":"ab"}},{"Atom":{"Str":"cd"}}]}"#;
+    let out = tprov(&["run", "--server", &addr, "--workflow", &wf_path, "--input", input]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let query = ["--query", "lin(<U:y[1]>)", "--all-runs", "--max-lag", "0"];
+    let on = |server: &str| {
+        let args: Vec<&str> = ["query", "--server", server].iter().chain(&query).copied().collect();
+        let mut out = tprov(&args);
+        for _ in 0..100 {
+            if out.status.success() && stdout(&out).contains("run:1") {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            out = tprov(&args);
+        }
+        assert!(out.status.success(), "{server}: {}\n{}", stdout(&out), stderr(&out));
+        stdout(&out)
+    };
     let answer_lines = |s: &str| {
         s.lines()
             .filter(|l| l.contains("binding(s):") || l.starts_with("  "))
             .map(str::to_string)
             .collect::<Vec<_>>()
     };
-    let local = tprov(&["query", "--db", db.arg(), "--query", query, "--algo", "ni"]);
-    assert!(local.status.success(), "{}", stderr(&local));
-    let local_answers = answer_lines(&stdout(&local));
-    assert!(!local_answers.is_empty(), "{}", stdout(&local));
-    assert_eq!(answer_lines(&stdout(&out)), local_answers, "replica rendering diverged");
+    let (on_primary, on_replica) = (on(&addr), on(&qaddr));
+    assert!(on_primary.contains("run:1"), "{on_primary}");
+    assert!(on_replica.contains("run:1"), "the replica never saw the new run: {on_replica}");
+    assert_eq!(answer_lines(&on_replica), answer_lines(&on_primary), "replica rendering diverged");
 
     // SIGTERM drains the replica daemon like any other; its serve
     // counters then reach `tprov metrics` beside the lag gauges.
@@ -902,13 +923,13 @@ fn replicate_serve_follow_query_and_stale_refusal() {
     let snap: serde_json::Value = serde_json::from_str(&stdout(&out)).unwrap();
     assert_eq!(json_u64(&snap["gauges"]["repl.lag_frames"]), 0);
     assert!(json_u64(&snap["gauges"]["serve.queries"]) >= 1, "{}", stdout(&out));
-    drop(server);
+    assert_eq!(terminate(&mut primary), Some(0), "primary daemon must exit 0 on SIGTERM");
 
     // A replica that has never reached any primary has unknown lag: any
     // bounded query is refused with the typed staleness error (exit 1).
     let lonely = TempDb::new("replsrv-lonely");
     let (_lonely_guard, lonely_addr) = serve_follow(&lonely, "127.0.0.1:9");
-    let out = tprov(&["query", "--server", &lonely_addr, "--query", query, "--max-lag", "10"]);
+    let out = tprov(&["query", "--server", &lonely_addr, "--query", seeded, "--max-lag", "10"]);
     assert!(!out.status.success(), "stale replica must refuse: {}", stdout(&out));
     assert!(stderr(&out).contains("stale"), "{}", stderr(&out));
 }

@@ -184,7 +184,8 @@ impl Follower {
         self.status.lock().clone()
     }
 
-    /// Starts the replication loop against `primary` (a `host:port`).
+    /// Starts the replication loop against `primary`: the `host:port` of
+    /// the `tprov serve` daemon that owns the primary database.
     pub fn start(
         self: &Arc<Self>,
         primary: impl Into<String>,
@@ -377,6 +378,12 @@ impl Follower {
                         self.note_resync(pos.generation, pos.durable_len, &reason);
                         continue 'handshake;
                     }
+                    // The primary is a serve daemon: its session greeting
+                    // carries nothing the stream needs.
+                    protocol::TAG_WELCOME => {}
+                    // A refused session (`busy`, `read_only`,
+                    // `shutting_down`, ...) is retried under the backoff,
+                    // like a failed connect; unknown tags likewise.
                     _ => return SessionEnd::Disconnected,
                 }
             }

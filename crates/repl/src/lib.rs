@@ -19,9 +19,11 @@
 //!    has — the same invariant the crash-recovery torture suites assert —
 //!    so replica reads are stale-but-consistent, never wrong.
 //!
-//! Modules: [`protocol`] (wire format), [`primary`] (fan-out server),
-//! [`follower`] (replay loop and lag tracking), [`verify`] (offline
-//! WAL/snapshot integrity sweep).
+//! Modules: [`protocol`] (wire format), [`primary`] (one follower's
+//! handshake and stream, run on a `prov_serve::ProvServer` session — the
+//! daemon that owns a database is its replication primary, on the same
+//! port), [`follower`] (replay loop and lag tracking), [`verify`]
+//! (offline WAL/snapshot integrity sweep).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -34,7 +36,7 @@ pub mod protocol;
 pub mod verify;
 
 pub use follower::{status_path, Follower, FollowerConfig, ReplStatus};
-pub use primary::{snapshot_backs_marker, PrimaryConfig, ReplServer};
+pub use primary::{ship, snapshot_backs_marker, Shipped};
 pub use verify::{verify_store, SnapshotVerdict, VerifyReport};
 
 /// Typed replication errors.
@@ -42,8 +44,6 @@ pub use verify::{verify_store, SnapshotVerdict, VerifyReport};
 pub enum ReplError {
     /// A socket or file operation failed.
     Io(String),
-    /// The peer violated the wire protocol.
-    Protocol(String),
     /// The local store refused an operation.
     Store(String),
 }
@@ -52,7 +52,6 @@ impl std::fmt::Display for ReplError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ReplError::Io(m) => write!(f, "replication i/o: {m}"),
-            ReplError::Protocol(m) => write!(f, "replication protocol: {m}"),
             ReplError::Store(m) => write!(f, "replication store: {m}"),
         }
     }

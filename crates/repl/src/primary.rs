@@ -1,248 +1,91 @@
-//! The primary side: accept followers, negotiate a start point, ship the
-//! durable WAL prefix.
+//! The primary side: answer a follower's hello with a start point and
+//! ship the durable WAL prefix.
+//!
+//! This module owns no socket. The daemon that owns the database
+//! (`prov_serve::ProvServer`) accepts a follower like any other session,
+//! decodes its [`protocol::TAG_HELLO`] and hands the session's writer to
+//! [`ship`], so one listener serves queries, ingest and replication.
 //!
 //! The primary never sends bytes past its fsynced length
 //! ([`prov_store::TraceStore::repl_position`]) — a follower can therefore
 //! never hold state the primary might lose in a crash. When the primary's
-//! WAL lineage changes under a live stream (snapshot or checkpoint rewrote
-//! the log) the connection drops back to the handshake with a
-//! [`protocol::Resync`] and the follower re-offers its prefix.
+//! WAL lineage changes under a live stream (a snapshot rewrote the log)
+//! the stream ends with a [`protocol::Resync`] and the follower re-offers
+//! its prefix.
 
 use std::fs::File;
-use std::io::{self, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use prov_obs::{Journal, JournalEvent};
 use prov_store::{Crc32, LogRecord, TailState, TraceStore, WalCursor};
 
 use crate::protocol::{self, BootstrapHeader, Hello, Resync, StreamFrom};
-use crate::ReplError;
 
-/// Tuning knobs for the shipping loop.
-#[derive(Debug, Clone, Copy)]
-pub struct PrimaryConfig {
-    /// Target size of one [`protocol::TAG_FRAMES`] chunk (whole frames are
-    /// never split, so a chunk may exceed this by one frame).
-    pub chunk_bytes: usize,
-    /// How long a caught-up connection sleeps before re-checking the
-    /// durable position.
-    pub poll_interval_ms: u64,
-}
+/// Target size of one [`protocol::TAG_FRAMES`] chunk (whole frames are
+/// never split, so a chunk may exceed this by one frame).
+const CHUNK_BYTES: usize = 32 * 1024;
 
-impl Default for PrimaryConfig {
-    fn default() -> Self {
-        PrimaryConfig { chunk_bytes: 32 * 1024, poll_interval_ms: 20 }
-    }
-}
+/// How long a caught-up stream sleeps before re-checking the durable
+/// position (and the stop flag).
+const POLL: Duration = Duration::from_millis(20);
 
-/// A running replication listener: one accept thread, one thread per
-/// follower connection. Dropping the handle shuts it down.
-pub struct ReplServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-}
-
-impl std::fmt::Debug for ReplServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReplServer").field("addr", &self.addr).finish()
-    }
-}
-
-impl ReplServer {
-    /// Binds `listen` (e.g. `127.0.0.1:0`) and starts accepting followers
-    /// of `store`. [`JournalEvent::ReplFrameShipped`] events are recorded
-    /// to `journal` as chunks go out.
-    pub fn spawn(
-        store: Arc<TraceStore>,
-        listen: &str,
-        journal: Journal,
-        config: PrimaryConfig,
-    ) -> Result<ReplServer, ReplError> {
-        if store.wal_path().is_none() {
-            return Err(ReplError::Protocol("an in-memory store cannot serve replication".into()));
-        }
-        let listener =
-            TcpListener::bind(listen).map_err(|e| ReplError::Io(format!("bind {listen}: {e}")))?;
-        let addr = listener.local_addr().map_err(|e| ReplError::Io(e.to_string()))?;
-        listener.set_nonblocking(true).map_err(|e| ReplError::Io(e.to_string()))?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
-        let accept = {
-            let shutdown = Arc::clone(&shutdown);
-            let conns = Arc::clone(&conns);
-            std::thread::spawn(move || {
-                while !shutdown.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            let store = Arc::clone(&store);
-                            let shutdown = Arc::clone(&shutdown);
-                            let journal = journal.clone();
-                            let handle = std::thread::spawn(move || {
-                                handle_follower(&store, stream, &shutdown, &journal, config);
-                            });
-                            conns.lock().push(handle);
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(10)),
-                    }
-                }
-            })
-        };
-        Ok(ReplServer { addr, shutdown, accept: Some(accept), conns })
-    }
-
-    /// The bound address (useful with a `:0` listen spec).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops accepting, asks connection threads to wind down, and joins
-    /// them all.
-    pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        for h in self.conns.lock().drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for ReplServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Why a streaming loop returned to its caller.
-enum StreamEnd {
-    /// Socket closed / shutdown requested: drop the connection.
-    Done,
-    /// A resync was sent: go back to awaiting a fresh hello.
+/// How a [`ship`] call ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shipped {
+    /// The socket failed, or `stop` was raised: end the session.
+    Closed,
+    /// A resync or a snapshot bootstrap went out: the follower sends a
+    /// fresh hello on the same connection.
     Rehello,
 }
 
-fn handle_follower(
+/// Answers one follower `hello` on `writer` and ships `store`'s durable
+/// WAL until the stream ends. The follower's log must be a byte prefix of
+/// ours — checked by content, not trusted by position — to resume at its
+/// offset; otherwise a marker-less log is replayed from zero and a
+/// compacted one is bootstrapped from its snapshot file.
+/// [`JournalEvent::ReplFrameShipped`] events are recorded to `journal` as
+/// chunks go out; a caught-up stream checks `stop` every poll tick.
+pub fn ship<W: Write>(
     store: &TraceStore,
-    stream: TcpStream,
-    shutdown: &AtomicBool,
+    hello: &Hello,
+    writer: &mut W,
+    stop: &AtomicBool,
     journal: &Journal,
-    config: PrimaryConfig,
-) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut reader = stream.try_clone().map(BufReader::new);
-    let Ok(reader) = reader.as_mut() else { return };
-    let mut writer = stream;
-
-    loop {
-        // Await the follower's hello, polling the shutdown flag.
-        let hello: Hello = loop {
-            if shutdown.load(Ordering::Relaxed) {
-                return;
-            }
-            match protocol::read_msg(reader) {
-                Ok(Some((protocol::TAG_HELLO, payload))) => match protocol::decode(&payload) {
-                    Ok(h) => break h,
-                    Err(_) => return,
-                },
-                Ok(Some(_)) => return, // protocol violation
-                Ok(None) => return,    // peer hung up
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    continue
-                }
-                Err(_) => return,
-            }
+) -> Shipped {
+    let Some(wal) = store.wal_path() else { return Shipped::Closed };
+    let pos = store.repl_position();
+    let marker = leading_marker(wal);
+    // A from-zero stream only carries full state when the log is
+    // marker-less.
+    let matches = !hello.force_bootstrap
+        && hello.offset <= pos.durable_len
+        && (hello.offset > 0 || marker.is_none())
+        && prefix_crc(wal, hello.offset).is_ok_and(|crc| crc == hello.prefix_crc);
+    if !matches && marker.is_some() {
+        // The follower installs the snapshot and re-hellos.
+        return match send_bootstrap(store, writer, wal) {
+            Ok(()) => Shipped::Rehello,
+            Err(_) => Shipped::Closed,
         };
-
-        let Some(wal) = store.wal_path().map(Path::to_path_buf) else { return };
-        let pos = store.repl_position();
-        let marker = leading_marker(&wal);
-
-        // The follower's log must be a byte prefix of ours (checked by
-        // content, not trusted by position), and a from-zero stream only
-        // carries full state when the log is marker-less.
-        let matches = !hello.force_bootstrap
-            && hello.offset <= pos.durable_len
-            && (hello.offset > 0 || marker.is_none())
-            && prefix_crc(&wal, hello.offset).is_ok_and(|crc| crc == hello.prefix_crc);
-
-        if matches {
-            if protocol::write_json(
-                &mut writer,
-                protocol::TAG_STREAM_FROM,
-                &StreamFrom { generation: pos.generation, offset: hello.offset },
-            )
-            .is_err()
-            {
-                return;
-            }
-            match stream_frames(
-                store,
-                &mut writer,
-                &wal,
-                hello.offset,
-                pos.generation,
-                shutdown,
-                journal,
-                config,
-            ) {
-                StreamEnd::Done => return,
-                StreamEnd::Rehello => continue,
-            }
-        } else if marker.is_some() {
-            if send_bootstrap(store, &mut writer, &wal).is_err() {
-                return;
-            }
-            // Follower installs the snapshot and re-hellos.
-        } else {
-            // Marker-less log: a from-zero replay is lossless.
-            if protocol::write_json(
-                &mut writer,
-                protocol::TAG_STREAM_FROM,
-                &StreamFrom { generation: pos.generation, offset: 0 },
-            )
-            .is_err()
-            {
-                return;
-            }
-            match stream_frames(
-                store,
-                &mut writer,
-                &wal,
-                0,
-                pos.generation,
-                shutdown,
-                journal,
-                config,
-            ) {
-                StreamEnd::Done => return,
-                StreamEnd::Rehello => continue,
-            }
-        }
     }
+    // Either the prefix is proven, or the log is marker-less and a
+    // from-zero replay is lossless.
+    let start = if matches { hello.offset } else { 0 };
+    let from = StreamFrom { generation: pos.generation, offset: start };
+    if protocol::write_json(writer, protocol::TAG_STREAM_FROM, &from).is_err() {
+        return Shipped::Closed;
+    }
+    stream_frames(store, writer, wal, start, pos.generation, stop, journal)
 }
 
 /// Ships the snapshot file backing the WAL's leading marker, cutting a
 /// fresh snapshot first if the marked generation's file is missing or
 /// fails validation.
-fn send_bootstrap(store: &TraceStore, writer: &mut TcpStream, wal: &Path) -> io::Result<()> {
+fn send_bootstrap<W: Write>(store: &TraceStore, writer: &mut W, wal: &Path) -> io::Result<()> {
     let mut generation = leading_marker(wal);
     let mut snap = generation.map(|g| TraceStore::snapshot_file_for(wal, g));
     let valid = match (&generation, &snap) {
@@ -274,85 +117,71 @@ fn send_bootstrap(store: &TraceStore, writer: &mut TcpStream, wal: &Path) -> io:
     writer.flush()
 }
 
-#[allow(clippy::too_many_arguments)]
-fn stream_frames(
+fn stream_frames<W: Write>(
     store: &TraceStore,
-    writer: &mut TcpStream,
+    writer: &mut W,
     wal: &Path,
     start: u64,
     start_gen: u64,
-    shutdown: &AtomicBool,
+    stop: &AtomicBool,
     journal: &Journal,
-    config: PrimaryConfig,
-) -> StreamEnd {
+) -> Shipped {
+    let resync = |writer: &mut W, generation: u64, reason: &str| {
+        let _ = protocol::write_json(
+            writer,
+            protocol::TAG_RESYNC,
+            &Resync { generation, reason: reason.into() },
+        );
+        Shipped::Rehello
+    };
     let mut sent = start;
     loop {
-        if shutdown.load(Ordering::Relaxed) {
-            return StreamEnd::Done;
+        if stop.load(Ordering::Relaxed) {
+            return Shipped::Closed;
         }
         let pos = store.repl_position();
         if pos.generation != start_gen {
-            let _ = protocol::write_json(
-                writer,
-                protocol::TAG_RESYNC,
-                &Resync { generation: pos.generation, reason: "wal lineage changed".into() },
-            );
-            return StreamEnd::Rehello;
+            return resync(writer, pos.generation, "wal lineage changed");
         }
         if sent < pos.durable_len {
-            let (chunk, frames, next) =
-                match read_chunk(wal, sent, pos.durable_len, config.chunk_bytes) {
-                    Ok(c) => c,
-                    Err(_) => {
-                        let _ = protocol::write_json(
-                            writer,
-                            protocol::TAG_RESYNC,
-                            &Resync { generation: pos.generation, reason: "wal unreadable".into() },
-                        );
-                        return StreamEnd::Rehello;
-                    }
-                };
+            let Ok((chunk, frames, next)) = read_chunk(wal, sent, pos.durable_len) else {
+                return resync(writer, pos.generation, "wal unreadable");
+            };
             if frames == 0 {
                 // Durable region not advancing under the cursor: the log
                 // was rewritten beneath us without (yet) a generation bump.
-                let _ = protocol::write_json(
-                    writer,
-                    protocol::TAG_RESYNC,
-                    &Resync { generation: pos.generation, reason: "wal rewritten".into() },
-                );
-                return StreamEnd::Rehello;
+                return resync(writer, pos.generation, "wal rewritten");
             }
             let bytes = chunk.len() as u64;
             if protocol::write_msg(writer, protocol::TAG_FRAMES, &chunk).is_err() {
-                return StreamEnd::Done;
+                return Shipped::Closed;
             }
             sent = next;
             journal.record(JournalEvent::ReplFrameShipped { frames, bytes, offset: sent });
             if protocol::write_json(writer, protocol::TAG_HEARTBEAT, &pos).is_err() {
-                return StreamEnd::Done;
+                return Shipped::Closed;
             }
         } else {
             if protocol::write_json(writer, protocol::TAG_HEARTBEAT, &pos).is_err() {
-                return StreamEnd::Done;
+                return Shipped::Closed;
             }
-            std::thread::sleep(Duration::from_millis(config.poll_interval_ms));
+            std::thread::sleep(POLL);
         }
     }
 }
 
 /// Reads whole frames from `wal` starting at `from`, stopping at
-/// `chunk_bytes` or the durable boundary `limit`, whichever comes first.
+/// [`CHUNK_BYTES`] or the durable boundary `limit`, whichever comes first.
 fn read_chunk(
     wal: &Path,
     from: u64,
     limit: u64,
-    chunk_bytes: usize,
 ) -> Result<(Vec<u8>, u64, u64), prov_store::WalError> {
     let mut cursor = WalCursor::open_at(wal, from)?;
-    let mut chunk = Vec::with_capacity(chunk_bytes.min(64 * 1024));
+    let mut chunk = Vec::with_capacity(CHUNK_BYTES);
     let mut frames = 0u64;
     let mut end = from;
-    while end < limit && chunk.len() < chunk_bytes {
+    while end < limit && chunk.len() < CHUNK_BYTES {
         let before = chunk.len();
         match cursor.next_frame()? {
             Some(frame) => chunk.extend_from_slice(frame),

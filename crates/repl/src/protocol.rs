@@ -15,15 +15,20 @@
 //! position-trusting: the follower's [`Hello`] carries a CRC-32 of its
 //! entire local durable WAL prefix, and the primary streams its own first
 //! `offset` bytes through [`prov_store::Crc32`] to verify the follower's
-//! log really is a byte prefix of its own. Generation numbers alone cannot
-//! be trusted (a checkpoint epoch can collide with a snapshot generation
-//! after a restart); bytes cannot lie.
+//! log really is a byte prefix of its own. Generation numbers are
+//! advisory; bytes cannot lie.
+//!
+//! A follower speaks this vocabulary to the primary's `tprov serve`
+//! daemon, on its ordinary port: [`TAG_HELLO`] is one more request on a
+//! serve session. The follower therefore skips the session's
+//! [`TAG_WELCOME`], and reads a [`TAG_ERR`] reply (`busy`, `read_only`,
+//! `shutting_down`, ...) as a refused session to retry later.
 
 use serde::{Deserialize, Serialize};
 
 pub use prov_wire::{
     decode, frame_too_large, read_exact_retry, read_msg, read_raw, write_json, write_msg,
-    FrameTooLarge, MAX_FRAME_LEN, MAX_RAW_LEN,
+    FrameTooLarge, MAX_FRAME_LEN, MAX_RAW_LEN, TAG_ERR, TAG_WELCOME,
 };
 
 /// Follower → primary: identify the local log and ask for a plan.

@@ -24,11 +24,13 @@
 //!   shutdown): stop accepting, let sessions finish and ack queued
 //!   ingest, fsync, snapshot, exit cleanly.
 //!
-//! The same server fronts a read replica: [`ProvServer::follow`] serves a
-//! [`prov_repl::Follower`]'s store read-only (ingest gets a typed
-//! `read_only`), stamps every answer with the follower's position, and
-//! leaves the replicated WAL untouched on drain. A client bounds
-//! staleness with [`ServeClient::query_bounded`].
+//! The daemon that owns a database is also its replication primary, on
+//! the same port: a follower's `HELLO` turns its session into a stream of
+//! the durable WAL ([`prov_repl::ship`]). The same server fronts a read
+//! replica: [`ProvServer::follow`] serves a [`prov_repl::Follower`]'s
+//! store read-only (ingest gets a typed `read_only`), stamps every answer
+//! with the follower's position, and leaves the replicated WAL untouched
+//! on drain. A client bounds staleness with [`ServeClient::query_bounded`].
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)] // deny, not forbid: `signal` opts a single FFI shim back in

@@ -3,15 +3,18 @@
 //! The daemon reuses the framing dialect of [`prov_wire`] (one byte of
 //! tag, a little-endian `u32` length, a JSON payload) on a tag space
 //! disjoint from the replication stream's: client requests live in
-//! `0x21..=0x2F`, server replies in `0x30..=0x3F`. Keeping the spaces
-//! disjoint means a frame accidentally routed to the wrong daemon is a
-//! typed protocol error, never a silent misparse.
+//! `0x21..=0x2F`, server replies in `0x30..=0x3F`, and `prov_repl`'s
+//! messages in `0x01..=0x06`. A follower's `HELLO` (0x01) is one more
+//! request on a session: the daemon that owns a database answers it by
+//! streaming its WAL on the same connection. Keeping the spaces disjoint
+//! means a misrouted frame is a typed protocol error, never a silent
+//! misparse.
 
 use serde::{Deserialize, Serialize};
 
 pub use prov_wire::{
     decode, frame_too_large, read_exact_retry, read_msg, write_json, write_msg, FrameTooLarge,
-    MAX_FRAME_LEN,
+    MAX_FRAME_LEN, TAG_ERR, TAG_WELCOME,
 };
 
 use prov_engine::TraceEvent;
@@ -33,8 +36,11 @@ pub const TAG_SHUTDOWN: u8 = 0x26;
 
 // ---- server -> client ------------------------------------------------
 
-/// First frame on every accepted connection.
-pub const TAG_WELCOME: u8 = 0x30;
+// `TAG_WELCOME` (0x30, the first frame on every accepted connection) and
+// `TAG_ERR` (0x3F, a typed refusal; see `ServeErrorMsg::code`) live in
+// `prov_wire`, re-exported above: a replication follower dials this
+// daemon too.
+
 /// Reply to [`TAG_INGEST_BEGIN`]: carries the assigned run id.
 pub const TAG_INGEST_BEGUN: u8 = 0x31;
 /// Durability acknowledgement for one ingest batch — sent only *after*
@@ -45,8 +51,6 @@ pub const TAG_INGEST_ACK: u8 = 0x32;
 pub const TAG_QUERY_OK: u8 = 0x33;
 /// Reply to [`TAG_PING`] and [`TAG_SHUTDOWN`].
 pub const TAG_PONG: u8 = 0x34;
-/// Typed refusal/failure; see [`ServeErrorMsg::code`].
-pub const TAG_ERR: u8 = 0x3F;
 
 /// First frame on every accepted connection: protocol self-description.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -193,6 +197,8 @@ mod tests {
 
     #[test]
     fn request_and_reply_tag_spaces_are_disjoint() {
+        use prov_repl::protocol as repl;
+
         let requests = [
             TAG_INGEST_BEGIN,
             TAG_INGEST_BATCH,
@@ -203,12 +209,27 @@ mod tests {
         ];
         let replies =
             [TAG_WELCOME, TAG_INGEST_BEGUN, TAG_INGEST_ACK, TAG_QUERY_OK, TAG_PONG, TAG_ERR];
+        let replication = [
+            repl::TAG_HELLO,
+            repl::TAG_BOOTSTRAP,
+            repl::TAG_STREAM_FROM,
+            repl::TAG_FRAMES,
+            repl::TAG_HEARTBEAT,
+            repl::TAG_RESYNC,
+        ];
         for r in requests {
             assert!((0x21..=0x2F).contains(&r));
             assert!(!replies.contains(&r));
         }
         for r in replies {
             assert!((0x30..=0x3F).contains(&r));
+        }
+        // The follower dials this daemon: its tags share a session with
+        // the serve vocabulary, the moved WELCOME/ERR included.
+        assert_eq!((repl::TAG_WELCOME, repl::TAG_ERR), (TAG_WELCOME, TAG_ERR));
+        for r in replication {
+            assert!((0x01..=0x06).contains(&r));
+            assert!(!requests.contains(&r) && !replies.contains(&r));
         }
     }
 

@@ -8,6 +8,12 @@
 //! the session thread (the store's reads are lock-free snapshot pins, so
 //! query concurrency needs no extra machinery).
 //!
+//! A replication follower's `HELLO` turns its session into a WAL stream
+//! ([`prov_repl::ship`]) on the same thread: the daemon that owns a
+//! database is its replication primary, on the same port. The stream
+//! holds its admission slot like any session, and returns to the request
+//! loop when it asks the follower for a fresh hello.
+//!
 //! # Backpressure ladder
 //!
 //! ```text
@@ -31,14 +37,17 @@
 //! `begin_drain` (SIGTERM, ctrl-c, or a `SHUTDOWN` frame) journals
 //! `DrainStarted`, flips the draining flag, and from then on: the accept
 //! loop exits; sessions finish the request in flight, drain and ack their
-//! ingest queues, and close; `shutdown` waits for the session count to hit
-//! zero (bounded by the drain deadline), fsyncs, snapshots, and returns.
+//! ingest queues, and close; WAL streams end at their next poll tick;
+//! `shutdown` waits for the session count to hit zero (bounded by the
+//! drain deadline), fsyncs, snapshots, and returns — so the snapshot is
+//! cut after the last chunk has gone out.
 //!
 //! # Read replicas
 //!
 //! A server started with [`ProvServer::follow`] reads a
-//! [`Follower`]'s store instead of owning one. Ingest requests get a
-//! typed `read_only`, each answer carries the follower's position, and
+//! [`Follower`]'s store instead of owning one. Ingest requests and a
+//! `HELLO` get a typed `read_only` (a follower does not ship onward),
+//! each answer carries the follower's position, and
 //! the drain neither fsyncs nor snapshots: the follower fsyncs every
 //! chunk it applies, and a snapshot would truncate a WAL that must stay
 //! a byte prefix of the primary's.
@@ -57,7 +66,7 @@ use prov_core::{CoreError, WorkflowCache};
 use prov_engine::{Clock, ClockSource, SystemClock, TraceSink};
 use prov_model::{ProcessorName, RunId};
 use prov_obs::{Counter, Gauge, JournalEvent, Obs, QueryCtx, TimeSource};
-use prov_repl::Follower;
+use prov_repl::{protocol as repl, Follower, Shipped};
 use prov_store::{SharedStore, TraceStore};
 
 use crate::execute::execute_resident;
@@ -430,10 +439,12 @@ fn session(mut stream: TcpStream, shared: Arc<Shared>) {
                 break;
             }
         };
-        last_active = clock.now_micros();
         if !handle_frame(tag, &payload, &writer, &mut pipes, &shared, &clock) {
             break;
         }
+        // Idle time counts from the end of the request: a WAL stream that
+        // hands back to this loop is not idle for having streamed.
+        last_active = clock.now_micros();
     }
     // Drain: close every open pipe so queued batches are applied, group-
     // committed, and acked before the socket goes away.
@@ -453,7 +464,8 @@ fn handle_frame(
 ) -> bool {
     // A request that raced the drain flag still gets a typed refusal
     // (pings and finishes are allowed through so clients can wind down).
-    if shared.draining.load(Ordering::SeqCst) && (tag == p::TAG_INGEST_BEGIN || tag == p::TAG_QUERY)
+    if shared.draining.load(Ordering::SeqCst)
+        && (tag == p::TAG_INGEST_BEGIN || tag == p::TAG_QUERY || tag == repl::TAG_HELLO)
     {
         let msg = ServeErrorMsg::new("shutting_down", "daemon is draining");
         let _ = p::write_json(&mut *writer.lock(), p::TAG_ERR, &msg);
@@ -603,6 +615,21 @@ fn handle_frame(
                 }
             }
         }
+        repl::TAG_HELLO => {
+            let Some(store) = writable(shared, writer) else { return true };
+            if store.wal_path().is_none() {
+                return bad_request(writer, "an in-memory store has no WAL to ship");
+            }
+            let hello: repl::Hello = match p::decode(payload) {
+                Ok(h) => h,
+                Err(e) => return bad_request(writer, e),
+            };
+            let mut w = writer.lock();
+            match prov_repl::ship(store, &hello, &mut *w, &shared.draining, &shared.obs.journal) {
+                Shipped::Rehello => true,
+                Shipped::Closed => false,
+            }
+        }
         other => {
             let msg = ServeErrorMsg::new("bad_request", format!("unknown request tag {other:#x}"));
             let _ = p::write_json(&mut *writer.lock(), p::TAG_ERR, &msg);
@@ -617,14 +644,17 @@ fn bad_request(writer: &Arc<Mutex<TcpStream>>, e: impl std::fmt::Display) -> boo
     true
 }
 
-/// The store ingest writes to. A follower has none: the request gets a
-/// typed `read_only`, and the session stays open for queries.
+/// The store ingest writes to and WAL streams ship from. A follower has
+/// none: the request gets a typed `read_only`, and the session stays open
+/// for queries.
 fn writable<'a>(shared: &'a Shared, writer: &Arc<Mutex<TcpStream>>) -> Option<&'a SharedStore> {
     match &shared.source {
         Source::Owned(store) => Some(store),
         Source::Follower(_) => {
-            let msg =
-                ServeErrorMsg::new("read_only", "a follower takes no ingest; write to its primary");
+            let msg = ServeErrorMsg::new(
+                "read_only",
+                "a follower takes no ingest and ships no WAL; use its primary",
+            );
             let _ = p::write_json(&mut *writer.lock(), p::TAG_ERR, &msg);
             None
         }

@@ -19,7 +19,7 @@
 //! * per-query access statistics ([`QueryStats`]) so benchmarks can report
 //!   machine-independent record-access counts next to wall-clock times;
 //! * durability via an append-only, CRC-framed write-ahead log with crash
-//!   recovery and checkpoint compaction.
+//!   recovery and snapshot compaction.
 //!
 //! [`TraceStore`] implements `prov_engine::TraceSink`, so an engine can
 //! stream events straight into it.

@@ -129,11 +129,10 @@ struct TailUsage {
 /// to followers and what a follower offers back in its handshake.
 ///
 /// `generation` names the WAL lineage: the leading snapshot-marker
-/// generation when the log was compacted, `0` for a marker-less log, and a
-/// fresh epoch after [`TraceStore::checkpoint`] rewrites the log in place.
+/// generation when the log was compacted, `0` for a marker-less log.
 /// Two stores on the same generation with the same `durable_len` hold
-/// byte-identical logs; a generation change means the log was rewritten
-/// and byte offsets are no longer comparable (followers re-bootstrap).
+/// byte-identical logs; a generation change means a snapshot rewrote the
+/// log and byte offsets are no longer comparable (followers re-bootstrap).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReplPosition {
     /// The WAL lineage (see type docs).
@@ -177,8 +176,8 @@ pub struct TraceStore {
     /// any leading snapshot marker) — the frame-count twin of the WAL's
     /// byte length, advertised to replicas.
     wal_frames: Mutex<u64>,
-    /// The durable replication position (updated at open, sync, snapshot
-    /// and checkpoint; see [`ReplPosition`]).
+    /// The durable replication position (updated at open, sync and
+    /// snapshot; see [`ReplPosition`]).
     repl_pos: Mutex<ReplPosition>,
     /// Fault-injection plan new WAL/snapshot writers are created under
     /// (crash-torture only; budgets are per-handle).
@@ -311,10 +310,9 @@ impl TraceStore {
                 }
             }
             // Records with no leading marker: a store that has never
-            // compacted, or whose WAL was rewritten whole by `checkpoint`,
-            // or a crash between a snapshot's rename and the WAL
-            // truncation. Any snapshot files are stale; a full replay is
-            // lossless.
+            // compacted, or a crash between a snapshot's rename and the
+            // WAL truncation. Any snapshot files are stale; a full replay
+            // is lossless.
             Some(_) => {
                 let mut inner = store.inner.write();
                 for record in recovery.records {
@@ -479,69 +477,6 @@ impl TraceStore {
         self.sync_locked(&mut guard);
         drop(guard);
         self.durability()
-    }
-
-    /// Rewrites the WAL from current state (checkpoint compaction): the log
-    /// shrinks to exactly the live records, dropping any overwritten tail
-    /// garbage. Unlike [`TraceStore::snapshot`], the result is a plain
-    /// marker-less WAL (recovery replays it in full). A no-op for in-memory
-    /// stores.
-    pub fn checkpoint(&self) -> crate::Result<()> {
-        let Some(path) = &self.path else { return Ok(()) };
-        let mut guard = self.wal.lock();
-        let tmp = path.with_extension("wal.tmp");
-        let mut frames = 0u64;
-        {
-            let inner = self.inner.read();
-            let _ = std::fs::remove_file(&tmp);
-            let mut w = WalWriter::open(&tmp)?.with_metrics(self.wal_metrics.clone());
-            for (name, json) in &inner.workflows {
-                w.append(&LogRecord::Workflow { name: name.clone(), json: json.to_string() })?;
-                frames += 1;
-            }
-            for info in inner.runs.values() {
-                w.append(&LogRecord::BeginRun { run: info.id, workflow: info.workflow.clone() })?;
-                frames += 1;
-            }
-            // Rows are written shard by shard in run-id order (dropped runs
-            // have no shard); replay rebuilds each shard with its
-            // insertion order intact.
-            for info in inner.runs.values() {
-                let Some(shard) = inner.shards.get(&info.id) else { continue };
-                for row in &shard.xforms {
-                    w.append(&LogRecord::Xform {
-                        run: row.run,
-                        event: inner.xform_to_event(row)?,
-                    })?;
-                    frames += 1;
-                }
-                for row in &shard.xfers {
-                    w.append(&LogRecord::Xfer { run: row.run, event: inner.xfer_to_event(row)? })?;
-                    frames += 1;
-                }
-            }
-            for info in inner.runs.values().filter(|i| i.finished) {
-                w.append(&LogRecord::FinishRun { run: info.id })?;
-                frames += 1;
-            }
-            w.sync()?;
-        }
-        std::fs::rename(&tmp, path).map_err(WalError::from)?;
-        let bytes = std::fs::metadata(path).map_err(WalError::from)?.len();
-        *guard = Some(WalWriter::open(path)?.with_metrics(self.wal_metrics.clone()));
-        *self.wal_tail.lock() = TailUsage { frames, bytes };
-        // The log was rewritten in place: old byte offsets are meaningless.
-        // Move to a fresh generation (numbered past any snapshot) so
-        // followers notice the lineage change and re-bootstrap.
-        let generation = {
-            let mut gen = self.snapshot_gen.lock();
-            *gen += 1;
-            *gen
-        };
-        *self.wal_frames.lock() = frames;
-        *self.repl_pos.lock() =
-            ReplPosition { generation, durable_len: bytes, durable_frames: frames };
-        Ok(())
     }
 
     /// Serialises the full store state to a numbered snapshot file
@@ -1019,7 +954,7 @@ impl TraceStore {
 
     /// Drops a run: its metadata and index entries go immediately; its
     /// heap rows are tombstoned and reclaimed by the next
-    /// [`TraceStore::checkpoint`]. Dropping an unknown run errors.
+    /// [`TraceStore::snapshot`]. Dropping an unknown run errors.
     pub fn drop_run(&self, run: RunId) -> crate::Result<()> {
         let mut guard = self.wal.lock();
         {
@@ -1656,15 +1591,17 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_compacts_and_preserves_state() {
-        let path = tmp("checkpoint");
+    fn snapshot_compacts_and_preserves_state() {
+        let path = tmp_snap("compact");
         let s = TraceStore::open(&path).unwrap();
         let r = s.begin_run(&"wf".into());
         for i in 0..20 {
             s.record_xfer(r, xfer(("A", "y"), ("B", "x"), &[i], "v"));
         }
         s.finish_run(r);
-        s.checkpoint().unwrap();
+        let before = std::fs::metadata(&path).unwrap().len();
+        s.snapshot().unwrap();
+        assert!(std::fs::metadata(&path).unwrap().len() < before, "the WAL did not shrink");
         let s2 = TraceStore::open(&path).unwrap();
         assert_eq!(s2.trace_record_count(RunId(0)), 20);
         assert!(s2.runs()[0].finished);
@@ -1672,7 +1609,7 @@ mod tests {
 
     #[test]
     fn drop_run_removes_queryability_and_survives_checkpoint() {
-        let path = tmp("drop");
+        let path = tmp_snap("drop");
         let s = TraceStore::open(&path).unwrap();
         let keep = s.begin_run(&"wf".into());
         s.record_xform(keep, xform("P", 0, &[0], &[0]));
@@ -1695,11 +1632,12 @@ mod tests {
         assert_eq!(s2.runs().len(), 1);
         assert!(s2.xforms_of_run(gone).is_empty());
 
-        // …and checkpointing reclaims the space.
-        s2.checkpoint().unwrap();
+        // …and a snapshot reclaims the space.
+        s2.snapshot().unwrap();
         let before = std::fs::metadata(&path).unwrap().len();
         let s3 = TraceStore::open(&path).unwrap();
         assert_eq!(s3.runs().len(), 1);
+        assert!(s3.xforms_of_run(gone).is_empty());
         assert_eq!(s3.xforms_producing(keep, &"P".into(), "y", &Index::empty()).len(), 1);
         assert!(before > 0);
     }
@@ -1722,7 +1660,7 @@ mod tests {
 
     #[test]
     fn workflow_registry_survives_reopen_and_checkpoint() {
-        let path = tmp("wfreg");
+        let path = tmp_snap("wfreg");
         {
             let s = TraceStore::open(&path).unwrap();
             s.register_workflow(&"wf".into(), "{\"fake\":1}".to_string());
@@ -1730,7 +1668,8 @@ mod tests {
         }
         let s = TraceStore::open(&path).unwrap();
         assert_eq!(s.workflow_names(), vec![ProcessorName::from("wf")]);
-        s.checkpoint().unwrap();
+        s.snapshot().unwrap();
+        drop(s);
         let s = TraceStore::open(&path).unwrap();
         assert_eq!(&*s.workflow_json(&"wf".into()).unwrap(), "{\"fake\":1}");
         // Re-registration overwrites — and hands out a new identity
@@ -2016,19 +1955,26 @@ mod tests {
     #[test]
     fn stale_snapshot_beside_marker_less_wal_is_ignored() {
         let path = tmp_snap("snap-stale");
-        {
+        let pre_snapshot = {
             let s = TraceStore::open(&path).unwrap();
             let r = s.begin_run(&"wf".into());
             s.record_xform(r, xform("P", 0, &[0], &[0]));
-            s.snapshot().unwrap();
             s.record_xform(r, xform("P", 1, &[1], &[1]));
-            // `checkpoint` rewrites the WAL whole, marker-less; the
-            // snapshot file on disk is now stale.
-            s.checkpoint().unwrap();
             s.finish_run(r);
-        }
+            let wal = std::fs::read(&path).unwrap();
+            s.snapshot().unwrap();
+            wal
+        };
+        // Simulate the crash: the snapshot was renamed into place, but the
+        // WAL was never truncated to its marker. The marker-less log holds
+        // every record, so recovery must replay it alone, not on top of the
+        // snapshot.
+        assert_eq!(TraceStore::snapshot_files(&path).len(), 1);
+        std::fs::write(&path, &pre_snapshot).unwrap();
         let s = TraceStore::open(&path).unwrap();
         assert_eq!(s.trace_record_count(RunId(0)), 2);
+        assert_eq!(s.runs().len(), 1);
         assert!(s.runs()[0].finished);
+        assert_eq!(s.repl_position().generation, 0, "a marker-less log is lineage 0");
     }
 }

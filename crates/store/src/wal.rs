@@ -33,7 +33,7 @@ use prov_obs::{Counter, Histogram, Registry};
 ///
 /// One instance lives in the owning store and is cloned (`Arc`-shared)
 /// into every [`WalWriter`] the store creates — writers are recreated at
-/// open and checkpoint time, but the metrics survive. Counters are
+/// open and snapshot time, but the metrics survive. Counters are
 /// always-on standalone atomics (negligible next to a buffered write,
 /// let alone an fsync); [`WalMetrics::register`] adopts them into a
 /// metrics registry under stable `wal.*` names.
@@ -139,7 +139,7 @@ pub enum LogRecord {
         run: RunId,
     },
     /// A run was dropped (its records become unreachable; space is
-    /// reclaimed at the next checkpoint).
+    /// reclaimed at the next snapshot).
     DropRun {
         /// The dropped run.
         run: RunId,
@@ -245,7 +245,7 @@ impl WalWriter {
     }
 
     /// Replaces this writer's metrics with a shared instance, so totals
-    /// survive writer re-creation (recovery truncation, checkpointing).
+    /// survive writer re-creation (recovery truncation, snapshots).
     pub fn with_metrics(mut self, metrics: WalMetrics) -> Self {
         self.metrics = metrics;
         self

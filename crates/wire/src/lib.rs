@@ -45,6 +45,16 @@ pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 /// refusal instead of an allocation attempt.
 pub const MAX_RAW_LEN: u64 = 1024 * 1024 * 1024;
 
+/// Server → client: the first frame on every connection the serve daemon
+/// accepts. Defined here, not in `prov-serve`, because a replication
+/// follower dials the same daemon and must recognise it.
+pub const TAG_WELCOME: u8 = 0x30;
+
+/// Server → client: a typed refusal or failure (`busy`, `read_only`,
+/// `shutting_down`, ...). Shared with the follower for the same reason as
+/// [`TAG_WELCOME`].
+pub const TAG_ERR: u8 = 0x3F;
+
 /// Typed rejection of a length prefix beyond the protocol bound. Raised
 /// on the inbound path *before* the oversized buffer would be allocated;
 /// carried as the source of an `io::Error` with kind `InvalidData`, so

@@ -13,7 +13,15 @@ fn main() {
     let dir = std::env::temp_dir().join("taverna-prov-example");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("traces.wal");
-    let _ = std::fs::remove_file(&path);
+    // The WAL and the snapshot files beside it: a snapshot left from an
+    // earlier run would otherwise seed the store.
+    let remove_db = || {
+        let _ = std::fs::remove_file(&path);
+        for snap in TraceStore::snapshot_files(&path) {
+            let _ = std::fs::remove_file(snap);
+        }
+    };
+    remove_db();
 
     let wf = testbed::generate(10);
     let run_id;
@@ -28,9 +36,9 @@ fn main() {
             store.trace_record_count(run_id),
             path.display()
         );
-        store.checkpoint().unwrap();
+        store.snapshot().unwrap();
         println!(
-            "session 1: checkpointed; wal is {} bytes",
+            "session 1: snapshotted; wal is {} bytes",
             std::fs::metadata(&path).unwrap().len()
         );
     } // store dropped — "process exits"
@@ -54,5 +62,5 @@ fn main() {
     let run2 = testbed::run(&wf, 4, &store).run_id;
     println!("\nsession 2: appended {} ({} records)", run2, store.trace_record_count(run2));
 
-    let _ = std::fs::remove_file(&path);
+    remove_db();
 }

@@ -2,7 +2,8 @@
 //! the shipped WAL stream — mid-frame, mid-bootstrap, mid-resync — and
 //! assert every survivor converges to a replica whose NI **and**
 //! INDEXPROJ answers are bit-identical to the primary's, with
-//! `repl.lag_frames` back at zero.
+//! `repl.lag_frames` back at zero. Every primary is a `ProvServer` that
+//! owns its store and ships its WAL on the serve port.
 //!
 //! Faults are injected with the store's own [`FaultPlan`] machinery,
 //! wrapped around the follower's replication socket (`short_read` tears
@@ -19,14 +20,18 @@ use std::time::{Duration, Instant};
 
 use prov_engine::{Backoff, Clock, RetryPolicy, VirtualClock};
 use prov_obs::{Journal, JournalEvent, Registry};
-use prov_repl::{Follower, FollowerConfig, PrimaryConfig, ReplServer};
+use prov_repl::protocol::{Hello, TAG_HELLO};
+use prov_repl::{Follower, FollowerConfig};
 use prov_serve::protocol::{self as p, ServeQuery};
-use prov_serve::{DrainReport, ProvServer, ServeClient, ServeConfig, ServeError};
+use prov_serve::{DrainReport, ProvServer, RemoteSink, ServeClient, ServeConfig, ServeError};
 use prov_store::{FaultPlan, SharedStore};
 use prov_workgen::testbed;
 use taverna_prov::prelude::*;
 
 const CATCH_UP: Duration = Duration::from_secs(30);
+
+/// The size of one shipped chunk of WAL frames (the primary's constant).
+const CHUNK: u64 = 32 * 1024;
 
 fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("prov-repl-torture");
@@ -83,7 +88,7 @@ fn answers(
 /// A primary with an ingested testbed workload and its reference answers.
 struct Primary {
     df: prov_dataflow::Dataflow,
-    store: Arc<TraceStore>,
+    store: SharedStore,
     path: PathBuf,
     runs: Vec<RunId>,
     ni: Vec<LineageAnswer>,
@@ -106,7 +111,24 @@ fn primary(tag: &str, n_runs: usize, snapshot_mid: bool) -> Primary {
     store.sync_wal().unwrap();
     store.durability().unwrap();
     let (ni, ip) = answers(&df, &store, &runs);
-    Primary { df, store: Arc::new(store), path, runs, ni, ip }
+    Primary { df, store: SharedStore::new(store), path, runs, ni, ip }
+}
+
+/// Adds testbed runs to `p` until its WAL spans at least `bytes`, and
+/// refreshes the reference answers.
+fn grow(p: &mut Primary, bytes: u64) {
+    while std::fs::metadata(&p.path).unwrap().len() < bytes {
+        p.runs.push(testbed::run(&p.df, 3, &*p.store).run_id);
+        p.store.sync_wal().unwrap();
+    }
+    (p.ni, p.ip) = answers(&p.df, &p.store, &p.runs);
+}
+
+/// The daemon that owns `p`'s store — and so ships its WAL — recording
+/// `ReplFrameShipped` to `journal`.
+fn daemon(p: &Primary, journal: Journal) -> ProvServer {
+    let obs = Obs { journal, ..Obs::disabled() };
+    ProvServer::start(p.store.clone(), obs, ServeConfig::default(), "127.0.0.1:0").unwrap()
 }
 
 fn fast_config(fault: Option<FaultPlan>) -> FollowerConfig {
@@ -119,11 +141,11 @@ fn fast_config(fault: Option<FaultPlan>) -> FollowerConfig {
 
 /// The oracle: a fresh follower under `fault` must heal (the fault hits
 /// only its first session), drain the primary, and answer identically.
-fn follower_case(p: &Primary, server: &ReplServer, tag: &str, fault: Option<FaultPlan>) {
+fn follower_case(p: &Primary, server: &ProvServer, tag: &str, fault: Option<FaultPlan>) {
     let fdb = tmp(&format!("{tag}-f"));
     let journal = Journal::new(1 << 12);
     let follower = Follower::open(&fdb, journal).unwrap();
-    let handle = follower.start(server.addr().to_string(), fast_config(fault));
+    let handle = follower.start(server.local_addr().to_string(), fast_config(fault));
 
     assert!(
         follower.wait_caught_up(CATCH_UP),
@@ -150,13 +172,7 @@ fn follower_case(p: &Primary, server: &ReplServer, tag: &str, fault: Option<Faul
 fn fixed_fault_offsets_heal_and_converge() {
     let p = primary("fixed", 2, false);
     let journal = Journal::new(1 << 14);
-    let mut server = ReplServer::spawn(
-        Arc::clone(&p.store),
-        "127.0.0.1:0",
-        journal.clone(),
-        PrimaryConfig { chunk_bytes: 1024, poll_interval_ms: 5 },
-    )
-    .unwrap();
+    let server = daemon(&p, journal.clone());
 
     // Byte offsets at which the stream is cut mid-flight: inside the
     // handshake, mid-frame, at chunk-ish boundaries, at and past the end.
@@ -194,13 +210,7 @@ fn bootstrap_faults_mid_snapshot_heal() {
     assert!(report.generation > 0, "workload too small to compact; no marker to bootstrap from");
     assert_eq!(report.marker_backed, Some(true));
 
-    let mut server = ReplServer::spawn(
-        Arc::clone(&p.store),
-        "127.0.0.1:0",
-        Journal::disabled(),
-        PrimaryConfig { chunk_bytes: 1024, poll_interval_ms: 5 },
-    )
-    .unwrap();
+    let server = daemon(&p, Journal::disabled());
 
     let snap = TraceStore::snapshot_file_for(&p.path, report.generation);
     let snap_len = std::fs::metadata(&snap).unwrap().len();
@@ -221,16 +231,13 @@ fn bootstrap_faults_mid_snapshot_heal() {
 
 #[test]
 fn killed_followers_resume_from_their_durable_prefix() {
-    let p = primary("kill", 2, false);
-    let mut server = ReplServer::spawn(
-        Arc::clone(&p.store),
-        "127.0.0.1:0",
-        Journal::disabled(),
-        PrimaryConfig { chunk_bytes: 256, poll_interval_ms: 2 },
-    )
-    .unwrap();
-    let addr = server.addr().to_string();
+    // Several chunks, so a kill can land between two of them.
+    let mut p = primary("kill", 2, false);
+    grow(&mut p, 4 * CHUNK);
+    let server = daemon(&p, Journal::disabled());
+    let addr = server.local_addr().to_string();
     let total = std::fs::metadata(&p.path).unwrap().len();
+    let mut resumed_inside = 0;
 
     for (i, threshold) in [total / 8, total / 4, total / 2, (total * 3) / 4].into_iter().enumerate()
     {
@@ -254,6 +261,10 @@ fn killed_followers_resume_from_their_durable_prefix() {
         // finish the sync. No bootstrap may occur: the prefix CRC must
         // prove the kept bytes, and only frames past them are shipped.
         let follower = Follower::open(&fdb, Journal::disabled()).unwrap();
+        let kept = follower.status().offset;
+        if 0 < kept && kept < total {
+            resumed_inside += 1;
+        }
         let handle = follower.start(addr.clone(), fast_config(None));
         assert!(
             follower.wait_caught_up(CATCH_UP),
@@ -281,16 +292,17 @@ fn killed_followers_resume_from_their_durable_prefix() {
         drop(follower);
         cleanup(&fdb);
     }
+    assert!(resumed_inside > 0, "no kill stopped inside the {total}-byte log");
     server.shutdown();
     cleanup(&p.path);
 }
 
 /// Polls until the follower's durable frame count equals the primary's
 /// current one (and lag is zero).
-fn wait_converged(follower: &Follower, p: &Primary, tag: &str) {
+fn wait_converged(follower: &Follower, primary: &TraceStore, tag: &str) {
     let deadline = Instant::now() + CATCH_UP;
     loop {
-        let want = p.store.repl_position().durable_frames;
+        let want = primary.repl_position().durable_frames;
         let s = follower.status();
         if s.frames == want && s.lag_frames == 0 && s.heard_from_primary {
             return;
@@ -305,20 +317,14 @@ fn wait_converged(follower: &Follower, p: &Primary, tag: &str) {
 }
 
 #[test]
-fn live_appends_checkpoints_and_snapshots_resync() {
+fn live_appends_and_snapshots_resync() {
     let p = primary("live", 1, false);
-    let mut server = ReplServer::spawn(
-        Arc::clone(&p.store),
-        "127.0.0.1:0",
-        Journal::disabled(),
-        PrimaryConfig { chunk_bytes: 1024, poll_interval_ms: 2 },
-    )
-    .unwrap();
+    let server = daemon(&p, Journal::disabled());
 
     let fdb = tmp("live-f");
     let journal = Journal::new(1 << 12);
     let follower = Follower::open(&fdb, journal.clone()).unwrap();
-    let handle = follower.start(server.addr().to_string(), fast_config(None));
+    let handle = follower.start(server.local_addr().to_string(), fast_config(None));
     assert!(follower.wait_caught_up(CATCH_UP), "initial sync failed: {:?}", follower.status());
 
     // Live append: a new run lands while the follower is connected; it
@@ -326,7 +332,7 @@ fn live_appends_checkpoints_and_snapshots_resync() {
     let mut runs = p.runs.clone();
     runs.push(testbed::run(&p.df, 3, &*p.store).run_id);
     p.store.sync_wal().unwrap();
-    wait_converged(&follower, &p, "live-append");
+    wait_converged(&follower, &p.store, "live-append");
     let (want_ni, want_ip) = answers(&p.df, &p.store, &runs);
     let fstore = follower.store();
     let (ni, ip) = answers(&p.df, &fstore, &runs);
@@ -334,25 +340,16 @@ fn live_appends_checkpoints_and_snapshots_resync() {
     assert_eq!(ip, want_ip, "live-append: INDEXPROJ diverged");
     drop(fstore);
 
-    // Checkpoint: the primary rewrites its WAL whole (new lineage). The
-    // streaming connection must notice, resync, and reconverge.
-    p.store.checkpoint().unwrap();
-    wait_converged(&follower, &p, "checkpoint");
-    let fstore = follower.store();
-    let (ni, ip) = answers(&p.df, &fstore, &runs);
-    assert_eq!(ni, want_ni, "checkpoint: NI diverged");
-    assert_eq!(ip, want_ip, "checkpoint: INDEXPROJ diverged");
-    assert!(follower.status().resyncs > 0, "checkpoint must force a resync");
-    drop(fstore);
-
-    // Snapshot: the WAL collapses to a marker; the follower's log is no
-    // longer a prefix and must re-seed from the shipped snapshot file.
+    // Snapshot: the WAL collapses to a marker on a new lineage. The
+    // streaming connection must notice and resync; the follower's log is
+    // no longer a prefix and must re-seed from the shipped snapshot file.
     p.store.snapshot().unwrap();
-    wait_converged(&follower, &p, "snapshot");
+    wait_converged(&follower, &p.store, "snapshot");
     let fstore = follower.store();
     let (ni, ip) = answers(&p.df, &fstore, &runs);
     assert_eq!(ni, want_ni, "snapshot: NI diverged");
     assert_eq!(ip, want_ip, "snapshot: INDEXPROJ diverged");
+    assert!(follower.status().resyncs > 0, "snapshot must force a resync");
     assert!(follower.status().bootstraps > 0, "snapshot must force a bootstrap");
     assert!(
         journal.events().iter().any(|s| matches!(s.event, JournalEvent::FollowerResync { .. })),
@@ -379,7 +376,7 @@ struct Replica {
     registry: Registry,
 }
 
-fn replica(primary: Option<&ReplServer>, tag: &str, cfg: ServeConfig) -> Replica {
+fn replica(primary: Option<&ProvServer>, tag: &str, cfg: ServeConfig) -> Replica {
     let db = tmp(tag);
     let follower = Follower::open(&db, Journal::disabled()).unwrap();
     let obs = Obs {
@@ -389,7 +386,7 @@ fn replica(primary: Option<&ReplServer>, tag: &str, cfg: ServeConfig) -> Replica
     };
     let registry = obs.metrics.clone();
     let server = ProvServer::follow(Arc::clone(&follower), obs, cfg, "127.0.0.1:0").unwrap();
-    let handle = primary.map(|p| follower.start(p.addr().to_string(), fast_config(None)));
+    let handle = primary.map(|p| follower.start(p.local_addr().to_string(), fast_config(None)));
     if handle.is_some() {
         assert!(follower.wait_caught_up(CATCH_UP), "{tag}: {:?}", follower.status());
     }
@@ -426,23 +423,17 @@ impl Drop for Replica {
     }
 }
 
-/// A primary with `n_runs` testbed runs, its WAL shipper, and a replica
-/// daemon of it; dropping it tears all three down.
+/// A primary with `n_runs` testbed runs, its daemon, and a replica daemon
+/// of it; dropping it tears all three down.
 struct Replicated {
     r: Replica,
-    _ship: ReplServer,
+    _ship: ProvServer,
     p: Primary,
 }
 
 fn replicated(tag: &str, n_runs: usize, cfg: ServeConfig) -> Replicated {
     let p = primary(tag, n_runs, false);
-    let ship = ReplServer::spawn(
-        Arc::clone(&p.store),
-        "127.0.0.1:0",
-        Journal::disabled(),
-        PrimaryConfig { chunk_bytes: 1024, poll_interval_ms: 2 },
-    )
-    .unwrap();
+    let ship = daemon(&p, Journal::disabled());
     let r = replica(Some(&ship), &format!("{tag}-f"), cfg);
     Replicated { r, _ship: ship, p }
 }
@@ -545,7 +536,7 @@ fn replica_cache_turns_over_with_a_replicated_workflow_record() {
     p.store.register_workflow(&ProcessorName::from("testbed"), spec);
     testbed::run(&p.df, 3, &*p.store);
     p.store.sync_wal().unwrap();
-    wait_converged(&r.follower, p, "cache-same");
+    wait_converged(&r.follower, &p.store, "cache-same");
     assert_eq!(client.query(&req).unwrap(), on_primary(&p.store, &req));
     assert_eq!(counters(), [1, 3, 1, 3]);
 
@@ -554,7 +545,7 @@ fn replica_cache_turns_over_with_a_replicated_workflow_record() {
     let shorter = serde_json::to_string(&testbed::generate(2)).unwrap();
     p.store.register_workflow(&ProcessorName::from("testbed"), shorter);
     p.store.sync_wal().unwrap();
-    wait_converged(&r.follower, p, "cache-new");
+    wait_converged(&r.follower, &p.store, "cache-new");
     let after = on_primary(&p.store, &req);
     assert_ne!(after[0], before[0], "the shorter chain must change the answer");
     assert_eq!(client.query(&req).unwrap(), after);
@@ -668,6 +659,150 @@ fn primary_daemon_answers_any_lag_bound() {
     server.shutdown();
 }
 
+/// A follower of `p`'s daemon at `addr`, caught up.
+fn follow(addr: &str, tag: &str) -> (PathBuf, Arc<Follower>, JoinHandle<()>) {
+    let fdb = tmp(tag);
+    let follower = Follower::open(&fdb, Journal::disabled()).unwrap();
+    let handle = follower.start(addr, fast_config(None));
+    assert!(follower.wait_caught_up(CATCH_UP), "{tag}: {:?}", follower.status());
+    (fdb, follower, handle)
+}
+
+/// The follower's WAL is the primary's, byte for byte, and answers the
+/// primary's reference queries over `runs`.
+fn assert_replicates(follower: &Follower, fdb: &PathBuf, p: &Primary, runs: &[RunId], tag: &str) {
+    assert_eq!(std::fs::read(fdb).unwrap(), std::fs::read(&p.path).unwrap(), "{tag}: WAL bytes");
+    let fstore = follower.store();
+    assert_eq!(answers(&p.df, &fstore, runs), answers(&p.df, &p.store, runs), "{tag}: answers");
+}
+
+/// A run a workflow engine streams into the daemon reaches a follower of
+/// that daemon: the one listener ingests, fsyncs and ships.
+#[test]
+fn primary_daemon_ships_a_remote_sink_run_to_a_streaming_follower() {
+    let p = primary("sink", 1, false);
+    let server = daemon(&p, Journal::disabled());
+    let addr = server.local_addr().to_string();
+    let (fdb, follower, handle) = follow(&addr, "sink-f");
+
+    let sink = RemoteSink::connect(&addr, Some(serde_json::to_string(&p.df).unwrap())).unwrap();
+    let run = testbed::run(&p.df, 3, &sink).run_id;
+    assert_eq!(sink.error(), None);
+    wait_converged(&follower, &p.store, "sink");
+    let runs: Vec<RunId> = p.runs.iter().copied().chain([run]).collect();
+    assert_replicates(&follower, &fdb, &p, &runs, "sink");
+    assert_eq!(follower.status().bootstraps, 0, "a live append must stream, not re-seed");
+
+    follower.stop();
+    handle.join().unwrap();
+    server.shutdown();
+    cleanup(&fdb);
+    cleanup(&p.path);
+}
+
+/// A streaming follower holds a session, and the drain ends it before the
+/// snapshot: the drain is clean. The snapshot starts a new WAL lineage, so
+/// a daemon restarted on the same WAL re-seeds the follower by bootstrap.
+#[test]
+fn primary_daemon_drain_ends_the_stream_and_a_restart_bootstraps_it() {
+    let p = primary("restart", 2, false);
+    let server = daemon(&p, Journal::disabled());
+    let addr = server.local_addr().to_string();
+    let (fdb, follower, handle) = follow(&addr, "restart-f");
+
+    let report = server.shutdown();
+    assert!(!report.forced, "a WAL stream held the drain: {report:?}");
+    assert!(p.store.repl_position().generation > 0, "the drain did not snapshot");
+
+    // The same WAL, reopened by a new owner on the same port.
+    let Primary { df, store, path, runs, ni, ip } = p;
+    drop(store);
+    let p = Primary { df, store: SharedStore::open(&path).unwrap(), path, runs, ni, ip };
+    let server =
+        ProvServer::start(p.store.clone(), Obs::disabled(), ServeConfig::default(), &addr).unwrap();
+    wait_converged(&follower, &p.store, "restart");
+    assert!(follower.status().bootstraps > 0, "{:?}", follower.status());
+    assert_replicates(&follower, &fdb, &p, &p.runs, "restart");
+
+    follower.stop();
+    handle.join().unwrap();
+    server.shutdown();
+    cleanup(&fdb);
+    cleanup(&p.path);
+}
+
+/// `HELLO` where no WAL can ship gets a typed refusal, not a hang or a
+/// dropped connection: `read_only` from a follower (it does not ship
+/// onward), `bad_request` from an in-memory store and for a payload that
+/// does not decode. Each session still answers a `PING`.
+#[test]
+fn daemon_hello_without_a_wal_to_ship_is_refused_and_keeps_the_session() {
+    let hello =
+        Hello { generation: 0, offset: 0, frames: 0, prefix_crc: 0, force_bootstrap: false };
+    let hello = serde_json::to_vec(&hello).unwrap();
+    let lonely = replica(None, "hello-ro", ServeConfig::default());
+    let memory = SharedStore::new(TraceStore::in_memory());
+    let memory =
+        ProvServer::start(memory, Obs::disabled(), ServeConfig::default(), "127.0.0.1:0").unwrap();
+    let p = primary("hello", 1, false);
+    let durable = daemon(&p, Journal::disabled());
+    let cases = [
+        (lonely.addr(), hello.clone(), "read_only"),
+        (memory.local_addr().to_string(), hello, "bad_request"),
+        (durable.local_addr().to_string(), b"{\"offset\":".to_vec(), "bad_request"),
+    ];
+    for (addr, payload, code) in cases {
+        let mut stream = ServeClient::connect(&addr).unwrap().into_stream();
+        p::write_msg(&mut stream, TAG_HELLO, &payload).unwrap();
+        let (tag, reply) = p::read_msg(&mut stream).unwrap().unwrap();
+        assert_eq!(tag, p::TAG_ERR, "{code}");
+        let err: p::ServeErrorMsg = p::decode(&reply).unwrap();
+        assert_eq!(err.code, code, "{err:?}");
+        p::write_msg(&mut stream, p::TAG_PING, &[]).unwrap();
+        let (tag, _) = p::read_msg(&mut stream).unwrap().unwrap();
+        assert_eq!(tag, p::TAG_PONG, "{code}: the session did not survive the refusal");
+    }
+    memory.shutdown();
+    durable.shutdown();
+    cleanup(&p.path);
+}
+
+/// A follower is one more session under the daemon's admission limit: past
+/// it, the follower is refused with `busy`, backs off, and converges once
+/// a slot frees.
+#[test]
+fn primary_daemon_refuses_a_follower_past_its_limit_then_ships_to_it() {
+    let p = primary("admit", 1, false);
+    let obs = Obs { metrics: Registry::new(), ..Obs::disabled() };
+    let registry = obs.metrics.clone();
+    let cfg = ServeConfig { max_connections: 1, ..ServeConfig::default() };
+    let server = ProvServer::start(p.store.clone(), obs, cfg, "127.0.0.1:0").unwrap();
+    let addr = server.local_addr().to_string();
+    let held = ServeClient::connect(&addr).unwrap();
+
+    let fdb = tmp("admit-f");
+    let follower = Follower::open(&fdb, Journal::disabled()).unwrap();
+    let handle = follower.start(&addr, fast_config(None));
+    // Two refusals: the follower took the first as a disconnect and retried.
+    let deadline = Instant::now() + CATCH_UP;
+    while registry.snapshot().counter("serve.conns_refused") < 2 {
+        assert!(Instant::now() < deadline, "the follower was never refused");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let s = follower.status();
+    assert!(s.reconnects >= 1 && !s.heard_from_primary && s.frames == 0, "{s:?}");
+
+    drop(held);
+    assert!(follower.wait_caught_up(CATCH_UP), "{:?}", follower.status());
+    assert_replicates(&follower, &fdb, &p, &p.runs, "admit");
+
+    follower.stop();
+    handle.join().unwrap();
+    server.shutdown();
+    cleanup(&fdb);
+    cleanup(&p.path);
+}
+
 /// Splitmix64 — deterministic offsets for the seeded pass.
 struct Rng(u64);
 
@@ -689,13 +824,7 @@ fn seeded_fault_offsets_heal_and_converge() {
         .unwrap_or(0xC0FFEE);
     eprintln!("repl-torture seed: {seed} (replay with CRASH_TORTURE_SEED={seed})");
     let p = primary("seed", 2, true);
-    let mut server = ReplServer::spawn(
-        Arc::clone(&p.store),
-        "127.0.0.1:0",
-        Journal::disabled(),
-        PrimaryConfig { chunk_bytes: 512, poll_interval_ms: 2 },
-    )
-    .unwrap();
+    let server = daemon(&p, Journal::disabled());
     let total = std::fs::metadata(&p.path).unwrap().len();
     let mut rng = Rng(seed);
     for case in 0..6 {
