@@ -19,9 +19,8 @@
 //! tprov tail     --db t.wal [--last 20] [--format json] [--follow]
 //! tprov slow     --db t.wal [--format json]
 //! tprov wal verify t.wal
-//! tprov replicate follow --db replica.wal --from HOST:PORT [--once]
 //! tprov serve    t.wal [--addr 127.0.0.1:7071] [--max-conns N] [--for-ms N]
-//! tprov serve    replica.wal --follow HOST:PORT [--addr ADDR]
+//! tprov serve    replica.wal --follow HOST:PORT [--addr ADDR] [--once]
 //! tprov run      --server HOST:PORT --workflow wf.json --input name=<json> …
 //! tprov query    --server HOST:PORT --query 'lin(...)' [--deadline-ms N] [--max-lag N]
 //! ```
@@ -86,13 +85,11 @@ fn run(argv: Vec<String>) -> Result<ExitCode, String> {
             }
         }
     }
-    // `wal` and `replicate` carry a verb as their first token
-    // (`tprov wal verify t.wal`); dispatch before flag parsing.
-    if cmd == "wal" || cmd == "replicate" {
-        return run_verbed(cmd, &rest);
-    }
-    // `serve <db>` takes the database as a positional token.
-    if cmd == "serve" {
+    // `wal` carries a verb as its first token (`tprov wal verify t.wal`).
+    let verb = if cmd == "wal" && !rest.is_empty() { Some(rest.remove(0)) } else { None };
+    // `serve <db>` and `wal verify <db>` take the database as a positional
+    // token.
+    if cmd == "serve" || cmd == "wal" {
         if let Some(first) = rest.first() {
             if !first.starts_with("--") {
                 rest.insert(0, "--db".to_string());
@@ -109,6 +106,8 @@ fn run(argv: Vec<String>) -> Result<ExitCode, String> {
         "pd" => done(cmd_pd(&args)),
         "run" => cmd_run(&args),
         "serve" => cmd_serve(&args),
+        "wal" if verb.as_deref() == Some("verify") => cmd_wal_verify(&args),
+        "wal" => Err("usage: tprov wal verify DB; try `tprov help`".to_string()),
         "runs" => done(cmd_runs(&args)),
         "lineage" => done(cmd_lineage(&args)),
         "impact" => done(cmd_impact(&args)),
@@ -132,28 +131,6 @@ fn run(argv: Vec<String>) -> Result<ExitCode, String> {
     }
 }
 
-/// Dispatches the two-level commands: `wal verify`, `replicate follow`.
-fn run_verbed(cmd: &str, rest: &[String]) -> Result<ExitCode, String> {
-    let Some((verb, vrest)) = rest.split_first() else {
-        return Err(format!("usage: tprov {cmd} <verb> ...; try `tprov help`"));
-    };
-    let mut vrest: Vec<String> = vrest.to_vec();
-    // `wal verify <db>` takes the database as a positional token.
-    if cmd == "wal" && verb == "verify" {
-        if let Some(first) = vrest.first() {
-            if !first.starts_with("--") {
-                vrest.insert(0, "--db".to_string());
-            }
-        }
-    }
-    let args = Args::parse(&vrest)?;
-    match (cmd, verb.as_str()) {
-        ("wal", "verify") => cmd_wal_verify(&args),
-        ("replicate", "follow") => cmd_repl_follow(&args),
-        _ => Err(format!("unknown command `{cmd} {verb}`; try `tprov help`")),
-    }
-}
-
 /// `tprov wal verify <db>`: offline CRC + frame sweep over the WAL and
 /// every snapshot file beside it. Exit 0 when the store is undamaged
 /// (a torn tail counts as undamaged — recovery truncates it), 1 when any
@@ -161,7 +138,7 @@ fn run_verbed(cmd: &str, rest: &[String]) -> Result<ExitCode, String> {
 fn cmd_wal_verify(args: &Args) -> Result<ExitCode, String> {
     let db = args.required("db")?;
     let report =
-        prov_repl::verify_store(std::path::Path::new(db)).map_err(|e| format!("{db}: {e}"))?;
+        prov_store::verify_store(std::path::Path::new(db)).map_err(|e| format!("{db}: {e}"))?;
     let tail = match report.tail {
         prov_store::TailState::Clean => "clean".to_string(),
         prov_store::TailState::TornTail { offset } => format!("torn tail at byte {offset}"),
@@ -193,41 +170,10 @@ fn cmd_wal_verify(args: &Args) -> Result<ExitCode, String> {
     }
 }
 
-/// `tprov replicate follow --db LOCAL --from ADDR [--once]
-/// [--timeout-ms N] [--for-ms N]`: replay into a local replica the WAL of
-/// the primary whose `tprov serve` daemon listens on ADDR (its
-/// `<db>.serve.addr`), serving nothing (`tprov serve LOCAL --follow ADDR`
-/// serves one). With `--once`, exits 0 as soon as the replica is caught
-/// up (1 on timeout) — the scriptable "seed a replica" form.
-fn cmd_repl_follow(args: &Args) -> Result<ExitCode, String> {
-    let db = args.required("db")?;
-    let from = args.required("from")?;
-    let journal = Journal::from_env();
-    let follower = prov_repl::Follower::open(db, journal.clone()).map_err(|e| e.to_string())?;
-    let handle = follower.start(from, prov_repl::FollowerConfig::default());
-    let caught_up = if args.has_flag("once") {
-        let timeout: u64 = args.get_parsed("timeout-ms")?.unwrap_or(60_000);
-        follower.wait_caught_up(std::time::Duration::from_millis(timeout))
-    } else {
-        let ms: u64 = args.get_parsed("for-ms")?.unwrap_or(u64::MAX);
-        std::thread::sleep(std::time::Duration::from_millis(ms));
-        true
-    };
-    follower.stop();
-    let _ = handle.join();
-    let s = follower.status();
-    println!(
-        "caught_up={caught_up} generation={} frames={} lag_frames={} bootstraps={} resyncs={}",
-        s.generation, s.frames, s.lag_frames, s.bootstraps, s.resyncs
-    );
-    journal_io::persist(db, &journal)?;
-    Ok(if caught_up { ExitCode::SUCCESS } else { ExitCode::FAILURE })
-}
-
-/// `tprov serve <db> [--follow PRIMARY] [--addr ADDR] [--max-conns N]
-/// [--queue-depth N] [--deadline-ms N] [--idle-ms N] [--drain-ms N]
-/// [--for-ms N]`: run the provenance daemon — concurrent ingest streams and
-/// lineage queries over one shared store. The bound address is written to
+/// `tprov serve <db> [--follow PRIMARY [--once]] [--addr ADDR]
+/// [--max-conns N] [--queue-depth N] [--deadline-ms N] [--idle-ms N]
+/// [--drain-ms N] [--for-ms N]`: run the provenance daemon — concurrent
+/// ingest streams and lineage queries over one shared store. The bound address is written to
 /// `<db>.serve.addr` so scripts can use `--addr 127.0.0.1:0`; on
 /// SIGTERM/ctrl-c (or after `--for-ms`) the daemon drains, fsyncs,
 /// snapshots, and exits 0, leaving its `serve.*`, `workflow_cache.*` and
@@ -236,10 +182,17 @@ fn cmd_repl_follow(args: &Args) -> Result<ExitCode, String> {
 /// followers on the same address. With `--follow`, `<db>` is a read
 /// replica of PRIMARY (the primary's `tprov serve` address): it
 /// replicates while it serves, refuses ingest, and its drain leaves the
-/// replicated WAL untouched.
+/// replicated WAL untouched. `--once` drains as soon as the replica has
+/// caught up with its primary and prints where it stands — the scriptable
+/// "seed a replica" form: exit 0 if it converged, 1 if `--for-ms` ran out
+/// first.
 fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
     let db = args.required("db")?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:0");
+    let once = args.has_flag("once");
+    if once && args.get("follow").is_none() {
+        return Err("--once needs --follow ADDR".to_string());
+    }
     let journal = Journal::from_env();
     // Metrics on, profiler off: a long-running daemon accumulating
     // unbounded spans would leak; counters and gauges are fixed-size.
@@ -267,11 +220,11 @@ fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
     }
     let (server, following) = match args.get("follow") {
         Some(primary) => {
-            let follower =
-                prov_repl::Follower::open(db, journal.clone()).map_err(|e| e.to_string())?;
+            let follower = prov_serve::Follower::open(db, journal.clone())
+                .map_err(|e| format!("cannot open {db}: {e}"))?;
             let server = prov_serve::ProvServer::follow(Arc::clone(&follower), obs, cfg, addr)
                 .map_err(|e| format!("{addr}: {e}"))?;
-            let handle = follower.start(primary, prov_repl::FollowerConfig::default());
+            let handle = follower.start(primary, prov_serve::FollowerConfig::default());
             (server, Some((follower, handle)))
         }
         None => {
@@ -294,13 +247,28 @@ fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
     // A remote SHUTDOWN request flips the server into draining on its
     // own; the wait loop notices and falls through to the same exit path
     // as a signal.
+    let mut caught_up = false;
     while !prov_serve::signal::triggered() && !server.draining() && started.elapsed() < budget {
+        if once
+            && following.as_ref().is_some_and(|(f, _)| f.wait_caught_up(std::time::Duration::ZERO))
+        {
+            caught_up = true;
+            break;
+        }
         std::thread::sleep(std::time::Duration::from_millis(25));
     }
     let report = server.shutdown();
     if let Some((follower, handle)) = following {
         follower.stop();
         let _ = handle.join();
+        if once {
+            let s = follower.status();
+            println!(
+                "caught_up={caught_up} generation={} frames={} lag_frames={} bootstraps={} \
+                 resyncs={}",
+                s.generation, s.frames, s.lag_frames, s.bootstraps, s.resyncs
+            );
+        }
     }
     // Persist the daemon's metric families (its sessions, and the
     // workflows and plans it kept resident) so `tprov metrics` on this
@@ -325,7 +293,7 @@ fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
         "drained: forced={} active_at_exit={} (metrics in {sidecar})",
         report.forced, report.active_at_exit
     );
-    Ok(ExitCode::SUCCESS)
+    Ok(if once && !caught_up { ExitCode::FAILURE } else { ExitCode::SUCCESS })
 }
 
 /// Routes `tprov query --server ADDR` to a provenance daemon. The daemon
@@ -401,15 +369,15 @@ fn print_usage() {
          \x20 trace-dot --db FILE [--run N] [--json]       print a run's provenance graph\n\
          \x20 wal verify DB                                offline CRC + frame sweep of\n\
          \x20          the WAL and snapshots (exit 1 on corruption)\n\
-         \x20 replicate follow --db LOCAL --from ADDR [--once] [--timeout-ms N]\n\
-         \x20          replay the primary served at ADDR into a local replica;\n\
-         \x20          --once exits when caught up\n\
-         \x20 serve    DB [--follow ADDR] [--addr ADDR] [--max-conns N] [--queue-depth N]\n\
-         \x20          [--deadline-ms N] [--idle-ms N] [--drain-ms N] [--for-ms N]\n\
+         \x20 serve    DB [--follow ADDR [--once]] [--addr ADDR] [--max-conns N]\n\
+         \x20          [--queue-depth N] [--deadline-ms N] [--idle-ms N] [--drain-ms N]\n\
+         \x20          [--for-ms N]\n\
          \x20          provenance daemon: concurrent ingest + queries on one store\n\
          \x20          (address in <db>.serve.addr; SIGTERM drains and exits 0);\n\
          \x20          followers replicate from that same address;\n\
          \x20          --follow serves DB read-only as a replica of the `serve` at ADDR;\n\
+         \x20          --once exits when the replica has caught up (exit 1 if\n\
+         \x20          --for-ms runs out first);\n\
          \x20          `run --server ADDR` streams a run's trace to it, and\n\
          \x20          `query --server ADDR [--deadline-ms N] [--max-lag N]` queries it;\n\
          \x20          a replica beyond the --max-lag bound is refused (exit 1)\n\n\
@@ -813,13 +781,12 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
     let registry = Registry::new();
     store.register_metrics(&registry);
     // When this database is a replica, its follower (`tprov serve
-    // --follow` or `tprov replicate follow`) maintains a `<db>.repl.json`
-    // sidecar (written atomically on every status change); surface its
-    // lag as gauges so one `metrics` call covers both the store and its
-    // replication health.
-    let sidecar = prov_repl::status_path(std::path::Path::new(args.required("db")?));
+    // --follow`) maintains a `<db>.repl.json` sidecar (written atomically
+    // on every status change); surface its lag as gauges so one `metrics`
+    // call covers both the store and its replication health.
+    let sidecar = prov_serve::status_path(std::path::Path::new(args.required("db")?));
     if let Ok(text) = std::fs::read_to_string(&sidecar) {
-        let s: prov_repl::ReplStatus = serde_json::from_str(&text)
+        let s: prov_serve::ReplStatus = serde_json::from_str(&text)
             .map_err(|e| format!("{}: bad replication sidecar: {e}", sidecar.display()))?;
         registry.set_gauge("repl.lag_frames", s.lag_frames);
         registry.set_gauge("repl.lag_bytes", s.lag_bytes);

@@ -827,7 +827,7 @@ fn serve_follow(db: &TempDb, primary: &str) -> (ChildGuard, String) {
 }
 
 /// End-to-end replication through the CLI, from a `tprov serve` primary:
-/// `replicate follow --once` seeds a replica to byte-identical
+/// `serve --follow --once` seeds a replica to byte-identical
 /// convergence with lag gauges at 0; a `serve --follow` replica then
 /// receives, live, a run streamed into the primary by `run --server`, and
 /// answers for it within a zero lag bound exactly as the primary does; its
@@ -849,17 +849,7 @@ fn serve_primary_ships_runs_to_followers_and_stale_replicas_refuse() {
     let addr = wait_addr(&format!("{}.serve.addr", db.arg()));
 
     // Seed the replica to caught-up and stop (exit 0 = converged).
-    let out = tprov(&[
-        "replicate",
-        "follow",
-        "--db",
-        replica.arg(),
-        "--from",
-        &addr,
-        "--once",
-        "--timeout-ms",
-        "30000",
-    ]);
+    let out = tprov(&["serve", replica.arg(), "--follow", &addr, "--once", "--for-ms", "30000"]);
     assert!(out.status.success(), "{}\n{}", stdout(&out), stderr(&out));
     assert!(stdout(&out).contains("caught_up=true"), "{}", stdout(&out));
     assert_eq!(

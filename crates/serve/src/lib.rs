@@ -26,11 +26,12 @@
 //!
 //! The daemon that owns a database is also its replication primary, on
 //! the same port: a follower's `HELLO` turns its session into a stream of
-//! the durable WAL ([`prov_repl::ship`]). The same server fronts a read
-//! replica: [`ProvServer::follow`] serves a [`prov_repl::Follower`]'s
-//! store read-only (ingest gets a typed `read_only`), stamps every answer
-//! with the follower's position, and leaves the replicated WAL untouched
-//! on drain. A client bounds staleness with [`ServeClient::query_bounded`].
+//! the durable WAL, which a [`Follower`] replays into a local store. The
+//! same server fronts the replica: [`ProvServer::follow`] serves a
+//! follower's store read-only (ingest gets a typed `read_only`), stamps
+//! every answer with the follower's position, and leaves the replicated
+//! WAL untouched on drain. A client bounds staleness with
+//! [`ServeClient::query_bounded`].
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)] // deny, not forbid: `signal` opts a single FFI shim back in
@@ -39,12 +40,15 @@
 
 mod client;
 mod execute;
+mod follower;
 pub mod protocol;
 mod server;
+mod ship;
 pub mod signal;
 
 pub use client::{RemoteSink, ServeClient, DEFAULT_BATCH_EVENTS, DEFAULT_PIPELINE_DEPTH};
 pub use execute::execute_query;
+pub use follower::{status_path, Follower, FollowerConfig, ReplStatus};
 pub use server::{DrainReport, ProvServer, ServeConfig};
 
 /// Client-visible failure of a serve-protocol interaction.

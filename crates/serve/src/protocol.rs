@@ -1,23 +1,42 @@
-//! Wire vocabulary of the serve daemon.
+//! Wire vocabulary of the serve daemon: one tag table.
 //!
-//! The daemon reuses the framing dialect of [`prov_wire`] (one byte of
-//! tag, a little-endian `u32` length, a JSON payload) on a tag space
-//! disjoint from the replication stream's: client requests live in
-//! `0x21..=0x2F`, server replies in `0x30..=0x3F`, and `prov_repl`'s
-//! messages in `0x01..=0x06`. A follower's `HELLO` (0x01) is one more
-//! request on a session: the daemon that owns a database answers it by
-//! streaming its WAL on the same connection. Keeping the spaces disjoint
-//! means a misrouted frame is a typed protocol error, never a silent
-//! misparse.
+//! The daemon speaks the framing dialect of [`prov_wire`] (one byte of
+//! tag, a little-endian `u32` length, a payload). Client requests live in
+//! `0x21..=0x2F`, server replies in `0x30..=0x3F`, and the WAL stream in
+//! `0x01..=0x06`. A follower's [`TAG_HELLO`] is one more request on a
+//! session: the daemon that owns a database answers it by streaming its
+//! WAL on the same connection. Keeping the ranges apart means a misrouted
+//! frame is a typed protocol error, never a silent misparse.
+//!
+//! Two WAL-stream messages carry raw bytes: [`TAG_FRAMES`] a chunk of WAL
+//! frames exactly as they appear in the primary's log, and a
+//! [`TAG_BOOTSTRAP`] header that many snapshot-file bytes after it,
+//! outside any framing. A follower's [`Hello`] carries a CRC-32 of its
+//! whole durable WAL prefix, which the primary checks against its own.
 
 use serde::{Deserialize, Serialize};
 
 pub use prov_wire::{
-    decode, frame_too_large, read_exact_retry, read_msg, write_json, write_msg, FrameTooLarge,
-    MAX_FRAME_LEN, TAG_ERR, TAG_WELCOME,
+    decode, frame_too_large, read_exact_retry, read_msg, read_raw, write_json, write_msg,
+    FrameTooLarge, MAX_FRAME_LEN,
 };
 
 use prov_engine::TraceEvent;
+
+// ---- follower <-> primary (the WAL stream) ---------------------------
+
+/// Follower → primary: identify the local log and ask for a plan.
+pub const TAG_HELLO: u8 = 0x01;
+/// Primary → follower: a snapshot file follows (raw bytes after the header).
+pub const TAG_BOOTSTRAP: u8 = 0x02;
+/// Primary → follower: frames will stream from the given offset.
+pub const TAG_STREAM_FROM: u8 = 0x03;
+/// Primary → follower: a raw chunk of whole WAL frames.
+pub const TAG_FRAMES: u8 = 0x04;
+/// Primary → follower: current durable position (lag accounting).
+pub const TAG_HEARTBEAT: u8 = 0x05;
+/// Primary → follower: the WAL lineage changed; re-handshake.
+pub const TAG_RESYNC: u8 = 0x06;
 
 // ---- client -> server ------------------------------------------------
 
@@ -36,11 +55,8 @@ pub const TAG_SHUTDOWN: u8 = 0x26;
 
 // ---- server -> client ------------------------------------------------
 
-// `TAG_WELCOME` (0x30, the first frame on every accepted connection) and
-// `TAG_ERR` (0x3F, a typed refusal; see `ServeErrorMsg::code`) live in
-// `prov_wire`, re-exported above: a replication follower dials this
-// daemon too.
-
+/// The first frame on every accepted connection.
+pub const TAG_WELCOME: u8 = 0x30;
 /// Reply to [`TAG_INGEST_BEGIN`]: carries the assigned run id.
 pub const TAG_INGEST_BEGUN: u8 = 0x31;
 /// Durability acknowledgement for one ingest batch — sent only *after*
@@ -51,6 +67,55 @@ pub const TAG_INGEST_ACK: u8 = 0x32;
 pub const TAG_QUERY_OK: u8 = 0x33;
 /// Reply to [`TAG_PING`] and [`TAG_SHUTDOWN`].
 pub const TAG_PONG: u8 = 0x34;
+/// A typed refusal or failure (see [`ServeErrorMsg::code`]).
+pub const TAG_ERR: u8 = 0x3F;
+
+/// The follower's opening offer: "my log is `offset` durable bytes /
+/// `frames` frames whose CRC-32 is `prefix_crc`; lineage I last knew was
+/// `generation`". `force_bootstrap` asks for a full re-seed regardless.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct Hello {
+    /// WAL lineage the follower last synced to (advisory; the CRC decides).
+    pub generation: u64,
+    /// Durable length of the follower's local WAL in bytes.
+    pub offset: u64,
+    /// Durable frame count of the follower's local WAL.
+    pub frames: u64,
+    /// CRC-32 of the follower's first `offset` WAL bytes.
+    pub prefix_crc: u32,
+    /// Demand a snapshot bootstrap even if the prefix would match.
+    pub force_bootstrap: bool,
+}
+
+/// Announces the raw snapshot bytes that follow a [`TAG_BOOTSTRAP`] header.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+pub struct BootstrapHeader {
+    /// Snapshot generation being shipped (the follower installs it as
+    /// `<db>.snap.<generation>`).
+    pub generation: u64,
+    /// Exact byte length of the snapshot file.
+    pub len: u64,
+}
+
+/// The primary's go-ahead: frames stream from `offset` of lineage
+/// `generation`. Offset zero on a non-empty follower means "wipe and
+/// replay from scratch".
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+pub struct StreamFrom {
+    /// WAL lineage being streamed.
+    pub generation: u64,
+    /// Byte offset the first shipped frame starts at.
+    pub offset: u64,
+}
+
+/// Why the primary broke the stream and asked for a new handshake.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct Resync {
+    /// The primary's current lineage.
+    pub generation: u64,
+    /// Human-oriented cause ("generation changed", ...).
+    pub reason: String,
+}
 
 /// First frame on every accepted connection: protocol self-description.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -197,8 +262,6 @@ mod tests {
 
     #[test]
     fn request_and_reply_tag_spaces_are_disjoint() {
-        use prov_repl::protocol as repl;
-
         let requests = [
             TAG_INGEST_BEGIN,
             TAG_INGEST_BATCH,
@@ -209,14 +272,8 @@ mod tests {
         ];
         let replies =
             [TAG_WELCOME, TAG_INGEST_BEGUN, TAG_INGEST_ACK, TAG_QUERY_OK, TAG_PONG, TAG_ERR];
-        let replication = [
-            repl::TAG_HELLO,
-            repl::TAG_BOOTSTRAP,
-            repl::TAG_STREAM_FROM,
-            repl::TAG_FRAMES,
-            repl::TAG_HEARTBEAT,
-            repl::TAG_RESYNC,
-        ];
+        let stream =
+            [TAG_HELLO, TAG_BOOTSTRAP, TAG_STREAM_FROM, TAG_FRAMES, TAG_HEARTBEAT, TAG_RESYNC];
         for r in requests {
             assert!((0x21..=0x2F).contains(&r));
             assert!(!replies.contains(&r));
@@ -224,13 +281,37 @@ mod tests {
         for r in replies {
             assert!((0x30..=0x3F).contains(&r));
         }
-        // The follower dials this daemon: its tags share a session with
-        // the serve vocabulary, the moved WELCOME/ERR included.
-        assert_eq!((repl::TAG_WELCOME, repl::TAG_ERR), (TAG_WELCOME, TAG_ERR));
-        for r in replication {
+        for r in stream {
             assert!((0x01..=0x06).contains(&r));
             assert!(!requests.contains(&r) && !replies.contains(&r));
         }
+    }
+
+    #[test]
+    fn round_trips_control_and_raw_messages() {
+        let mut wire = Vec::new();
+        let hello = Hello {
+            generation: 3,
+            offset: 128,
+            frames: 7,
+            prefix_crc: 0xDEAD_BEEF,
+            force_bootstrap: false,
+        };
+        write_json(&mut wire, TAG_HELLO, &hello).unwrap();
+        write_msg(&mut wire, TAG_FRAMES, b"rawbytes").unwrap();
+
+        let mut r = wire.as_slice();
+        let (tag, payload) = read_msg(&mut r).unwrap().unwrap();
+        assert_eq!(tag, TAG_HELLO);
+        let back: Hello = decode(&payload).unwrap();
+        assert_eq!(back.offset, 128);
+        assert_eq!(back.prefix_crc, 0xDEAD_BEEF);
+
+        let (tag, payload) = read_msg(&mut r).unwrap().unwrap();
+        assert_eq!(tag, TAG_FRAMES);
+        assert_eq!(payload, b"rawbytes");
+
+        assert!(read_msg(&mut r).unwrap().is_none());
     }
 
     #[test]

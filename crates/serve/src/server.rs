@@ -9,7 +9,7 @@
 //! query concurrency needs no extra machinery).
 //!
 //! A replication follower's `HELLO` turns its session into a WAL stream
-//! ([`prov_repl::ship`]) on the same thread: the daemon that owns a
+//! ([`ship`](crate::ship)) on the same thread: the daemon that owns a
 //! database is its replication primary, on the same port. The stream
 //! holds its admission slot like any session, and returns to the request
 //! loop when it asks the follower for a fresh hello.
@@ -66,11 +66,12 @@ use prov_core::{CoreError, WorkflowCache};
 use prov_engine::{Clock, ClockSource, SystemClock, TraceSink};
 use prov_model::{ProcessorName, RunId};
 use prov_obs::{Counter, Gauge, JournalEvent, Obs, QueryCtx, TimeSource};
-use prov_repl::{protocol as repl, Follower, Shipped};
 use prov_store::{SharedStore, TraceStore};
 
 use crate::execute::execute_resident;
+use crate::follower::Follower;
 use crate::protocol::{self as p, ServeErrorMsg};
+use crate::ship::{ship, Shipped};
 use crate::ServeError;
 
 /// Tuning knobs for one daemon instance.
@@ -465,7 +466,7 @@ fn handle_frame(
     // A request that raced the drain flag still gets a typed refusal
     // (pings and finishes are allowed through so clients can wind down).
     if shared.draining.load(Ordering::SeqCst)
-        && (tag == p::TAG_INGEST_BEGIN || tag == p::TAG_QUERY || tag == repl::TAG_HELLO)
+        && (tag == p::TAG_INGEST_BEGIN || tag == p::TAG_QUERY || tag == p::TAG_HELLO)
     {
         let msg = ServeErrorMsg::new("shutting_down", "daemon is draining");
         let _ = p::write_json(&mut *writer.lock(), p::TAG_ERR, &msg);
@@ -615,17 +616,17 @@ fn handle_frame(
                 }
             }
         }
-        repl::TAG_HELLO => {
+        p::TAG_HELLO => {
             let Some(store) = writable(shared, writer) else { return true };
             if store.wal_path().is_none() {
                 return bad_request(writer, "an in-memory store has no WAL to ship");
             }
-            let hello: repl::Hello = match p::decode(payload) {
+            let hello: p::Hello = match p::decode(payload) {
                 Ok(h) => h,
                 Err(e) => return bad_request(writer, e),
             };
             let mut w = writer.lock();
-            match prov_repl::ship(store, &hello, &mut *w, &shared.draining, &shared.obs.journal) {
+            match ship(store, &hello, &mut *w, &shared.draining, &shared.obs.journal) {
                 Shipped::Rehello => true,
                 Shipped::Closed => false,
             }

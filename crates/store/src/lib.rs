@@ -19,7 +19,8 @@
 //! * per-query access statistics ([`QueryStats`]) so benchmarks can report
 //!   machine-independent record-access counts next to wall-clock times;
 //! * durability via an append-only, CRC-framed write-ahead log with crash
-//!   recovery and snapshot compaction.
+//!   recovery and snapshot compaction; no other crate names or parses
+//!   those files ([`verify_store`], [`TraceStore::reseed`]).
 //!
 //! [`TraceStore`] implements `prov_engine::TraceSink`, so an engine can
 //! stream events straight into it.
@@ -43,6 +44,7 @@ mod stats;
 mod store;
 mod symbols;
 mod values;
+mod verify;
 mod wal;
 
 pub use catalog::{IndexCatalog, IndexId, PortCardinality};
@@ -52,9 +54,10 @@ pub use fault::{FaultFile, FaultPlan, FaultReader};
 pub use rows::{PortDirection, StoredBinding, XferRecord, XformPortRecord, XformRecord};
 pub use shard::ReadView;
 pub use shared::SharedStore;
-pub use snapshot::{CompactionPolicy, SnapshotMetrics};
+pub use snapshot::{valid_snapshot, CompactionPolicy, SnapshotMetrics};
 pub use stats::{ProbeGuard, ProbeStats, QueryStats, StatsSnapshot};
 pub use store::{ReplPosition, RunInfo, StoreError, TraceStore};
+pub use verify::{prefix_crc, verify_store, SnapshotVerdict, VerifyReport};
 pub use wal::{
     LogRecord, TailState, WalCursor, WalError, WalFile, WalMetrics, WalReader, WalRecovery,
     WalWriter,

@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 
 use prov_obs::{Counter, Histogram, Registry};
 
-use crate::wal::{LogRecord, WalReader};
+use crate::wal::{LogRecord, WalCursor, WalReader};
 
 /// Bounds on the pending (post-snapshot) WAL tail; crossing either one
 /// triggers an automatic snapshot-and-truncate cycle at the next append.
@@ -132,21 +132,41 @@ pub(crate) fn generations(wal: &Path) -> Vec<u64> {
     gens
 }
 
-/// Reads a snapshot file back, validating it end to end: the tail must be
-/// clean and the first and last record must both be the `Snapshot` marker
-/// of the expected generation (the footer marker catches a snapshot
-/// truncated on a frame boundary, which a CRC scan alone cannot). Returns
-/// `None` for anything invalid — recovery then falls back a generation.
+/// The snapshot bracket rule: a snapshot of generation `g` is whole when
+/// its frame stream ends `clean`, and both its `first` record and its
+/// `last` record after that one are the `Snapshot` marker of `g` (the
+/// footer marker catches a snapshot truncated on a frame boundary, which a
+/// CRC scan alone cannot).
+fn bracketed(g: u64, clean: bool, first: Option<&LogRecord>, last: Option<&LogRecord>) -> bool {
+    let marker = LogRecord::Snapshot { generation: g };
+    clean && first == Some(&marker) && last == Some(&marker)
+}
+
+/// Reads a snapshot file back whole, validated by the bracket rule.
+/// Returns `None` for anything invalid — recovery then falls back a
+/// generation.
 pub(crate) fn load(path: &Path, generation: u64) -> Option<Vec<LogRecord>> {
     let recovery = WalReader::read_all(path).ok()?;
-    if !recovery.tail.is_clean() || recovery.records.len() < 2 {
-        return None;
+    let records = recovery.records;
+    let last = records.get(1..).and_then(<[LogRecord]>::last);
+    bracketed(generation, recovery.tail.is_clean(), records.first(), last).then_some(records)
+}
+
+/// Whether the file at `path` is a whole snapshot of `generation` by the
+/// same bracket rule [`load`] applies, checked with the streaming cursor
+/// so a multi-GB snapshot is never held in memory.
+pub fn valid_snapshot(path: &Path, generation: u64) -> bool {
+    let Ok(mut cursor) = WalCursor::open(path) else { return false };
+    let (mut first, mut last) = (None, None);
+    loop {
+        match cursor.next_record() {
+            Ok(Some(record)) if first.is_none() => first = Some(record),
+            Ok(Some(record)) => last = Some(record),
+            Ok(None) => break,
+            Err(_) => return false,
+        }
     }
-    let marker = LogRecord::Snapshot { generation };
-    if recovery.records.first() != Some(&marker) || recovery.records.last() != Some(&marker) {
-        return None;
-    }
-    Some(recovery.records)
+    bracketed(generation, cursor.tail().is_clean(), first.as_ref(), last.as_ref())
 }
 
 #[cfg(test)]
@@ -208,6 +228,12 @@ mod tests {
     fn load_rejects_missing_torn_unbracketed_and_wrong_generation() {
         let wal = tmp_wal("load");
         let snap = snapshot_path(&wal, 2);
+        // The streaming check and the whole-file load agree on every case.
+        let load = |path: &Path, generation| {
+            let records = load(path, generation);
+            assert_eq!(valid_snapshot(path, generation), records.is_some());
+            records
+        };
         assert!(load(&snap, 2).is_none()); // missing
 
         let mut w = WalWriter::open(&snap).unwrap();

@@ -435,6 +435,32 @@ impl TraceStore {
         snapshot::generations(path).into_iter().map(|g| snapshot::snapshot_path(path, g)).collect()
     }
 
+    /// Replaces the store at `path` wholesale and opens the result: a
+    /// replica's re-seed. Deletes the WAL and every snapshot file, installs
+    /// `base` — a snapshot `(generation, file bytes)` shipped from a
+    /// primary — when given, then opens, so recovery loads the installed
+    /// snapshot and writes its leading marker. The body is fsynced before
+    /// its rename, as [`TraceStore::snapshot`] does: open fsyncs a marker
+    /// that points at it, and a durable marker must never outlive the
+    /// snapshot it names.
+    pub fn reseed(path: &Path, base: Option<(u64, &[u8])>) -> crate::Result<Self> {
+        let tmp = snapshot::tmp_path(path);
+        if let Some((_, body)) = base {
+            let mut file = std::fs::File::create(&tmp).map_err(WalError::from)?;
+            std::io::Write::write_all(&mut file, body).map_err(WalError::from)?;
+            file.sync_all().map_err(WalError::from)?;
+        }
+        let _ = std::fs::remove_file(path);
+        for g in snapshot::generations(path) {
+            let _ = std::fs::remove_file(snapshot::snapshot_path(path, g));
+        }
+        if let Some((generation, _)) = base {
+            std::fs::rename(&tmp, snapshot::snapshot_path(path, generation))
+                .map_err(WalError::from)?;
+        }
+        Self::open(path)
+    }
+
     /// Applies one replicated WAL payload (the bytes inside a frame the
     /// primary shipped): decodes it, re-appends the *same* payload bytes to
     /// the local WAL — the resulting frame is byte-identical to the

@@ -1,10 +1,8 @@
 //! # prov-wire
 //!
-//! The length-prefixed frame codec shared by every TCP endpoint in the
-//! system: the WAL-shipping replication stream (`prov-repl`) and the
-//! concurrent provenance daemon (`prov-serve`) speak one framing dialect,
-//! so a frame written by either side can be read by the other's codec and
-//! the robustness guarantees below hold everywhere.
+//! The length-prefixed frame codec of every TCP endpoint in the system.
+//! This crate holds framing only; the tags and message types that ride on
+//! it belong to `prov-serve`'s protocol table.
 //!
 //! Every message is `tag (1 byte) | len (u32 LE) | payload[len]`. Control
 //! messages carry JSON payloads; bulk messages (WAL frame chunks, ingest
@@ -44,16 +42,6 @@ pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 /// is generous, but it still turns a forged 2^60-byte header into a typed
 /// refusal instead of an allocation attempt.
 pub const MAX_RAW_LEN: u64 = 1024 * 1024 * 1024;
-
-/// Server → client: the first frame on every connection the serve daemon
-/// accepts. Defined here, not in `prov-serve`, because a replication
-/// follower dials the same daemon and must recognise it.
-pub const TAG_WELCOME: u8 = 0x30;
-
-/// Server → client: a typed refusal or failure (`busy`, `read_only`,
-/// `shutting_down`, ...). Shared with the follower for the same reason as
-/// [`TAG_WELCOME`].
-pub const TAG_ERR: u8 = 0x3F;
 
 /// Typed rejection of a length prefix beyond the protocol bound. Raised
 /// on the inbound path *before* the oversized buffer would be allocated;

@@ -15,11 +15,7 @@
 //! * [`lineage`] — the paper's contribution: Def. 1 lineage queries, the
 //!   naïve baseline **NI**, and the **INDEXPROJ** algorithm (Alg. 2) that
 //!   traverses the spec graph instead of the provenance graph;
-//! * [`workgen`] — the synthetic testbed of §4.1 plus the GK/PD workflows;
-//! * [`repl`] — WAL-shipping replication: a primary streams its durable
-//!   log to follower stores that replay continuously; the serve daemon
-//!   (`prov_serve::ProvServer::follow`) answers lineage queries from a
-//!   follower read-only, under a staleness bound its client checks.
+//! * [`workgen`] — the synthetic testbed of §4.1 plus the GK/PD workflows.
 //!
 //! ## Quickstart
 //!
@@ -73,7 +69,6 @@ pub use prov_dataflow as dataflow;
 pub use prov_engine as engine;
 pub use prov_model as model;
 pub use prov_obs as obs;
-pub use prov_repl as repl;
 pub use prov_store as store;
 pub use prov_workgen as workgen;
 

@@ -20,11 +20,10 @@ use std::time::{Duration, Instant};
 
 use prov_engine::{Backoff, Clock, RetryPolicy, VirtualClock};
 use prov_obs::{Journal, JournalEvent, Registry};
-use prov_repl::protocol::{Hello, TAG_HELLO};
-use prov_repl::{Follower, FollowerConfig};
-use prov_serve::protocol::{self as p, ServeQuery};
-use prov_serve::{DrainReport, ProvServer, RemoteSink, ServeClient, ServeConfig, ServeError};
-use prov_store::{FaultPlan, SharedStore};
+use prov_serve::protocol::{self as p, Hello, ServeQuery, TAG_HELLO};
+use prov_serve::{DrainReport, Follower, FollowerConfig, ProvServer, RemoteSink};
+use prov_serve::{ServeClient, ServeConfig, ServeError};
+use prov_store::{verify_store, FaultPlan, SharedStore};
 use prov_workgen::testbed;
 use taverna_prov::prelude::*;
 
@@ -34,7 +33,7 @@ const CATCH_UP: Duration = Duration::from_secs(30);
 const CHUNK: u64 = 32 * 1024;
 
 fn tmp(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("prov-repl-torture");
+    let dir = std::env::temp_dir().join("repl-torture");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("{tag}-{}.wal", std::process::id()));
     cleanup(&path);
@@ -206,7 +205,7 @@ fn bootstrap_faults_mid_snapshot_heal() {
     // A compacting primary: the WAL leads with a snapshot marker, so a
     // fresh follower must bootstrap from the snapshot file.
     let p = primary("boot", 2, true);
-    let report = prov_repl::verify_store(&p.path).unwrap();
+    let report = verify_store(&p.path).unwrap();
     assert!(report.generation > 0, "workload too small to compact; no marker to bootstrap from");
     assert_eq!(report.marker_backed, Some(true));
 

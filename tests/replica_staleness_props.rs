@@ -13,7 +13,7 @@ use prov_workgen::testbed;
 use taverna_prov::prelude::*;
 
 fn tmp(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("prov-repl-props");
+    let dir = std::env::temp_dir().join("replica-staleness-props");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("{tag}-{}.wal", std::process::id()));
     let _ = std::fs::remove_file(&path);

@@ -23,7 +23,7 @@ use prov_engine::{PortBinding, TraceEvent, XformEvent};
 use prov_obs::{Journal, Obs, Registry};
 use prov_serve::protocol as p;
 use prov_serve::{ProvServer, RemoteSink, ServeClient, ServeConfig, ServeError};
-use prov_store::{FaultPlan, FaultReader, SharedStore};
+use prov_store::{verify_store, FaultPlan, FaultReader, SharedStore};
 use prov_workgen::testbed;
 use taverna_prov::prelude::*;
 
@@ -246,7 +246,7 @@ fn check_reopened(
     df: &prov_dataflow::Dataflow,
     records_per_run: u64,
 ) -> (TraceStore, Vec<RunId>) {
-    let report = prov_repl::verify_store(path).unwrap();
+    let report = verify_store(path).unwrap();
     assert!(report.healthy(), "store did not reopen clean: {report:?}");
     let store = TraceStore::open(path).unwrap();
     let mut runs: Vec<RunId> = Vec::new();
