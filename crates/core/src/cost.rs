@@ -3,8 +3,8 @@
 //! Predicts, per plan step and in total, the two machine-independent
 //! counters the store actually maintains ([`prov_store::QueryStats`]):
 //!
-//! * **`index_lookups`** — exact: `get_overlapping` costs `|p| + 2` B-tree
-//!   descents per step (the ancestor prefix chain plus the descendant
+//! * **`index_lookups`** — exact: `get_overlapping` costs `|p| + 2` index
+//!   probes per step (the ancestor prefix chain plus the descendant
 //!   range), independent of trace contents;
 //! * **`rows_scanned`** — estimated from per-port slice statistics
 //!   ([`PortCardinality`]) under a uniform-branching assumption: a slice
@@ -34,7 +34,7 @@ use crate::LineagePlan;
 /// Predicted cost of one plan step.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StepCost {
-    /// B-tree descents the step will perform (exact).
+    /// Index probes the step will perform (exact).
     pub index_lookups: u64,
     /// Rows the step will examine (estimate; 0 when no statistics).
     pub rows_scanned: u64,
@@ -108,7 +108,7 @@ impl Default for CostModel {
 
 impl CostModel {
     /// Predicts the cost of one step given its verdict and (optionally)
-    /// the cardinality of the `(run, processor, port)` slice it probes.
+    /// the cardinality of the run's `(processor, port)` slice it probes.
     pub fn step_cost(
         &self,
         probe_len: usize,

@@ -14,11 +14,10 @@
 //! the forward direction is provided extensionally only.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use prov_model::{Binding, Index, PortRef, ProcessorName, RunId};
 use prov_obs::{Obs, QueryCtx};
-use prov_store::{ReadView, TraceStore};
+use prov_store::{IndexId, Node, PortDirection, ReadView, TraceStore};
 
 use crate::lifecycle::Lifecycle;
 use crate::{FocusSet, LineageAnswer, Result};
@@ -111,9 +110,13 @@ impl NaiveImpact {
         let run = view.run();
         let life = Lifecycle::start(obs, ctx);
         let mut probe = view.probe_guard();
-        let mut visited: HashSet<(ProcessorName, Arc<str>, Index)> = HashSet::new();
-        let mut stack =
-            vec![(query.source.processor.clone(), query.source.port.clone(), query.index.clone())];
+        let source = &query.source;
+        let focus = view.processor_set(query.focus.iter());
+        // Only the source can name a processor the store never saw, so only
+        // its focus is decided by name; it is the first node popped.
+        let mut source_focused = Some(query.focus.contains(&source.processor));
+        let mut visited: HashSet<Node> = HashSet::new();
+        let mut stack = vec![view.node(&source.processor, &source.port, &query.index)];
         let mut bindings: Vec<Binding> = Vec::new();
         let mut trace_queries = 0usize;
 
@@ -122,54 +125,36 @@ impl NaiveImpact {
                 continue;
             }
             life.check_deadline()?;
-            let (processor, port, index) = node;
-            let focused = query.focus.contains(&processor);
+            let focused = source_focused.take().unwrap_or_else(|| focus.contains(&node));
 
             // Forward xform case: invocations that consumed this binding;
             // their outputs are impacted.
             trace_queries += 1;
-            let consumers = view.xforms_consuming_stats(&processor, &port, &index, &mut probe);
-            for rec in &consumers {
-                // Only invocations whose THIS-port input actually overlaps.
-                for output in rec.outputs() {
-                    stack.push((processor.clone(), output.port.clone(), output.index.clone()));
+            let consumers = view.rows(IndexId::XformIn, &node, &mut probe);
+            for &pos in &consumers {
+                for (output, _) in view.xform_ports(pos, PortDirection::Out) {
+                    stack.push(output);
                 }
             }
 
             // Forward xfer case: transfers leaving this binding.
             trace_queries += 1;
-            let outgoing = view.xfers_from_stats(&processor, &port, &index, &mut probe);
-            for rec in &outgoing {
-                if query.focus.contains(&rec.dst_processor) {
+            for pos in view.rows(IndexId::XferSrc, &node, &mut probe) {
+                let (dst, value) = view.xfer_dst(pos);
+                if focus.contains(&dst) {
                     // Collect the impacted element at the destination when
                     // the destination is interesting and is a sink-style
                     // port (workflow outputs never feed an xform).
-                    bindings.push(view.resolve(&prov_store::StoredBinding {
-                        run,
-                        processor: rec.dst_processor.clone(),
-                        port: rec.dst_port.clone(),
-                        index: rec.dst_index.clone(),
-                        value: rec.value,
-                    })?);
+                    bindings.push(view.binding(&dst, value)?);
                 }
-                stack.push((
-                    rec.dst_processor.clone(),
-                    rec.dst_port.clone(),
-                    rec.dst_index.clone(),
-                ));
+                stack.push(dst);
             }
 
             // Focused intermediate outputs: collect the produced elements.
             if focused {
-                for rec in &consumers {
-                    for output in rec.outputs() {
-                        bindings.push(view.resolve(&prov_store::StoredBinding {
-                            run,
-                            processor: processor.clone(),
-                            port: output.port.clone(),
-                            index: output.index.clone(),
-                            value: output.value,
-                        })?);
+                for &pos in &consumers {
+                    for (output, value) in view.xform_ports(pos, PortDirection::Out) {
+                        bindings.push(view.binding(&output, value)?);
                     }
                 }
             }

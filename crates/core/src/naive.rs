@@ -15,11 +15,10 @@
 //! avoids.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
-use prov_model::{Binding, Index, ProcessorName, RunId};
+use prov_model::{Binding, RunId};
 use prov_obs::{Obs, QueryCtx};
-use prov_store::{ReadView, TraceStore};
+use prov_store::{IndexId, Node, PortDirection, ReadView, TraceStore};
 
 use crate::lifecycle::Lifecycle;
 use crate::{LineageAnswer, LineageQuery, Result};
@@ -87,19 +86,17 @@ impl NaiveLineage {
         let mut probe = view.probe_guard();
         let mut t2_ns = 0u64;
         let mut traverse = obs.span("ni.traverse", "query");
-        let mut visited: HashSet<(ProcessorName, Arc<str>, Index)> = HashSet::new();
-        let mut stack: Vec<(ProcessorName, Arc<str>, Index, u64)> = vec![(
-            query.target.processor.clone(),
-            query.target.port.clone(),
-            query.index.clone(),
-            0,
-        )];
+        let target = &query.target;
+        let focus = view.processor_set(query.focus.iter());
+        let mut visited: HashSet<Node> = HashSet::new();
+        let mut stack: Vec<(Node, u64)> =
+            vec![(view.node(&target.processor, &target.port, &query.index), 0)];
         let mut bindings: Vec<Binding> = Vec::new();
         let mut trace_queries = 0usize;
         let mut max_depth = 0u64;
 
-        while let Some((processor, port, index, depth)) = stack.pop() {
-            if !visited.insert((processor.clone(), port.clone(), index.clone())) {
+        while let Some((node, depth)) = stack.pop() {
+            if !visited.insert(node.clone()) {
                 continue;
             }
             life.check_deadline()?;
@@ -107,41 +104,31 @@ impl NaiveLineage {
             max_depth = max_depth.max(depth);
             let mut hop = obs.span("ni.hop", "t2");
             hop.arg("depth", depth);
+            // Only the target can name a processor the store never saw,
+            // so only its focus is decided by name.
+            let focused = if depth == 0 {
+                query.focus.contains(&target.processor)
+            } else {
+                focus.contains(&node)
+            };
 
             // xform case: the node as an invocation output.
             trace_queries += 1;
-            let producers = view.xforms_producing_stats(&processor, &port, &index, &mut probe);
-            let focused = query.focus.contains(&processor);
-            for rec in &producers {
-                for input in rec.inputs() {
+            let producers = view.rows(IndexId::XformOut, &node, &mut probe);
+            for &pos in &producers {
+                for (input, value) in view.xform_ports(pos, PortDirection::In) {
                     if focused {
-                        bindings.push(view.resolve(&prov_store::StoredBinding {
-                            run,
-                            processor: processor.clone(),
-                            port: input.port.clone(),
-                            index: input.index.clone(),
-                            value: input.value,
-                        })?);
+                        bindings.push(view.binding(&input, value)?);
                     }
-                    stack.push((
-                        processor.clone(),
-                        input.port.clone(),
-                        input.index.clone(),
-                        depth + 1,
-                    ));
+                    stack.push((input, depth + 1));
                 }
             }
 
             // xfer case: the node as an arc destination.
             trace_queries += 1;
-            let incoming = view.xfers_into_stats(&processor, &port, &index, &mut probe);
-            for rec in &incoming {
-                stack.push((
-                    rec.src_processor.clone(),
-                    rec.src_port.clone(),
-                    rec.src_index.clone(),
-                    depth + 1,
-                ));
+            let incoming = view.rows(IndexId::XferDst, &node, &mut probe);
+            for &pos in &incoming {
+                stack.push((view.xfer_src(pos).0, depth + 1));
             }
 
             // Workflow-scope input ports exist in the trace only as xfer
@@ -155,16 +142,17 @@ impl NaiveLineage {
                     false // already conclusive
                 } else {
                     trace_queries += 1;
+                    let processor = view.processor_name(&node);
                     let scope_prefix = format!("{processor}/");
-                    view.xfers_from_stats(&processor, &port, &index, &mut probe).iter().any(|r| {
-                        r.dst_processor.as_str().starts_with(&scope_prefix)
-                            || r.dst_processor == processor
+                    view.rows(IndexId::XferSrc, &node, &mut probe).into_iter().any(|pos| {
+                        let dst = view.processor_name(&view.xfer_dst(pos).0);
+                        dst.as_str().starts_with(&scope_prefix) || dst == processor
                     })
                 };
                 if is_source || is_scope_input {
                     trace_queries += 1;
-                    for b in view.xfer_src_bindings_stats(&processor, &port, &index, &mut probe) {
-                        bindings.push(view.resolve(&b)?);
+                    for (source, value) in view.xfer_sources(&node, &mut probe) {
+                        bindings.push(view.binding(&source, value)?);
                     }
                 }
             }
@@ -203,7 +191,7 @@ mod tests {
     use super::*;
     use prov_dataflow::{BaseType, DataflowBuilder, PortType};
     use prov_engine::{BehaviorRegistry, Engine, TraceSink};
-    use prov_model::{PortRef, Value};
+    use prov_model::{Index, PortRef, ProcessorName, Value};
 
     /// in:list → A → B → out, identity stages.
     fn chain_setup() -> (TraceStore, RunId) {

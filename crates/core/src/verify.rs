@@ -58,7 +58,7 @@ pub enum StepClass {
     },
     /// The lookup cannot use any index component (empty probe over deep
     /// rows, an unserved index, or an unresolvable step): every row of the
-    /// `(run, processor, port)` slice — or the whole table — is read.
+    /// run's `(processor, port)` slice — or the whole table — is read.
     FullScan,
 }
 

@@ -16,17 +16,17 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-/// The four composite `(run, processor, port, index)` indexes of the
-/// store, named after the binding side they cover.
+/// The four `(processor, port, index)` indexes each run shard keeps,
+/// named after the binding side they cover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IndexId {
-    /// `(run, processor, output port, q)` → xform rows.
+    /// `(processor, output port, q)` → xform rows.
     XformOut,
-    /// `(run, processor, input port, p_i)` → xform rows.
+    /// `(processor, input port, p_i)` → xform rows.
     XformIn,
-    /// `(run, dst processor, dst port, p')` → xfer rows.
+    /// `(dst processor, dst port, p')` → xfer rows.
     XferDst,
-    /// `(run, src processor, src port, p)` → xfer rows.
+    /// `(src processor, src port, p)` → xfer rows.
     XferSrc,
 }
 
@@ -50,7 +50,7 @@ impl IndexId {
         IndexId::ALL.into_iter().find(|id| id.name() == name)
     }
 
-    fn pos(self) -> usize {
+    pub(crate) fn pos(self) -> usize {
         match self {
             IndexId::XformOut => 0,
             IndexId::XformIn => 1,
@@ -84,7 +84,7 @@ impl Deserialize for IndexId {
     }
 }
 
-/// Cardinality of one `(run, processor, port)` slice of a composite
+/// Cardinality of one run's `(processor, port)` slice of a composite
 /// index — the statistics the static cost model feeds on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PortCardinality {

@@ -1,358 +1,321 @@
-//! Composite ordered secondary indexes over the trace tables.
+//! Per-port sorted secondary indexes over one run's trace tables.
 //!
-//! Keys are `(run, processor, port, index)` — all interned: processor and
-//! port are [`Sym`]s, the element index a packed [`IndexKey`] — so a key is
-//! a small value type and a B-tree comparison costs a handful of integer
-//! compares with no pointer chasing and no allocation. A `BTreeMap` gives
-//! the two access paths lineage queries need:
+//! A shard holds one run, so a key is `(processor, port, element index)`,
+//! all interned: processor and port are [`Sym`]s, the element index a
+//! packed [`IndexKey`]. The index keeps one slice per `(processor, port)`:
+//! its distinct element indexes, sorted, each with the row positions filed
+//! under it in insertion order. Filing a row under a key the slice already
+//! holds is a binary search and a push, wherever the key sorts.
 //!
-//! * **point lookup** — the exact key (used by INDEXPROJ's `Q(P, Xi, pi)`
-//!   when the projected fragment has the stored length);
-//! * **prefix scan** — all rows whose element index *extends* a given
-//!   index (used when a query addresses a sub-collection: its elements'
-//!   rows are exactly the keys with that prefix, which are contiguous in
-//!   lexicographic order — the packed encoding preserves that order).
+//! Every probe finds its port slice once and then binary-searches it.
+//! Element indexes are ordered lexicographically (the packed encoding
+//! preserves that order), which gives the two access paths lineage
+//! queries need:
 //!
-//! Ancestor lookups ("rows whose index is a prefix of the query index", for
-//! coarse rows such as whole-value transfers) are answered by at most
-//! `|p|+1` point lookups, one per prefix of `p` — each a bit-mask on the
-//! packed key.
-
-use std::collections::BTreeMap;
-use std::ops::Bound;
-
-use prov_model::RunId;
+//! * **ancestors** — rows whose index is a (non-strict) prefix of the query
+//!   index, for coarse rows such as whole-value transfers: one exact probe
+//!   per prefix, `|p| + 1` in all;
+//! * **descendants** — rows whose index *extends* the query index, for a
+//!   query that addresses a sub-collection: they are contiguous from the
+//!   query index onwards, so one scan from there bounds them.
 
 use crate::catalog::PortCardinality;
 use crate::stats::ProbeStats;
 use crate::symbols::{IndexKey, Sym};
 
-/// Composite key: `(run, processor, port, element index)`, fully interned.
-/// The derived order is lexicographic over the fields, so one run's keys —
-/// and within them one port's — are contiguous.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SymKey {
-    /// Owning run.
-    pub run: RunId,
-    /// Interned processor name.
-    pub processor: Sym,
-    /// Interned port name.
-    pub port: Sym,
-    /// Packed element index.
-    pub index: IndexKey,
+/// The entries of one `(processor, port)`: distinct keys in sorted order,
+/// each with its row positions.
+#[derive(Debug, Clone)]
+struct PortSlice {
+    processor: Sym,
+    port: Sym,
+    entries: Vec<(IndexKey, Vec<u64>)>,
 }
 
-/// A secondary index mapping composite keys to row ids. Multiple rows may
-/// share one key (e.g. several invocations consuming the same whole-value
-/// input), hence the `Vec<u64>` payload.
+/// A secondary index mapping `(processor, port, element index)` keys to row
+/// positions. Several rows may share one key (e.g. several invocations
+/// consuming the same whole-value input).
 #[derive(Debug, Default, Clone)]
 pub struct CompositeIndex {
-    map: BTreeMap<SymKey, Vec<u64>>,
+    /// Port slices, sorted by `(processor, port)`.
+    slices: Vec<PortSlice>,
+    /// Distinct keys over all slices.
+    key_count: usize,
 }
 
 impl CompositeIndex {
-    /// Inserts a row id under the key.
-    pub fn insert(&mut self, key: SymKey, row: u64) {
-        self.map.entry(key).or_default().push(row);
+    fn slice(&self, processor: Sym, port: Sym) -> Option<&PortSlice> {
+        let at = self.slices.binary_search_by_key(&(processor, port), |s| (s.processor, s.port));
+        at.ok().map(|i| &self.slices[i])
     }
 
-    /// Exact-match lookup. Counts one index lookup plus one record read per
-    /// returned row in `stats`. (The store's query paths all go through
-    /// [`CompositeIndex::get_overlapping`]; the narrower access paths stay
-    /// as the index's unit-tested building blocks.)
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn get_exact(
-        &self,
-        run: RunId,
-        processor: Sym,
-        port: Sym,
-        index: &IndexKey,
-        stats: &mut ProbeStats,
-    ) -> Vec<u64> {
-        stats.count_index_lookup();
-        let key = SymKey { run, processor, port, index: index.clone() };
-        let rows = self.map.get(&key).cloned().unwrap_or_default();
-        stats.count_records(rows.len());
-        rows
-    }
-
-    /// Prefix scan: all rows whose index has `prefix` as a (non-strict)
-    /// prefix. The matching keys are contiguous, so this is one B-tree
-    /// descent plus a bounded walk.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn scan_prefix(
-        &self,
-        run: RunId,
-        processor: Sym,
-        port: Sym,
-        prefix: &IndexKey,
-        stats: &mut ProbeStats,
-    ) -> Vec<u64> {
-        stats.count_index_lookup();
-        let start = SymKey { run, processor, port, index: prefix.clone() };
-        let mut out = Vec::new();
-        for (k, rows) in self.map.range((Bound::Included(start), Bound::Unbounded)) {
-            if k.run != run
-                || k.processor != processor
-                || k.port != port
-                || !prefix.is_prefix_of(&k.index)
-            {
-                break;
-            }
-            out.extend_from_slice(rows);
-        }
-        stats.count_records(out.len());
-        out
-    }
-
-    /// Ancestor lookup: all rows whose index is a (non-strict) prefix of
-    /// `index` — at most `|index| + 1` point lookups, accumulated straight
-    /// into one output vector (no per-hit payload clone).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn get_ancestors(
-        &self,
-        run: RunId,
-        processor: Sym,
-        port: Sym,
-        index: &IndexKey,
-        stats: &mut ProbeStats,
-    ) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.ancestors_into(run, processor, port, index, stats, &mut out);
-        out
-    }
-
-    /// Walks the prefix chain into `out`; returns how many of the trailing
-    /// entries came from the exact key (callers that also scan descendants
-    /// reuse them instead of probing the exact key again).
-    fn ancestors_into(
-        &self,
-        run: RunId,
-        processor: Sym,
-        port: Sym,
-        index: &IndexKey,
-        stats: &mut ProbeStats,
-        out: &mut Vec<u64>,
-    ) -> usize {
-        let mut exact_len = 0;
-        for k in 0..=index.len() {
-            stats.count_index_lookup();
-            let key = SymKey { run, processor, port, index: index.prefix(k) };
-            let rows = self.map.get(&key).map(Vec::as_slice).unwrap_or_default();
-            stats.count_records(rows.len());
-            out.extend_from_slice(rows);
-            if k == index.len() {
-                exact_len = rows.len();
+    /// Files `row` under `(processor, port, index)`, after any rows already
+    /// filed under the same key.
+    pub fn insert(&mut self, processor: Sym, port: Sym, index: IndexKey, row: u64) {
+        let at =
+            match self.slices.binary_search_by_key(&(processor, port), |s| (s.processor, s.port)) {
+                Ok(i) => i,
+                Err(i) => {
+                    self.slices.insert(i, PortSlice { processor, port, entries: Vec::new() });
+                    i
+                }
+            };
+        let entries = &mut self.slices[at].entries;
+        match entries.binary_search_by(|(k, _)| k.cmp(&index)) {
+            Ok(i) => entries[i].1.push(row),
+            Err(i) => {
+                entries.insert(i, (index, vec![row]));
+                self.key_count += 1;
             }
         }
-        exact_len
     }
 
-    /// Rows related to `index` in either direction: ancestors (coarser
+    /// The rows related to `index` in either direction: ancestors (coarser
     /// rows covering it) plus strict descendants (finer rows inside it).
     /// This is the general element-addressing lookup of the provenance
     /// graph: a binding `P:X[p]` is connected to stored rows at any
     /// granularity that overlaps `p`.
     ///
-    /// Costs `|index| + 2` index lookups: the prefix chain (whose last
-    /// probe is the exact key — its rows are remembered rather than
-    /// re-fetched) plus one descendant scan.
+    /// Ancestors come first, coarsest first; then descendants in key
+    /// order, leaving out rows already found under the exact key. Costs
+    /// `|index| + 2` index lookups — the prefix chain (whose last probe is
+    /// the exact key) plus one descendant scan — and counts every row the
+    /// probes touch as read, the exact key's rows on both paths.
     pub fn get_overlapping(
         &self,
-        run: RunId,
         processor: Sym,
         port: Sym,
         index: &IndexKey,
         stats: &mut ProbeStats,
     ) -> Vec<u64> {
+        let entries = self.slice(processor, port).map_or(&[][..], |s| &s.entries[..]);
         let mut out = Vec::new();
-        let exact_len = self.ancestors_into(run, processor, port, index, stats, &mut out);
-        let exact: Vec<u64> = out[out.len() - exact_len..].to_vec();
-        // Descendants, excluding the exact matches already collected.
+        // Each prefix sorts after the shorter ones, so every search resumes
+        // where the previous one stopped; the descendants start where the
+        // exact key's search lands.
+        let (mut from, mut exact): (usize, &[u64]) = (0, &[]);
+        for k in 0..=index.len() {
+            stats.count_index_lookup();
+            let prefix = index.prefix(k);
+            from += entries[from..].partition_point(|(key, _)| *key < prefix);
+            exact = match entries.get(from) {
+                Some((key, rows)) if *key == prefix => rows,
+                _ => &[],
+            };
+            stats.count_records(exact.len());
+            out.extend_from_slice(exact);
+        }
         stats.count_index_lookup();
-        let start = SymKey { run, processor, port, index: index.clone() };
-        let mut scanned = 0;
-        for (k, rows) in self.map.range((Bound::Included(start), Bound::Unbounded)) {
-            if k.run != run
-                || k.processor != processor
-                || k.port != port
-                || !index.is_prefix_of(&k.index)
-            {
-                break;
+        for (key, rows) in entries[from..].iter().take_while(|(key, _)| index.is_prefix_of(key)) {
+            stats.count_records(rows.len());
+            if key != index {
+                out.extend(rows.iter().filter(|r| !exact.contains(r)));
             }
-            scanned += rows.len();
-            out.extend(rows.iter().filter(|r| !exact.contains(r)));
         }
-        stats.count_records(scanned);
         out
     }
 
-    /// Total number of keys (distinct composite keys) in the index.
+    /// Total number of distinct keys in the index.
     pub fn key_count(&self) -> usize {
-        self.map.len()
+        self.key_count
     }
 
-    /// Cardinality of one `(run, processor, port)` slice: distinct keys,
-    /// total rows, and the longest stored element index. The slice is
-    /// contiguous in key order, so this is one descent plus a bounded walk
-    /// — cheap enough for `explain`, and never on a query hot path.
-    pub fn port_stats(&self, run: RunId, processor: Sym, port: Sym) -> PortCardinality {
-        let start = SymKey { run, processor, port, index: IndexKey::empty() };
-        let mut out = PortCardinality::default();
-        for (k, rows) in self.map.range((Bound::Included(start), Bound::Unbounded)) {
-            if k.run != run || k.processor != processor || k.port != port {
-                break;
-            }
-            out.keys += 1;
-            out.rows += rows.len() as u64;
-            out.max_depth = out.max_depth.max(k.index.len());
-        }
-        out
-    }
-
-    /// Removes every key belonging to `run` (they are contiguous: the run
-    /// id is the leading key component). With shard-per-run storage a
-    /// dropped run's indexes vanish with its shard; this stays as the
-    /// index's unit-tested removal primitive.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn remove_run(&mut self, run: RunId) {
-        let keys: Vec<SymKey> = self
-            .map
-            .range((
-                Bound::Included(SymKey {
-                    run,
-                    processor: Sym(0),
-                    port: Sym(0),
-                    index: IndexKey::empty(),
-                }),
-                Bound::Unbounded,
-            ))
-            .take_while(|(k, _)| k.run == run)
-            .map(|(k, _)| k.clone())
-            .collect();
-        for k in keys {
-            self.map.remove(&k);
+    /// Cardinality of one `(processor, port)` slice: distinct keys, total
+    /// rows, and the longest stored element index. A walk over the slice —
+    /// cheap enough for `explain`, and never on a query hot path.
+    pub fn port_stats(&self, processor: Sym, port: Sym) -> PortCardinality {
+        let Some(s) = self.slice(processor, port) else { return PortCardinality::default() };
+        PortCardinality {
+            keys: s.entries.len() as u64,
+            rows: s.entries.iter().map(|(_, rows)| rows.len() as u64).sum(),
+            max_depth: s.entries.iter().map(|(key, _)| key.len()).max().unwrap_or(0),
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use prov_model::Index;
+    use std::collections::BTreeMap;
+    use std::ops::Bound;
 
-    fn key(run: u64, proc: u32, port: u32, idx: &[u32]) -> SymKey {
-        SymKey {
-            run: RunId(run),
-            processor: Sym(proc),
-            port: Sym(port),
-            index: IndexKey::from_index(&Index::from_slice(idx)),
-        }
-    }
+    use proptest::prelude::*;
+
+    use super::*;
 
     fn ik(idx: &[u32]) -> IndexKey {
         IndexKey::from_components(idx)
     }
 
-    // Symbol layout used by the samples: P=0, Q=1; ports y=0, z=1.
+    fn overlapping(ix: &CompositeIndex, proc: u32, port: u32, idx: &[u32]) -> Vec<u64> {
+        ix.get_overlapping(Sym(proc), Sym(port), &ik(idx), &mut ProbeStats::new())
+    }
+
+    // Symbol layout used by the sample: P=0, Q=1; ports y=0, z=1.
     fn sample() -> CompositeIndex {
         let mut ix = CompositeIndex::default();
-        ix.insert(key(0, 0, 0, &[]), 1);
-        ix.insert(key(0, 0, 0, &[0]), 2);
-        ix.insert(key(0, 0, 0, &[0, 0]), 3);
-        ix.insert(key(0, 0, 0, &[0, 1]), 4);
-        ix.insert(key(0, 0, 0, &[1]), 5);
-        ix.insert(key(0, 0, 1, &[0]), 6); // other port
-        ix.insert(key(0, 1, 0, &[0]), 7); // other processor
-        ix.insert(key(1, 0, 0, &[0]), 8); // other run
+        for (proc, port, idx, row) in [
+            (0, 0, &[1][..], 5), // out of order
+            (0, 0, &[], 1),
+            (0, 0, &[0, 1], 4),
+            (0, 0, &[0], 2),
+            (0, 0, &[0, 0], 3),
+            (0, 1, &[0], 6), // other port
+            (1, 0, &[0], 7), // other processor
+        ] {
+            ix.insert(Sym(proc), Sym(port), ik(idx), row);
+        }
         ix
     }
 
     #[test]
     fn exact_lookup_hits_only_its_key() {
         let ix = sample();
-        let mut stats = ProbeStats::new();
-        assert_eq!(ix.get_exact(RunId(0), Sym(0), Sym(0), &ik(&[0]), &mut stats), vec![2]);
-        assert_eq!(
-            ix.get_exact(RunId(0), Sym(0), Sym(0), &ik(&[9]), &mut stats),
-            Vec::<u64>::new()
-        );
-        // A MISSING symbol probes and finds nothing.
-        assert!(ix.get_exact(RunId(0), Sym::MISSING, Sym(0), &ik(&[0]), &mut stats).is_empty());
+        // Its own rows and the whole-value row above it; no siblings.
+        assert_eq!(overlapping(&ix, 0, 0, &[1]), vec![1, 5]);
+        assert_eq!(overlapping(&ix, 0, 0, &[9]), vec![1]);
     }
 
     #[test]
     fn prefix_scan_returns_contiguous_extensions() {
         let ix = sample();
-        let mut stats = ProbeStats::new();
-        let mut rows = ix.scan_prefix(RunId(0), Sym(0), Sym(0), &ik(&[0]), &mut stats);
-        rows.sort_unstable();
-        assert_eq!(rows, vec![2, 3, 4]);
-        // Empty prefix matches everything on that (run, proc, port).
-        let mut all = ix.scan_prefix(RunId(0), Sym(0), Sym(0), &ik(&[]), &mut stats);
-        all.sort_unstable();
-        assert_eq!(all, vec![1, 2, 3, 4, 5]);
+        assert_eq!(overlapping(&ix, 0, 0, &[0]), vec![1, 2, 3, 4]);
+        // The empty index covers the whole (processor, port) slice.
+        assert_eq!(overlapping(&ix, 0, 0, &[]), vec![1, 2, 3, 4, 5]);
     }
 
     #[test]
-    fn prefix_scan_respects_run_processor_port_boundaries() {
+    fn overlapping_respects_processor_and_port_boundaries() {
         let ix = sample();
-        let mut stats = ProbeStats::new();
-        let rows = ix.scan_prefix(RunId(0), Sym(1), Sym(0), &ik(&[]), &mut stats);
-        assert_eq!(rows, vec![7]);
-        let rows = ix.scan_prefix(RunId(1), Sym(0), Sym(0), &ik(&[]), &mut stats);
-        assert_eq!(rows, vec![8]);
+        assert_eq!(overlapping(&ix, 1, 0, &[]), vec![7]);
+        assert_eq!(overlapping(&ix, 0, 1, &[]), vec![6]);
+        // A MISSING symbol probes and finds nothing.
+        assert!(overlapping(&ix, Sym::MISSING.0, 0, &[0]).is_empty());
+        assert!(overlapping(&ix, 0, Sym::MISSING.0, &[0]).is_empty());
     }
 
     #[test]
     fn ancestors_walk_the_prefix_chain() {
         let ix = sample();
-        let mut stats = ProbeStats::new();
-        let mut rows = ix.get_ancestors(RunId(0), Sym(0), Sym(0), &ik(&[0, 1]), &mut stats);
-        rows.sort_unstable();
-        assert_eq!(rows, vec![1, 2, 4]); // [], [0], [0,1]
+        assert_eq!(overlapping(&ix, 0, 0, &[0, 1]), vec![1, 2, 4]); // [], [0], [0,1]
     }
 
     #[test]
     fn overlapping_combines_both_directions_without_duplicates() {
-        let ix = sample();
-        let mut stats = ProbeStats::new();
-        let mut rows = ix.get_overlapping(RunId(0), Sym(0), Sym(0), &ik(&[0]), &mut stats);
-        rows.sort_unstable();
-        assert_eq!(rows, vec![1, 2, 3, 4]); // [], [0] (ancestors+exact), [0,0], [0,1]
+        let mut ix = sample();
+        // Row 2 also sits under a descendant of [0]: it is reported once,
+        // from the exact key.
+        ix.insert(Sym(0), Sym(0), ik(&[0, 2]), 2);
+        assert_eq!(overlapping(&ix, 0, 0, &[0]), vec![1, 2, 3, 4]);
     }
 
     #[test]
     fn stats_count_lookups_and_records() {
         let ix = sample();
         let mut stats = ProbeStats::new();
-        ix.get_exact(RunId(0), Sym(0), Sym(0), &ik(&[0]), &mut stats);
-        ix.scan_prefix(RunId(0), Sym(0), Sym(0), &ik(&[]), &mut stats);
-        assert_eq!(stats.index_lookups, 2);
-        assert_eq!(stats.records_read, 1 + 5);
+        ix.get_overlapping(Sym(0), Sym(0), &ik(&[0]), &mut stats);
+        // Prefixes [] and [0], then the scan under [0].
+        assert_eq!(stats.index_lookups, 3);
+        // [] and [0] on the chain; [0], [0,0] and [0,1] on the scan.
+        assert_eq!(stats.records_read, 2 + 3);
+        let mut stats = ProbeStats::new();
+        ix.get_overlapping(Sym::MISSING, Sym(0), &ik(&[0, 1]), &mut stats);
+        assert_eq!((stats.index_lookups, stats.records_read), (4, 0));
     }
 
     #[test]
-    fn remove_run_purges_only_that_run() {
+    fn repeated_keys_keep_insertion_order_and_count_once() {
         let mut ix = sample();
-        ix.remove_run(RunId(0));
-        let mut stats = ProbeStats::new();
-        assert!(ix.get_exact(RunId(0), Sym(0), Sym(0), &ik(&[0]), &mut stats).is_empty());
-        assert_eq!(ix.get_exact(RunId(1), Sym(0), Sym(0), &ik(&[0]), &mut stats), vec![8]);
-        assert_eq!(ix.key_count(), 1);
+        ix.insert(Sym(0), Sym(0), ik(&[0]), 9);
+        ix.insert(Sym(0), Sym(0), ik(&[0]), 8);
+        assert_eq!(overlapping(&ix, 0, 0, &[0]), vec![1, 2, 9, 8, 3, 4]);
+        assert_eq!(ix.key_count(), 7);
+        let card = ix.port_stats(Sym(0), Sym(0));
+        assert_eq!((card.keys, card.rows, card.max_depth), (5, 7, 2));
     }
 
     #[test]
     fn spilled_indices_keep_prefix_contiguity() {
         // Deep (spilled) element indices must interleave correctly with
-        // packed ones under one (run, proc, port).
+        // packed ones under one (processor, port).
         let mut ix = CompositeIndex::default();
-        ix.insert(key(0, 0, 0, &[1]), 1);
-        ix.insert(key(0, 0, 0, &[1, 0, 0, 0, 0, 0, 0, 0, 0]), 2); // spilled
-        ix.insert(key(0, 0, 0, &[2]), 3);
-        let mut stats = ProbeStats::new();
-        let mut rows = ix.scan_prefix(RunId(0), Sym(0), Sym(0), &ik(&[1]), &mut stats);
-        rows.sort_unstable();
-        assert_eq!(rows, vec![1, 2]);
+        ix.insert(Sym(0), Sym(0), ik(&[1]), 1);
+        ix.insert(Sym(0), Sym(0), ik(&[1, 0, 0, 0, 0, 0, 0, 0, 0]), 2); // spilled
+        ix.insert(Sym(0), Sym(0), ik(&[2]), 3);
+        assert_eq!(overlapping(&ix, 0, 0, &[1]), vec![1, 2]);
+    }
+
+    /// The model the sorted slices are checked against: one ordered map
+    /// over whole `(processor, port, index)` keys, probed by `|p| + 1`
+    /// point lookups and one range scan.
+    #[derive(Default)]
+    struct Reference(BTreeMap<(Sym, Sym, IndexKey), Vec<u64>>);
+
+    impl Reference {
+        fn get_overlapping(
+            &self,
+            p: Sym,
+            x: Sym,
+            index: &IndexKey,
+            stats: &mut ProbeStats,
+        ) -> Vec<u64> {
+            let mut out = Vec::new();
+            let mut exact = Vec::new();
+            for k in 0..=index.len() {
+                stats.count_index_lookup();
+                let rows = self.0.get(&(p, x, index.prefix(k))).cloned().unwrap_or_default();
+                stats.count_records(rows.len());
+                out.extend_from_slice(&rows);
+                exact = rows;
+            }
+            stats.count_index_lookup();
+            let start = Bound::Included((p, x, index.clone()));
+            for ((kp, kx, key), rows) in self.0.range((start, Bound::Unbounded)) {
+                if (*kp, *kx) != (p, x) || !index.is_prefix_of(key) {
+                    break;
+                }
+                stats.count_records(rows.len());
+                out.extend(rows.iter().filter(|r| !exact.contains(r)));
+            }
+            out
+        }
+    }
+
+    /// Short indexes over a small alphabet collide, nest and repeat; the
+    /// other two shapes spill (too deep, or a component too large to pack).
+    fn components() -> impl Strategy<Value = Vec<u32>> {
+        prop_oneof![
+            proptest::collection::vec(0u32..3, 0..4),
+            proptest::collection::vec(0u32..2, 9..11),
+            proptest::collection::vec(0xFFFEu32..0x1_0001, 1..3),
+        ]
+    }
+
+    const CASES: u32 = if cfg!(miri) { 4 } else { 256 };
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+        #[test]
+        fn sorted_slices_match_the_ordered_map_reference(
+            inserts in proptest::collection::vec((0u32..3, 0u32..2, components(), 0u64..24), 0..40),
+            probes in proptest::collection::vec((0u32..5, 0u32..3, components()), 1..12),
+        ) {
+            let mut ix = CompositeIndex::default();
+            let mut reference = Reference::default();
+            for (p, x, idx, row) in inserts {
+                ix.insert(Sym(p), Sym(x), ik(&idx), row);
+                reference.0.entry((Sym(p), Sym(x), ik(&idx))).or_default().push(row);
+            }
+            prop_assert_eq!(ix.key_count(), reference.0.len());
+            for (p, x, idx) in probes {
+                // Processor 3 is never inserted; 4 stands in for MISSING.
+                let p = if p == 4 { Sym::MISSING } else { Sym(p) };
+                let key = ik(&idx);
+                let (mut got, mut want) = (ProbeStats::new(), ProbeStats::new());
+                let rows = ix.get_overlapping(p, Sym(x), &key, &mut got);
+                prop_assert_eq!(rows, reference.get_overlapping(p, Sym(x), &key, &mut want));
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 }

@@ -10,10 +10,11 @@
 //!   invocation, with per-port input/output rows) and *xfer* events (one
 //!   row per transferred element), keyed by **trace (run) id** — the
 //!   attribute that makes multi-run queries cheap (§3.4);
-//! * composite ordered (B-tree) secondary indexes on
-//!   `(run, processor, port, index)` giving the point lookups and prefix
-//!   scans both query algorithms issue ("all of the queries on the traces
-//!   involve the use of indexes, with none requiring full table scans");
+//! * per-run secondary indexes on `(processor, port, index)` — one sorted
+//!   key array per port, binary-searched — giving the point lookups and
+//!   prefix scans both query algorithms issue ("all of the queries on the
+//!   traces involve the use of indexes, with none requiring full table
+//!   scans");
 //! * a content-addressed value table (identical collections recur along
 //!   every arc of a trace);
 //! * per-query access statistics ([`QueryStats`]) so benchmarks can report
@@ -52,7 +53,7 @@ pub use crc::{crc32, Crc32};
 pub use export::{GraphEdge, GraphNode, ProvenanceGraph};
 pub use fault::{FaultFile, FaultPlan, FaultReader};
 pub use rows::{PortDirection, StoredBinding, XferRecord, XformPortRecord, XformRecord};
-pub use shard::ReadView;
+pub use shard::{Node, ProcessorSet, ReadView};
 pub use shared::SharedStore;
 pub use snapshot::{valid_snapshot, CompactionPolicy, SnapshotMetrics};
 pub use stats::{ProbeGuard, ProbeStats, QueryStats, StatsSnapshot};

@@ -30,8 +30,8 @@ use std::sync::{Arc, OnceLock};
 
 use prov_model::{Binding, Index, PortRef, ProcessorName, RunId, Value, ValueId};
 
-use crate::catalog::PortCardinality;
-use crate::indexes::{CompositeIndex, SymKey};
+use crate::catalog::IndexId;
+use crate::indexes::CompositeIndex;
 use crate::rows::{
     PortDirection, StoredBinding, XferRecord, XferRow, XformPortRecord, XformPortRow, XformRecord,
     XformRow,
@@ -50,21 +50,16 @@ pub(crate) enum RowRef {
     Xfer(u64),
 }
 
-/// All trace state of one run: row heaps plus the four composite indexes
+/// All trace state of one run: row heaps plus the four secondary indexes
 /// and the reverse value index, all keyed by shard-local row *positions*
 /// (rows additionally carry their global ids for the public records).
 #[derive(Debug, Default, Clone)]
 pub(crate) struct RunShard {
     pub(crate) xforms: Vec<XformRow>,
     pub(crate) xfers: Vec<XferRow>,
-    /// (run, processor, output port, q) → xform positions.
-    pub(crate) idx_xform_out: CompositeIndex,
-    /// (run, processor, input port, p_i) → xform positions.
-    pub(crate) idx_xform_in: CompositeIndex,
-    /// (run, dst processor, dst port, p') → xfer positions.
-    pub(crate) idx_xfer_dst: CompositeIndex,
-    /// (run, src processor, src port, p) → xfer positions.
-    pub(crate) idx_xfer_src: CompositeIndex,
+    /// The secondary indexes, in [`IndexId::ALL`] order: xform rows by
+    /// output and by input binding, xfer rows by destination and by source.
+    indexes: [CompositeIndex; 4],
     /// Reverse value index: every row position whose binding carries the
     /// value — the access path for *value-predicated* queries (§1.1).
     pub(crate) idx_by_value: HashMap<ValueId, Vec<RowRef>>,
@@ -76,6 +71,11 @@ impl RunShard {
         if rows.last() != Some(&row) {
             rows.push(row);
         }
+    }
+
+    /// The secondary index `id`.
+    pub(crate) fn index(&self, id: IndexId) -> &CompositeIndex {
+        &self.indexes[id.pos()]
     }
 
     /// Appends an xform row (global id `id`), interning names and values
@@ -91,31 +91,18 @@ impl RunShard {
         let pos = self.xforms.len() as u64;
         let processor = symbols.intern(&event.processor.0);
         let mut ports = Vec::with_capacity(event.inputs.len() + event.outputs.len());
-        for b in &event.inputs {
-            let value = values.intern(&b.value);
-            self.index_value(value, RowRef::Xform(pos));
-            let port = symbols.intern(&b.port);
-            let index = IndexKey::from(&b.index);
-            ports.push(XformPortRow {
-                direction: PortDirection::In,
-                port,
-                index: b.index.clone(),
-                value,
-            });
-            self.idx_xform_in.insert(SymKey { run, processor, port, index }, pos);
-        }
-        for b in &event.outputs {
-            let value = values.intern(&b.value);
-            self.index_value(value, RowRef::Xform(pos));
-            let port = symbols.intern(&b.port);
-            let index = IndexKey::from(&b.index);
-            ports.push(XformPortRow {
-                direction: PortDirection::Out,
-                port,
-                index: b.index.clone(),
-                value,
-            });
-            self.idx_xform_out.insert(SymKey { run, processor, port, index }, pos);
+        for (direction, index_id, bindings) in [
+            (PortDirection::In, IndexId::XformIn, &event.inputs),
+            (PortDirection::Out, IndexId::XformOut, &event.outputs),
+        ] {
+            for b in bindings {
+                let value = values.intern(&b.value);
+                self.index_value(value, RowRef::Xform(pos));
+                let port = symbols.intern(&b.port);
+                ports.push(XformPortRow { direction, port, index: b.index.clone(), value });
+                let key = IndexKey::from(&b.index);
+                self.indexes[index_id.pos()].insert(processor, port, key, pos);
+            }
         }
         self.xforms.push(XformRow { id, run, processor, invocation: event.invocation, ports });
     }
@@ -136,24 +123,10 @@ impl RunShard {
         let src_port = symbols.intern(&event.src.port);
         let dst_processor = symbols.intern(&event.dst.processor.0);
         let dst_port = symbols.intern(&event.dst.port);
-        self.idx_xfer_dst.insert(
-            SymKey {
-                run,
-                processor: dst_processor,
-                port: dst_port,
-                index: IndexKey::from(&event.dst_index),
-            },
-            pos,
-        );
-        self.idx_xfer_src.insert(
-            SymKey {
-                run,
-                processor: src_processor,
-                port: src_port,
-                index: IndexKey::from(&event.src_index),
-            },
-            pos,
-        );
+        let dst_key = IndexKey::from(&event.dst_index);
+        self.indexes[IndexId::XferDst.pos()].insert(dst_processor, dst_port, dst_key, pos);
+        let src_key = IndexKey::from(&event.src_index);
+        self.indexes[IndexId::XferSrc.pos()].insert(src_processor, src_port, src_key, pos);
         self.xfers.push(XferRow {
             id,
             run,
@@ -166,23 +139,34 @@ impl RunShard {
             value,
         });
     }
+}
 
-    /// Cardinality statistics of one `(processor, port)` slice of the
-    /// chosen index (see `TraceStore::port_cardinality`).
-    pub(crate) fn port_stats(
-        &self,
-        id: crate::catalog::IndexId,
-        run: RunId,
-        p: Sym,
-        x: Sym,
-    ) -> PortCardinality {
-        let index = match id {
-            crate::catalog::IndexId::XformOut => &self.idx_xform_out,
-            crate::catalog::IndexId::XformIn => &self.idx_xform_in,
-            crate::catalog::IndexId::XferDst => &self.idx_xfer_dst,
-            crate::catalog::IndexId::XferSrc => &self.idx_xfer_src,
-        };
-        index.port_stats(run, p, x)
+/// An interned provenance-graph node `P:X[p]` of one pinned view: what a
+/// walk over the trace keeps on its stack and in its visited set. Names
+/// stay symbols until a walk asks for them ([`ReadView::binding`],
+/// [`ReadView::processor_name`]).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Node {
+    processor: Sym,
+    port: Sym,
+    index: IndexKey,
+}
+
+/// A stored binding one walk step reached: its node and its element.
+fn hop(processor: Sym, port: Sym, index: &Index, value: ValueId) -> (Node, ValueId) {
+    (Node { processor, port, index: IndexKey::from(index) }, value)
+}
+
+/// Processor names interned against one view, so a walk tests a
+/// [`Node`]'s processor without resolving its name. Names the view never
+/// interned match no node taken from a row.
+#[derive(Debug, Clone)]
+pub struct ProcessorSet(Vec<bool>);
+
+impl ProcessorSet {
+    /// Whether `node`'s processor is in the set.
+    pub fn contains(&self, node: &Node) -> bool {
+        self.0.get(node.processor.0 as usize).copied().unwrap_or(false)
     }
 }
 
@@ -235,12 +219,99 @@ impl ReadView {
         self.run
     }
 
-    /// Translates an API-boundary `(processor, port, index)` triple into
-    /// interned probe keys. Unknown names map to `Sym::MISSING`, which
-    /// probes the indexes and finds nothing — same answers, same stats, no
-    /// allocation.
-    fn probe(&self, processor: &ProcessorName, port: &str, index: &Index) -> (Sym, Sym, IndexKey) {
-        (self.symbols.lookup(processor.as_str()), self.symbols.lookup(port), IndexKey::from(index))
+    /// The interned node of an API-boundary `(processor, port, index)`
+    /// address. Unknown names map to `Sym::MISSING`, which probes the
+    /// indexes and finds nothing — same answers, same stats, no allocation.
+    pub fn node(&self, processor: &ProcessorName, port: &str, index: &Index) -> Node {
+        Node {
+            processor: self.symbols.lookup(processor.as_str()),
+            port: self.symbols.lookup(port),
+            index: IndexKey::from(index),
+        }
+    }
+
+    /// The processors among `names` that this view has interned.
+    pub fn processor_set<'a>(
+        &self,
+        names: impl IntoIterator<Item = &'a ProcessorName>,
+    ) -> ProcessorSet {
+        let mut set = vec![false; self.symbols.len()];
+        for name in names {
+            if let Some(slot) = set.get_mut(self.symbols.lookup(name.as_str()).0 as usize) {
+                *slot = true;
+            }
+        }
+        ProcessorSet(set)
+    }
+
+    /// Positions of the rows index `id` files under a key overlapping
+    /// `node`, sorted and deduplicated: xform rows for
+    /// [`IndexId::XformOut`] / [`IndexId::XformIn`], xfer rows for
+    /// [`IndexId::XferDst`] / [`IndexId::XferSrc`]. Costs `|index| + 2`
+    /// index probes, counted into `probe`.
+    pub fn rows(&self, id: IndexId, node: &Node, probe: &mut ProbeStats) -> Vec<u64> {
+        let Node { processor, port, index } = node;
+        let mut rows = self.shard.index(id).get_overlapping(*processor, *port, index, probe);
+        rows.sort_unstable();
+        rows.dedup();
+        rows
+    }
+
+    /// The `direction` side bindings of the xform row at `pos`, in port
+    /// order, as nodes and elements.
+    pub fn xform_ports(
+        &self,
+        pos: u64,
+        direction: PortDirection,
+    ) -> impl Iterator<Item = (Node, ValueId)> + '_ {
+        let row = &self.shard.xforms[pos as usize];
+        let ports = row.ports.iter().filter(move |p| p.direction == direction);
+        ports.map(|p| hop(row.processor, p.port, &p.index, p.value))
+    }
+
+    /// The source binding of the xfer row at `pos`: node and element.
+    pub fn xfer_src(&self, pos: u64) -> (Node, ValueId) {
+        let r = &self.shard.xfers[pos as usize];
+        hop(r.src_processor, r.src_port, &r.src_index, r.value)
+    }
+
+    /// The distinct source bindings of the xfer rows leaving `node`'s
+    /// port at an index overlapping its index, in row order: the same
+    /// element fans out along several arcs but is reported once.
+    pub fn xfer_sources(&self, node: &Node, probe: &mut ProbeStats) -> Vec<(Node, ValueId)> {
+        let mut out: Vec<(Node, ValueId)> = Vec::new();
+        for pos in self.rows(IndexId::XferSrc, node, probe) {
+            let source = self.xfer_src(pos);
+            if !out.contains(&source) {
+                out.push(source);
+            }
+        }
+        out
+    }
+
+    /// The destination binding of the xfer row at `pos`: node and element.
+    pub fn xfer_dst(&self, pos: u64) -> (Node, ValueId) {
+        let r = &self.shard.xfers[pos as usize];
+        hop(r.dst_processor, r.dst_port, &r.dst_index, r.value)
+    }
+
+    /// The name of `node`'s processor.
+    pub fn processor_name(&self, node: &Node) -> ProcessorName {
+        ProcessorName(self.symbols.resolve(node.processor))
+    }
+
+    /// Resolves the element `value` at `node` into a user-facing
+    /// [`Binding`].
+    pub fn binding(&self, node: &Node, value: ValueId) -> crate::Result<Binding> {
+        let value = self.value(value).ok_or(StoreError::DanglingValue(value))?;
+        Ok(Binding {
+            port: PortRef {
+                processor: self.processor_name(node),
+                port: self.symbols.resolve(node.port),
+            },
+            index: node.index.to_index(),
+            value,
+        })
     }
 
     /// Materialises a public record from an interned xform row.
@@ -292,25 +363,7 @@ impl ReadView {
         port: &str,
         index: &Index,
     ) -> Vec<XformRecord> {
-        let mut guard = self.probe_guard();
-        self.xforms_producing_stats(processor, port, index, &mut guard)
-    }
-
-    /// [`ReadView::xforms_producing`], counting into a caller-owned
-    /// accumulator instead of flushing to the shared counters.
-    pub fn xforms_producing_stats(
-        &self,
-        processor: &ProcessorName,
-        port: &str,
-        index: &Index,
-        probe: &mut ProbeStats,
-    ) -> Vec<XformRecord> {
-        let (p, x, key) = self.probe(processor, port, index);
-        let ids = self.shard.idx_xform_out.get_overlapping(self.run, p, x, &key, probe);
-        dedup_ids(ids)
-            .into_iter()
-            .map(|pos| self.xform_record(&self.shard.xforms[pos as usize]))
-            .collect()
+        self.xform_records(IndexId::XformOut, &self.node(processor, port, index))
     }
 
     /// The xform events whose **input** binding on `processor:port`
@@ -322,25 +375,7 @@ impl ReadView {
         port: &str,
         index: &Index,
     ) -> Vec<XformRecord> {
-        let mut guard = self.probe_guard();
-        self.xforms_consuming_stats(processor, port, index, &mut guard)
-    }
-
-    /// [`ReadView::xforms_consuming`] counting into a caller-owned
-    /// accumulator.
-    pub fn xforms_consuming_stats(
-        &self,
-        processor: &ProcessorName,
-        port: &str,
-        index: &Index,
-        probe: &mut ProbeStats,
-    ) -> Vec<XformRecord> {
-        let (p, x, key) = self.probe(processor, port, index);
-        let ids = self.shard.idx_xform_in.get_overlapping(self.run, p, x, &key, probe);
-        dedup_ids(ids)
-            .into_iter()
-            .map(|pos| self.xform_record(&self.shard.xforms[pos as usize]))
-            .collect()
+        self.xform_records(IndexId::XformIn, &self.node(processor, port, index))
     }
 
     /// The xfer events whose **destination** binding on `processor:port`
@@ -351,24 +386,7 @@ impl ReadView {
         port: &str,
         index: &Index,
     ) -> Vec<XferRecord> {
-        let mut guard = self.probe_guard();
-        self.xfers_into_stats(processor, port, index, &mut guard)
-    }
-
-    /// [`ReadView::xfers_into`] counting into a caller-owned accumulator.
-    pub fn xfers_into_stats(
-        &self,
-        processor: &ProcessorName,
-        port: &str,
-        index: &Index,
-        probe: &mut ProbeStats,
-    ) -> Vec<XferRecord> {
-        let (p, x, key) = self.probe(processor, port, index);
-        let ids = self.shard.idx_xfer_dst.get_overlapping(self.run, p, x, &key, probe);
-        dedup_ids(ids)
-            .into_iter()
-            .map(|pos| self.xfer_record(&self.shard.xfers[pos as usize]))
-            .collect()
+        self.xfer_records(IndexId::XferDst, &self.node(processor, port, index))
     }
 
     /// The xfer events leaving `processor:port` at an index overlapping
@@ -379,24 +397,17 @@ impl ReadView {
         port: &str,
         index: &Index,
     ) -> Vec<XferRecord> {
-        let mut guard = self.probe_guard();
-        self.xfers_from_stats(processor, port, index, &mut guard)
+        self.xfer_records(IndexId::XferSrc, &self.node(processor, port, index))
     }
 
-    /// [`ReadView::xfers_from`] counting into a caller-owned accumulator.
-    pub fn xfers_from_stats(
-        &self,
-        processor: &ProcessorName,
-        port: &str,
-        index: &Index,
-        probe: &mut ProbeStats,
-    ) -> Vec<XferRecord> {
-        let (p, x, key) = self.probe(processor, port, index);
-        let ids = self.shard.idx_xfer_src.get_overlapping(self.run, p, x, &key, probe);
-        dedup_ids(ids)
-            .into_iter()
-            .map(|pos| self.xfer_record(&self.shard.xfers[pos as usize]))
-            .collect()
+    fn xform_records(&self, id: IndexId, node: &Node) -> Vec<XformRecord> {
+        let rows = self.rows(id, node, &mut self.probe_guard());
+        rows.into_iter().map(|pos| self.xform_record(&self.shard.xforms[pos as usize])).collect()
+    }
+
+    fn xfer_records(&self, id: IndexId, node: &Node) -> Vec<XferRecord> {
+        let rows = self.rows(id, node, &mut self.probe_guard());
+        rows.into_iter().map(|pos| self.xfer_record(&self.shard.xfers[pos as usize])).collect()
     }
 
     /// `Q(P, X_i, p_i)` of Algorithm 2: the stored **input** bindings of
@@ -421,13 +432,12 @@ impl ReadView {
         index: &Index,
         probe: &mut ProbeStats,
     ) -> Vec<StoredBinding> {
-        let (p, x, key) = self.probe(processor, port, index);
-        let ids = self.shard.idx_xform_in.get_overlapping(self.run, p, x, &key, probe);
+        let node = self.node(processor, port, index);
         let mut out = Vec::new();
         let mut seen: Vec<(u64, Index)> = Vec::new();
-        for pos in dedup_ids(ids) {
+        for pos in self.rows(IndexId::XformIn, &node, probe) {
             let row = &self.shard.xforms[pos as usize];
-            for pr in row.inputs().filter(|pr| pr.port == x) {
+            for pr in row.inputs().filter(|pr| pr.port == node.port) {
                 if !(pr.index.is_prefix_of(index) || index.is_prefix_of(&pr.index)) {
                     continue;
                 }
@@ -470,23 +480,17 @@ impl ReadView {
         index: &Index,
         probe: &mut ProbeStats,
     ) -> Vec<StoredBinding> {
-        let (p, x, key) = self.probe(processor, port, index);
-        let ids = self.shard.idx_xfer_src.get_overlapping(self.run, p, x, &key, probe);
-        let mut out: Vec<StoredBinding> = Vec::new();
-        for pos in dedup_ids(ids) {
-            let row = &self.shard.xfers[pos as usize];
-            if out.iter().any(|b| b.index == row.src_index && b.value == row.value) {
-                continue; // the same element fans out along several arcs
-            }
-            out.push(StoredBinding {
+        let sources = self.xfer_sources(&self.node(processor, port, index), probe);
+        sources
+            .into_iter()
+            .map(|(node, value)| StoredBinding {
                 run: self.run,
                 processor: processor.clone(),
-                port: self.symbols.resolve(row.src_port),
-                index: row.src_index.clone(),
-                value: row.value,
-            });
-        }
-        out
+                port: self.symbols.resolve(node.port),
+                index: node.index.to_index(),
+                value,
+            })
+            .collect()
     }
 
     /// All xform rows of the run, in insertion order. The shard stores
@@ -593,11 +597,4 @@ impl ReadView {
     pub fn stats(&self) -> &QueryStats {
         &self.stats
     }
-}
-
-/// Sorts and deduplicates row positions from multi-path index lookups.
-fn dedup_ids(mut ids: Vec<u64>) -> Vec<u64> {
-    ids.sort_unstable();
-    ids.dedup();
-    ids
 }

@@ -36,7 +36,7 @@ pub struct QueryStats {
 /// is associative), a fraction of the shared-line traffic.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeStats {
-    /// Number of B-tree descents performed so far.
+    /// Number of index probes performed so far.
     pub index_lookups: u64,
     /// Number of rows materialised so far.
     pub records_read: u64,
@@ -50,7 +50,7 @@ impl ProbeStats {
         Self::default()
     }
 
-    /// Counts one index descent.
+    /// Counts one index probe.
     pub fn count_index_lookup(&mut self) {
         self.index_lookups += 1;
     }
@@ -138,7 +138,7 @@ impl QueryStats {
 /// A point-in-time copy of the counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Number of B-tree descents (point lookups and scans).
+    /// Number of index probes (exact-key searches and descendant scans).
     pub index_lookups: u64,
     /// Number of rows materialised out of the tables.
     pub records_read: u64,
@@ -159,7 +159,7 @@ impl QueryStats {
         }
     }
 
-    /// Counts one index descent.
+    /// Counts one index probe.
     pub fn count_index_lookup(&self) {
         self.index_lookups.inc();
     }

@@ -834,7 +834,7 @@ impl TraceStore {
         )
     }
 
-    /// Cardinality statistics of one `(run, processor, port)` slice of the
+    /// Cardinality statistics of one run's `(processor, port)` slice of the
     /// chosen index — what the static cost model uses to size its
     /// predictions. Returns zeros for names the store has never seen.
     pub fn port_cardinality(
@@ -848,7 +848,7 @@ impl TraceStore {
         let p = inner.symbols.lookup(processor.as_str());
         let x = inner.symbols.lookup(port);
         match inner.shards.get(&run) {
-            Some(shard) => shard.port_stats(id, run, p, x),
+            Some(shard) => shard.index(id).port_stats(p, x),
             None => PortCardinality::default(),
         }
     }
@@ -1102,10 +1102,10 @@ impl TraceStore {
         let inner = self.inner.read();
         inner.shards.values().fold((0, 0, 0, 0), |acc, s| {
             (
-                acc.0 + s.idx_xform_out.key_count(),
-                acc.1 + s.idx_xform_in.key_count(),
-                acc.2 + s.idx_xfer_dst.key_count(),
-                acc.3 + s.idx_xfer_src.key_count(),
+                acc.0 + s.index(IndexId::XformOut).key_count(),
+                acc.1 + s.index(IndexId::XformIn).key_count(),
+                acc.2 + s.index(IndexId::XferDst).key_count(),
+                acc.3 + s.index(IndexId::XferSrc).key_count(),
             )
         })
     }
@@ -1816,7 +1816,7 @@ mod tests {
         assert!(s.xforms_producing(other, &"P".into(), "y", &q).is_empty());
         let known_delta = s.stats().snapshot().since(before);
         // …and of a run that does not exist at all must cost the same
-        // index descents (|q| + 2 for the overlap lookup).
+        // index probes (|q| + 2 for the overlap lookup).
         let before = s.stats().snapshot();
         assert!(s.xforms_producing(RunId(99), &"P".into(), "y", &q).is_empty());
         let unknown_delta = s.stats().snapshot().since(before);

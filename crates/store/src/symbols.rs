@@ -1,8 +1,8 @@
 //! Symbol interning and packed index keys — the compact key layout of the
 //! composite indexes.
 //!
-//! The hot path of every lineage query is a B-tree descent over composite
-//! keys. With string-typed keys each comparison chases two `Arc<str>`
+//! The hot path of every lineage query is an index probe: a binary search
+//! over one port's sorted keys. With string-typed keys each comparison chases two `Arc<str>`
 //! pointers and each probe *allocates* (`Arc::from(port)`); with
 //! heap-spilling element indices a deep index adds a third indirection.
 //! This module replaces all of that with value types:
@@ -17,7 +17,7 @@
 //!   16-bit groups, big-endian) whenever it fits, spilling to a boxed slice
 //!   only for pathological indices. The packing is order-preserving:
 //!   comparing two packed keys is one integer compare, and all extensions
-//!   of a prefix stay contiguous — the property the prefix scans rely on.
+//!   of a prefix stay contiguous — the property descendant scans rely on.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -76,12 +76,6 @@ impl SymbolTable {
     pub fn len(&self) -> usize {
         self.names.len()
     }
-
-    /// Whether no names are interned.
-    #[allow(dead_code)] // completes the len/is_empty pair; exercised in tests
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
 }
 
 /// Number of 16-bit component groups in a packed key.
@@ -127,11 +121,6 @@ fn group_mask(k: usize) -> u128 {
 }
 
 impl IndexKey {
-    /// The empty index `[]` — also the minimum key, used as a range start.
-    pub const fn empty() -> Self {
-        IndexKey::Packed { len: 0, bits: 0 }
-    }
-
     /// Builds the canonical key for a component sequence.
     pub fn from_components(components: &[u32]) -> Self {
         if components.len() <= GROUPS && components.iter().all(|&c| c <= MAX_PACKED_COMPONENT) {
@@ -151,7 +140,6 @@ impl IndexKey {
     }
 
     /// Converts back to an [`Index`].
-    #[allow(dead_code)] // inverse of `from_index`; exercised in tests
     pub fn to_index(&self) -> Index {
         match self {
             IndexKey::Packed { .. } => {
@@ -169,12 +157,6 @@ impl IndexKey {
             IndexKey::Packed { len, .. } => *len as usize,
             IndexKey::Spilled(v) => v.len(),
         }
-    }
-
-    /// Whether this is the empty index.
-    #[allow(dead_code)] // completes the len/is_empty pair; exercised in tests
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Decodes a packed key's components into `buf`, returning the count.
@@ -361,7 +343,7 @@ mod tests {
         }
         let k = IndexKey::from_components(&[3, 4, 5]);
         assert_eq!(k.prefix(2), IndexKey::from_components(&[3, 4]));
-        assert_eq!(k.prefix(0), IndexKey::empty());
+        assert_eq!(k.prefix(0), IndexKey::from_components(&[]));
         assert_eq!(k.prefix(9), k);
         let spilled = IndexKey::from_components(&[0, 1, 2, 3, 4, 5, 6, 7, 8]);
         // A prefix of a spilled key repacks canonically.
@@ -371,11 +353,11 @@ mod tests {
 
     #[test]
     fn empty_key_is_minimum() {
-        let e = IndexKey::empty();
+        let e = IndexKey::from_components(&[]);
         for comps in [&[0u32][..], &[5], &[0xFFFF], &[0, 0, 0, 0, 0, 0, 0, 0, 0]] {
             assert!(e < IndexKey::from_components(comps));
             assert!(e.is_prefix_of(&IndexKey::from_components(comps)));
         }
-        assert!(e.is_empty());
+        assert_eq!(e.len(), 0);
     }
 }
