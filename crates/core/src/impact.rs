@@ -32,8 +32,10 @@ pub struct ImpactQuery {
     pub source: PortRef,
     /// Position within the source value; empty = the whole value.
     pub index: Index,
-    /// The interesting processors (bindings are collected on their
-    /// *output* side; the workflow name collects workflow outputs).
+    /// The interesting processors. The walk collects the outputs of their
+    /// invocations that consumed an impacted binding, and every impacted
+    /// binding a transfer delivers to them: a processor's *input* ports, or,
+    /// for the workflow name, the workflow outputs.
     pub focus: FocusSet,
 }
 
@@ -119,6 +121,8 @@ impl NaiveImpact {
         let mut stack = vec![view.node(&source.processor, &source.port, &query.index)];
         let mut bindings: Vec<Binding> = Vec::new();
         let mut trace_queries = 0usize;
+        // Probe buffers, reused by every hop.
+        let (mut consumers, mut outgoing) = (Vec::new(), Vec::new());
 
         while let Some(node) = stack.pop() {
             if !visited.insert(node.clone()) {
@@ -130,7 +134,7 @@ impl NaiveImpact {
             // Forward xform case: invocations that consumed this binding;
             // their outputs are impacted.
             trace_queries += 1;
-            let consumers = view.rows(IndexId::XformIn, &node, &mut probe);
+            view.rows(IndexId::XformIn, &node, &mut probe, &mut consumers);
             for &pos in &consumers {
                 for (output, _) in view.xform_ports(pos, PortDirection::Out) {
                     stack.push(output);
@@ -139,12 +143,13 @@ impl NaiveImpact {
 
             // Forward xfer case: transfers leaving this binding.
             trace_queries += 1;
-            for pos in view.rows(IndexId::XferSrc, &node, &mut probe) {
+            view.rows(IndexId::XferSrc, &node, &mut probe, &mut outgoing);
+            for &pos in &outgoing {
                 let (dst, value) = view.xfer_dst(pos);
                 if focus.contains(&dst) {
-                    // Collect the impacted element at the destination when
-                    // the destination is interesting and is a sink-style
-                    // port (workflow outputs never feed an xform).
+                    // Collect the impacted element at every focused
+                    // destination: a workflow output, or an input port of
+                    // a focused processor.
                     bindings.push(view.binding(&dst, value)?);
                 }
                 stack.push(dst);
@@ -257,6 +262,32 @@ mod tests {
                 .any(|b| b.port == PortRef::new("wf", "upper") && b.index == Index::single(2)),
             "{imp}"
         );
+    }
+
+    #[test]
+    fn focused_processors_contribute_their_input_side_bindings() {
+        let df = prov_workgen::testbed::generate(3);
+        let store = TraceStore::in_memory();
+        let run = prov_workgen::testbed::run(&df, 4, &store).run_id;
+        let q = ImpactQuery::focused(
+            PortRef::new("LISTGEN_1", "list"),
+            Index::single(1),
+            [ProcessorName::from("2TO1_FINAL")],
+        );
+        let ans = NaiveImpact::new().run(&store, run, &q).unwrap();
+        let on = |port: &str| -> Vec<&Binding> {
+            ans.bindings.iter().filter(|b| b.port == PortRef::new("2TO1_FINAL", port)).collect()
+        };
+        // The transfers into the focused processor deliver element 1 to
+        // both of its inputs; its invocations that consumed them emit the
+        // outputs.
+        for port in ["a", "b"] {
+            let inputs = on(port);
+            assert_eq!(inputs.len(), 1, "{port}: {ans}");
+            assert_eq!(inputs[0].index, Index::single(1));
+        }
+        assert_eq!(on("Y").len(), 7, "{ans}");
+        assert_eq!(ans.bindings.len(), 9, "{ans}");
     }
 
     #[test]

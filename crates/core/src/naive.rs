@@ -94,6 +94,8 @@ impl NaiveLineage {
         let mut bindings: Vec<Binding> = Vec::new();
         let mut trace_queries = 0usize;
         let mut max_depth = 0u64;
+        // Probe buffers, reused by every hop.
+        let (mut producers, mut incoming, mut outgoing) = (Vec::new(), Vec::new(), Vec::new());
 
         while let Some((node, depth)) = stack.pop() {
             if !visited.insert(node.clone()) {
@@ -114,7 +116,7 @@ impl NaiveLineage {
 
             // xform case: the node as an invocation output.
             trace_queries += 1;
-            let producers = view.rows(IndexId::XformOut, &node, &mut probe);
+            view.rows(IndexId::XformOut, &node, &mut probe, &mut producers);
             for &pos in &producers {
                 for (input, value) in view.xform_ports(pos, PortDirection::In) {
                     if focused {
@@ -126,7 +128,7 @@ impl NaiveLineage {
 
             // xfer case: the node as an arc destination.
             trace_queries += 1;
-            let incoming = view.rows(IndexId::XferDst, &node, &mut probe);
+            view.rows(IndexId::XferDst, &node, &mut probe, &mut incoming);
             for &pos in &incoming {
                 stack.push((view.xfer_src(pos).0, depth + 1));
             }
@@ -144,7 +146,8 @@ impl NaiveLineage {
                     trace_queries += 1;
                     let processor = view.processor_name(&node);
                     let scope_prefix = format!("{processor}/");
-                    view.rows(IndexId::XferSrc, &node, &mut probe).into_iter().any(|pos| {
+                    view.rows(IndexId::XferSrc, &node, &mut probe, &mut outgoing);
+                    outgoing.iter().any(|&pos| {
                         let dst = view.processor_name(&view.xfer_dst(pos).0);
                         dst.as_str().starts_with(&scope_prefix) || dst == processor
                     })

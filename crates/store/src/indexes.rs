@@ -2,15 +2,21 @@
 //!
 //! A shard holds one run, so a key is `(processor, port, element index)`,
 //! all interned: processor and port are [`Sym`]s, the element index a
-//! packed [`IndexKey`]. The index keeps one slice per `(processor, port)`:
-//! its distinct element indexes, sorted, each with the row positions filed
-//! under it in insertion order. Filing a row under a key the slice already
-//! holds is a binary search and a push, wherever the key sorts.
+//! packed [`IndexKey`]. The index keeps one slice per `(processor, port)`,
+//! found through a processor directory: a vector indexed by the dense
+//! processor symbol (less the run's first one), holding that processor's
+//! few port slices. A slice is a column of its distinct element indexes,
+//! sorted and searched alone, beside a column of their rows. A key's only
+//! row — one producing invocation per element, the common case — sits
+//! inline in the row column; a key filed again (a cross product's inner
+//! port) moves its rows to a list that grows by push. Filing a row is a
+//! binary search plus a push, wherever the key sorts, and nothing is
+//! allocated per key.
 //!
-//! Every probe finds its port slice once and then binary-searches it.
-//! Element indexes are ordered lexicographically (the packed encoding
-//! preserves that order), which gives the two access paths lineage
-//! queries need:
+//! Every probe finds its port slice once and then binary-searches its key
+//! column. Element indexes are ordered lexicographically (the packed
+//! encoding preserves that order), which gives the two access paths
+//! lineage queries need:
 //!
 //! * **ancestors** — rows whose index is a (non-strict) prefix of the query
 //!   index, for coarse rows such as whole-value transfers: one exact probe
@@ -23,13 +29,62 @@ use crate::catalog::PortCardinality;
 use crate::stats::ProbeStats;
 use crate::symbols::{IndexKey, Sym};
 
+/// Tags a row-column entry that names one of [`PortSlice::lists`] instead
+/// of holding its key's only row. Row positions never reach this bit.
+const LIST: u64 = 1 << 63;
+
 /// The entries of one `(processor, port)`: distinct keys in sorted order,
-/// each with its row positions.
+/// searched alone, and a parallel row column. A key's only row sits inline
+/// in the column; a key filed more than once (a cross product's inner
+/// port) holds `LIST | i` and keeps its rows, in insertion order, in
+/// `lists[i]`.
 #[derive(Debug, Clone)]
 struct PortSlice {
-    processor: Sym,
     port: Sym,
-    entries: Vec<(IndexKey, Vec<u64>)>,
+    keys: Vec<IndexKey>,
+    rows: Vec<u64>,
+    lists: Vec<Vec<u64>>,
+}
+
+/// The slice every probe of an absent `(processor, port)` searches.
+static EMPTY: PortSlice = PortSlice::new(Sym::MISSING);
+
+impl PortSlice {
+    const fn new(port: Sym) -> Self {
+        PortSlice { port, keys: Vec::new(), rows: Vec::new(), lists: Vec::new() }
+    }
+
+    /// The rows filed under the `i`-th key.
+    fn rows(&self, i: usize) -> &[u64] {
+        let r = &self.rows[i];
+        if r & LIST == 0 {
+            std::slice::from_ref(r)
+        } else {
+            &self.lists[(r & !LIST) as usize]
+        }
+    }
+
+    /// Files `row` under `index`; whether the key is new to the slice.
+    fn file(&mut self, index: IndexKey, row: u64) -> bool {
+        debug_assert_eq!(row & LIST, 0, "row position {row} collides with the list tag");
+        match self.keys.binary_search(&index) {
+            Ok(i) => {
+                let r = self.rows[i];
+                if r & LIST == 0 {
+                    self.rows[i] = LIST | self.lists.len() as u64;
+                    self.lists.push(vec![r, row]);
+                } else {
+                    self.lists[(r & !LIST) as usize].push(row);
+                }
+                false
+            }
+            Err(i) => {
+                self.keys.insert(i, index);
+                self.rows.insert(i, row);
+                true
+            }
+        }
+    }
 }
 
 /// A secondary index mapping `(processor, port, element index)` keys to row
@@ -37,44 +92,53 @@ struct PortSlice {
 /// consuming the same whole-value input).
 #[derive(Debug, Default, Clone)]
 pub struct CompositeIndex {
-    /// Port slices, sorted by `(processor, port)`.
-    slices: Vec<PortSlice>,
+    /// The processor directory: entry `i` holds the port slices of
+    /// processor symbol `first + i`. A workflow's processors are interned
+    /// together, so a run's range stays short even when the store's symbol
+    /// table spans many workflows.
+    first: u32,
+    by_processor: Vec<Vec<PortSlice>>,
     /// Distinct keys over all slices.
     key_count: usize,
 }
 
 impl CompositeIndex {
     fn slice(&self, processor: Sym, port: Sym) -> Option<&PortSlice> {
-        let at = self.slices.binary_search_by_key(&(processor, port), |s| (s.processor, s.port));
-        at.ok().map(|i| &self.slices[i])
+        let ports = self.by_processor.get(processor.0.wrapping_sub(self.first) as usize)?;
+        ports.iter().find(|s| s.port == port)
     }
 
     /// Files `row` under `(processor, port, index)`, after any rows already
     /// filed under the same key.
     pub fn insert(&mut self, processor: Sym, port: Sym, index: IndexKey, row: u64) {
-        let at =
-            match self.slices.binary_search_by_key(&(processor, port), |s| (s.processor, s.port)) {
-                Ok(i) => i,
-                Err(i) => {
-                    self.slices.insert(i, PortSlice { processor, port, entries: Vec::new() });
-                    i
-                }
-            };
-        let entries = &mut self.slices[at].entries;
-        match entries.binary_search_by(|(k, _)| k.cmp(&index)) {
-            Ok(i) => entries[i].1.push(row),
-            Err(i) => {
-                entries.insert(i, (index, vec![row]));
-                self.key_count += 1;
+        debug_assert_ne!(processor, Sym::MISSING);
+        if self.by_processor.is_empty() || processor.0 < self.first {
+            let gap = self.first.saturating_sub(processor.0) as usize;
+            self.by_processor.splice(0..0, std::iter::repeat_with(Vec::new).take(gap));
+            self.first = processor.0;
+        }
+        let p = (processor.0 - self.first) as usize;
+        if p >= self.by_processor.len() {
+            self.by_processor.resize_with(p + 1, Vec::new);
+        }
+        let ports = &mut self.by_processor[p];
+        let at = match ports.iter().position(|s| s.port == port) {
+            Some(i) => i,
+            None => {
+                ports.push(PortSlice::new(port));
+                ports.len() - 1
             }
+        };
+        if ports[at].file(index, row) {
+            self.key_count += 1;
         }
     }
 
-    /// The rows related to `index` in either direction: ancestors (coarser
-    /// rows covering it) plus strict descendants (finer rows inside it).
-    /// This is the general element-addressing lookup of the provenance
-    /// graph: a binding `P:X[p]` is connected to stored rows at any
-    /// granularity that overlaps `p`.
+    /// Appends to `out` the rows related to `index` in either direction:
+    /// ancestors (coarser rows covering it) plus strict descendants (finer
+    /// rows inside it). This is the general element-addressing lookup of
+    /// the provenance graph: a binding `P:X[p]` is connected to stored rows
+    /// at any granularity that overlaps `p`.
     ///
     /// Ancestors come first, coarsest first; then descendants in key
     /// order, leaving out rows already found under the exact key. Costs
@@ -87,9 +151,10 @@ impl CompositeIndex {
         port: Sym,
         index: &IndexKey,
         stats: &mut ProbeStats,
-    ) -> Vec<u64> {
-        let entries = self.slice(processor, port).map_or(&[][..], |s| &s.entries[..]);
-        let mut out = Vec::new();
+        out: &mut Vec<u64>,
+    ) {
+        let slice = self.slice(processor, port).unwrap_or(&EMPTY);
+        let keys = &slice.keys[..];
         // Each prefix sorts after the shorter ones, so every search resumes
         // where the previous one stopped; the descendants start where the
         // exact key's search lands.
@@ -97,22 +162,23 @@ impl CompositeIndex {
         for k in 0..=index.len() {
             stats.count_index_lookup();
             let prefix = index.prefix(k);
-            from += entries[from..].partition_point(|(key, _)| *key < prefix);
-            exact = match entries.get(from) {
-                Some((key, rows)) if *key == prefix => rows,
+            from += keys[from..].partition_point(|key| *key < prefix);
+            exact = match keys.get(from) {
+                Some(key) if *key == prefix => slice.rows(from),
                 _ => &[],
             };
             stats.count_records(exact.len());
             out.extend_from_slice(exact);
         }
         stats.count_index_lookup();
-        for (key, rows) in entries[from..].iter().take_while(|(key, _)| index.is_prefix_of(key)) {
+        let descendants = keys[from..].iter().take_while(|key| index.is_prefix_of(key));
+        for (i, key) in (from..).zip(descendants) {
+            let rows = slice.rows(i);
             stats.count_records(rows.len());
             if key != index {
                 out.extend(rows.iter().filter(|r| !exact.contains(r)));
             }
         }
-        out
     }
 
     /// Total number of distinct keys in the index.
@@ -126,9 +192,9 @@ impl CompositeIndex {
     pub fn port_stats(&self, processor: Sym, port: Sym) -> PortCardinality {
         let Some(s) = self.slice(processor, port) else { return PortCardinality::default() };
         PortCardinality {
-            keys: s.entries.len() as u64,
-            rows: s.entries.iter().map(|(_, rows)| rows.len() as u64).sum(),
-            max_depth: s.entries.iter().map(|(key, _)| key.len()).max().unwrap_or(0),
+            keys: s.keys.len() as u64,
+            rows: (0..s.keys.len()).map(|i| s.rows(i).len() as u64).sum(),
+            max_depth: s.keys.iter().map(IndexKey::len).max().unwrap_or(0),
         }
     }
 }
@@ -147,7 +213,19 @@ mod tests {
     }
 
     fn overlapping(ix: &CompositeIndex, proc: u32, port: u32, idx: &[u32]) -> Vec<u64> {
-        ix.get_overlapping(Sym(proc), Sym(port), &ik(idx), &mut ProbeStats::new())
+        probe(ix, Sym(proc), Sym(port), &ik(idx), &mut ProbeStats::new())
+    }
+
+    fn probe(
+        ix: &CompositeIndex,
+        p: Sym,
+        x: Sym,
+        idx: &IndexKey,
+        stats: &mut ProbeStats,
+    ) -> Vec<u64> {
+        let mut out = Vec::new();
+        ix.get_overlapping(p, x, idx, stats, &mut out);
+        out
     }
 
     // Symbol layout used by the sample: P=0, Q=1; ports y=0, z=1.
@@ -212,13 +290,13 @@ mod tests {
     fn stats_count_lookups_and_records() {
         let ix = sample();
         let mut stats = ProbeStats::new();
-        ix.get_overlapping(Sym(0), Sym(0), &ik(&[0]), &mut stats);
+        probe(&ix, Sym(0), Sym(0), &ik(&[0]), &mut stats);
         // Prefixes [] and [0], then the scan under [0].
         assert_eq!(stats.index_lookups, 3);
         // [] and [0] on the chain; [0], [0,0] and [0,1] on the scan.
         assert_eq!(stats.records_read, 2 + 3);
         let mut stats = ProbeStats::new();
-        ix.get_overlapping(Sym::MISSING, Sym(0), &ik(&[0, 1]), &mut stats);
+        probe(&ix, Sym::MISSING, Sym(0), &ik(&[0, 1]), &mut stats);
         assert_eq!((stats.index_lookups, stats.records_read), (4, 0));
     }
 
@@ -297,22 +375,40 @@ mod tests {
 
         #[test]
         fn sorted_slices_match_the_ordered_map_reference(
-            inserts in proptest::collection::vec((0u32..3, 0u32..2, components(), 0u64..24), 0..40),
-            probes in proptest::collection::vec((0u32..5, 0u32..3, components()), 1..12),
+            // Processors 0, 3, 6 and 9: interned with gaps, filed in any order.
+            inserts in proptest::collection::vec(
+                ((0u32..4).prop_map(|p| 3 * p), 0u32..2, components(), 0u64..24),
+                0..40,
+            ),
+            // Keys filed again after later keys: a 2nd or a 3rd row each.
+            repeats in proptest::collection::vec((0usize..40, 1u64..3), 0..6),
+            probes in proptest::collection::vec((0u32..13, 0u32..3, components()), 1..12),
         ) {
             let mut ix = CompositeIndex::default();
             let mut reference = Reference::default();
-            for (p, x, idx, row) in inserts {
-                ix.insert(Sym(p), Sym(x), ik(&idx), row);
-                reference.0.entry((Sym(p), Sym(x), ik(&idx))).or_default().push(row);
+            let mut file = |p: u32, x: u32, idx: &[u32], row: u64| {
+                ix.insert(Sym(p), Sym(x), ik(idx), row);
+                reference.0.entry((Sym(p), Sym(x), ik(idx))).or_default().push(row);
+            };
+            for (p, x, idx, row) in &inserts {
+                file(*p, *x, idx, *row);
+            }
+            for (at, times) in repeats {
+                if inserts.is_empty() {
+                    break;
+                }
+                let (p, x, idx, row) = &inserts[at % inserts.len()];
+                for extra in 0..times {
+                    file(*p, *x, idx, row + 24 * (extra + 1));
+                }
             }
             prop_assert_eq!(ix.key_count(), reference.0.len());
             for (p, x, idx) in probes {
-                // Processor 3 is never inserted; 4 stands in for MISSING.
-                let p = if p == 4 { Sym::MISSING } else { Sym(p) };
+                // 10 and 11 lie past the directory; 12 stands in for MISSING.
+                let p = if p == 12 { Sym::MISSING } else { Sym(p) };
                 let key = ik(&idx);
                 let (mut got, mut want) = (ProbeStats::new(), ProbeStats::new());
-                let rows = ix.get_overlapping(p, Sym(x), &key, &mut got);
+                let rows = probe(&ix, p, Sym(x), &key, &mut got);
                 prop_assert_eq!(rows, reference.get_overlapping(p, Sym(x), &key, &mut want));
                 prop_assert_eq!(got, want);
             }

@@ -24,8 +24,13 @@
 //! instead count into a **caller-owned** accumulator (and flush nothing):
 //! the query layer uses them to attribute exact per-step costs to
 //! individual queries even when several run at once against one store.
+//!
+//! Walks step through row positions: [`ReadView::rows`] fills a
+//! caller-owned buffer, so NI and impact keep one buffer per access path
+//! for a whole walk and a hop probes the indexes without allocating.
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
 use prov_model::{Binding, Index, PortRef, ProcessorName, RunId, Value, ValueId};
@@ -145,11 +150,23 @@ impl RunShard {
 /// walk over the trace keeps on its stack and in its visited set. Names
 /// stay symbols until a walk asks for them ([`ReadView::binding`],
 /// [`ReadView::processor_name`]).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Node {
     processor: Sym,
     port: Sym,
     index: IndexKey,
+}
+
+impl Hash for Node {
+    /// One `u64` for the two symbols and one `u128` for a packed key (its
+    /// bits determine its length), so a visited-set lookup hashes 24 bytes.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(u64::from(self.processor.0) << 32 | u64::from(self.port.0));
+        match &self.index {
+            IndexKey::Packed { bits, .. } => state.write_u128(*bits),
+            spilled => spilled.hash(state),
+        }
+    }
 }
 
 /// A stored binding one walk step reached: its node and its element.
@@ -244,17 +261,20 @@ impl ReadView {
         ProcessorSet(set)
     }
 
-    /// Positions of the rows index `id` files under a key overlapping
-    /// `node`, sorted and deduplicated: xform rows for
+    /// Fills `out` with the positions of the rows index `id` files under a
+    /// key overlapping `node`, sorted and deduplicated: xform rows for
     /// [`IndexId::XformOut`] / [`IndexId::XformIn`], xfer rows for
     /// [`IndexId::XferDst`] / [`IndexId::XferSrc`]. Costs `|index| + 2`
-    /// index probes, counted into `probe`.
-    pub fn rows(&self, id: IndexId, node: &Node, probe: &mut ProbeStats) -> Vec<u64> {
+    /// index probes, counted into `probe`. `out` is the caller's, so a walk
+    /// that keeps its buffers probes without allocating.
+    pub fn rows(&self, id: IndexId, node: &Node, probe: &mut ProbeStats, out: &mut Vec<u64>) {
         let Node { processor, port, index } = node;
-        let mut rows = self.shard.index(id).get_overlapping(*processor, *port, index, probe);
-        rows.sort_unstable();
-        rows.dedup();
-        rows
+        out.clear();
+        self.shard.index(id).get_overlapping(*processor, *port, index, probe, out);
+        if out.len() > 1 {
+            out.sort_unstable();
+            out.dedup();
+        }
     }
 
     /// The `direction` side bindings of the xform row at `pos`, in port
@@ -279,8 +299,10 @@ impl ReadView {
     /// port at an index overlapping its index, in row order: the same
     /// element fans out along several arcs but is reported once.
     pub fn xfer_sources(&self, node: &Node, probe: &mut ProbeStats) -> Vec<(Node, ValueId)> {
+        let mut rows = Vec::new();
+        self.rows(IndexId::XferSrc, node, probe, &mut rows);
         let mut out: Vec<(Node, ValueId)> = Vec::new();
-        for pos in self.rows(IndexId::XferSrc, node, probe) {
+        for pos in rows {
             let source = self.xfer_src(pos);
             if !out.contains(&source) {
                 out.push(source);
@@ -401,12 +423,14 @@ impl ReadView {
     }
 
     fn xform_records(&self, id: IndexId, node: &Node) -> Vec<XformRecord> {
-        let rows = self.rows(id, node, &mut self.probe_guard());
+        let mut rows = Vec::new();
+        self.rows(id, node, &mut self.probe_guard(), &mut rows);
         rows.into_iter().map(|pos| self.xform_record(&self.shard.xforms[pos as usize])).collect()
     }
 
     fn xfer_records(&self, id: IndexId, node: &Node) -> Vec<XferRecord> {
-        let rows = self.rows(id, node, &mut self.probe_guard());
+        let mut rows = Vec::new();
+        self.rows(id, node, &mut self.probe_guard(), &mut rows);
         rows.into_iter().map(|pos| self.xfer_record(&self.shard.xfers[pos as usize])).collect()
     }
 
@@ -435,7 +459,9 @@ impl ReadView {
         let node = self.node(processor, port, index);
         let mut out = Vec::new();
         let mut seen: Vec<(u64, Index)> = Vec::new();
-        for pos in self.rows(IndexId::XformIn, &node, probe) {
+        let mut rows = Vec::new();
+        self.rows(IndexId::XformIn, &node, probe, &mut rows);
+        for pos in rows {
             let row = &self.shard.xforms[pos as usize];
             for pr in row.inputs().filter(|pr| pr.port == node.port) {
                 if !(pr.index.is_prefix_of(index) || index.is_prefix_of(&pr.index)) {
@@ -596,5 +622,101 @@ impl ReadView {
     /// land in one set of totals.
     pub fn stats(&self) -> &QueryStats {
         &self.stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use prov_engine::{PortBinding, TraceSink};
+
+    use super::*;
+    use crate::TraceStore;
+
+    /// A 3×3 cross product: invocation `(i, j)` of `X` consumes `a[i]` and
+    /// `b[j]` and emits `Y[i,j]`, so `X:a` and `X:b` file each key three
+    /// times, and `X:b`'s rows under one key are not contiguous.
+    fn cross_product() -> ReadView {
+        let store = TraceStore::in_memory();
+        let run = store.begin_run(&"wf".into());
+        for (i, j) in (0..3).flat_map(|i| (0..3).map(move |j| (i, j))) {
+            let bind = |port: &str, index: &[u32]| {
+                PortBinding::new(port, Index::from_slice(index), Value::str(port))
+            };
+            let event = XformEvent {
+                processor: "X".into(),
+                invocation: 3 * i + j,
+                inputs: vec![bind("a", &[i]), bind("b", &[j])],
+                outputs: vec![bind("Y", &[i, j])],
+            };
+            store.record_xform(run, event);
+        }
+        store.pin(run)
+    }
+
+    fn probe(
+        view: &ReadView,
+        id: IndexId,
+        port: &str,
+        index: &[u32],
+        out: &mut Vec<u64>,
+    ) -> ProbeStats {
+        let node = view.node(&"X".into(), port, &Index::from_slice(index));
+        let mut stats = ProbeStats::new();
+        view.rows(id, &node, &mut stats, out);
+        stats
+    }
+
+    #[test]
+    fn rows_are_sorted_and_deduplicated_positions() {
+        let view = cross_product();
+        let mut out = Vec::new();
+        probe(&view, IndexId::XformIn, "b", &[1], &mut out);
+        assert_eq!(out, [1, 4, 7]);
+        // The whole port: every key's rows, merged into position order.
+        let stats = probe(&view, IndexId::XformIn, "b", &[], &mut out);
+        assert_eq!(out, (0..9).collect::<Vec<_>>());
+        assert_eq!((stats.index_lookups, stats.records_read), (2, 9));
+        // A finer query index reaches its ancestor's rows.
+        let stats = probe(&view, IndexId::XformIn, "a", &[2, 0], &mut out);
+        assert_eq!(out, [6, 7, 8]);
+        assert_eq!((stats.index_lookups, stats.records_read), (4, 3));
+        probe(&view, IndexId::XformOut, "Y", &[2], &mut out);
+        assert_eq!(out, [6, 7, 8]);
+    }
+
+    #[test]
+    fn a_reused_buffer_probes_like_a_fresh_one() {
+        let view = cross_product();
+        let mut reused = vec![99, 98];
+        for (id, port, index) in [
+            (IndexId::XformIn, "a", &[][..]),
+            (IndexId::XformIn, "b", &[1]),
+            (IndexId::XformIn, "b", &[]),
+            (IndexId::XformIn, "a", &[0, 0]),
+            (IndexId::XformOut, "Y", &[2]),
+            (IndexId::XformOut, "Y", &[1, 2]),
+            (IndexId::XformOut, "Y", &[]),
+            (IndexId::XferDst, "a", &[0]),
+            (IndexId::XformIn, "c", &[0]),
+        ] {
+            let mut fresh = Vec::new();
+            let want = probe(&view, id, port, index, &mut fresh);
+            let got = probe(&view, id, port, index, &mut reused);
+            assert_eq!(reused, fresh, "{id:?} X:{port}{index:?}");
+            assert_eq!(got, want, "{id:?} X:{port}{index:?}");
+            assert!(fresh.windows(2).all(|w| w[0] < w[1]), "{fresh:?}");
+        }
+    }
+
+    #[test]
+    fn an_empty_result_leaves_the_buffer_empty() {
+        let view = cross_product();
+        let mut out = vec![1, 2, 3];
+        let stats = probe(&view, IndexId::XformIn, "c", &[0, 1], &mut out);
+        assert!(out.is_empty());
+        assert_eq!((stats.index_lookups, stats.records_read), (4, 0));
+        out.push(7);
+        probe(&view, IndexId::XferSrc, "Y", &[], &mut out);
+        assert!(out.is_empty());
     }
 }
