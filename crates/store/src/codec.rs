@@ -1,0 +1,867 @@
+//! The binary record codec: the payload of every WAL and snapshot frame.
+//!
+//! A payload is one [`LogRecord`] in four parts:
+//!
+//! ```text
+//! ┌──────┬────────────────────────┬───────────────────┬────────────────────┐
+//! │ 0x01 │ names: n, (len, utf8)* │ values: n, value* │ tag, record fields │
+//! └──────┴────────────────────────┴───────────────────┴────────────────────┘
+//! ```
+//!
+//! 1. The version byte `0x01`, which can never be `{`.
+//! 2. The frame's distinct processor, port and workflow names, each once,
+//!    as length-prefixed UTF-8.
+//! 3. The frame's distinct [`Value`]s, each once: a tag per [`Atom`]
+//!    variant (or per list), then its content.
+//! 4. The record: a tag, then varints for the run, the invocation, each
+//!    [`Index`] (length, then components), and positions into the two
+//!    tables for names and values.
+//!
+//! Integers are LEB128 varints (`Int` atoms zigzag first, floats are their
+//! 8 little-endian bit-pattern bytes). The tables are local to the frame,
+//! so every frame decodes alone: torn tails, corrupt frames, snapshot
+//! fallback and shipped replica frames behave exactly as with any other
+//! self-contained payload.
+//!
+//! A payload whose first byte is `{` was written before this codec existed,
+//! as the serde JSON of the record; [`decode`] still reads it through the
+//! serde derive, so old databases (and old prefixes with binary frames
+//! appended) keep opening. Nothing writes JSON.
+//!
+//! Decoding is total: every length and count is checked against the bytes
+//! left before anything is allocated, table positions are bounds-checked,
+//! list nesting is capped at [`MAX_DEPTH`], and trailing bytes are an
+//! error.
+
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use prov_engine::{PortBinding, TraceEvent, XferEvent, XformEvent};
+use prov_model::{Atom, ErrorToken, Index, PortRef, ProcessorName, RunId, Value, F64};
+
+use crate::wal::{LogRecord, WalError};
+
+/// First byte of every payload this codec writes.
+const VERSION: u8 = 0x01;
+
+/// Deepest list nesting a value may have (the vendored `serde_json`
+/// recursion limit): the encoder refuses deeper values, so every frame it
+/// writes decodes.
+const MAX_DEPTH: usize = 128;
+
+// Record tags.
+const BEGIN_RUN: u8 = 0;
+const XFORM: u8 = 1;
+const XFER: u8 = 2;
+const BATCH: u8 = 3;
+const FINISH_RUN: u8 = 4;
+const DROP_RUN: u8 = 5;
+const WORKFLOW: u8 = 6;
+const SNAPSHOT: u8 = 7;
+
+// Event tags inside a batch.
+const EVENT_XFORM: u8 = 0;
+const EVENT_XFER: u8 = 1;
+
+// Value tags.
+const LIST: u8 = 0;
+const STR: u8 = 1;
+const INT: u8 = 2;
+const FLOAT: u8 = 3;
+const BOOL: u8 = 4;
+const BYTES: u8 = 5;
+const ERROR: u8 = 6;
+
+/// Fewest bytes a table value can take (a tag and one more byte).
+const MIN_VALUE: usize = 2;
+/// Fewest bytes a batch event can take (an xform with no bindings).
+const MIN_EVENT: usize = 5;
+/// Fewest bytes a port binding can take (port, empty index, value).
+const MIN_BINDING: usize = 3;
+
+/// A value nested deeper than [`MAX_DEPTH`]: the one record the encoder
+/// refuses, since its frame could never be read back.
+#[derive(Debug)]
+pub(crate) struct TooDeep;
+
+impl std::fmt::Display for TooDeep {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "value nests lists deeper than {MAX_DEPTH}")
+    }
+}
+
+impl From<TooDeep> for WalError {
+    fn from(e: TooDeep) -> Self {
+        WalError::Io(std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))
+    }
+}
+
+/// Why a payload did not decode.
+#[derive(Debug)]
+pub(crate) struct DecodeError(String);
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+fn bad<T>(why: &str) -> Result<T, DecodeError> {
+    Err(DecodeError(why.to_string()))
+}
+
+// ------------------------------------------------------------------ encode
+
+/// Encodes one record.
+pub(crate) fn encode(record: &LogRecord) -> Result<Vec<u8>, TooDeep> {
+    let mut enc = Encoder::default();
+    match record {
+        LogRecord::BeginRun { run, workflow } => {
+            enc.body.push(BEGIN_RUN);
+            enc.uint(run.0);
+            enc.name(workflow.as_str());
+        }
+        LogRecord::Xform { run, event } => {
+            enc.body.push(XFORM);
+            enc.uint(run.0);
+            enc.xform(event);
+        }
+        LogRecord::Xfer { run, event } => {
+            enc.body.push(XFER);
+            enc.uint(run.0);
+            enc.xfer(event);
+        }
+        LogRecord::Batch { run, events } => return encode_batch(*run, events),
+        LogRecord::FinishRun { run } => {
+            enc.body.push(FINISH_RUN);
+            enc.uint(run.0);
+        }
+        LogRecord::DropRun { run } => {
+            enc.body.push(DROP_RUN);
+            enc.uint(run.0);
+        }
+        LogRecord::Workflow { name, json } => {
+            enc.body.push(WORKFLOW);
+            enc.name(name.as_str());
+            put_bytes(&mut enc.body, json.as_bytes());
+        }
+        LogRecord::Snapshot { generation } => {
+            enc.body.push(SNAPSHOT);
+            enc.uint(*generation);
+        }
+    }
+    enc.finish()
+}
+
+/// Encodes a [`LogRecord::Batch`] straight from borrowed events.
+pub(crate) fn encode_batch(run: RunId, events: &[TraceEvent]) -> Result<Vec<u8>, TooDeep> {
+    let mut enc =
+        Encoder { body: Vec::with_capacity(16 + events.len() * 16), ..Encoder::default() };
+    enc.body.push(BATCH);
+    enc.uint(run.0);
+    enc.uint(events.len() as u64);
+    for event in events {
+        match event {
+            TraceEvent::Xform(e) => {
+                enc.body.push(EVENT_XFORM);
+                enc.xform(e);
+            }
+            TraceEvent::Xfer(e) => {
+                enc.body.push(EVENT_XFER);
+                enc.xfer(e);
+            }
+        }
+    }
+    enc.finish()
+}
+
+/// Writes the record body while collecting the frame's tables; `finish`
+/// puts the tables in front of it.
+#[derive(Default)]
+struct Encoder<'a> {
+    body: Vec<u8>,
+    names: HashMap<&'a str, u32>,
+    name_list: Vec<&'a str>,
+    values: HashMap<&'a Value, u32>,
+    value_list: Vec<&'a Value>,
+}
+
+impl<'a> Encoder<'a> {
+    fn uint(&mut self, n: u64) {
+        put_uint(&mut self.body, n);
+    }
+
+    fn name(&mut self, name: &'a str) {
+        let next = self.name_list.len() as u32;
+        let at = *self.names.entry(name).or_insert(next);
+        if at == next {
+            self.name_list.push(name);
+        }
+        self.uint(u64::from(at));
+    }
+
+    fn value(&mut self, value: &'a Value) {
+        let next = self.value_list.len() as u32;
+        let at = *self.values.entry(value).or_insert(next);
+        if at == next {
+            self.value_list.push(value);
+        }
+        self.uint(u64::from(at));
+    }
+
+    fn index(&mut self, index: &Index) {
+        let components = index.as_slice();
+        self.uint(components.len() as u64);
+        for &c in components {
+            self.uint(u64::from(c));
+        }
+    }
+
+    fn bindings(&mut self, bindings: &'a [PortBinding]) {
+        self.uint(bindings.len() as u64);
+        for b in bindings {
+            self.name(&b.port);
+            self.index(&b.index);
+            self.value(&b.value);
+        }
+    }
+
+    fn xform(&mut self, e: &'a XformEvent) {
+        self.name(e.processor.as_str());
+        self.uint(u64::from(e.invocation));
+        self.bindings(&e.inputs);
+        self.bindings(&e.outputs);
+    }
+
+    fn xfer(&mut self, e: &'a XferEvent) {
+        self.name(e.src.processor.as_str());
+        self.name(&e.src.port);
+        self.index(&e.src_index);
+        self.name(e.dst.processor.as_str());
+        self.name(&e.dst.port);
+        self.index(&e.dst_index);
+        self.value(&e.value);
+    }
+
+    fn finish(self) -> Result<Vec<u8>, TooDeep> {
+        let names: usize = self.name_list.iter().map(|n| n.len() + 1).sum();
+        let mut out = Vec::with_capacity(8 + names + 8 * self.value_list.len() + self.body.len());
+        out.push(VERSION);
+        put_uint(&mut out, self.name_list.len() as u64);
+        for name in &self.name_list {
+            put_bytes(&mut out, name.as_bytes());
+        }
+        put_uint(&mut out, self.value_list.len() as u64);
+        for value in &self.value_list {
+            put_value(&mut out, value, 0)?;
+        }
+        out.extend_from_slice(&self.body);
+        Ok(out)
+    }
+}
+
+fn put_uint(out: &mut Vec<u8>, mut n: u64) {
+    while n >= 0x80 {
+        out.push(n as u8 | 0x80);
+        n >>= 7;
+    }
+    out.push(n as u8);
+}
+
+fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    put_uint(out, bytes.len() as u64);
+    out.extend_from_slice(bytes);
+}
+
+/// Writes `value`, which sits inside `depth` lists.
+fn put_value(out: &mut Vec<u8>, value: &Value, depth: usize) -> Result<(), TooDeep> {
+    match value {
+        Value::List(items) => {
+            if depth >= MAX_DEPTH {
+                return Err(TooDeep);
+            }
+            out.push(LIST);
+            put_uint(out, items.len() as u64);
+            for item in items {
+                put_value(out, item, depth + 1)?;
+            }
+        }
+        Value::Atom(Atom::Str(s)) => {
+            out.push(STR);
+            put_bytes(out, s.as_bytes());
+        }
+        Value::Atom(Atom::Int(i)) => {
+            out.push(INT);
+            put_uint(out, ((i << 1) ^ (i >> 63)) as u64);
+        }
+        Value::Atom(Atom::Float(f)) => {
+            out.push(FLOAT);
+            out.extend_from_slice(&f.0.to_bits().to_le_bytes());
+        }
+        Value::Atom(Atom::Bool(b)) => {
+            out.push(BOOL);
+            out.push(u8::from(*b));
+        }
+        Value::Atom(Atom::Bytes(b)) => {
+            out.push(BYTES);
+            put_bytes(out, b);
+        }
+        Value::Atom(Atom::Error(token)) => {
+            out.push(ERROR);
+            put_bytes(out, token.message.as_bytes());
+            put_bytes(out, token.origin.as_bytes());
+            put_uint(out, u64::from(token.attempts));
+        }
+    }
+    Ok(())
+}
+
+// ------------------------------------------------------------------ decode
+
+/// Decodes one payload: binary after [`VERSION`], serde JSON after `{`.
+pub(crate) fn decode(payload: &[u8]) -> Result<LogRecord, DecodeError> {
+    match payload.split_first() {
+        Some((&VERSION, rest)) => Decoder::new(rest)?.record(),
+        Some((b'{', _)) => serde_json::from_slice(payload).map_err(|e| DecodeError(e.to_string())),
+        Some((b, _)) => Err(DecodeError(format!("unknown payload version {b:#04x}"))),
+        None => bad("empty payload"),
+    }
+}
+
+struct Decoder<'a> {
+    rest: &'a [u8],
+    names: Vec<Arc<str>>,
+    values: Vec<Value>,
+}
+
+impl<'a> Decoder<'a> {
+    /// Reads both tables, leaving the record body.
+    fn new(rest: &'a [u8]) -> Result<Self, DecodeError> {
+        let mut d = Decoder { rest, names: Vec::new(), values: Vec::new() };
+        let n = d.count(1)?;
+        d.names.reserve_exact(n);
+        for _ in 0..n {
+            let name = d.str()?;
+            d.names.push(Arc::from(name));
+        }
+        let n = d.count(MIN_VALUE)?;
+        d.values.reserve_exact(n);
+        for _ in 0..n {
+            let value = d.value(0)?;
+            d.values.push(value);
+        }
+        Ok(d)
+    }
+
+    fn record(mut self) -> Result<LogRecord, DecodeError> {
+        let record = match self.byte()? {
+            BEGIN_RUN => LogRecord::BeginRun { run: self.run()?, workflow: self.processor()? },
+            XFORM => LogRecord::Xform { run: self.run()?, event: self.xform()? },
+            XFER => LogRecord::Xfer { run: self.run()?, event: self.xfer()? },
+            BATCH => {
+                let run = self.run()?;
+                let n = self.count(MIN_EVENT)?;
+                let mut events = Vec::with_capacity(n);
+                for _ in 0..n {
+                    events.push(match self.byte()? {
+                        EVENT_XFORM => TraceEvent::Xform(self.xform()?),
+                        EVENT_XFER => TraceEvent::Xfer(self.xfer()?),
+                        _ => return bad("unknown event tag"),
+                    });
+                }
+                LogRecord::Batch { run, events }
+            }
+            FINISH_RUN => LogRecord::FinishRun { run: self.run()? },
+            DROP_RUN => LogRecord::DropRun { run: self.run()? },
+            WORKFLOW => {
+                LogRecord::Workflow { name: self.processor()?, json: self.str()?.to_string() }
+            }
+            SNAPSHOT => LogRecord::Snapshot { generation: self.uint()? },
+            _ => return bad("unknown record tag"),
+        };
+        if !self.rest.is_empty() {
+            return bad("trailing bytes after the record");
+        }
+        Ok(record)
+    }
+
+    fn byte(&mut self) -> Result<u8, DecodeError> {
+        let Some((&b, rest)) = self.rest.split_first() else {
+            return bad("payload ends early");
+        };
+        self.rest = rest;
+        Ok(b)
+    }
+
+    fn uint(&mut self) -> Result<u64, DecodeError> {
+        let mut n = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.byte()?;
+            // The tenth byte may carry only the top bit of a u64.
+            if shift == 63 && b > 1 {
+                return bad("varint overflows u64");
+            }
+            n |= u64::from(b & 0x7F) << shift;
+            if b < 0x80 {
+                return Ok(n);
+            }
+        }
+        bad("varint overflows u64")
+    }
+
+    fn u32(&mut self) -> Result<u32, DecodeError> {
+        u32::try_from(self.uint()?).or_else(|_| bad("integer overflows u32"))
+    }
+
+    /// A count of items that take at least `min_bytes` each: more than the
+    /// bytes left can hold is an error, before anything is allocated.
+    fn count(&mut self, min_bytes: usize) -> Result<usize, DecodeError> {
+        let n = self.uint()?;
+        if n > (self.rest.len() / min_bytes) as u64 {
+            return bad("count exceeds the bytes left");
+        }
+        Ok(n as usize)
+    }
+
+    fn take(&mut self, len: usize) -> Result<&'a [u8], DecodeError> {
+        if len > self.rest.len() {
+            return bad("length exceeds the bytes left");
+        }
+        let (head, rest) = self.rest.split_at(len);
+        self.rest = rest;
+        Ok(head)
+    }
+
+    fn str(&mut self) -> Result<&'a str, DecodeError> {
+        let len = self.count(1)?;
+        std::str::from_utf8(self.take(len)?).or_else(|_| bad("string is not UTF-8"))
+    }
+
+    fn run(&mut self) -> Result<RunId, DecodeError> {
+        Ok(RunId(self.uint()?))
+    }
+
+    fn name(&mut self) -> Result<Arc<str>, DecodeError> {
+        let at = self.uint()?;
+        match usize::try_from(at).ok().and_then(|at| self.names.get(at)) {
+            Some(name) => Ok(Arc::clone(name)),
+            None => bad("name position out of range"),
+        }
+    }
+
+    fn processor(&mut self) -> Result<ProcessorName, DecodeError> {
+        self.name().map(ProcessorName)
+    }
+
+    fn table_value(&mut self) -> Result<Value, DecodeError> {
+        let at = self.uint()?;
+        match usize::try_from(at).ok().and_then(|at| self.values.get(at)) {
+            Some(value) => Ok(value.clone()),
+            None => bad("value position out of range"),
+        }
+    }
+
+    fn index(&mut self) -> Result<Index, DecodeError> {
+        let len = self.count(1)?;
+        if len <= Index::INLINE {
+            let mut buf = [0u32; Index::INLINE];
+            for c in &mut buf[..len] {
+                *c = self.u32()?;
+            }
+            Ok(Index::from_slice(&buf[..len]))
+        } else {
+            let mut components = Vec::with_capacity(len);
+            for _ in 0..len {
+                components.push(self.u32()?);
+            }
+            Ok(Index::from(components))
+        }
+    }
+
+    fn bindings(&mut self) -> Result<Vec<PortBinding>, DecodeError> {
+        let n = self.count(MIN_BINDING)?;
+        let mut bindings = Vec::with_capacity(n);
+        for _ in 0..n {
+            bindings.push(PortBinding {
+                port: self.name()?,
+                index: self.index()?,
+                value: self.table_value()?,
+            });
+        }
+        Ok(bindings)
+    }
+
+    fn xform(&mut self) -> Result<XformEvent, DecodeError> {
+        Ok(XformEvent {
+            processor: self.processor()?,
+            invocation: self.u32()?,
+            inputs: self.bindings()?,
+            outputs: self.bindings()?,
+        })
+    }
+
+    fn xfer(&mut self) -> Result<XferEvent, DecodeError> {
+        Ok(XferEvent {
+            src: PortRef { processor: self.processor()?, port: self.name()? },
+            src_index: self.index()?,
+            dst: PortRef { processor: self.processor()?, port: self.name()? },
+            dst_index: self.index()?,
+            value: self.table_value()?,
+        })
+    }
+
+    /// Reads a table value that sits inside `depth` lists.
+    fn value(&mut self, depth: usize) -> Result<Value, DecodeError> {
+        let atom = match self.byte()? {
+            LIST => {
+                if depth >= MAX_DEPTH {
+                    return bad("list nesting exceeds the depth cap");
+                }
+                let n = self.count(MIN_VALUE)?;
+                let mut items = Vec::with_capacity(n);
+                for _ in 0..n {
+                    items.push(self.value(depth + 1)?);
+                }
+                return Ok(Value::List(items));
+            }
+            STR => Atom::Str(Arc::from(self.str()?)),
+            INT => {
+                let z = self.uint()?;
+                Atom::Int((z >> 1) as i64 ^ -((z & 1) as i64))
+            }
+            FLOAT => {
+                let bits = self.take(8)?;
+                let mut le = [0u8; 8];
+                le.copy_from_slice(bits);
+                Atom::Float(F64(f64::from_bits(u64::from_le_bytes(le))))
+            }
+            BOOL => match self.byte()? {
+                0 => Atom::Bool(false),
+                1 => Atom::Bool(true),
+                _ => return bad("bool is neither 0 nor 1"),
+            },
+            BYTES => {
+                let len = self.count(1)?;
+                Atom::Bytes(bytes::Bytes::from(self.take(len)?))
+            }
+            ERROR => {
+                let message = self.str()?;
+                let origin = self.str()?;
+                Atom::Error(Box::new(ErrorToken::new(message, origin, self.u32()?)))
+            }
+            _ => return bad("unknown value tag"),
+        };
+        Ok(Value::Atom(atom))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// splitmix64: every generated record is a function of one seed.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn name(&mut self) -> Arc<str> {
+            const NAMES: [&str; 6] = ["", "P", "LISTGEN_1", "x", "générateur", "入力/ポート"];
+            Arc::from(NAMES[self.below(NAMES.len() as u64) as usize])
+        }
+
+        /// Short indexes, long ones that spill inline storage, and ones
+        /// whose components do not pack.
+        fn index(&mut self) -> Index {
+            let (len, max) = match self.below(3) {
+                0 => (self.below(4), 3),
+                1 => (9 + self.below(4), 2),
+                _ => (1 + self.below(3), u64::from(u32::MAX)),
+            };
+            let components: Vec<u32> = (0..len)
+                .map(|_| if max > 3 { 0xFFFE + self.below(max - 0xFFFD) } else { self.below(max) })
+                .map(|c| c as u32)
+                .collect();
+            Index::from_slice(&components)
+        }
+
+        fn atom(&mut self) -> Atom {
+            match self.below(9) {
+                0 => Atom::Str(self.name()),
+                1 => Atom::Int(self.next() as i64),
+                2 => Atom::Int(self.below(5) as i64 - 2),
+                3 => Atom::Float(F64(f64::from_bits(self.next()))),
+                4 => Atom::Float(F64([f64::NAN, -f64::NAN, -0.0, 0.0][self.below(4) as usize])),
+                5 => Atom::Bool(self.below(2) == 1),
+                6 => Atom::Bytes(bytes::Bytes::from(
+                    (0..self.below(5)).map(|_| self.next() as u8).collect::<Vec<u8>>(),
+                )),
+                7 => Atom::Error(Box::new(ErrorToken::new(
+                    self.name(),
+                    self.name(),
+                    self.next() as u32,
+                ))),
+                _ => Atom::Int(7),
+            }
+        }
+
+        fn value(&mut self, depth: usize) -> Value {
+            if depth < 3 && self.below(3) == 0 {
+                Value::List((0..self.below(4)).map(|_| self.value(depth + 1)).collect())
+            } else {
+                Value::Atom(self.atom())
+            }
+        }
+
+        fn bindings(&mut self) -> Vec<PortBinding> {
+            (0..self.below(3))
+                .map(|_| PortBinding {
+                    port: self.name(),
+                    index: self.index(),
+                    value: self.value(0),
+                })
+                .collect()
+        }
+
+        fn xform(&mut self) -> XformEvent {
+            XformEvent {
+                processor: ProcessorName(self.name()),
+                invocation: self.next() as u32,
+                inputs: self.bindings(),
+                outputs: self.bindings(),
+            }
+        }
+
+        fn xfer(&mut self) -> XferEvent {
+            XferEvent {
+                src: PortRef { processor: ProcessorName(self.name()), port: self.name() },
+                src_index: self.index(),
+                dst: PortRef { processor: ProcessorName(self.name()), port: self.name() },
+                dst_index: self.index(),
+                value: self.value(0),
+            }
+        }
+
+        fn run(&mut self) -> RunId {
+            RunId(if self.below(2) == 0 { self.below(4) } else { self.next() })
+        }
+
+        fn record(&mut self) -> LogRecord {
+            match self.below(8) {
+                0 => LogRecord::BeginRun { run: self.run(), workflow: ProcessorName(self.name()) },
+                1 => LogRecord::Xform { run: self.run(), event: self.xform() },
+                2 => LogRecord::Xfer { run: self.run(), event: self.xfer() },
+                3 => LogRecord::Batch {
+                    run: self.run(),
+                    events: (0..self.below(6))
+                        .map(|_| match self.below(2) {
+                            0 => TraceEvent::Xform(self.xform()),
+                            _ => TraceEvent::Xfer(self.xfer()),
+                        })
+                        .collect(),
+                },
+                4 => LogRecord::FinishRun { run: self.run() },
+                5 => LogRecord::DropRun { run: self.run() },
+                6 => LogRecord::Workflow {
+                    name: ProcessorName(self.name()),
+                    json: format!("{{\"w\":\"{}\"}}", self.name()),
+                },
+                _ => LogRecord::Snapshot { generation: self.next() },
+            }
+        }
+    }
+
+    /// `LogRecord` equality compares floats by bit pattern (`F64`), so
+    /// NaN payloads and the sign of zero must survive exactly.
+    fn round_trips(record: &LogRecord) {
+        let bytes = encode(record).unwrap();
+        assert_eq!(bytes[0], VERSION);
+        assert_eq!(&decode(&bytes).unwrap(), record);
+    }
+
+    fn nested(depth: usize) -> Value {
+        (0..depth).fold(Value::int(1), |v, _| Value::List(vec![v]))
+    }
+
+    fn xfer_of(value: Value) -> LogRecord {
+        LogRecord::Xfer {
+            run: RunId(0),
+            event: XferEvent {
+                src: PortRef::new("A", "y"),
+                src_index: Index::empty(),
+                dst: PortRef::new("B", "x"),
+                dst_index: Index::empty(),
+                value,
+            },
+        }
+    }
+
+    const CASES: u32 = if cfg!(miri) { 4 } else { 256 };
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(CASES))]
+
+        #[test]
+        fn arbitrary_records_round_trip(seed in proptest::prelude::any::<u64>()) {
+            round_trips(&Gen(seed).record());
+        }
+
+        #[test]
+        fn random_bytes_after_the_version_byte_never_panic(
+            body in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..48),
+        ) {
+            let mut payload = vec![VERSION];
+            payload.extend_from_slice(&body);
+            let _ = decode(&payload);
+        }
+    }
+
+    #[test]
+    fn every_record_variant_and_atom_round_trips() {
+        let mut g = Gen(1);
+        let (xform, xfer) = (g.xform(), g.xfer());
+        let records = [
+            LogRecord::BeginRun { run: RunId(u64::MAX), workflow: ProcessorName::from("") },
+            LogRecord::Xform { run: RunId(3), event: xform.clone() },
+            LogRecord::Xfer { run: RunId(0), event: xfer.clone() },
+            LogRecord::Batch {
+                run: RunId(9),
+                events: vec![TraceEvent::Xform(xform), TraceEvent::Xfer(xfer)],
+            },
+            LogRecord::Batch { run: RunId(1), events: Vec::new() },
+            LogRecord::FinishRun { run: RunId(2) },
+            LogRecord::DropRun { run: RunId(5) },
+            LogRecord::Workflow { name: ProcessorName::from("wf/ü"), json: "{}".into() },
+            LogRecord::Snapshot { generation: u64::MAX },
+        ];
+        for record in &records {
+            round_trips(record);
+        }
+        let atoms = [
+            Atom::Str("".into()),
+            Atom::Int(i64::MIN),
+            Atom::Int(i64::MAX),
+            Atom::Float(F64(f64::NAN)),
+            Atom::Float(F64(f64::from_bits(0x7FF0_0000_0000_0001))),
+            Atom::Float(F64(-0.0)),
+            Atom::Float(F64(f64::NEG_INFINITY)),
+            Atom::Bool(true),
+            Atom::Bytes(bytes::Bytes::from_static(&[0, 255])),
+            Atom::Error(Box::new(ErrorToken::new("boom", "P/Q", 3))),
+        ];
+        for atom in atoms {
+            round_trips(&xfer_of(Value::Atom(atom)));
+        }
+    }
+
+    #[test]
+    fn names_and_values_are_written_once_per_frame() {
+        let event = |n: i64| {
+            TraceEvent::Xfer(XferEvent {
+                src: PortRef::new("A", "y"),
+                src_index: Index::single(n as u32),
+                dst: PortRef::new("B", "x"),
+                dst_index: Index::single(n as u32),
+                value: Value::str("shared value"),
+            })
+        };
+        let one = encode_batch(RunId(0), &[event(0)]).unwrap();
+        let many = encode_batch(RunId(0), &(0..100).map(event).collect::<Vec<_>>()).unwrap();
+        // Each further event costs its tag, four name positions, two
+        // one-component indexes and a value position: 10 bytes, with no
+        // name or value text.
+        assert_eq!(many.len() - one.len(), 99 * 10);
+    }
+
+    #[test]
+    fn lists_nest_to_the_cap_and_no_deeper() {
+        round_trips(&xfer_of(nested(MAX_DEPTH)));
+        assert!(encode(&xfer_of(nested(MAX_DEPTH + 1))).is_err());
+        // A hand-made payload one list deeper than the cap is refused too.
+        let mut payload = encode(&xfer_of(nested(MAX_DEPTH))).unwrap();
+        let at = payload.iter().position(|&b| b == LIST).unwrap();
+        payload.splice(at..at, [LIST, 1]);
+        assert!(decode(&payload).unwrap_err().to_string().contains("depth"));
+    }
+
+    #[test]
+    fn json_era_payloads_still_decode() {
+        // The JSON branch is exactly the serde derive, which is all the
+        // JSON era could read back (it wrote a NaN as `null`, for one).
+        let mut g = Gen(7);
+        for _ in 0..32 {
+            let json = serde_json::to_vec(&g.record()).unwrap();
+            let serde = serde_json::from_slice::<LogRecord>(&json).ok();
+            assert_eq!(decode(&json).ok(), serde);
+        }
+        let record = LogRecord::FinishRun { run: RunId(4) };
+        assert_eq!(decode(&serde_json::to_vec(&record).unwrap()).unwrap(), record);
+        assert!(decode(b"{\"FinishRun\":").is_err());
+    }
+
+    #[test]
+    fn malformed_headers_and_bodies_are_errors() {
+        for payload in [
+            &[][..],
+            &[0x02, 0, 0, FINISH_RUN, 0],
+            // A name count far past the bytes left.
+            &[VERSION, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F],
+            // An eleven-byte varint.
+            &[VERSION, 0, 0, SNAPSHOT, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02],
+            // A name position past the table.
+            &[VERSION, 0, 0, BEGIN_RUN, 0, 0],
+            // Trailing bytes.
+            &[VERSION, 0, 0, FINISH_RUN, 0, 0],
+            // Not UTF-8.
+            &[VERSION, 1, 1, 0xFF, 0, BEGIN_RUN, 0, 0],
+        ] {
+            assert!(decode(payload).is_err(), "{payload:?} decoded");
+        }
+        let max =
+            [VERSION, 0, 0, SNAPSHOT, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 1];
+        assert_eq!(decode(&max).unwrap(), LogRecord::Snapshot { generation: u64::MAX });
+    }
+
+    /// Every truncation and every single-byte flip of `payload` decodes
+    /// to `Ok` or `Err`, never a panic; no truncation decodes at all.
+    fn survives_damage(payload: &[u8]) {
+        for len in 0..payload.len() {
+            assert!(decode(&payload[..len]).is_err(), "a {len}-byte prefix decoded");
+        }
+        let mut bytes = payload.to_vec();
+        for at in 0..bytes.len() {
+            for flip in [0x01, 0x80, 0xFF] {
+                bytes[at] ^= flip;
+                let _ = decode(&bytes);
+                bytes[at] ^= flip;
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_bytes_are_errors_not_panics() {
+        let seed = std::env::var("CRASH_TORTURE_SEED")
+            .ok()
+            .and_then(|s| s.parse::<u64>().ok())
+            .unwrap_or(0xC0DEC);
+        eprintln!("codec hostile-bytes seed: {seed} (replay with CRASH_TORTURE_SEED={seed})");
+        let mut g = Gen(seed);
+        let rounds = if cfg!(miri) { 1 } else { 64 };
+        for _ in 0..rounds {
+            let payload = encode(&g.record()).unwrap();
+            survives_damage(&payload);
+            let noise: Vec<u8> = (0..g.below(64)).map(|_| g.next() as u8).collect();
+            let _ = decode(&[&[VERSION][..], &noise].concat());
+        }
+    }
+}

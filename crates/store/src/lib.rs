@@ -32,8 +32,8 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 mod catalog;
+mod codec;
 mod crc;
-mod encode;
 mod export;
 pub mod fault;
 mod indexes;

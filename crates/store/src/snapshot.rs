@@ -6,9 +6,16 @@
 //! temp-then-rename), the WAL is truncated down to a single
 //! [`LogRecord::Snapshot`] marker, and recovery becomes *load snapshot +
 //! replay the bounded tail*. Snapshot files reuse the WAL's CRC frame
-//! format and are bracketed by a marker frame at both ends, so torn or
-//! frame-aligned-truncated snapshots are detectable and recovery can fall
-//! back to the previous generation.
+//! format and record codec, and are bracketed by a marker frame at both
+//! ends, so torn or frame-aligned-truncated snapshots are detectable and
+//! recovery can fall back to the previous generation.
+//!
+//! Between the markers a snapshot holds the workflow specs, one `BeginRun`
+//! per run, each run's rows as [`LogRecord::Batch`] frames of at most a
+//! fixed number of events (so a frame's name and value tables are shared
+//! by many rows), and one `FinishRun` per finished run. Snapshots written
+//! before the binary codec hold one JSON frame per row; recovery replays
+//! them unchanged.
 //!
 //! [`CompactionPolicy`] drives automatic snapshots: once the pending WAL
 //! tail crosses either bound, the store compacts, so a crash at any moment
@@ -251,7 +258,7 @@ mod tests {
         // Frame-aligned truncation (drop the footer frame): the CRC scan is
         // clean, but the footer check rejects it.
         let full = std::fs::metadata(&snap).unwrap().len();
-        let footer = crate::encode::encode_record(&LogRecord::Snapshot { generation: 2 }).len();
+        let footer = crate::codec::encode(&LogRecord::Snapshot { generation: 2 }).unwrap().len();
         std::fs::OpenOptions::new()
             .write(true)
             .open(&snap)

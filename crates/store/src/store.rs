@@ -19,6 +19,7 @@ use prov_engine::{TraceEvent, TraceSink, XferEvent, XformEvent};
 use prov_model::{Binding, Index, PortRef, ProcessorName, RunId, Value, ValueId};
 
 use crate::catalog::{IndexCatalog, IndexId, PortCardinality};
+use crate::codec;
 use crate::fault::FaultPlan;
 use crate::rows::{
     PortDirection, StoredBinding, XferRecord, XferRow, XformPortRow, XformRecord, XformRow,
@@ -29,6 +30,20 @@ use crate::stats::QueryStats;
 use crate::symbols::SymbolTable;
 use crate::values::ValueTable;
 use crate::wal::{LogRecord, TailState, WalError, WalMetrics, WalReader, WalWriter};
+
+/// Most events one snapshot frame carries: frames large enough that the
+/// codec's per-frame name and value tables pay, small enough that a
+/// reader holds one frame at a time.
+const SNAPSHOT_BATCH_EVENTS: usize = 1024;
+
+/// Fsyncs the directory holding `path`, so a rename into it is durable.
+fn sync_dir(path: &Path) -> std::io::Result<()> {
+    let dir = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()
+}
 
 /// Store-level errors.
 #[derive(Debug)]
@@ -457,6 +472,7 @@ impl TraceStore {
         if let Some((generation, _)) = base {
             std::fs::rename(&tmp, snapshot::snapshot_path(path, generation))
                 .map_err(WalError::from)?;
+            sync_dir(path).map_err(WalError::from)?;
         }
         Self::open(path)
     }
@@ -470,7 +486,7 @@ impl TraceStore {
     /// that does not decode, or a local durability failure, is an error
     /// (the follower treats either as grounds for re-sync).
     pub fn apply_replicated(&self, payload: &[u8]) -> crate::Result<()> {
-        let record: LogRecord = serde_json::from_slice(payload)
+        let record = codec::decode(payload)
             .map_err(|e| StoreError::Serialize(format!("replicated frame: {e}")))?;
         let mut guard = self.wal.lock();
         if self.path.is_some() {
@@ -530,7 +546,12 @@ impl TraceStore {
                 return Err(e);
             }
         };
-        if let Err(e) = std::fs::rename(&tmp, snapshot::snapshot_path(&path, generation)) {
+        // The directory is synced before the marker that names the file is
+        // written: otherwise a power cut could keep the marker and lose the
+        // rename.
+        let renamed = std::fs::rename(&tmp, snapshot::snapshot_path(&path, generation))
+            .and_then(|()| sync_dir(&path));
+        if let Err(e) = renamed {
             let e = StoreError::Wal(WalError::from(e));
             Self::poison(&mut guard, &self.wal_failure, e.to_string());
             return Err(e);
@@ -575,11 +596,14 @@ impl TraceStore {
     }
 
     /// Streams current state into `tmp` in the WAL frame format, bracketed
-    /// by `Snapshot { generation }` markers. Snapshot bytes are not WAL
-    /// throughput, so the writer gets standalone metrics; under a
-    /// [`FaultPlan`] the write goes through a fresh fault handle (its
-    /// budget relative to the snapshot's first byte), which is what lets
-    /// torture sweeps crash mid-snapshot.
+    /// by `Snapshot { generation }` markers: workflows and run headers
+    /// first, then each run's rows as [`LogRecord::Batch`] frames of at
+    /// most [`SNAPSHOT_BATCH_EVENTS`] events (xforms, then xfers), then the
+    /// finish records. Snapshot bytes are not WAL throughput, so the
+    /// writer gets standalone metrics; under a [`FaultPlan`] the write
+    /// goes through a fresh fault handle (its budget relative to the
+    /// snapshot's first byte), which is what lets torture sweeps crash
+    /// mid-snapshot.
     fn write_snapshot(&self, tmp: &Path, generation: u64) -> crate::Result<u64> {
         let _ = std::fs::remove_file(tmp);
         let mut w = match self.fault_plan {
@@ -600,16 +624,23 @@ impl TraceStore {
             for info in inner.runs.values() {
                 w.append(&LogRecord::BeginRun { run: info.id, workflow: info.workflow.clone() })?;
             }
+            let mut events = Vec::with_capacity(SNAPSHOT_BATCH_EVENTS);
             for info in inner.runs.values() {
                 let Some(shard) = inner.shards.get(&info.id) else { continue };
-                for row in &shard.xforms {
-                    w.append(&LogRecord::Xform {
-                        run: row.run,
-                        event: inner.xform_to_event(row)?,
-                    })?;
+                let xforms =
+                    shard.xforms.iter().map(|row| inner.xform_to_event(row).map(TraceEvent::Xform));
+                let xfers =
+                    shard.xfers.iter().map(|row| inner.xfer_to_event(row).map(TraceEvent::Xfer));
+                for event in xforms.chain(xfers) {
+                    events.push(event?);
+                    if events.len() == SNAPSHOT_BATCH_EVENTS {
+                        w.append_batch(info.id, &events)?;
+                        events.clear();
+                    }
                 }
-                for row in &shard.xfers {
-                    w.append(&LogRecord::Xfer { run: row.run, event: inner.xfer_to_event(row)? })?;
+                if !events.is_empty() {
+                    w.append_batch(info.id, &events)?;
+                    events.clear();
                 }
             }
             for info in inner.runs.values().filter(|i| i.finished) {
@@ -1631,6 +1662,77 @@ mod tests {
         let s2 = TraceStore::open(&path).unwrap();
         assert_eq!(s2.trace_record_count(RunId(0)), 20);
         assert!(s2.runs()[0].finished);
+    }
+
+    #[test]
+    fn snapshot_writes_each_run_as_batch_frames() {
+        let path = tmp_snap("batch-frames");
+        let s = TraceStore::open(&path).unwrap();
+        s.register_workflow(&"wf".into(), "{}".to_string());
+        // Rows per run: past two frame boundaries, exactly one frame, one
+        // row, and an unfinished run with none.
+        let sizes = [2 * SNAPSHOT_BATCH_EVENTS + 5, SNAPSHOT_BATCH_EVENTS, 1, 0];
+        for (n, &rows) in sizes.iter().enumerate() {
+            let r = s.begin_run(&"wf".into());
+            let events = (0..rows as u32).map(|i| match i % 3 {
+                0 => TraceEvent::Xform(xform("P", i, &[i], &[i])),
+                _ => TraceEvent::Xfer(xfer(("A", "y"), ("P", "x"), &[i], "v")),
+            });
+            s.record_batch(r, events.collect());
+            if n < 3 {
+                s.finish_run(r);
+            }
+        }
+        s.snapshot().unwrap();
+
+        let records = WalReader::read_all(&crate::snapshot::snapshot_path(&path, 1)).unwrap();
+        let count =
+            |want: fn(&LogRecord) -> bool| records.records.iter().filter(|r| want(r)).count();
+        assert_eq!(count(|r| matches!(r, LogRecord::Snapshot { generation: 1 })), 2);
+        assert_eq!(count(|r| matches!(r, LogRecord::Workflow { .. })), 1);
+        assert_eq!(count(|r| matches!(r, LogRecord::BeginRun { .. })), 4);
+        assert_eq!(count(|r| matches!(r, LogRecord::FinishRun { .. })), 3);
+        assert_eq!(count(|r| matches!(r, LogRecord::Xform { .. } | LogRecord::Xfer { .. })), 0);
+        // ⌈rows / SNAPSHOT_BATCH_EVENTS⌉ frames per run, not one per row.
+        for (run, (&rows, want)) in sizes.iter().zip([3, 1, 1, 0]).enumerate() {
+            let frames: Vec<usize> = records
+                .records
+                .iter()
+                .filter_map(|r| match r {
+                    LogRecord::Batch { run: r, events } if r.0 == run as u64 => Some(events.len()),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(frames.len(), want, "run {run}");
+            assert!(frames.iter().all(|&n| n <= SNAPSHOT_BATCH_EVENTS));
+            assert_eq!(frames.iter().sum::<usize>(), rows);
+        }
+
+        // Reopening from the batch frames rebuilds the same store.
+        let s2 = TraceStore::open(&path).unwrap();
+        assert_eq!(s2.runs(), s.runs());
+        let y = |s: &TraceStore| s.xforms_producing(RunId(0), &"P".into(), "y", &Index::single(3));
+        assert_eq!(y(&s2), y(&s));
+    }
+
+    #[test]
+    fn apply_replicated_takes_both_payload_kinds_and_refuses_the_undecodable() {
+        let path = tmp_snap("apply-replicated");
+        let s = TraceStore::open(&path).unwrap();
+        let begin = LogRecord::BeginRun { run: RunId(0), workflow: "wf".into() };
+        s.apply_replicated(&codec::encode(&begin).unwrap()).unwrap();
+        let finish = LogRecord::FinishRun { run: RunId(0) };
+        s.apply_replicated(&serde_json::to_vec(&finish).unwrap()).unwrap();
+        let xfer =
+            LogRecord::Xfer { run: RunId(0), event: xfer(("A", "y"), ("B", "x"), &[0], "v") };
+        let payload = codec::encode(&xfer).unwrap();
+        let err = s.apply_replicated(&payload[..payload.len() - 1]).unwrap_err();
+        assert!(matches!(err, StoreError::Serialize(_)), "{err}");
+        s.sync_wal().unwrap();
+        // The refused payload reached neither the WAL nor the tables.
+        assert_eq!(WalReader::read_all(&path).unwrap().records, vec![begin, finish]);
+        assert_eq!(s.trace_record_count(RunId(0)), 0);
+        assert!(s.runs()[0].finished);
     }
 
     #[test]

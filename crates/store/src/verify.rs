@@ -184,7 +184,7 @@ mod tests {
         std::fs::remove_file(snap(&missing, 2)).unwrap();
         // Truncated on a frame boundary: the footer marker is gone.
         let cut = fixture("no-footer");
-        let footer = crate::encode::encode_record(&LogRecord::Snapshot { generation: 2 }).len();
+        let footer = crate::codec::encode(&LogRecord::Snapshot { generation: 2 }).unwrap().len();
         let full = std::fs::metadata(snap(&cut, 2)).unwrap().len();
         let file = std::fs::OpenOptions::new().write(true).open(snap(&cut, 2)).unwrap();
         file.set_len(full - (8 + footer as u64)).unwrap();

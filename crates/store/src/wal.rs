@@ -8,10 +8,14 @@
 //! └──────────┴──────────┴────────────────┘
 //! ```
 //!
-//! The payload is the JSON serialisation of one [`LogRecord`] — the framing
-//! and checksumming are binary and hand-rolled; JSON payloads keep the log
-//! debuggable with standard tools (and `serde_json` is the one permitted
-//! extra dependency, see DESIGN.md §6).
+//! The payload is one [`LogRecord`] in the binary record codec
+//! ([`crate::codec`]): a version byte `0x01`, the frame's distinct names
+//! and values once each, then the record as a tag, varints and positions
+//! into those two tables. A payload that starts with `{` was written as
+//! JSON before the codec existed; the reader still decodes it through the
+//! serde derive, so a JSON-era log (or a JSON-era prefix with binary
+//! frames appended by a later open) replays unchanged. Every frame is
+//! self-contained, so a shipped frame needs nothing but its own bytes.
 //!
 //! Recovery ([`WalReader::read_all`]) replays frames until EOF or the first
 //! corrupt/truncated frame, and reports how many clean bytes precede the
@@ -28,6 +32,8 @@ use serde::{Deserialize, Serialize};
 use prov_engine::{TraceEvent, XferEvent, XformEvent};
 use prov_model::{ProcessorName, RunId};
 use prov_obs::{Counter, Histogram, Registry};
+
+use crate::codec;
 
 /// Shared WAL throughput and durability-latency metrics.
 ///
@@ -252,11 +258,10 @@ impl WalWriter {
     }
 
     /// Appends one record (buffered; call [`WalWriter::sync`] to flush).
-    /// Payloads are produced by the streaming encoder ([`crate::encode`]),
-    /// which writes the same bytes as `serde_json::to_vec` without building
-    /// the intermediate JSON tree.
+    /// A value nested deeper than the codec's cap is refused as an
+    /// `InvalidInput` I/O error rather than written unreadable.
     pub fn append(&mut self, record: &LogRecord) -> Result<(), WalError> {
-        let payload = crate::encode::encode_record(record);
+        let payload = codec::encode(record)?;
         self.append_payload(&payload)
     }
 
@@ -264,7 +269,7 @@ impl WalWriter {
     /// group commit: one serialisation, one CRC, one buffered write. The
     /// events are borrowed; nothing is cloned to build the frame.
     pub fn append_batch(&mut self, run: RunId, events: &[TraceEvent]) -> Result<(), WalError> {
-        let payload = crate::encode::encode_batch(run, events);
+        let payload = codec::encode_batch(run, events)?;
         self.metrics.group_commits.inc();
         self.append_payload(&payload)
     }
@@ -491,7 +496,7 @@ impl<R: Read> WalCursor<R> {
         if self.next_frame()?.is_none() {
             return Ok(None);
         }
-        match serde_json::from_slice::<LogRecord>(&self.buf[8..]) {
+        match codec::decode(&self.buf[8..]) {
             Ok(r) => Ok(Some(r)),
             Err(_) => {
                 // Roll the clean boundary back to before the bad frame.
@@ -697,6 +702,23 @@ mod tests {
         assert_eq!(rec.clean_len, (8 + first_len) as u64);
         // Checksum damage is distinguished from clean truncation.
         assert_eq!(rec.tail, TailState::CorruptFrame { offset: (8 + first_len) as u64 });
+    }
+
+    #[test]
+    fn checksummed_payload_that_does_not_decode_is_a_corrupt_frame() {
+        let path = tmp("undecodable");
+        let mut w = WalWriter::open(&path).unwrap();
+        w.append(&sample_records()[0]).unwrap();
+        let clean = w.metrics.bytes_written.get();
+        // A CRC-clean frame holding a truncated payload, then a good one.
+        let payload = codec::encode(&sample_records()[1]).unwrap();
+        w.append_payload(&payload[..payload.len() - 1]).unwrap();
+        w.append(&sample_records()[2]).unwrap();
+        w.sync().unwrap();
+        let rec = WalReader::read_all(&path).unwrap();
+        assert_eq!(rec.records, sample_records()[..1]);
+        assert_eq!(rec.clean_len, clean);
+        assert_eq!(rec.tail, TailState::CorruptFrame { offset: clean });
     }
 
     #[test]
