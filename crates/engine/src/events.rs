@@ -106,22 +106,11 @@ pub enum TraceEvent {
     Xfer(XferEvent),
 }
 
-/// How finely the engine records *xfer* events (ablation #4, DESIGN.md).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum TraceGranularity {
-    /// One xfer record per transferred *element* (atom-level enumeration):
-    /// the fine-grained mode the paper's Table 1 record counts reflect.
-    #[default]
-    Fine,
-    /// One xfer record per arc and value (whole-value transfers): cheaper
-    /// traces, coarse lineage through arcs.
-    Coarse,
-}
-
 /// Receives provenance events as a run executes.
 ///
-/// Implementations must be internally synchronised ( `&self` methods), so
-/// the engine can be driven from multiple threads.
+/// Implementations must be internally synchronised (`&self` methods): the
+/// engine records from one thread per run, but a daemon shares one sink
+/// across its client sessions.
 pub trait TraceSink: Send + Sync {
     /// Registers a new run of the given workflow and returns its id.
     fn begin_run(&self, workflow: &ProcessorName) -> RunId;

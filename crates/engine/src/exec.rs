@@ -11,7 +11,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use prov_dataflow::{
     ArcSrc, Dataflow, DepthInfo, IterationStrategy, ProcessorKind, ProjectionLayout,
 };
@@ -19,7 +18,7 @@ use prov_model::{Atom, Index, PortRef, ProcessorName, RunId, Value};
 use prov_obs::{Counter, Histogram, Obs, SpanGuard};
 
 use crate::behavior::{Behavior, BehaviorRegistry};
-use crate::events::{PortBinding, TraceEvent, TraceGranularity, TraceSink, XferEvent, XformEvent};
+use crate::events::{PortBinding, TraceEvent, TraceSink, XferEvent, XformEvent};
 use crate::iteration::{assemble_nested, iteration_tuples};
 use crate::resume::ResumeSource;
 use crate::retry::{invocation_salt, Clock, RetryPolicy, SystemClock};
@@ -40,6 +39,49 @@ struct ResumeCtx<'a> {
 fn push_xfer(resume: Option<ResumeCtx<'_>>, batch: &mut Vec<TraceEvent>, event: XferEvent) {
     if resume.is_none_or(|ctx| !ctx.source.has_xfer(ctx.run, &event)) {
         batch.push(TraceEvent::Xfer(event));
+    }
+}
+
+/// Emits one xfer event per element of a value crossing an arc into the
+/// caller's event batch. `src_offset`/`dst_offset` translate
+/// element-relative indices to absolute ones at nested-scope boundaries. On
+/// resume, transfers already durable in the trace are suppressed so the
+/// resumed trace has no duplicate rows.
+fn emit_xfer(
+    batch: &mut Vec<TraceEvent>,
+    src: PortRef,
+    src_offset: Index,
+    dst: PortRef,
+    dst_offset: Index,
+    value: &Value,
+    resume: Option<ResumeCtx<'_>>,
+) {
+    if value.is_atom() {
+        push_xfer(
+            resume,
+            batch,
+            XferEvent {
+                src,
+                src_index: src_offset,
+                dst,
+                dst_index: dst_offset,
+                value: value.clone(),
+            },
+        );
+        return;
+    }
+    for (index, atom) in value.leaves() {
+        push_xfer(
+            resume,
+            batch,
+            XferEvent {
+                src: src.clone(),
+                src_index: src_offset.concat(&index),
+                dst: dst.clone(),
+                dst_index: dst_offset.concat(&index),
+                value: Value::Atom(atom.clone()),
+            },
+        );
     }
 }
 
@@ -104,29 +146,11 @@ fn flush_batch(
     }
 }
 
-/// How the processors of a scope are scheduled.
-///
-/// The provenance trace of a run is schedule-independent in the pure
-/// dataflow model (events differ at most in interleaving), so the mode is
-/// purely a throughput knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutionMode {
-    /// One processor at a time, in topological order (deterministic event
-    /// order; the default).
-    #[default]
-    Sequential,
-    /// Independent processors run concurrently on scoped threads, level by
-    /// level of the longest-path layering.
-    Parallel,
-}
-
 /// Executes dataflows against a behaviour registry, streaming provenance
 /// events into a [`TraceSink`].
 #[derive(Debug)]
 pub struct Engine {
     registry: BehaviorRegistry,
-    granularity: TraceGranularity,
-    mode: ExecutionMode,
     preflight: bool,
     fail_fast: bool,
     default_retry: RetryPolicy,
@@ -202,15 +226,13 @@ impl RunOutcome {
 }
 
 impl Engine {
-    /// An engine over the given behaviours, recording fine-grained traces
-    /// with sequential scheduling.
+    /// An engine over the given behaviours, recording one xfer event per
+    /// transferred element.
     pub fn new(registry: BehaviorRegistry) -> Self {
         let obs = Obs::disabled();
         let metrics = EngineMetrics::new(&obs);
         Engine {
             registry,
-            granularity: TraceGranularity::Fine,
-            mode: ExecutionMode::Sequential,
             preflight: true,
             fail_fast: false,
             default_retry: RetryPolicy::none(),
@@ -228,18 +250,6 @@ impl Engine {
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.metrics = EngineMetrics::new(&obs);
         self.obs = obs;
-        self
-    }
-
-    /// Selects the xfer recording granularity (ablation #4 in DESIGN.md).
-    pub fn with_granularity(mut self, granularity: TraceGranularity) -> Self {
-        self.granularity = granularity;
-        self
-    }
-
-    /// Selects the scheduling mode.
-    pub fn with_mode(mut self, mode: ExecutionMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -355,7 +365,7 @@ impl Engine {
         let input_map: HashMap<Arc<str>, Value> =
             inputs.into_iter().map(|(k, v)| (Arc::from(k.as_str()), v)).collect();
         let offsets = ScopeOffsets::top_level();
-        let failures: Mutex<Vec<FailedInvocation>> = Mutex::new(Vec::new());
+        let mut failed_xforms = Vec::new();
         let outputs = self.execute_scoped(
             df,
             df.name.clone(),
@@ -364,13 +374,12 @@ impl Engine {
             &offsets,
             sink,
             run_id,
-            &failures,
+            &mut failed_xforms,
             resume,
         )?;
         // Idempotent on resume: a duplicate FinishRun replay just re-marks
         // the run finished.
         sink.finish_run(run_id);
-        let failed_xforms = failures.into_inner();
         let status = if failed_xforms.is_empty() {
             RunStatus::Completed
         } else {
@@ -402,7 +411,7 @@ impl Engine {
         offsets: &ScopeOffsets,
         sink: &dyn TraceSink,
         run_id: RunId,
-        failures: &Mutex<Vec<FailedInvocation>>,
+        failures: &mut Vec<FailedInvocation>,
         resume: Option<ResumeCtx<'_>>,
     ) -> Result<Vec<(Arc<str>, Value)>> {
         // Assumption 2 (§3.1): workflow inputs carry values of declared type.
@@ -416,64 +425,23 @@ impl Engine {
         let depths = DepthInfo::compute(df)?;
         let mut out_values: HashMap<(ProcessorName, Arc<str>), Value> = HashMap::new();
 
-        match self.mode {
-            ExecutionMode::Sequential => {
-                for pname in depths.topo_order() {
-                    let produced = self.process_one(
-                        df,
-                        &depths,
-                        pname,
-                        &scope_name,
-                        prefix,
-                        &inputs,
-                        offsets,
-                        &out_values,
-                        sink,
-                        run_id,
-                        failures,
-                        resume,
-                    )?;
-                    for (port, value) in produced {
-                        out_values.insert((pname.clone(), port), value);
-                    }
-                }
-            }
-            ExecutionMode::Parallel => {
-                // Longest-path layering: processors within a level are
-                // mutually independent and run concurrently; levels form a
-                // barrier, so every upstream value is available.
-                type LevelResult = (ProcessorName, Result<Vec<(Arc<str>, Value)>>);
-                for level in layer_processors(df, &depths) {
-                    let results: Vec<LevelResult> = std::thread::scope(|s| {
-                        let handles: Vec<_> = level
-                            .iter()
-                            .map(|pname| {
-                                let out_ref = &out_values;
-                                let inputs_ref = &inputs;
-                                let depths_ref = &depths;
-                                let scope_ref = &scope_name;
-                                s.spawn(move || {
-                                    (
-                                        pname.clone(),
-                                        self.process_one(
-                                            df, depths_ref, pname, scope_ref, prefix, inputs_ref,
-                                            offsets, out_ref, sink, run_id, failures, resume,
-                                        ),
-                                    )
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                            .collect()
-                    });
-                    for (pname, produced) in results {
-                        for (port, value) in produced? {
-                            out_values.insert((pname.clone(), port), value);
-                        }
-                    }
-                }
+        for pname in depths.topo_order() {
+            let produced = self.process_one(
+                df,
+                &depths,
+                pname,
+                &scope_name,
+                prefix,
+                &inputs,
+                offsets,
+                &out_values,
+                sink,
+                run_id,
+                failures,
+                resume,
+            )?;
+            for (port, value) in produced {
+                out_values.insert((pname.clone(), port), value);
             }
         }
 
@@ -490,7 +458,7 @@ impl Engine {
             })?;
             let (src_ref, src_offset, v) =
                 self.resolve_src(df, &arc.src, &scope_name, prefix, &inputs, offsets, &out_values)?;
-            self.emit_xfer(
+            emit_xfer(
                 &mut batch,
                 src_ref,
                 src_offset,
@@ -522,7 +490,7 @@ impl Engine {
         out_values: &HashMap<(ProcessorName, Arc<str>), Value>,
         sink: &dyn TraceSink,
         run_id: RunId,
-        failures: &Mutex<Vec<FailedInvocation>>,
+        failures: &mut Vec<FailedInvocation>,
         resume: Option<ResumeCtx<'_>>,
     ) -> Result<Vec<(Arc<str>, Value)>> {
         {
@@ -558,7 +526,7 @@ impl Engine {
                         let (src_ref, src_offset, v) = self.resolve_src(
                             df, &arc.src, scope_name, prefix, inputs, offsets, out_values,
                         )?;
-                        self.emit_xfer(
+                        emit_xfer(
                             &mut batch,
                             src_ref,
                             src_offset,
@@ -632,7 +600,7 @@ impl Engine {
                                 .filter(|t| &*t.origin == qualified.as_str())
                             {
                                 self.metrics.failed_invocations.inc();
-                                failures.lock().push(FailedInvocation {
+                                failures.push(FailedInvocation {
                                     processor: qualified.clone(),
                                     index: q_abs.clone(),
                                     message: tok.message.to_string(),
@@ -672,7 +640,7 @@ impl Engine {
                                     // tuple yields error tokens at declared
                                     // depth; sibling iterations proceed.
                                     self.metrics.failed_invocations.inc();
-                                    failures.lock().push(FailedInvocation {
+                                    failures.push(FailedInvocation {
                                         processor: qualified.clone(),
                                         index: q_abs.clone(),
                                         message: message.clone(),
@@ -861,68 +829,6 @@ impl Engine {
             }
         }
     }
-
-    /// Emits the xfer events for a value crossing an arc, at the configured
-    /// granularity, into the caller's event batch. `src_offset`/`dst_offset`
-    /// translate element-relative indices to absolute ones at nested-scope
-    /// boundaries. On resume, transfers already durable in the trace are
-    /// suppressed so the resumed trace has no duplicate rows.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_xfer(
-        &self,
-        batch: &mut Vec<TraceEvent>,
-        src: PortRef,
-        src_offset: Index,
-        dst: PortRef,
-        dst_offset: Index,
-        value: &Value,
-        resume: Option<ResumeCtx<'_>>,
-    ) {
-        match self.granularity {
-            TraceGranularity::Coarse => {
-                push_xfer(
-                    resume,
-                    batch,
-                    XferEvent {
-                        src,
-                        src_index: src_offset,
-                        dst,
-                        dst_index: dst_offset,
-                        value: value.clone(),
-                    },
-                );
-            }
-            TraceGranularity::Fine => {
-                if value.is_atom() {
-                    push_xfer(
-                        resume,
-                        batch,
-                        XferEvent {
-                            src,
-                            src_index: src_offset,
-                            dst,
-                            dst_index: dst_offset,
-                            value: value.clone(),
-                        },
-                    );
-                    return;
-                }
-                for (index, atom) in value.leaves() {
-                    push_xfer(
-                        resume,
-                        batch,
-                        XferEvent {
-                            src: src.clone(),
-                            src_index: src_offset.concat(&index),
-                            dst: dst.clone(),
-                            dst_index: dst_offset.concat(&index),
-                            value: Value::Atom(atom.clone()),
-                        },
-                    );
-                }
-            }
-        }
-    }
 }
 
 /// Index offsets translating a nested scope's element-relative indices into
@@ -963,29 +869,6 @@ fn assemble_from(pairs: Vec<(Index, Value)>, layout: &ProjectionLayout) -> Value
         // prefixes — assemble_nested groups them just the same.
         IterationStrategy::Dot => assemble_nested(pairs, layout.total),
     }
-}
-
-/// Longest-path layering of a scope's processors: level 0 holds the
-/// sources; every processor sits one past its deepest predecessor. All
-/// processors within a level are mutually independent.
-fn layer_processors(df: &Dataflow, depths: &DepthInfo) -> Vec<Vec<ProcessorName>> {
-    let mut level_of: HashMap<&ProcessorName, usize> = HashMap::new();
-    let mut levels: Vec<Vec<ProcessorName>> = Vec::new();
-    for pname in depths.topo_order() {
-        let level = df
-            .predecessors(pname)
-            .iter()
-            .map(|p| level_of.get(p).copied().unwrap_or(0) + 1)
-            .max()
-            .unwrap_or(0);
-        // topo_order guarantees predecessors were placed already.
-        level_of.insert(pname, level);
-        if levels.len() <= level {
-            levels.resize_with(level + 1, Vec::new);
-        }
-        levels[level].push(pname.clone());
-    }
-    levels
 }
 
 /// Qualified processor name for nested scopes (`prefix` already ends in
@@ -1130,18 +1013,6 @@ mod tests {
         let out_xfer = &xfers[3];
         assert_eq!(out_xfer.dst, PortRef::new("wf", "out"));
         assert_eq!(out_xfer.value, Value::str("b!"));
-    }
-
-    #[test]
-    fn coarse_granularity_emits_one_xfer_per_arc() {
-        let engine = Engine::new(registry()).with_granularity(TraceGranularity::Coarse);
-        let sink = VecSink::new();
-        let run = engine
-            .execute(&simple_chain(), vec![("in".into(), Value::from(vec!["a", "b"]))], &sink)
-            .unwrap();
-        let xfers = sink.xfers_of(run.run_id);
-        assert_eq!(xfers.len(), 2);
-        assert!(xfers.iter().all(|e| e.src_index.is_empty()));
     }
 
     #[test]
@@ -1364,51 +1235,6 @@ mod tests {
             .any(|e| e.src.processor.as_str() == "sub" && e.dst.processor.as_str() == "sub/Q"));
     }
 
-    #[test]
-    fn parallel_mode_produces_identical_outputs_and_trace_multiset() {
-        // A diamond with independent branches: in → (L, R) → join.
-        let mut b = DataflowBuilder::new("wf");
-        b.input("in", PortType::list(BaseType::String));
-        b.processor_with_behavior("L", "excl")
-            .in_port("x", PortType::atom(BaseType::String))
-            .out_port("y", PortType::atom(BaseType::String));
-        b.processor_with_behavior("R", "q")
-            .in_port("x", PortType::atom(BaseType::String))
-            .out_port("y", PortType::atom(BaseType::String));
-        b.processor_with_behavior("J", "pair")
-            .in_port("a", PortType::atom(BaseType::String))
-            .in_port("b", PortType::atom(BaseType::String))
-            .out_port("z", PortType::atom(BaseType::String));
-        b.arc_from_input("in", "L", "x").unwrap();
-        b.arc_from_input("in", "R", "x").unwrap();
-        b.arc("L", "y", "J", "a").unwrap();
-        b.arc("R", "y", "J", "b").unwrap();
-        b.output("out", PortType::nested(BaseType::String, 2));
-        b.arc_to_output("J", "z", "out").unwrap();
-        let df = b.build().unwrap();
-        let inputs = vec![("in".to_string(), Value::from(vec!["u", "v", "w"]))];
-
-        let seq_sink = VecSink::new();
-        let seq = Engine::new(registry()).execute(&df, inputs.clone(), &seq_sink).unwrap();
-
-        let par_sink = VecSink::new();
-        let par = Engine::new(registry())
-            .with_mode(ExecutionMode::Parallel)
-            .execute(&df, inputs, &par_sink)
-            .unwrap();
-
-        assert_eq!(seq.outputs, par.outputs);
-        // Same event multisets (order may differ across threads).
-        let norm = |sink: &VecSink, run| {
-            let mut xf: Vec<String> = sink.xforms_of(run).iter().map(|e| e.to_string()).collect();
-            xf.sort();
-            let mut xr: Vec<String> = sink.xfers_of(run).iter().map(|e| e.to_string()).collect();
-            xr.sort();
-            (xf, xr)
-        };
-        assert_eq!(norm(&seq_sink, seq.run_id), norm(&par_sink, par.run_id));
-    }
-
     /// `in:atom → B(boom) → out` with an always-failing behavior.
     fn boom_chain() -> (BehaviorRegistry, Dataflow) {
         let mut r = registry();
@@ -1425,9 +1251,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fail_fast_surfaces_behavior_errors() {
+    fn fail_fast_surfaces_behavior_errors() {
         let (r, df) = boom_chain();
-        let err = Engine::new(r).fail_fast().with_mode(ExecutionMode::Parallel).execute(
+        let err = Engine::new(r).fail_fast().execute(
             &df,
             vec![("in".into(), Value::str("x"))],
             &VecSink::new(),
@@ -1630,31 +1456,6 @@ mod tests {
     }
 
     #[test]
-    fn layering_groups_independent_processors() {
-        let mut b = DataflowBuilder::new("wf");
-        b.input("in", PortType::atom(BaseType::Int));
-        for n in ["A", "B"] {
-            b.processor_with_behavior(n, "identity")
-                .in_port("x", PortType::atom(BaseType::Int))
-                .out_port("y", PortType::atom(BaseType::Int));
-        }
-        b.processor_with_behavior("C", "identity")
-            .in_port("x", PortType::atom(BaseType::Int))
-            .out_port("y", PortType::atom(BaseType::Int));
-        b.arc_from_input("in", "A", "x").unwrap();
-        b.arc_from_input("in", "B", "x").unwrap();
-        b.arc("A", "y", "C", "x").unwrap();
-        b.output("out", PortType::atom(BaseType::Int));
-        b.arc_to_output("C", "y", "out").unwrap();
-        let df = b.build().unwrap();
-        let depths = prov_dataflow::DepthInfo::compute(&df).unwrap();
-        let levels = layer_processors(&df, &depths);
-        assert_eq!(levels.len(), 2);
-        assert_eq!(levels[0].len(), 2); // A and B together
-        assert_eq!(levels[1], vec![ProcessorName::from("C")]);
-    }
-
-    #[test]
     fn observed_run_records_firing_spans_and_engine_counters() {
         let obs = Obs::enabled();
         let sink = VecSink::new();
@@ -1695,44 +1496,6 @@ mod tests {
         );
         assert_eq!(plain.unwrap().outputs, observed.unwrap().outputs);
         assert_eq!(sink_a.xforms_of(RunId(0)).len(), sink_b.xforms_of(RunId(0)).len());
-    }
-
-    #[test]
-    fn parallel_mode_aggregates_spans_across_threads() {
-        let mut b = DataflowBuilder::new("wf");
-        b.input("in", PortType::list(BaseType::String));
-        for n in ["A", "B", "C"] {
-            b.processor_with_behavior(n, "excl")
-                .in_port("x", PortType::atom(BaseType::String))
-                .out_port("y", PortType::atom(BaseType::String));
-            b.arc_from_input("in", n, "x").unwrap();
-        }
-        b.output("out", PortType::list(BaseType::String));
-        b.arc_to_output("A", "y", "out").unwrap();
-        let df = b.build().unwrap();
-
-        let obs = Obs::enabled();
-        let sink = VecSink::new();
-        Engine::new(registry())
-            .with_obs(obs.clone())
-            .with_mode(ExecutionMode::Parallel)
-            .execute(&df, vec![("in".into(), Value::from(vec!["u", "v"]))], &sink)
-            .unwrap();
-        let spans = obs.profiler.spans();
-        let firing_names: std::collections::BTreeSet<String> = spans
-            .iter()
-            .filter(|s| s.name.starts_with("engine.process "))
-            .map(|s| s.name.to_string())
-            .collect();
-        assert_eq!(
-            firing_names,
-            ["engine.process A", "engine.process B", "engine.process C"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect()
-        );
-        assert_eq!(obs.metrics.snapshot().counter("engine.firings"), 3);
-        assert_eq!(obs.metrics.snapshot().counter("engine.invocations"), 6);
     }
 
     #[test]

@@ -34,10 +34,10 @@ mod retry;
 pub use behavior::{builtin, Behavior, BehaviorRegistry, FnBehavior};
 pub use error::EngineError;
 pub use events::{
-    NullSink, PortBinding, ReportingSink, RunReport, TraceEvent, TraceGranularity, TraceSink,
-    VecSink, XferEvent, XformEvent,
+    NullSink, PortBinding, ReportingSink, RunReport, TraceEvent, TraceSink, VecSink, XferEvent,
+    XformEvent,
 };
-pub use exec::{Engine, ExecutionMode, FailedInvocation, RunOutcome, RunStatus};
+pub use exec::{Engine, FailedInvocation, RunOutcome, RunStatus};
 pub use iteration::{assemble_nested, iteration_tuples, IterationTuple};
 pub use resume::ResumeSource;
 pub use retry::{

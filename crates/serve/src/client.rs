@@ -164,7 +164,6 @@ pub struct RemoteSink {
     state: Mutex<SinkState>,
     workflow_json: Option<String>,
     batch_events: usize,
-    pipeline_depth: u64,
 }
 
 impl std::fmt::Debug for SinkState {
@@ -197,19 +196,12 @@ impl RemoteSink {
             }),
             workflow_json,
             batch_events: DEFAULT_BATCH_EVENTS,
-            pipeline_depth: DEFAULT_PIPELINE_DEPTH as u64,
         })
     }
 
     /// Overrides the events-per-batch threshold (tests, benchmarks).
     pub fn with_batch_events(mut self, n: usize) -> Self {
         self.batch_events = n.max(1);
-        self
-    }
-
-    /// Overrides the pipeline depth (1 = strict lock-step).
-    pub fn with_pipeline_depth(mut self, n: usize) -> Self {
-        self.pipeline_depth = n.max(1) as u64;
         self
     }
 
@@ -301,7 +293,7 @@ impl RemoteSink {
         if st.buffer.len() >= self.batch_events {
             Self::flush_locked(&mut st, self.batch_events, false);
             // Pipeline bound: absorb acks until back under the window.
-            while st.error.is_none() && st.outstanding >= self.pipeline_depth {
+            while st.error.is_none() && st.outstanding >= DEFAULT_PIPELINE_DEPTH as u64 {
                 Self::read_one_ack(&mut st);
             }
         }

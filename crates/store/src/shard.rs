@@ -29,7 +29,6 @@
 //! caller-owned buffer, so NI and impact keep one buffer per access path
 //! for a whole walk and a hop probes the indexes without allocating.
 
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
@@ -48,16 +47,9 @@ use crate::values::ValueTable;
 
 use prov_engine::{XferEvent, XformEvent};
 
-/// A reference into one of a shard's two row heaps (shard-local position).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RowRef {
-    Xform(u64),
-    Xfer(u64),
-}
-
-/// All trace state of one run: row heaps plus the four secondary indexes
-/// and the reverse value index, all keyed by shard-local row *positions*
-/// (rows additionally carry their global ids for the public records).
+/// All trace state of one run: row heaps plus the four secondary indexes,
+/// keyed by shard-local row *positions* (rows additionally carry their
+/// global ids for the public records).
 #[derive(Debug, Default, Clone)]
 pub(crate) struct RunShard {
     pub(crate) xforms: Vec<XformRow>,
@@ -65,19 +57,9 @@ pub(crate) struct RunShard {
     /// The secondary indexes, in [`IndexId::ALL`] order: xform rows by
     /// output and by input binding, xfer rows by destination and by source.
     indexes: [CompositeIndex; 4],
-    /// Reverse value index: every row position whose binding carries the
-    /// value — the access path for *value-predicated* queries (§1.1).
-    pub(crate) idx_by_value: HashMap<ValueId, Vec<RowRef>>,
 }
 
 impl RunShard {
-    fn index_value(&mut self, value: ValueId, row: RowRef) {
-        let rows = self.idx_by_value.entry(value).or_default();
-        if rows.last() != Some(&row) {
-            rows.push(row);
-        }
-    }
-
     /// The secondary index `id`.
     pub(crate) fn index(&self, id: IndexId) -> &CompositeIndex {
         &self.indexes[id.pos()]
@@ -102,7 +84,6 @@ impl RunShard {
         ] {
             for b in bindings {
                 let value = values.intern(&b.value);
-                self.index_value(value, RowRef::Xform(pos));
                 let port = symbols.intern(&b.port);
                 ports.push(XformPortRow { direction, port, index: b.index.clone(), value });
                 let key = IndexKey::from(&b.index);
@@ -123,7 +104,6 @@ impl RunShard {
     ) {
         let pos = self.xfers.len() as u64;
         let value = values.intern(&event.value);
-        self.index_value(value, RowRef::Xfer(pos));
         let src_processor = symbols.intern(&event.src.processor.0);
         let src_port = symbols.intern(&event.src.port);
         let dst_processor = symbols.intern(&event.dst.processor.0);
@@ -543,54 +523,39 @@ impl ReadView {
     }
 
     /// All bindings (across every port role) of the run that carry exactly
-    /// the given value (see `TraceStore::bindings_with_value`).
+    /// the given value (see `TraceStore::bindings_with_value`): a scan of
+    /// the xform rows, then the xfer rows, each in insertion order — the
+    /// order a reopen rebuilds from a snapshot, so the answer is the same
+    /// before and after one. Each binding is reported once. Charges every
+    /// row walked as scanned and every matching row as read; a value the
+    /// store never interned matches nothing and walks no row.
     pub fn bindings_with_value(&self, value: &Value) -> Vec<StoredBinding> {
         let Some(&vid) = self.values.lookup(value) else { return Vec::new() };
-        let Some(rows) = self.shard.idx_by_value.get(&vid) else { return Vec::new() };
         let mut probe = self.probe_guard();
-        probe.count_index_lookup();
+        probe.count_rows_scanned(self.shard.xforms.len() + self.shard.xfers.len());
         let mut out: Vec<StoredBinding> = Vec::new();
-        let mut push = |b: StoredBinding| {
+        let mut push = |processor: Sym, port: Sym, index: &Index| {
+            let b = StoredBinding {
+                run: self.run,
+                processor: ProcessorName(self.symbols.resolve(processor)),
+                port: self.symbols.resolve(port),
+                index: index.clone(),
+                value: vid,
+            };
             if !out.contains(&b) {
                 out.push(b);
             }
         };
-        for row in rows {
-            match row {
-                RowRef::Xform(pos) => {
-                    let rec = &self.shard.xforms[*pos as usize];
-                    probe.count_records(1);
-                    for p in &rec.ports {
-                        if p.value == vid {
-                            push(StoredBinding {
-                                run: self.run,
-                                processor: ProcessorName(self.symbols.resolve(rec.processor)),
-                                port: self.symbols.resolve(p.port),
-                                index: p.index.clone(),
-                                value: vid,
-                            });
-                        }
-                    }
-                }
-                RowRef::Xfer(pos) => {
-                    let rec = &self.shard.xfers[*pos as usize];
-                    probe.count_records(1);
-                    push(StoredBinding {
-                        run: self.run,
-                        processor: ProcessorName(self.symbols.resolve(rec.src_processor)),
-                        port: self.symbols.resolve(rec.src_port),
-                        index: rec.src_index.clone(),
-                        value: vid,
-                    });
-                    push(StoredBinding {
-                        run: self.run,
-                        processor: ProcessorName(self.symbols.resolve(rec.dst_processor)),
-                        port: self.symbols.resolve(rec.dst_port),
-                        index: rec.dst_index.clone(),
-                        value: vid,
-                    });
-                }
+        for row in self.shard.xforms.iter().filter(|row| row.ports.iter().any(|p| p.value == vid)) {
+            probe.count_records(1);
+            for p in row.ports.iter().filter(|p| p.value == vid) {
+                push(row.processor, p.port, &p.index);
             }
+        }
+        for row in self.shard.xfers.iter().filter(|row| row.value == vid) {
+            probe.count_records(1);
+            push(row.src_processor, row.src_port, &row.src_index);
+            push(row.dst_processor, row.dst_port, &row.dst_index);
         }
         out
     }
@@ -627,7 +592,7 @@ impl ReadView {
 
 #[cfg(test)]
 mod tests {
-    use prov_engine::{PortBinding, TraceSink};
+    use prov_engine::{PortBinding, TraceSink, XferEvent};
 
     use super::*;
     use crate::TraceStore;
@@ -706,6 +671,43 @@ mod tests {
             assert_eq!(got, want, "{id:?} X:{port}{index:?}");
             assert!(fresh.windows(2).all(|w| w[0] < w[1]), "{fresh:?}");
         }
+    }
+
+    #[test]
+    fn bindings_with_value_lists_xform_hits_before_xfer_hits() {
+        let store = TraceStore::in_memory();
+        let run = store.begin_run(&"wf".into());
+        let at0 = || Index::single(0);
+        let xfer = |src: (&str, &str), dst: (&str, &str), value: &str| XferEvent {
+            src: PortRef::new(src.0, src.1),
+            src_index: at0(),
+            dst: PortRef::new(dst.0, dst.1),
+            dst_index: at0(),
+            value: Value::str(value),
+        };
+        let xform = |processor: &str, input: &str, output: &str| XformEvent {
+            processor: processor.into(),
+            invocation: 0,
+            inputs: vec![PortBinding::new("x", at0(), Value::str(input))],
+            outputs: vec![PortBinding::new("y", at0(), Value::str(output))],
+        };
+        // "v" rides an xfer, then an xform input (the same binding as the
+        // xfer's destination), then an xform output: rows interleaved.
+        store.record_xfer(run, xfer(("A", "y"), ("B", "x"), "v"));
+        store.record_xform(run, xform("B", "v", "w"));
+        store.record_xfer(run, xfer(("B", "y"), ("C", "x"), "w"));
+        store.record_xform(run, xform("C", "w", "v"));
+
+        let view = store.pin(run);
+        let before = view.stats().snapshot();
+        let hits: Vec<String> = view
+            .bindings_with_value(&Value::str("v"))
+            .iter()
+            .map(|b| format!("{}:{}{}", b.processor, b.port, b.index))
+            .collect();
+        assert_eq!(hits, ["B:x[0]", "C:y[0]", "A:y[0]"]);
+        let cost = view.stats().snapshot().since(before);
+        assert_eq!((cost.index_lookups, cost.records_read, cost.rows_scanned), (0, 3, 4));
     }
 
     #[test]

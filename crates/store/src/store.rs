@@ -126,8 +126,8 @@ struct Inner {
     /// Processor/port name interner; rows and index keys hold symbols.
     /// Shared and copy-on-write exactly like `values`.
     symbols: Arc<SymbolTable>,
-    /// One shard per run: that run's row heaps, composite indexes, and
-    /// reverse value index, as one independently pinnable unit.
+    /// One shard per run: that run's row heaps and composite indexes, as
+    /// one independently pinnable unit.
     shards: HashMap<RunId, Arc<RunShard>>,
 }
 
@@ -1784,6 +1784,29 @@ mod tests {
         assert!(s.bindings_with_value(r, &Value::str("nope")).is_empty());
         let r2 = s.begin_run(&"wf".into());
         assert!(s.bindings_with_value(r2, &Value::str("out")).is_empty());
+    }
+
+    #[test]
+    fn bindings_with_value_order_survives_snapshot_and_reopen() {
+        let path = tmp_snap("find-value");
+        let s = TraceStore::open(&path).unwrap();
+        let r = s.begin_run(&"wf".into());
+        // "out" is on xfer rows recorded before and after the xforms.
+        s.record_xfer(r, xfer(("A", "y"), ("P", "x"), &[0], "out"));
+        s.record_xform(r, xform("P", 0, &[0], &[0]));
+        s.record_xfer(r, xfer(("P", "y"), ("Q", "x"), &[0], "out"));
+        s.record_xform(r, xform("Q", 0, &[1], &[0]));
+        s.finish_run(r);
+        // Value ids are interned afresh on reopen: compare resolved hits.
+        let hits = |s: &TraceStore| -> Vec<Binding> {
+            let found = s.bindings_with_value(r, &Value::str("out"));
+            found.iter().map(|b| s.resolve(b).unwrap()).collect()
+        };
+        let before = hits(&s);
+        assert_eq!(before.len(), 5, "{before:?}");
+        s.snapshot().unwrap();
+        drop(s);
+        assert_eq!(hits(&TraceStore::open(&path).unwrap()), before);
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub mod prelude {
         NaiveLineage, PlanCache, PlanCacheStats, QueryRequest, RunSelection, WorkflowCache,
     };
     pub use prov_dataflow::{BaseType, Dataflow, DataflowBuilder, PortType};
-    pub use prov_engine::{Behavior, BehaviorRegistry, Engine, ExecutionMode, RunOutcome};
+    pub use prov_engine::{Behavior, BehaviorRegistry, Engine, RunOutcome};
     pub use prov_model::{Atom, Binding, Index, PortRef, ProcessorName, RunId, Value, ValueId};
     pub use prov_obs::{Obs, Profiler, QueryCtx, Registry};
     pub use prov_store::TraceStore;

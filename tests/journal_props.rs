@@ -5,8 +5,9 @@
 //! one journal at the same time, as daemon sessions do. This is what makes
 //! `tprov tail`/`tprov slow` trustworthy: counters never leak between
 //! concurrent queries.
+//! Plus: plan-step spans account for every answered binding.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use proptest::prelude::*;
 
@@ -129,5 +130,43 @@ proptest! {
         prop_assert_eq!(sum.index_lookups, delta.index_lookups);
         prop_assert_eq!(sum.records_read, delta.records_read);
         prop_assert_eq!(sum.rows_scanned, delta.rows_scanned);
+    }
+}
+
+/// Per-span-name `(count, Σ rows-arg)` totals of a profiler.
+fn span_totals(profiler: &Profiler) -> BTreeMap<String, (u64, u64)> {
+    let mut totals: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+    for s in profiler.spans() {
+        let rows: u64 = s.args.iter().filter(|(k, _)| *k == "rows").map(|(_, v)| *v).sum();
+        let e = totals.entry(s.name.to_string()).or_insert((0, 0));
+        e.0 += 1;
+        e.1 += rows;
+    }
+    totals
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// An unfocused plan over a testbed trace: one `indexproj.step` span
+    /// is recorded per plan step and their `rows` arguments account for
+    /// every returned binding exactly once.
+    #[test]
+    fn plan_steps_account_all_rows(l in 1usize..12, d in 2usize..4) {
+        let df = testbed::generate(l);
+        let store = TraceStore::in_memory();
+        let run = testbed::run(&df, d, &store).run_id;
+        let query = testbed::unfocused_query(&df, &[0, d as u32 - 1]);
+
+        let obs = Obs::enabled();
+        let plan = IndexProj::new(&df).plan_with(&query, &obs).unwrap();
+        let answer = plan.execute_pinned(&store.pin(run), &obs, &QueryCtx::new("q")).unwrap();
+
+        let totals = span_totals(&obs.profiler);
+        let (step_count, step_rows) = totals["indexproj.step"];
+        prop_assert_eq!(step_count, plan.steps.len() as u64);
+        prop_assert_eq!(step_rows, answer.bindings.len() as u64);
+        prop_assert_eq!(totals["indexproj.plan"].0, 1);
+        prop_assert_eq!(totals["indexproj.assemble"].0, 1);
     }
 }
