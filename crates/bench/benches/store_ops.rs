@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use prov_engine::{PortBinding, TraceSink, XformEvent};
 use prov_model::{Index, ProcessorName, RunId, Value};
-use prov_store::TraceStore;
+use prov_store::{IndexId, TraceStore};
 
 fn populated(n: usize) -> (TraceStore, RunId) {
     let store = TraceStore::in_memory();
@@ -38,8 +38,13 @@ fn bench_lookups(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("exact", n), &n, |b, _| {
             b.iter(|| store.xforms_producing(run, &p, "y", &Index::single((n / 2) as u32)));
         });
-        group.bench_with_input(BenchmarkId::new("q_input_bindings", n), &n, |b, _| {
-            b.iter(|| store.input_bindings(run, &p, "x", &Index::single((n / 2) as u32)));
+        group.bench_with_input(BenchmarkId::new("q_lookup", n), &n, |b, _| {
+            b.iter(|| {
+                let view = store.pin(run);
+                let x = view.node(&p, "x", &Index::single((n / 2) as u32));
+                let found = view.bindings_at(IndexId::XformIn, &x, &mut view.probe_guard());
+                found
+            });
         });
     }
     group.finish();

@@ -1,12 +1,13 @@
 //! Sidecar persistence for the event journal and the slow-query log.
 //!
 //! Query/run commands drain the in-process journal ring on exit and
-//! append the events to `<db>.journal.jsonl` (one [`Stamped`] JSON object
-//! per line); finished queries that crossed the slow threshold
-//! (`TPROV_SLOW_QUERY_MS`) or whose observed cost drifted from the cost
-//! model's prediction additionally get one [`SlowRecord`] line in
-//! `<db>.slow.jsonl`. `tprov tail` and `tprov slow` read these files
-//! back, so the journal survives across processes without any daemon.
+//! append the events to `<db>.journal.jsonl` (one
+//! [`Stamped`](prov_obs::Stamped) JSON object per line); finished queries
+//! that crossed the slow threshold (`TPROV_SLOW_QUERY_MS`) or whose
+//! observed cost drifted from the cost model's prediction additionally get
+//! one [`SlowRecord`] line in `<db>.slow.jsonl`. `tprov tail` and
+//! `tprov slow` read these files back, so the journal survives across
+//! processes without any daemon.
 
 use std::collections::HashMap;
 use std::io::Write as _;

@@ -1211,23 +1211,18 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
     };
 
     let obs = Obs::enabled();
+    let view = store.pin(run);
     let mut errors = 0usize;
     let mut failed_checks = 0usize;
     let mut reports: Vec<ExplainReport> = Vec::new();
     for query in &queries {
-        let ex = ip
-            .explain_with(
-                query,
-                &catalog,
-                |step, id| Some(store.port_cardinality(id, run, &step.processor, &step.port)),
-                &obs,
-            )
-            .map_err(|e| e.to_string())?;
+        let ex = ip.explain_with(query, &catalog, Some(&view), &obs).map_err(|e| e.to_string())?;
         errors += ex.report.error_count();
 
         let check = if args.has_flag("check") && ex.is_servable() {
             let before = store.stats().snapshot();
-            ex.plan.execute(&store, run).map_err(|e| e.to_string())?;
+            let (quiet, ctx) = (Obs::disabled(), QueryCtx::detached());
+            ex.plan.execute_pinned(&view, &quiet, &ctx).map_err(|e| e.to_string())?;
             let delta = store.stats().snapshot().since(before);
             let chk = ex.cost.check(
                 delta.index_lookups,
@@ -1417,19 +1412,19 @@ fn cmd_find_value(args: &Args) -> Result<(), String> {
     let value: Value = serde_json::from_str(raw).unwrap_or_else(|_| Value::str(raw));
     let runs = select_runs(args, &store)?;
     let focus = parse_focus(args);
+    let (obs, ctx) = (Obs::disabled(), QueryCtx::detached());
     for run in runs {
-        let hits = store.bindings_with_value(run, &value);
+        let view = store.pin(run);
+        let hits = view.bindings_with_value(&value);
         println!("{run}: value {value} appears in {} binding(s)", hits.len());
         for b in &hits {
-            let resolved = store.resolve(b).map_err(|e| e.to_string())?;
-            println!("  {resolved}");
+            println!("  {b}");
             if args.has_flag("lineage") {
-                let q = LineageQuery::focused(
-                    resolved.port.clone(),
-                    resolved.index.clone(),
-                    focus.iter().cloned(),
-                );
-                let ans = NaiveLineage::new().run(&store, run, &q).map_err(|e| e.to_string())?;
+                let q =
+                    LineageQuery::focused(b.port.clone(), b.index.clone(), focus.iter().cloned());
+                let ans = NaiveLineage::new()
+                    .run_pinned(&view, &q, &obs, &ctx)
+                    .map_err(|e| e.to_string())?;
                 for lb in &ans.bindings {
                     println!("    ⇐ {lb}");
                 }

@@ -187,7 +187,8 @@ pub fn audit_run(df: &Dataflow, store: &TraceStore, run: RunId) -> Result<AuditR
     // dangling-transfer check.
     let mut produced: HashMap<(ProcessorName, String), Vec<Index>> = HashMap::new();
 
-    for rec in store.xforms_of_run(run) {
+    let view = store.pin(run);
+    for rec in view.xforms_of_run() {
         report.xforms_checked += 1;
         for out in rec.outputs() {
             produced
@@ -258,7 +259,7 @@ pub fn audit_run(df: &Dataflow, store: &TraceStore, run: RunId) -> Result<AuditR
                 .map(|s| matches!(s.kind, prov_dataflow::ProcessorKind::Nested { .. }))
                 .unwrap_or(true)
     };
-    for rec in store.xfers_of_run(run) {
+    for rec in view.xfers_of_run() {
         report.xfers_checked += 1;
         if workflow_scope(&rec.src_processor) {
             continue;

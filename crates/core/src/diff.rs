@@ -118,10 +118,10 @@ impl TraceDiff {
 /// Compares the iteration structure of two runs.
 pub fn diff_traces(store: &TraceStore, run_a: RunId, run_b: RunId) -> TraceDiff {
     let mut invocations: BTreeMap<ProcessorName, (u64, u64)> = BTreeMap::new();
-    for rec in store.xforms_of_run(run_a) {
+    for rec in store.pin(run_a).xforms_of_run() {
         invocations.entry(rec.processor.clone()).or_default().0 += 1;
     }
-    for rec in store.xforms_of_run(run_b) {
+    for rec in store.pin(run_b).xforms_of_run() {
         invocations.entry(rec.processor.clone()).or_default().1 += 1;
     }
     TraceDiff { runs: (run_a, run_b), invocations }

@@ -125,17 +125,9 @@ pub fn exec(env: &Env<'_>, req: &QueryRequest<'_>) -> Result<Executed> {
                     // The cost model's prediction rides along so drift is
                     // detectable; it is grounded per request, whether or
                     // not the plan was compiled for this one.
-                    let first = runs.first().copied();
-                    let ex = explain_plan(
-                        df,
-                        Arc::clone(&plan),
-                        &store.index_catalog(),
-                        |step, id| {
-                            first
-                                .map(|r| store.port_cardinality(id, r, &step.processor, &step.port))
-                        },
-                        obs,
-                    );
+                    let first = runs.first().map(|&r| store.pin(r));
+                    let catalog = store.index_catalog();
+                    let ex = explain_plan(df, Arc::clone(&plan), &catalog, first.as_ref(), obs);
                     let c = ctx.to_mut();
                     c.predicted_lookups = Some(ex.cost.index_lookups);
                     c.predicted_rows = Some(ex.cost.rows_scanned);

@@ -32,7 +32,7 @@ use prov_obs::{JournalEvent, Obs, QueryCtx};
 use prov_store::{ProbeStats, ReadView, TraceStore};
 
 use crate::lifecycle::Lifecycle;
-use crate::{CoreError, FocusSet, LineageAnswer, LineageQuery, Result};
+use crate::{step_index_id, CoreError, FocusSet, LineageAnswer, LineageQuery, Result};
 
 /// What a plan step reads from the trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -85,15 +85,8 @@ impl LineagePlan {
         step: &PlanStep,
         probe: &mut ProbeStats,
     ) -> Result<Vec<Binding>> {
-        let stored = match step.kind {
-            StepKind::XformInput => {
-                view.input_bindings_stats(&step.processor, &step.port, &step.index, probe)
-            }
-            StepKind::XferSrc => {
-                view.xfer_src_bindings_stats(&step.processor, &step.port, &step.index, probe)
-            }
-        };
-        stored.iter().map(|b| view.resolve(b).map_err(CoreError::Store)).collect()
+        let node = view.node(&step.processor, &step.port, &step.index);
+        Ok(view.bindings_at(step_index_id(step), &node, probe)?)
     }
 
     /// Executes the plan against one run (phase *s2*): one indexed trace

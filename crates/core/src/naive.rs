@@ -154,9 +154,7 @@ impl NaiveLineage {
                 };
                 if is_source || is_scope_input {
                     trace_queries += 1;
-                    for (source, value) in view.xfer_sources(&node, &mut probe) {
-                        bindings.push(view.binding(&source, value)?);
-                    }
+                    bindings.extend(view.bindings_at(IndexId::XferSrc, &node, &mut probe)?);
                 }
             }
             hop.stop();

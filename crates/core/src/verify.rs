@@ -32,9 +32,8 @@ use std::sync::Arc;
 use prov_dataflow::{
     sort_diagnostics, Dataflow, DiagCode, Diagnostic, Location, NodeRef, ProcessorKind,
 };
-use prov_model::RunId;
 use prov_obs::Obs;
-use prov_store::{IndexCatalog, IndexId, PortCardinality, TraceStore};
+use prov_store::{IndexCatalog, IndexId, PortCardinality, ReadView};
 
 use crate::cost::{CostEstimate, CostModel};
 use crate::{CoreError, IndexProj, LineagePlan, LineageQuery, PlanStep, Result, StepKind};
@@ -305,21 +304,25 @@ impl Explanation {
 }
 
 /// Verifies and costs an already compiled `plan` of `df` — what a request
-/// served from a cached plan still owes its journal. `stats` supplies
-/// per-step slice cardinalities (return `None` when unknown). Records an
+/// served from a cached plan still owes its journal. With a pinned `view`
+/// of a run, each step's cost is grounded in that run's slice
+/// cardinalities; without one the estimate is spec-only. Records an
 /// `explain.verify` span charging the paper's `t1` account — verification
 /// is pure graph work.
 pub fn explain_plan(
     df: &Dataflow,
     plan: Arc<LineagePlan>,
     catalog: &IndexCatalog,
-    mut stats: impl FnMut(&PlanStep, IndexId) -> Option<PortCardinality>,
+    view: Option<&ReadView>,
     obs: &Obs,
 ) -> Explanation {
     let mut span = obs.span("explain.verify", "t1");
     let report = verify_plan(df, &plan, catalog);
+    let slice = |(step, v): (&PlanStep, &VerifiedStep)| {
+        Some(view?.port_cardinality(v.index_id, &step.processor, &step.port))
+    };
     let cardinalities: Vec<Option<PortCardinality>> =
-        plan.steps.iter().zip(&report.steps).map(|(step, v)| stats(step, v.index_id)).collect();
+        plan.steps.iter().zip(&report.steps).map(slice).collect();
     let cost = CostModel::default().estimate(&plan, &report, &cardinalities);
     span.arg("steps", plan.steps.len() as u64);
     span.arg("findings", report.diagnostics.len() as u64);
@@ -333,41 +336,21 @@ impl<'a> IndexProj<'a> {
     /// (exact) and predicts zero rows. This is the spec-only mode of
     /// `tprov explain`.
     pub fn explain(&self, query: &LineageQuery, catalog: &IndexCatalog) -> Result<Explanation> {
-        self.explain_with(query, catalog, |_, _| None, &Obs::disabled())
+        self.explain_with(query, catalog, None, &Obs::disabled())
     }
 
-    /// Compiles `query` and verifies + costs the plan against a live
-    /// store: the catalog and per-port cardinalities are read from `store`
-    /// for `run`, so the row prediction is grounded in actual table
-    /// statistics.
-    pub fn explain_against(
-        &self,
-        query: &LineageQuery,
-        store: &TraceStore,
-        run: RunId,
-        obs: &Obs,
-    ) -> Result<Explanation> {
-        let catalog = store.index_catalog();
-        self.explain_with(
-            query,
-            &catalog,
-            |step, id| Some(store.port_cardinality(id, run, &step.processor, &step.port)),
-            obs,
-        )
-    }
-
-    /// The general form: `stats` supplies per-step slice cardinalities
-    /// (return `None` when unknown); compiles `query`, then
-    /// [`explain_plan`].
+    /// The general form: compiles `query`, then [`explain_plan`]. With a
+    /// pinned `view` of a live run the row prediction is grounded in that
+    /// run's table statistics.
     pub fn explain_with(
         &self,
         query: &LineageQuery,
         catalog: &IndexCatalog,
-        stats: impl FnMut(&PlanStep, IndexId) -> Option<PortCardinality>,
+        view: Option<&ReadView>,
         obs: &Obs,
     ) -> Result<Explanation> {
         let plan = Arc::new(self.plan_with(query, obs)?);
-        Ok(explain_plan(self.dataflow(), plan, catalog, stats, obs))
+        Ok(explain_plan(self.dataflow(), plan, catalog, view, obs))
     }
 
     /// Pre-flight planning: compiles `query` and refuses to return the
@@ -397,6 +380,7 @@ mod tests {
     use prov_dataflow::{BaseType, DataflowBuilder, PortType};
     use prov_engine::{BehaviorRegistry, Engine};
     use prov_model::{Index, PortRef, ProcessorName, Value};
+    use prov_store::TraceStore;
 
     use crate::FocusSet;
 
@@ -617,7 +601,9 @@ mod tests {
 
         let ip = IndexProj::new(&df);
         let q = LineageQuery::unfocused(PortRef::new("wf", "upper"), Index::single(1), &df);
-        let ex = ip.explain_against(&q, &store, run, &Obs::disabled()).unwrap();
+        let view = store.pin(run);
+        let ex =
+            ip.explain_with(&q, &store.index_catalog(), Some(&view), &Obs::disabled()).unwrap();
         assert!(ex.is_servable());
         assert!(ex.cost.grounded);
 

@@ -53,6 +53,7 @@ impl ProvenanceGraph {
     /// Materialises the provenance graph of `run` (full scan; intended
     /// for inspection and export, not querying).
     pub fn of_run(store: &TraceStore, run: RunId) -> ProvenanceGraph {
+        let view = store.pin(run);
         let mut graph = ProvenanceGraph::default();
         let mut ids: HashMap<GraphNode, usize> = HashMap::new();
         let mut intern = |graph: &mut ProvenanceGraph, node: GraphNode| -> usize {
@@ -65,7 +66,7 @@ impl ProvenanceGraph {
             i
         };
 
-        for rec in store.xforms_of_run(run) {
+        for rec in view.xforms_of_run() {
             let inputs: Vec<usize> = rec
                 .inputs()
                 .map(|p| {
@@ -93,7 +94,7 @@ impl ProvenanceGraph {
                 }
             }
         }
-        for rec in store.xfers_of_run(run) {
+        for rec in view.xfers_of_run() {
             let from = intern(
                 &mut graph,
                 GraphNode {

@@ -52,7 +52,7 @@ pub use catalog::{IndexCatalog, IndexId, PortCardinality};
 pub use crc::{crc32, Crc32};
 pub use export::{GraphEdge, GraphNode, ProvenanceGraph};
 pub use fault::{FaultFile, FaultPlan, FaultReader};
-pub use rows::{PortDirection, StoredBinding, XferRecord, XformPortRecord, XformRecord};
+pub use rows::{PortDirection, XferRecord, XformPortRecord, XformRecord};
 pub use shard::{Node, ProcessorSet, ReadView};
 pub use shared::SharedStore;
 pub use snapshot::{valid_snapshot, CompactionPolicy, SnapshotMetrics};

@@ -97,23 +97,6 @@ pub struct XferRecord {
     pub value: ValueId,
 }
 
-/// A resolved binding as returned by store queries: like
-/// `prov_model::Binding` but also carrying the run it came from, which
-/// multi-run queries need.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StoredBinding {
-    /// The run the binding was observed in.
-    pub run: RunId,
-    /// Processor (scope-qualified).
-    pub processor: ProcessorName,
-    /// Port name.
-    pub port: Arc<str>,
-    /// Element index.
-    pub index: Index,
-    /// The element, by reference into the value table.
-    pub value: ValueId,
-}
-
 // ---------------------------------------------------------------------
 // Internal interned rows
 // ---------------------------------------------------------------------

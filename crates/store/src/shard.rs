@@ -16,14 +16,14 @@
 //! without serialising on the store's `RwLock` (the contention wall the
 //! pre-shard layout hit).
 //!
-//! Stats discipline: each `ReadView` method counts its index/record work
-//! into a stack-local [`ProbeStats`] and flushes the totals into the shared
-//! [`QueryStats`] atomics exactly once per call, instead of one atomic RMW
-//! per probe. Flushing rides a [`ProbeGuard`] so early returns and panics
-//! still account the work already done. The `*_stats` probe variants
-//! instead count into a **caller-owned** accumulator (and flush nothing):
-//! the query layer uses them to attribute exact per-step costs to
-//! individual queries even when several run at once against one store.
+//! Stats discipline: the probes a query issues, [`ReadView::rows`] and
+//! [`ReadView::bindings_at`], count into a **caller-owned** [`ProbeStats`]
+//! and flush nothing, so the query layer attributes exact per-step costs
+//! to individual queries even when several run at once against one store;
+//! a [`ProbeGuard`] ([`ReadView::probe_guard`]) flushes the caller's
+//! totals into the shared [`QueryStats`] atomics exactly once, early
+//! returns and panics included. The whole-record reads (the record
+//! probes, the run scans) flush through a guard of their own per call.
 //!
 //! Walks step through row positions: [`ReadView::rows`] fills a
 //! caller-owned buffer, so NI and impact keep one buffer per access path
@@ -34,11 +34,10 @@ use std::sync::{Arc, OnceLock};
 
 use prov_model::{Binding, Index, PortRef, ProcessorName, RunId, Value, ValueId};
 
-use crate::catalog::IndexId;
+use crate::catalog::{IndexId, PortCardinality};
 use crate::indexes::CompositeIndex;
 use crate::rows::{
-    PortDirection, StoredBinding, XferRecord, XferRow, XformPortRecord, XformPortRow, XformRecord,
-    XformRow,
+    PortDirection, XferRecord, XferRow, XformPortRecord, XformPortRow, XformRecord, XformRow,
 };
 use crate::stats::{ProbeGuard, ProbeStats, QueryStats};
 use crate::store::StoreError;
@@ -181,9 +180,8 @@ fn empty_shard() -> &'static Arc<RunShard> {
 /// symbol/value tables, and recording after the pin copy-on-writes new
 /// shard state rather than mutating what the view holds.
 ///
-/// Answers and access-statistics accounting are identical to the
-/// corresponding `TraceStore` methods (which are thin wrappers over a
-/// freshly pinned view).
+/// It is the only way into a run's rows: a reader that reads one run
+/// several times pins it once and asks the view.
 #[derive(Debug, Clone)]
 pub struct ReadView {
     run: RunId,
@@ -275,22 +273,6 @@ impl ReadView {
         hop(r.src_processor, r.src_port, &r.src_index, r.value)
     }
 
-    /// The distinct source bindings of the xfer rows leaving `node`'s
-    /// port at an index overlapping its index, in row order: the same
-    /// element fans out along several arcs but is reported once.
-    pub fn xfer_sources(&self, node: &Node, probe: &mut ProbeStats) -> Vec<(Node, ValueId)> {
-        let mut rows = Vec::new();
-        self.rows(IndexId::XferSrc, node, probe, &mut rows);
-        let mut out: Vec<(Node, ValueId)> = Vec::new();
-        for pos in rows {
-            let source = self.xfer_src(pos);
-            if !out.contains(&source) {
-                out.push(source);
-            }
-        }
-        out
-    }
-
     /// The destination binding of the xfer row at `pos`: node and element.
     pub fn xfer_dst(&self, pos: u64) -> (Node, ValueId) {
         let r = &self.shard.xfers[pos as usize];
@@ -314,6 +296,70 @@ impl ReadView {
             index: node.index.to_index(),
             value,
         })
+    }
+
+    /// The distinct `(index, value)` bindings that index `id` files on
+    /// `node`'s port at keys overlapping `node`'s index, in row order,
+    /// resolved. With [`IndexId::XformIn`] this is `Q(P, X_i, p_i)` of
+    /// Algorithm 2; with [`IndexId::XferSrc`] it reads a workflow-scope
+    /// input port, which exists in the trace only as xfer sources. A
+    /// binding several rows share (a whole value every invocation
+    /// consumes, an element fanned out along several arcs) is reported
+    /// once. Costs what [`ReadView::rows`] costs, counted into `probe`.
+    pub fn bindings_at(
+        &self,
+        id: IndexId,
+        node: &Node,
+        probe: &mut ProbeStats,
+    ) -> crate::Result<Vec<Binding>> {
+        let mut rows = Vec::new();
+        self.rows(id, node, probe, &mut rows);
+        let want = node.index.to_index();
+        let direction =
+            if id == IndexId::XformOut { PortDirection::Out } else { PortDirection::In };
+        let mut found: Vec<(ValueId, &Index)> = Vec::new();
+        for pos in rows.into_iter().map(|pos| pos as usize) {
+            // The row's bindings on the side `id` indexes.
+            let (ports, xfer): (&[XformPortRow], _) = match id {
+                IndexId::XformOut | IndexId::XformIn => (&self.shard.xforms[pos].ports, None),
+                IndexId::XferDst => {
+                    let r = &self.shard.xfers[pos];
+                    (&[], Some((r.value, &r.dst_index)))
+                }
+                IndexId::XferSrc => {
+                    let r = &self.shard.xfers[pos];
+                    (&[], Some((r.value, &r.src_index)))
+                }
+            };
+            let on_port = ports.iter().filter(|p| p.direction == direction && p.port == node.port);
+            for b in on_port.map(|p| (p.value, &p.index)).chain(xfer) {
+                if (b.1.is_prefix_of(&want) || want.is_prefix_of(b.1)) && !found.contains(&b) {
+                    found.push(b);
+                }
+            }
+        }
+        let port =
+            PortRef { processor: self.processor_name(node), port: self.symbols.resolve(node.port) };
+        found
+            .into_iter()
+            .map(|(value, index)| {
+                let value = self.value(value).ok_or(StoreError::DanglingValue(value))?;
+                Ok(Binding { port: port.clone(), index: index.clone(), value })
+            })
+            .collect()
+    }
+
+    /// Cardinality statistics of index `id`'s `(processor, port)` slice in
+    /// this run: what the static cost model sizes its predictions with.
+    /// Zeros for names the store has never seen.
+    pub fn port_cardinality(
+        &self,
+        id: IndexId,
+        processor: &ProcessorName,
+        port: &str,
+    ) -> PortCardinality {
+        let (p, x) = (self.symbols.lookup(processor.as_str()), self.symbols.lookup(port));
+        self.shard.index(id).port_stats(p, x)
     }
 
     /// Materialises a public record from an interned xform row.
@@ -352,32 +398,25 @@ impl ReadView {
     }
 
     /// A drop-flushed accumulator bound to this view's shared counters,
-    /// for callers composing several `*_stats` probes into one flush.
+    /// for callers composing several probes into one flush.
     pub fn probe_guard(&self) -> ProbeGuard<'_> {
         self.stats.probe_guard()
     }
 
     /// The xform events whose **output** binding on `processor:port`
-    /// overlaps `index` (see `TraceStore::xforms_producing`).
+    /// overlaps `index` (stored `q` is a prefix of `index`, or extends
+    /// it): the naïve algorithm's "finding a matching xform event in the
+    /// provenance trace", as whole records.
     pub fn xforms_producing(
         &self,
         processor: &ProcessorName,
         port: &str,
         index: &Index,
     ) -> Vec<XformRecord> {
-        self.xform_records(IndexId::XformOut, &self.node(processor, port, index))
-    }
-
-    /// The xform events whose **input** binding on `processor:port`
-    /// overlaps `index` — the forward (impact) counterpart of
-    /// [`ReadView::xforms_producing`].
-    pub fn xforms_consuming(
-        &self,
-        processor: &ProcessorName,
-        port: &str,
-        index: &Index,
-    ) -> Vec<XformRecord> {
-        self.xform_records(IndexId::XformIn, &self.node(processor, port, index))
+        let mut rows = Vec::new();
+        let node = self.node(processor, port, index);
+        self.rows(IndexId::XformOut, &node, &mut self.probe_guard(), &mut rows);
+        rows.into_iter().map(|pos| self.xform_record(&self.shard.xforms[pos as usize])).collect()
     }
 
     /// The xfer events whose **destination** binding on `processor:port`
@@ -388,115 +427,10 @@ impl ReadView {
         port: &str,
         index: &Index,
     ) -> Vec<XferRecord> {
-        self.xfer_records(IndexId::XferDst, &self.node(processor, port, index))
-    }
-
-    /// The xfer events leaving `processor:port` at an index overlapping
-    /// `index` (forward navigation; used by impact/downstream queries).
-    pub fn xfers_from(
-        &self,
-        processor: &ProcessorName,
-        port: &str,
-        index: &Index,
-    ) -> Vec<XferRecord> {
-        self.xfer_records(IndexId::XferSrc, &self.node(processor, port, index))
-    }
-
-    fn xform_records(&self, id: IndexId, node: &Node) -> Vec<XformRecord> {
         let mut rows = Vec::new();
-        self.rows(id, node, &mut self.probe_guard(), &mut rows);
-        rows.into_iter().map(|pos| self.xform_record(&self.shard.xforms[pos as usize])).collect()
-    }
-
-    fn xfer_records(&self, id: IndexId, node: &Node) -> Vec<XferRecord> {
-        let mut rows = Vec::new();
-        self.rows(id, node, &mut self.probe_guard(), &mut rows);
-        rows.into_iter().map(|pos| self.xfer_record(&self.shard.xfers[pos as usize])).collect()
-    }
-
-    /// `Q(P, X_i, p_i)` of Algorithm 2: the stored **input** bindings of
-    /// `processor:port` whose index overlaps `p_i` (see
-    /// `TraceStore::input_bindings`).
-    pub fn input_bindings(
-        &self,
-        processor: &ProcessorName,
-        port: &str,
-        index: &Index,
-    ) -> Vec<StoredBinding> {
-        let mut guard = self.probe_guard();
-        self.input_bindings_stats(processor, port, index, &mut guard)
-    }
-
-    /// [`ReadView::input_bindings`] counting into a caller-owned
-    /// accumulator.
-    pub fn input_bindings_stats(
-        &self,
-        processor: &ProcessorName,
-        port: &str,
-        index: &Index,
-        probe: &mut ProbeStats,
-    ) -> Vec<StoredBinding> {
         let node = self.node(processor, port, index);
-        let mut out = Vec::new();
-        let mut seen: Vec<(u64, Index)> = Vec::new();
-        let mut rows = Vec::new();
-        self.rows(IndexId::XformIn, &node, probe, &mut rows);
-        for pos in rows {
-            let row = &self.shard.xforms[pos as usize];
-            for pr in row.inputs().filter(|pr| pr.port == node.port) {
-                if !(pr.index.is_prefix_of(index) || index.is_prefix_of(&pr.index)) {
-                    continue;
-                }
-                let k = (pr.value.0, pr.index.clone());
-                if seen.contains(&k) {
-                    continue; // many invocations share whole-value inputs
-                }
-                seen.push(k);
-                out.push(StoredBinding {
-                    run: self.run,
-                    processor: processor.clone(),
-                    port: self.symbols.resolve(pr.port),
-                    index: pr.index.clone(),
-                    value: pr.value,
-                });
-            }
-        }
-        out
-    }
-
-    /// The stored **source-side** bindings of xfer rows leaving
-    /// `processor:port` at indices overlapping `index` (see
-    /// `TraceStore::xfer_src_bindings`).
-    pub fn xfer_src_bindings(
-        &self,
-        processor: &ProcessorName,
-        port: &str,
-        index: &Index,
-    ) -> Vec<StoredBinding> {
-        let mut guard = self.probe_guard();
-        self.xfer_src_bindings_stats(processor, port, index, &mut guard)
-    }
-
-    /// [`ReadView::xfer_src_bindings`] counting into a caller-owned
-    /// accumulator.
-    pub fn xfer_src_bindings_stats(
-        &self,
-        processor: &ProcessorName,
-        port: &str,
-        index: &Index,
-        probe: &mut ProbeStats,
-    ) -> Vec<StoredBinding> {
-        let sources = self.xfer_sources(&self.node(processor, port, index), probe);
-        sources
-            .into_iter()
-            .map(|(node, value)| StoredBinding {
-                run: self.run,
-                processor: processor.clone(),
-                port: self.symbols.resolve(node.port),
-                index: node.index.to_index(),
-                value,
-            })
-            .collect()
+        self.rows(IndexId::XferDst, &node, &mut self.probe_guard(), &mut rows);
+        rows.into_iter().map(|pos| self.xfer_record(&self.shard.xfers[pos as usize])).collect()
     }
 
     /// All xform rows of the run, in insertion order. The shard stores
@@ -523,56 +457,52 @@ impl ReadView {
     }
 
     /// All bindings (across every port role) of the run that carry exactly
-    /// the given value (see `TraceStore::bindings_with_value`): a scan of
-    /// the xform rows, then the xfer rows, each in insertion order — the
-    /// order a reopen rebuilds from a snapshot, so the answer is the same
-    /// before and after one. Each binding is reported once. Charges every
-    /// row walked as scanned and every matching row as read; a value the
-    /// store never interned matches nothing and walks no row.
-    pub fn bindings_with_value(&self, value: &Value) -> Vec<StoredBinding> {
+    /// `value` — the access path for *value-predicated* queries, which the
+    /// paper notes fall outside INDEXPROJ ("a query that explicitly
+    /// predicates on the presence of a specific value … can still be
+    /// answered using a standard graph traversal"). A scan of the xform
+    /// rows, then the xfer rows, each in insertion order — the order a
+    /// reopen rebuilds from a snapshot, so the answer is the same before
+    /// and after one. Each binding is reported once. Charges every row
+    /// walked as scanned and every matching row as read; a value the store
+    /// never interned matches nothing and walks no row.
+    pub fn bindings_with_value(&self, value: &Value) -> Vec<Binding> {
         let Some(&vid) = self.values.lookup(value) else { return Vec::new() };
         let mut probe = self.probe_guard();
         probe.count_rows_scanned(self.shard.xforms.len() + self.shard.xfers.len());
-        let mut out: Vec<StoredBinding> = Vec::new();
-        let mut push = |processor: Sym, port: Sym, index: &Index| {
-            let b = StoredBinding {
-                run: self.run,
-                processor: ProcessorName(self.symbols.resolve(processor)),
-                port: self.symbols.resolve(port),
-                index: index.clone(),
-                value: vid,
-            };
-            if !out.contains(&b) {
-                out.push(b);
+        let mut found: Vec<(Sym, Sym, &Index)> = Vec::new();
+        let mut push = |b| {
+            if !found.contains(&b) {
+                found.push(b);
             }
         };
         for row in self.shard.xforms.iter().filter(|row| row.ports.iter().any(|p| p.value == vid)) {
             probe.count_records(1);
             for p in row.ports.iter().filter(|p| p.value == vid) {
-                push(row.processor, p.port, &p.index);
+                push((row.processor, p.port, &p.index));
             }
         }
         for row in self.shard.xfers.iter().filter(|row| row.value == vid) {
             probe.count_records(1);
-            push(row.src_processor, row.src_port, &row.src_index);
-            push(row.dst_processor, row.dst_port, &row.dst_index);
+            push((row.src_processor, row.src_port, &row.src_index));
+            push((row.dst_processor, row.dst_port, &row.dst_index));
         }
-        out
+        found
+            .into_iter()
+            .map(|(processor, port, index)| Binding {
+                port: PortRef {
+                    processor: ProcessorName(self.symbols.resolve(processor)),
+                    port: self.symbols.resolve(port),
+                },
+                index: index.clone(),
+                value: value.clone(),
+            })
+            .collect()
     }
 
     /// Resolves a value id against the pinned value table.
     pub fn value(&self, id: ValueId) -> Option<Value> {
         self.values.get(id).cloned()
-    }
-
-    /// Resolves a stored binding into a user-facing [`Binding`].
-    pub fn resolve(&self, b: &StoredBinding) -> crate::Result<Binding> {
-        let value = self.value(b.value).ok_or(StoreError::DanglingValue(b.value))?;
-        Ok(Binding {
-            port: PortRef { processor: b.processor.clone(), port: b.port.clone() },
-            index: b.index.clone(),
-            value,
-        })
     }
 
     /// Total number of trace records visible in this view (xform rows +
@@ -616,6 +546,27 @@ mod tests {
             store.record_xform(run, event);
         }
         store.pin(run)
+    }
+
+    /// An arc carrying `value` from `src[0]` to `dst[0]`.
+    fn xfer(src: (&str, &str), dst: (&str, &str), value: &str) -> XferEvent {
+        XferEvent {
+            src: PortRef::new(src.0, src.1),
+            src_index: Index::single(0),
+            dst: PortRef::new(dst.0, dst.1),
+            dst_index: Index::single(0),
+            value: Value::str(value),
+        }
+    }
+
+    /// Invocation 0 of `processor`, consuming `x[0]` and emitting `y[0]`.
+    fn xform(processor: &str, input: &str, output: &str) -> XformEvent {
+        XformEvent {
+            processor: processor.into(),
+            invocation: 0,
+            inputs: vec![PortBinding::new("x", Index::single(0), Value::str(input))],
+            outputs: vec![PortBinding::new("y", Index::single(0), Value::str(output))],
+        }
     }
 
     fn probe(
@@ -677,20 +628,6 @@ mod tests {
     fn bindings_with_value_lists_xform_hits_before_xfer_hits() {
         let store = TraceStore::in_memory();
         let run = store.begin_run(&"wf".into());
-        let at0 = || Index::single(0);
-        let xfer = |src: (&str, &str), dst: (&str, &str), value: &str| XferEvent {
-            src: PortRef::new(src.0, src.1),
-            src_index: at0(),
-            dst: PortRef::new(dst.0, dst.1),
-            dst_index: at0(),
-            value: Value::str(value),
-        };
-        let xform = |processor: &str, input: &str, output: &str| XformEvent {
-            processor: processor.into(),
-            invocation: 0,
-            inputs: vec![PortBinding::new("x", at0(), Value::str(input))],
-            outputs: vec![PortBinding::new("y", at0(), Value::str(output))],
-        };
         // "v" rides an xfer, then an xform input (the same binding as the
         // xfer's destination), then an xform output: rows interleaved.
         store.record_xfer(run, xfer(("A", "y"), ("B", "x"), "v"));
@@ -703,7 +640,7 @@ mod tests {
         let hits: Vec<String> = view
             .bindings_with_value(&Value::str("v"))
             .iter()
-            .map(|b| format!("{}:{}{}", b.processor, b.port, b.index))
+            .map(|b| format!("{}{}", b.port, b.index))
             .collect();
         assert_eq!(hits, ["B:x[0]", "C:y[0]", "A:y[0]"]);
         let cost = view.stats().snapshot().since(before);
@@ -720,5 +657,75 @@ mod tests {
         out.push(7);
         probe(&view, IndexId::XferSrc, "Y", &[], &mut out);
         assert!(out.is_empty());
+    }
+
+    /// The bindings `id` files at `processor:port[index]`, as
+    /// `processor:port[index]="value"`, and what finding them cost.
+    fn bindings_at(
+        view: &ReadView,
+        id: IndexId,
+        (processor, port, index): (&str, &str, &[u32]),
+    ) -> (Vec<String>, ProbeStats) {
+        let node = view.node(&processor.into(), port, &Index::from_slice(index));
+        let mut stats = ProbeStats::new();
+        let found = view.bindings_at(id, &node, &mut stats).unwrap();
+        (found.iter().map(|b| format!("{}{}={}", b.port, b.index, b.value)).collect(), stats)
+    }
+
+    #[test]
+    fn bindings_at_xform_in_is_the_q_lookup() {
+        let view = cross_product();
+        // The exact index: one binding, resolved to its port and value, for
+        // what the row probe costs.
+        let (found, stats) = bindings_at(&view, IndexId::XformIn, ("X", "a", &[1]));
+        assert_eq!(found, [r#"X:a[1]="a""#]);
+        assert_eq!(stats, probe(&view, IndexId::XformIn, "a", &[1], &mut Vec::new()));
+        // A coarse index widens to every finer key (nine rows, three
+        // bindings); a finer one reaches its ancestor.
+        let (found, stats) = bindings_at(&view, IndexId::XformIn, ("X", "b", &[]));
+        assert_eq!(found, [r#"X:b[0]="b""#, r#"X:b[1]="b""#, r#"X:b[2]="b""#]);
+        assert_eq!(stats.records_read, 9);
+        let (found, _) = bindings_at(&view, IndexId::XformIn, ("X", "a", &[2, 0]));
+        assert_eq!(found, [r#"X:a[2]="a""#]);
+        // The output side of the same rows; another port finds nothing.
+        let (found, _) = bindings_at(&view, IndexId::XformOut, ("X", "Y", &[2]));
+        assert_eq!(found, [r#"X:Y[2,0]="Y""#, r#"X:Y[2,1]="Y""#, r#"X:Y[2,2]="Y""#]);
+        assert!(bindings_at(&view, IndexId::XformIn, ("X", "Y", &[])).0.is_empty());
+    }
+
+    #[test]
+    fn bindings_at_xform_in_dedups_shared_whole_values() {
+        // Two invocations consuming the same whole-value port produce ONE
+        // binding (the paper's X2[]-style port).
+        let store = TraceStore::in_memory();
+        let run = store.begin_run(&"wf".into());
+        for invocation in 0..2 {
+            let whole = PortBinding::new("x", Index::empty(), Value::str("in"));
+            let event = XformEvent { inputs: vec![whole], ..xform("P", "in", "out") };
+            store.record_xform(run, XformEvent { invocation, ..event });
+        }
+        let (found, _) = bindings_at(&store.pin(run), IndexId::XformIn, ("P", "x", &[]));
+        assert_eq!(found, [r#"P:x[]="in""#]);
+    }
+
+    #[test]
+    fn bindings_at_xfer_src_reports_a_fanned_out_element_once() {
+        let store = TraceStore::in_memory();
+        let run = store.begin_run(&"wf".into());
+        // `A:y[0]` fans out along two arcs, `A:y[1]` along one.
+        store.record_xfer(run, xfer(("A", "y"), ("B", "x"), "u"));
+        store.record_xfer(run, xfer(("A", "y"), ("C", "x"), "u"));
+        let (at1, w) = (Index::single(1), xfer(("A", "y"), ("B", "x"), "w"));
+        store.record_xfer(run, XferEvent { src_index: at1.clone(), dst_index: at1, ..w });
+        let view = store.pin(run);
+        let (found, stats) = bindings_at(&view, IndexId::XferSrc, ("A", "y", &[]));
+        assert_eq!(found, [r#"A:y[0]="u""#, r#"A:y[1]="w""#]);
+        assert_eq!(stats.records_read, 3);
+        let (found, _) = bindings_at(&view, IndexId::XferSrc, ("A", "y", &[1]));
+        assert_eq!(found, [r#"A:y[1]="w""#]);
+        // The destination side of the same rows; a destination is no source.
+        let (found, _) = bindings_at(&view, IndexId::XferDst, ("B", "x", &[]));
+        assert_eq!(found, [r#"B:x[0]="u""#, r#"B:x[1]="w""#]);
+        assert!(bindings_at(&view, IndexId::XferSrc, ("B", "x", &[])).0.is_empty());
     }
 }

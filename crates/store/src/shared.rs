@@ -3,19 +3,17 @@
 //!
 //! [`TraceStore`] is already internally synchronized — every method takes
 //! `&self`, writers serialize through the per-run shards and the WAL
-//! group-commit path, and readers pin lock-free [`ReadView`]s — so a
-//! daemon that fans one store out to many sessions only needs shared
-//! ownership, not another lock. [`SharedStore`] is that handle: a cheap
-//! `Clone` wrapper around `Arc<TraceStore>` that derefs to the store and
-//! names the concurrency contract in its type.
+//! group-commit path, and readers pin lock-free
+//! [`ReadView`](crate::ReadView)s ([`TraceStore::pin`]) — so a daemon that
+//! fans one store out to many sessions only needs shared ownership, not
+//! another lock. [`SharedStore`] is that handle: a cheap `Clone` wrapper
+//! around `Arc<TraceStore>` that derefs to the store and names the
+//! concurrency contract in its type.
 
 use std::ops::Deref;
 use std::path::Path;
 use std::sync::Arc;
 
-use prov_model::RunId;
-
-use crate::shard::ReadView;
 use crate::store::TraceStore;
 use crate::Result;
 
@@ -38,13 +36,6 @@ impl SharedStore {
     /// Opens (or creates) a durable store at `path` and wraps it.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         Ok(SharedStore::new(TraceStore::open(path)?))
-    }
-
-    /// Pins a lock-free read snapshot of one run's shard. Queries running
-    /// against the view never observe writes applied after the pin — the
-    /// isolation the serve path leans on for mid-ingest reads.
-    pub fn read_view(&self, run: RunId) -> ReadView {
-        self.inner.pin(run)
     }
 
     /// The underlying `Arc`, for callers that need to cross an API that
@@ -94,11 +85,11 @@ mod tests {
     }
 
     #[test]
-    fn read_view_pins_a_snapshot_across_later_writes() {
+    fn pin_holds_a_snapshot_across_later_writes() {
         let shared = SharedStore::new(TraceStore::in_memory());
         let run = shared.begin_run(&ProcessorName::from("wf"));
         shared.record_xform(run, xform("P", "v"));
-        let view = shared.read_view(run);
+        let view = shared.pin(run);
         assert_eq!(view.trace_record_count(), 1);
         shared.record_xform(run, xform("Q", "w"));
         // The pinned view still sees exactly the records present at pin time.

@@ -160,8 +160,8 @@ pub(crate) fn load(path: &Path, generation: u64) -> Option<Vec<LogRecord>> {
 }
 
 /// Whether the file at `path` is a whole snapshot of `generation` by the
-/// same bracket rule [`load`] applies, checked with the streaming cursor
-/// so a multi-GB snapshot is never held in memory.
+/// same bracket rule recovery's `load` applies, checked with the streaming
+/// cursor so a multi-GB snapshot is never held in memory.
 pub fn valid_snapshot(path: &Path, generation: u64) -> bool {
     let Ok(mut cursor) = WalCursor::open(path) else { return false };
     let (mut first, mut last) = (None, None);

@@ -16,14 +16,12 @@ use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 
 use prov_engine::{TraceEvent, TraceSink, XferEvent, XformEvent};
-use prov_model::{Binding, Index, PortRef, ProcessorName, RunId, Value, ValueId};
+use prov_model::{Index, PortRef, ProcessorName, RunId, Value, ValueId};
 
-use crate::catalog::{IndexCatalog, IndexId, PortCardinality};
+use crate::catalog::{IndexCatalog, IndexId};
 use crate::codec;
 use crate::fault::FaultPlan;
-use crate::rows::{
-    PortDirection, StoredBinding, XferRecord, XferRow, XformPortRow, XformRecord, XformRow,
-};
+use crate::rows::{PortDirection, XferRecord, XferRow, XformPortRow, XformRecord, XformRow};
 use crate::shard::{ReadView, RunShard};
 use crate::snapshot::{self, CompactionPolicy, SnapshotMetrics};
 use crate::stats::QueryStats;
@@ -865,25 +863,6 @@ impl TraceStore {
         )
     }
 
-    /// Cardinality statistics of one run's `(processor, port)` slice of the
-    /// chosen index — what the static cost model uses to size its
-    /// predictions. Returns zeros for names the store has never seen.
-    pub fn port_cardinality(
-        &self,
-        id: IndexId,
-        run: RunId,
-        processor: &ProcessorName,
-        port: &str,
-    ) -> PortCardinality {
-        let inner = self.inner.read();
-        let p = inner.symbols.lookup(processor.as_str());
-        let x = inner.symbols.lookup(port);
-        match inner.shards.get(&run) {
-            Some(shard) => shard.index(id).port_stats(p, x),
-            None => PortCardinality::default(),
-        }
-    }
-
     /// All stored runs, in id order.
     pub fn runs(&self) -> Vec<RunInfo> {
         self.inner.read().runs.values().cloned().collect()
@@ -911,10 +890,8 @@ impl TraceStore {
         self.inner.read().runs.values().map(|i| i.xform_count + i.xfer_count).sum()
     }
 
-    /// The xform events whose **output** binding on `processor:port`
-    /// overlaps `index` (stored `q` is a prefix of `index`, or extends it).
-    /// This is the inversion lookup of the naïve algorithm: "finding a
-    /// matching xform event in the provenance trace".
+    /// [`ReadView::xforms_producing`] on a fresh pin of `run`.
+    /// `ledger/src/driver.rs` calls this until ROADMAP item 2(a).
     pub fn xforms_producing(
         &self,
         run: RunId,
@@ -925,21 +902,8 @@ impl TraceStore {
         self.pin(run).xforms_producing(processor, port, index)
     }
 
-    /// The xform events whose **input** binding on `processor:port`
-    /// overlaps `index` — the forward (impact) counterpart of
-    /// [`TraceStore::xforms_producing`].
-    pub fn xforms_consuming(
-        &self,
-        run: RunId,
-        processor: &ProcessorName,
-        port: &str,
-        index: &Index,
-    ) -> Vec<XformRecord> {
-        self.pin(run).xforms_consuming(processor, port, index)
-    }
-
-    /// The xfer events whose **destination** binding on `processor:port`
-    /// overlaps `index` — the arc-traversal step of the naïve algorithm.
+    /// [`ReadView::xfers_into`] on a fresh pin of `run`.
+    /// `ledger/src/driver.rs` calls this until ROADMAP item 2(a).
     pub fn xfers_into(
         &self,
         run: RunId,
@@ -948,65 +912,6 @@ impl TraceStore {
         index: &Index,
     ) -> Vec<XferRecord> {
         self.pin(run).xfers_into(processor, port, index)
-    }
-
-    /// The xfer events leaving `processor:port` at an index overlapping
-    /// `index` (forward navigation; used by impact/downstream queries).
-    pub fn xfers_from(
-        &self,
-        run: RunId,
-        processor: &ProcessorName,
-        port: &str,
-        index: &Index,
-    ) -> Vec<XferRecord> {
-        self.pin(run).xfers_from(processor, port, index)
-    }
-
-    /// `Q(P, X_i, p_i)` of Algorithm 2: the stored **input** bindings of
-    /// `processor:port` whose index overlaps `p_i`, resolved to values.
-    ///
-    /// The overlap handles both directions of granularity mismatch: a
-    /// projected fragment shorter than the stored indices (coarse query →
-    /// prefix scan over the finer rows) and coarse stored rows (`[]` on
-    /// non-iterated ports) under a fine query.
-    pub fn input_bindings(
-        &self,
-        run: RunId,
-        processor: &ProcessorName,
-        port: &str,
-        index: &Index,
-    ) -> Vec<StoredBinding> {
-        self.pin(run).input_bindings(processor, port, index)
-    }
-
-    /// The stored **source-side** bindings of xfer rows leaving
-    /// `processor:port` at indices overlapping `index` — how lineage
-    /// queries materialise bindings for ports that never appear in xform
-    /// rows (top-level workflow inputs exist in the trace only as xfer
-    /// sources).
-    pub fn xfer_src_bindings(
-        &self,
-        run: RunId,
-        processor: &ProcessorName,
-        port: &str,
-        index: &Index,
-    ) -> Vec<StoredBinding> {
-        self.pin(run).xfer_src_bindings(processor, port, index)
-    }
-
-    /// All xform rows of one run, in insertion order — served from the
-    /// run's own shard, so only that run's rows are touched (a run
-    /// co-resident with a much larger one never pays for its neighbour).
-    /// The rows physically examined are charged to the stats as both
-    /// records read and rows scanned.
-    pub fn xforms_of_run(&self, run: RunId) -> Vec<XformRecord> {
-        self.pin(run).xforms_of_run()
-    }
-
-    /// All xfer rows of one run, in insertion order (shard walk; see
-    /// [`TraceStore::xforms_of_run`]).
-    pub fn xfers_of_run(&self, run: RunId) -> Vec<XferRecord> {
-        self.pin(run).xfers_of_run()
     }
 
     /// Drops a run: its metadata and index entries go immediately; its
@@ -1031,26 +936,6 @@ impl TraceStore {
         drop(guard);
         self.maybe_compact();
         Ok(())
-    }
-
-    /// Resolves a stored binding into a user-facing [`Binding`].
-    pub fn resolve(&self, b: &StoredBinding) -> crate::Result<Binding> {
-        let value = self.value(b.value).ok_or(StoreError::DanglingValue(b.value))?;
-        Ok(Binding {
-            port: PortRef { processor: b.processor.clone(), port: b.port.clone() },
-            index: b.index.clone(),
-            value,
-        })
-    }
-
-    /// All bindings (across every port role) of one run that carry exactly
-    /// the given value — the access path for *value-predicated* queries,
-    /// which the paper notes fall outside INDEXPROJ ("a query that
-    /// explicitly predicates on the presence of a specific value … can
-    /// still be answered using a standard graph traversal"). Combine with
-    /// `NaiveLineage`/`NaiveImpact` from the returned bindings.
-    pub fn bindings_with_value(&self, run: RunId, value: &Value) -> Vec<StoredBinding> {
-        self.pin(run).bindings_with_value(value)
     }
 
     /// Registers (or overwrites) a workflow specification, making the
@@ -1357,8 +1242,8 @@ impl prov_engine::ResumeSource for TraceStore {
         // Zero-output processors have nothing to prove settlement with and
         // always re-execute.
         let first = ports.first()?;
-        let candidates = self.xforms_producing(run, processor, first, index);
-        'cand: for rec in &candidates {
+        let view = self.pin(run);
+        'cand: for rec in &view.xforms_producing(processor, first, index) {
             let mut out = Vec::with_capacity(ports.len());
             for port in ports {
                 // An exact-index output binding must exist for every port;
@@ -1368,7 +1253,7 @@ impl prov_engine::ResumeSource for TraceStore {
                 }) else {
                     continue 'cand;
                 };
-                out.push(self.value(p.value)?);
+                out.push(view.value(p.value)?);
             }
             return Some(out);
         }
@@ -1376,15 +1261,15 @@ impl prov_engine::ResumeSource for TraceStore {
     }
 
     fn has_xfer(&self, run: RunId, event: &XferEvent) -> bool {
-        self.xfers_into(run, &event.dst.processor, &event.dst.port, &event.dst_index).iter().any(
-            |r| {
-                r.dst_index == event.dst_index
-                    && r.src_processor == event.src.processor
-                    && *r.src_port == *event.src.port
-                    && r.src_index == event.src_index
-                    && self.value(r.value).as_ref() == Some(&event.value)
-            },
-        )
+        let view = self.pin(run);
+        let into = view.xfers_into(&event.dst.processor, &event.dst.port, &event.dst_index);
+        into.iter().any(|r| {
+            r.dst_index == event.dst_index
+                && r.src_processor == event.src.processor
+                && *r.src_port == *event.src.port
+                && r.src_index == event.src_index
+                && view.value(r.value).as_ref() == Some(&event.value)
+        })
     }
 }
 
@@ -1469,40 +1354,6 @@ mod tests {
         assert_eq!(hits.len(), 1);
         assert_eq!(s.value(hits[0].value), Some(Value::str("v0")));
         assert_eq!(hits[0].src_processor, ProcessorName::from("A"));
-        // Forward direction.
-        let hits = s.xfers_from(r, &"A".into(), "y", &Index::empty());
-        assert_eq!(hits.len(), 2);
-    }
-
-    #[test]
-    fn input_bindings_is_the_q_lookup() {
-        let s = TraceStore::in_memory();
-        let r = s.begin_run(&"wf".into());
-        s.record_xform(r, xform("P", 0, &[0], &[0]));
-        s.record_xform(r, xform("P", 1, &[1], &[1]));
-        let bs = s.input_bindings(r, &"P".into(), "x", &Index::single(1));
-        assert_eq!(bs.len(), 1);
-        assert_eq!(bs[0].index, Index::single(1));
-        let resolved = s.resolve(&bs[0]).unwrap();
-        assert_eq!(resolved.value, Value::str("in"));
-        assert_eq!(resolved.port, PortRef::new("P", "x"));
-        // Coarse query returns both, deduplicated by (value, index).
-        let bs = s.input_bindings(r, &"P".into(), "x", &Index::empty());
-        assert_eq!(bs.len(), 2);
-    }
-
-    #[test]
-    fn input_bindings_dedups_shared_whole_values() {
-        // Two invocations consuming the same whole-value port produce ONE
-        // binding (the paper's X2[]-style port).
-        let s = TraceStore::in_memory();
-        let r = s.begin_run(&"wf".into());
-        for inv in 0..2 {
-            s.record_xform(r, xform("P", inv, &[inv], &[]));
-        }
-        let bs = s.input_bindings(r, &"P".into(), "x", &Index::empty());
-        assert_eq!(bs.len(), 1);
-        assert!(bs[0].index.is_empty());
     }
 
     #[test]
@@ -1520,14 +1371,14 @@ mod tests {
         assert_eq!(cat.key_count(IndexId::XferSrc), 1);
         assert!(!cat.without(IndexId::XformIn).serves(IndexId::XformIn));
 
-        let c = s.port_cardinality(IndexId::XformIn, r, &"P".into(), "x");
+        let c = s.pin(r).port_cardinality(IndexId::XformIn, &"P".into(), "x");
         assert_eq!(c.keys, 2);
         assert_eq!(c.rows, 2);
         assert_eq!(c.max_depth, 2);
         // Unknown names and other runs are zero, not errors.
-        let z = s.port_cardinality(IndexId::XformIn, r, &"nope".into(), "x");
-        assert_eq!(z, PortCardinality::default());
-        let z = s.port_cardinality(IndexId::XformIn, RunId(9), &"P".into(), "x");
+        let z = s.pin(r).port_cardinality(IndexId::XformIn, &"nope".into(), "x");
+        assert_eq!(z, crate::PortCardinality::default());
+        let z = s.pin(RunId(9)).port_cardinality(IndexId::XformIn, &"P".into(), "x");
         assert_eq!(z.keys, 0);
     }
 
@@ -1619,7 +1470,7 @@ mod tests {
         assert_eq!(s.xforms_producing(RunId(0), &"P".into(), "y", &Index::empty()).len(), 2);
         assert_eq!(s.xfers_into(RunId(0), &"Q".into(), "x", &Index::single(0)).len(), 1);
         // Rows kept recording order within the run.
-        let rows = s.xforms_of_run(RunId(0));
+        let rows = s.pin(RunId(0)).xforms_of_run();
         assert_eq!(rows.iter().map(|r| r.invocation).collect::<Vec<_>>(), vec![0, 1]);
     }
 
@@ -1750,7 +1601,7 @@ mod tests {
         s.drop_run(gone).unwrap();
         assert_eq!(s.runs().len(), 1);
         assert!(s.xforms_producing(gone, &"P".into(), "y", &Index::empty()).is_empty());
-        assert!(s.xforms_of_run(gone).is_empty());
+        assert!(s.pin(gone).xforms_of_run().is_empty());
         assert_eq!(s.trace_record_count(gone), 0);
         // The kept run is untouched.
         assert_eq!(s.xforms_producing(keep, &"P".into(), "y", &Index::empty()).len(), 1);
@@ -1758,14 +1609,14 @@ mod tests {
         // Durability: the drop replays…
         let s2 = TraceStore::open(&path).unwrap();
         assert_eq!(s2.runs().len(), 1);
-        assert!(s2.xforms_of_run(gone).is_empty());
+        assert!(s2.pin(gone).xforms_of_run().is_empty());
 
         // …and a snapshot reclaims the space.
         s2.snapshot().unwrap();
         let before = std::fs::metadata(&path).unwrap().len();
         let s3 = TraceStore::open(&path).unwrap();
         assert_eq!(s3.runs().len(), 1);
-        assert!(s3.xforms_of_run(gone).is_empty());
+        assert!(s3.pin(gone).xforms_of_run().is_empty());
         assert_eq!(s3.xforms_producing(keep, &"P".into(), "y", &Index::empty()).len(), 1);
         assert!(before > 0);
     }
@@ -1777,13 +1628,13 @@ mod tests {
         s.record_xform(r, xform("P", 0, &[0], &[0])); // in "in", out "out"
         s.record_xfer(r, xfer(("P", "y"), ("Q", "x"), &[0], "out"));
         // "out" appears as P's output AND as the transferred element.
-        let hits = s.bindings_with_value(r, &Value::str("out"));
-        assert!(hits.iter().any(|b| b.processor == ProcessorName::from("P") && &*b.port == "y"));
-        assert!(hits.iter().any(|b| b.processor == ProcessorName::from("Q") && &*b.port == "x"));
+        let hits = s.pin(r).bindings_with_value(&Value::str("out"));
+        assert!(hits.iter().any(|b| b.port == PortRef::new("P", "y")));
+        assert!(hits.iter().any(|b| b.port == PortRef::new("Q", "x")));
         // Misses return empty; other runs are isolated.
-        assert!(s.bindings_with_value(r, &Value::str("nope")).is_empty());
+        assert!(s.pin(r).bindings_with_value(&Value::str("nope")).is_empty());
         let r2 = s.begin_run(&"wf".into());
-        assert!(s.bindings_with_value(r2, &Value::str("out")).is_empty());
+        assert!(s.pin(r2).bindings_with_value(&Value::str("out")).is_empty());
     }
 
     #[test]
@@ -1797,11 +1648,7 @@ mod tests {
         s.record_xfer(r, xfer(("P", "y"), ("Q", "x"), &[0], "out"));
         s.record_xform(r, xform("Q", 0, &[1], &[0]));
         s.finish_run(r);
-        // Value ids are interned afresh on reopen: compare resolved hits.
-        let hits = |s: &TraceStore| -> Vec<Binding> {
-            let found = s.bindings_with_value(r, &Value::str("out"));
-            found.iter().map(|b| s.resolve(b).unwrap()).collect()
-        };
+        let hits = |s: &TraceStore| s.pin(r).bindings_with_value(&Value::str("out"));
         let before = hits(&s);
         assert_eq!(before.len(), 5, "{before:?}");
         s.snapshot().unwrap();
@@ -1864,8 +1711,9 @@ mod tests {
         s.record_xfer(small, xfer(("P", "y"), ("Q", "x"), &[0], "v"));
 
         let before = s.stats().snapshot();
-        assert_eq!(s.xforms_of_run(small).len(), 1);
-        assert_eq!(s.xfers_of_run(small).len(), 1);
+        let view = s.pin(small);
+        assert_eq!(view.xforms_of_run().len(), 1);
+        assert_eq!(view.xfers_of_run().len(), 1);
         let after = s.stats().snapshot();
         assert_eq!(after.rows_scanned - before.rows_scanned, 2);
         assert_eq!(after.records_read - before.records_read, 2);
@@ -1880,8 +1728,9 @@ mod tests {
             s.record_xform(a, xform("P", 2 * i, &[2 * i], &[2 * i]));
             s.record_xform(b, xform("P", 2 * i + 1, &[2 * i + 1], &[2 * i + 1]));
         }
-        let rows_a: Vec<u32> = s.xforms_of_run(a).iter().map(|r| r.invocation).collect();
-        let rows_b: Vec<u32> = s.xforms_of_run(b).iter().map(|r| r.invocation).collect();
+        let rows =
+            |run| -> Vec<u32> { s.pin(run).xforms_of_run().iter().map(|r| r.invocation).collect() };
+        let (rows_a, rows_b) = (rows(a), rows(b));
         assert_eq!(rows_a, vec![0, 2, 4, 6, 8]);
         assert_eq!(rows_b, vec![1, 3, 5, 7, 9]);
     }
@@ -1900,7 +1749,7 @@ mod tests {
         assert_eq!(view.trace_record_count(), 1);
         assert!(view.xforms_producing(&"P".into(), "y", &Index::single(1)).is_empty());
         // …while the store (and a fresh pin) see everything.
-        assert_eq!(s.xforms_of_run(r).len(), 2);
+        assert_eq!(s.pin(r).xforms_of_run().len(), 2);
         assert_eq!(s.pin(r).trace_record_count(), 3);
         assert_eq!(s.pin(r).xforms_producing(&"P".into(), "y", &Index::single(1)).len(), 1);
     }
@@ -1914,18 +1763,25 @@ mod tests {
             s.record_xfer(r, xfer(("P", "y"), ("Q", "x"), &[i], "v"));
         }
         let view = s.pin(r);
-        let q = Index::single(3);
-        let before = s.stats().snapshot();
-        let via_store = s.xforms_producing(r, &"P".into(), "y", &q);
-        let store_delta = s.stats().snapshot().since(before);
-        let before = s.stats().snapshot();
-        let via_view = view.xforms_producing(&"P".into(), "y", &q);
-        let view_delta = s.stats().snapshot().since(before);
-        assert_eq!(via_store, via_view);
+        let at = Index::single(3);
+        let (p, q) = (ProcessorName::from("P"), ProcessorName::from("Q"));
+        let delta = |f: &dyn Fn() -> usize| {
+            let before = s.stats().snapshot();
+            let hits = f();
+            (hits, s.stats().snapshot().since(before))
+        };
         // The view's ProbeStats batching lands on identical totals, and
         // both feed the same shared counters.
-        assert_eq!(store_delta, view_delta);
-        assert!(view_delta.index_lookups > 0);
+        let via_store = delta(&|| s.xforms_producing(r, &p, "y", &at).len());
+        let via_view = delta(&|| view.xforms_producing(&p, "y", &at).len());
+        assert_eq!(via_store, via_view);
+        assert_eq!(s.xforms_producing(r, &p, "y", &at), view.xforms_producing(&p, "y", &at));
+        let via_store = delta(&|| s.xfers_into(r, &q, "x", &at).len());
+        let via_view = delta(&|| view.xfers_into(&q, "x", &at).len());
+        assert_eq!(via_store, via_view);
+        assert_eq!(s.xfers_into(r, &q, "x", &at), view.xfers_into(&q, "x", &at));
+        assert_eq!(via_view.0, 1);
+        assert!(via_view.1.index_lookups > 0);
     }
 
     #[test]
@@ -1958,7 +1814,7 @@ mod tests {
         s.drop_run(r).unwrap();
         // The store no longer answers; the pinned view holds the shard
         // alive until it drops.
-        assert!(s.xforms_of_run(r).is_empty());
+        assert!(s.pin(r).xforms_of_run().is_empty());
         assert_eq!(view.xforms_of_run().len(), 1);
     }
 
@@ -1982,7 +1838,7 @@ mod tests {
         assert_eq!(s.total_record_count(), 200);
         // Every run sees exactly its own 50 rows via its spans.
         for info in s.runs() {
-            assert_eq!(s.xforms_of_run(info.id).len(), 50);
+            assert_eq!(s.pin(info.id).xforms_of_run().len(), 50);
         }
     }
 

@@ -123,8 +123,9 @@ fn torture_case(tag: &str, events: &[TraceEvent], chunk: usize, offset: u64) {
     for batch in &batches[..durable_batches] {
         expected.record_batch(run, batch.to_vec());
     }
-    assert_eq!(reopened.xforms_of_run(RunId(0)), expected.xforms_of_run(run));
-    assert_eq!(reopened.xfers_of_run(RunId(0)), expected.xfers_of_run(run));
+    let (got, want) = (reopened.pin(RunId(0)), expected.pin(run));
+    assert_eq!(got.xforms_of_run(), want.xforms_of_run());
+    assert_eq!(got.xfers_of_run(), want.xfers_of_run());
     assert_eq!(reopened.trace_record_count(RunId(0)), expected.trace_record_count(run));
 
     // The store keeps working after recovery: appends land cleanly.

@@ -54,6 +54,6 @@ fn main() {
     println!("divergent processors: {}", tdiff.divergent().len());
 
     // Value search: where did "item-2" flow?
-    let hits = store.bindings_with_value(run_b, &Value::str("item-2"));
+    let hits = store.pin(run_b).bindings_with_value(&Value::str("item-2"));
     println!("\n\"item-2\" appears in {} bindings of {}", hits.len(), run_b);
 }

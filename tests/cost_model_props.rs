@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use prov_workgen::{imaging, testbed};
 use taverna_prov::prelude::*;
 
-/// Runs one workload + query case through `explain_against` and the real
+/// Runs one workload + query case through a grounded `explain_with` and the real
 /// executor, and checks the prediction contract at tolerance 10×.
 fn assert_prediction_holds(
     df: &prov_dataflow::Dataflow,
@@ -21,7 +21,7 @@ fn assert_prediction_holds(
 ) {
     let ip = IndexProj::new(df);
     let ex = ip
-        .explain_against(q, store, run, &Obs::disabled())
+        .explain_with(q, &store.index_catalog(), Some(&store.pin(run)), &Obs::disabled())
         .unwrap_or_else(|e| panic!("{label}: explain failed: {e}"));
     assert!(ex.is_servable(), "{label}: full catalog must serve every plan");
     assert!(ex.cost.grounded, "{label}: live-store explanations are grounded");

@@ -128,7 +128,7 @@ proptest! {
     /// A reader pinning [`prov_store::ReadView`]s while a client streams
     /// B-event batches only ever sees whole-batch prefixes.
     #[test]
-    fn read_view_mid_ingest_never_sees_a_partial_batch(
+    fn pinned_view_mid_ingest_never_sees_a_partial_batch(
         l in 2usize..=3,
         batch in prop_oneof![Just(3usize), Just(5), Just(8)],
     ) {
@@ -160,7 +160,7 @@ proptest! {
         let mut observed: Vec<u64> = Vec::new();
         while !writer.is_finished() {
             for info in shared.runs() {
-                observed.push(shared.read_view(info.id).trace_record_count());
+                observed.push(shared.pin(info.id).trace_record_count());
             }
             std::thread::yield_now();
         }

@@ -85,7 +85,8 @@ fn run_scans_touch_only_the_requested_runs_rows() {
     let big = testbed::run(&df, 12, &store).run_id;
 
     store.stats().reset();
-    let small_rows = store.xforms_of_run(small).len() + store.xfers_of_run(small).len();
+    let view = store.pin(small);
+    let small_rows = view.xforms_of_run().len() + view.xfers_of_run().len();
     let work = store.stats().snapshot();
     assert_eq!(small_rows as u64, store.trace_record_count(small));
     assert_eq!(
