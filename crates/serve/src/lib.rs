@@ -2,8 +2,8 @@
 //!
 //! A long-running provenance daemon: one durable [`prov_store`] instance
 //! served over TCP to concurrent ingest streams (workflow engines pushing
-//! trace events) and concurrent lineage/impact queries, speaking the
-//! length-prefixed frame dialect of [`prov_wire`] on its own tag space.
+//! trace events) and concurrent lineage/impact queries, speaking one
+//! length-prefixed frame dialect on its own tag space ([`protocol`]).
 //!
 //! The paper's setting is a provenance *service*: many workflow runs feed
 //! one store while analysts query lineage against it. This crate supplies
@@ -45,6 +45,7 @@ pub mod protocol;
 mod server;
 mod ship;
 pub mod signal;
+mod wire;
 
 pub use client::{RemoteSink, ServeClient, DEFAULT_BATCH_EVENTS, DEFAULT_PIPELINE_DEPTH};
 pub use execute::execute_query;
@@ -116,11 +117,14 @@ impl std::error::Error for ServeError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{self, Write};
     use std::sync::Arc;
 
     use prov_engine::{Clock, SystemClock, VirtualClock};
     use prov_obs::Obs;
     use prov_store::{SharedStore, TraceStore};
+
+    use crate::wire::*;
 
     fn start_server(cfg: ServeConfig) -> (ProvServer, String) {
         let store = SharedStore::new(TraceStore::in_memory());
@@ -200,5 +204,79 @@ mod tests {
         let cfg = ServeConfig::default();
         let before = SystemClock.now_micros();
         assert!(cfg.clock.now_micros() >= before);
+    }
+
+    // ---- frame codec (`wire`)
+
+    #[test]
+    fn round_trips_framed_messages() {
+        let mut wire = Vec::new();
+        write_msg(&mut wire, 0x42, b"payload bytes").unwrap();
+        write_json(&mut wire, 0x43, &vec![1u64, 2, 3]).unwrap();
+
+        let mut r = wire.as_slice();
+        let (tag, payload) = read_msg(&mut r).unwrap().unwrap();
+        assert_eq!(tag, 0x42);
+        assert_eq!(payload, b"payload bytes");
+        let (tag, payload) = read_msg(&mut r).unwrap().unwrap();
+        assert_eq!(tag, 0x43);
+        let back: Vec<u64> = decode(&payload).unwrap();
+        assert_eq!(back, vec![1, 2, 3]);
+        assert!(read_msg(&mut r).unwrap().is_none());
+    }
+
+    #[test]
+    fn oversized_length_is_a_typed_frame_too_large() {
+        // A 4-GiB length prefix must be refused before allocation, and the
+        // refusal must be machine-matchable, not a stringly io::Error.
+        let mut wire = vec![0x42];
+        wire.extend_from_slice(&u32::MAX.to_le_bytes());
+        let err = read_msg(&mut wire.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let typed = frame_too_large(&err).expect("typed FrameTooLarge");
+        assert_eq!(typed.len, u64::from(u32::MAX));
+        assert_eq!(typed.max, u64::from(MAX_FRAME_LEN));
+    }
+
+    #[test]
+    fn oversized_raw_body_is_a_typed_frame_too_large() {
+        // The bootstrap path reads an unframed body whose length comes
+        // from an untrusted header; a forged huge length must not reach
+        // the allocator.
+        let err = read_raw(&mut io::empty(), u64::MAX).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let typed = frame_too_large(&err).expect("typed FrameTooLarge");
+        assert_eq!(typed.len, u64::MAX);
+        assert_eq!(typed.max, MAX_RAW_LEN);
+        // A sane length on an empty reader is an EOF, not a limit error.
+        let err = read_raw(&mut io::empty(), 8).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn truncated_message_is_an_unexpected_eof() {
+        let mut wire = Vec::new();
+        write_msg(&mut wire, 0x42, b"full payload").unwrap();
+        wire.truncate(wire.len() - 3);
+        let err = read_msg(&mut wire.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn oversized_write_is_refused() {
+        // Symmetric guard on the outbound path (cheap: just a length
+        // check; the payload is already in memory).
+        struct NullWriter;
+        impl Write for NullWriter {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let huge = vec![0u8; MAX_FRAME_LEN as usize + 1];
+        let err = write_msg(&mut NullWriter, 0x42, &huge).unwrap_err();
+        assert!(frame_too_large(&err).is_some());
     }
 }

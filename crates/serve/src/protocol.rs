@@ -1,11 +1,11 @@
 //! Wire vocabulary of the serve daemon: one tag table.
 //!
-//! The daemon speaks the framing dialect of [`prov_wire`] (one byte of
-//! tag, a little-endian `u32` length, a payload). Client requests live in
-//! `0x21..=0x2F`, server replies in `0x30..=0x3F`, and the WAL stream in
-//! `0x01..=0x06`. A follower's [`TAG_HELLO`] is one more request on a
-//! session: the daemon that owns a database answers it by streaming its
-//! WAL on the same connection. Keeping the ranges apart means a misrouted
+//! The daemon speaks one framing dialect (one byte of tag, a
+//! little-endian `u32` length, a payload), whose codec this module
+//! re-exports. Client requests live in `0x21..=0x2F`, server replies in
+//! `0x30..=0x3F`, and the WAL stream in `0x01..=0x06`. A follower's
+//! [`TAG_HELLO`] is one more request on a session: the daemon that owns a
+//! database answers it by streaming its WAL on the same connection. Keeping the ranges apart means a misrouted
 //! frame is a typed protocol error, never a silent misparse.
 //!
 //! Two WAL-stream messages carry raw bytes: [`TAG_FRAMES`] a chunk of WAL
@@ -16,7 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 
-pub use prov_wire::{
+pub use crate::wire::{
     decode, frame_too_large, read_exact_retry, read_msg, read_raw, write_json, write_msg,
     FrameTooLarge, MAX_FRAME_LEN,
 };

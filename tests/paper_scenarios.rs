@@ -1,11 +1,10 @@
 //! Scenario tests pinned to the paper's own worked examples: the Fig. 1
-//! workflow story, the Fig. 2 partial trace, the Fig. 3 abstract workflow,
-//! and the evaluation's structural claims.
+//! workflow story, the Fig. 2 partial trace and the Fig. 3 abstract
+//! workflow. The evaluation's claims are in `paper_figures.rs`.
 
 use std::sync::Arc;
 
 use prov_workgen::bio::{self, KeggDb};
-use prov_workgen::testbed;
 use taverna_prov::prelude::*;
 
 #[test]
@@ -152,54 +151,4 @@ fn fig3_trace_has_n_by_m_events_for_the_cross_product() {
     let r_events = store.xforms_producing(run, &ProcessorName::from("R"), "Y", &Index::empty());
     assert_eq!(r_events.len(), 1);
     assert!(r_events[0].inputs().next().unwrap().index.is_empty());
-}
-
-#[test]
-fn evaluation_shape_ni_grows_with_l_indexproj_does_not() {
-    // The structural claim behind Fig. 9, asserted on machine-independent
-    // record-access counts rather than wall time.
-    let d = 10usize;
-    let mut ni_reads = Vec::new();
-    let mut ip_reads = Vec::new();
-    for l in [10usize, 40] {
-        let df = testbed::generate(l);
-        let store = TraceStore::in_memory();
-        let run = testbed::run(&df, d, &store).run_id;
-        let query = testbed::focused_query(&[3, 4]);
-
-        let before = store.stats().snapshot();
-        NaiveLineage::new().run(&store, run, &query).unwrap();
-        ni_reads.push(store.stats().snapshot().since(before).records_read);
-
-        let before = store.stats().snapshot();
-        IndexProj::new(&df).run(&store, run, &query).unwrap();
-        ip_reads.push(store.stats().snapshot().since(before).records_read);
-    }
-    assert!(ni_reads[1] > ni_reads[0] * 3, "NI reads grow with l: {ni_reads:?}");
-    assert_eq!(ip_reads[0], ip_reads[1], "INDEXPROJ reads constant in l: {ip_reads:?}");
-}
-
-#[test]
-fn evaluation_shape_trace_size_matches_paper_growth_law() {
-    // Table 1's structure: records ≈ a·l·d + b·d² + c. Fit on three cells
-    // and predict a fourth.
-    let count = |l: usize, d: usize| {
-        let df = testbed::generate(l);
-        let store = TraceStore::in_memory();
-        let run = testbed::run(&df, d, &store).run_id;
-        store.trace_record_count(run) as f64
-    };
-    let f_10_10 = count(10, 10);
-    let f_20_10 = count(20, 10);
-    let f_10_20 = count(10, 20);
-    let f_20_20 = count(20, 20);
-    // Linear-in-l at fixed d: the l-increment is the same at d=10.
-    let dl = f_20_10 - f_10_10;
-    // Predict (20,20) from the growth law: base + l-term scales with d,
-    // plus the d² final-product term.
-    let predicted = f_10_20 + dl * 2.0;
-    assert!(
-        (predicted - f_20_20).abs() / f_20_20 < 0.05,
-        "growth law violated: predicted {predicted}, got {f_20_20}"
-    );
 }
