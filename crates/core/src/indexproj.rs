@@ -79,14 +79,16 @@ impl LineagePlan {
     /// One step's resolved bindings. Reads only the pinned view: no store
     /// lock is touched. Probe work accumulates into `probe` (the caller
     /// owns the flush into the shared counters), so each step's exact cost
-    /// is attributable.
+    /// is attributable. `rows` is the caller's row-position buffer, reused
+    /// across steps.
     fn step_bindings(
         view: &ReadView,
         step: &PlanStep,
         probe: &mut ProbeStats,
+        rows: &mut Vec<u64>,
     ) -> Result<Vec<Binding>> {
         let node = view.node(&step.processor, &step.port, &step.index);
-        Ok(view.bindings_at(step_index_id(step), &node, probe)?)
+        Ok(view.bindings_at(step_index_id(step), &node, probe, rows)?)
     }
 
     /// Executes the plan against one run (phase *s2*): one indexed trace
@@ -135,18 +137,19 @@ impl LineagePlan {
         let run_u64 = view.run().0;
         // (bindings, step-local probe counters, step duration).
         type StepOut = (Vec<Binding>, ProbeStats, u64);
+        let mut rows = Vec::new();
         let timed_step = |(idx, step): (usize, &PlanStep)| -> Result<StepOut> {
             life.check_deadline()?;
             if !observing {
                 let mut guard = view.probe_guard();
-                let out = Self::step_bindings(view, step, &mut guard)?;
+                let out = Self::step_bindings(view, step, &mut guard, &mut rows)?;
                 return Ok((out, ProbeStats::new(), 0));
             }
             let before = Instant::now();
             let mut span = obs.span("indexproj.step", "t2");
             let local = {
                 let mut guard = view.probe_guard();
-                let out = Self::step_bindings(view, step, &mut guard);
+                let out = Self::step_bindings(view, step, &mut guard, &mut rows);
                 (out, guard.so_far())
                 // guard drops here: the step's counters reach the shared
                 // totals even when `out` is an error.

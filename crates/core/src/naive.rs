@@ -154,7 +154,9 @@ impl NaiveLineage {
                 };
                 if is_source || is_scope_input {
                     trace_queries += 1;
-                    bindings.extend(view.bindings_at(IndexId::XferSrc, &node, &mut probe)?);
+                    let inputs =
+                        view.bindings_at(IndexId::XferSrc, &node, &mut probe, &mut outgoing)?;
+                    bindings.extend(inputs);
                 }
             }
             hop.stop();

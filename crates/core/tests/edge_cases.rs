@@ -161,3 +161,74 @@ fn plan_steps_expose_their_kinds() {
     let json = serde_json::to_string(&plan).unwrap();
     assert!(json.contains("XferSrc"));
 }
+
+/// A 9-deep list of strings, branching in two at its first and last
+/// levels: leaf `[i,0,…,0,j]` is `"v{i}{j}"`.
+fn nine_deep() -> Value {
+    let mut levels: Vec<Value> = (0..2)
+        .map(|i| Value::List((0..2).map(|j| Value::str(&format!("v{i}{j}"))).collect()))
+        .collect();
+    for _ in 0..7 {
+        levels = levels.into_iter().map(|v| Value::List(vec![v])).collect();
+    }
+    Value::List(levels)
+}
+
+#[test]
+fn nine_deep_iteration_spills_its_keys_and_ni_matches_indexproj() {
+    // in → L → R → out, each processor iterating over all nine levels, so
+    // every stored element index (nine components) spills its packed key.
+    let mut b = DataflowBuilder::new("wf");
+    b.input("in", PortType::nested(BaseType::String, 9));
+    for (name, behavior) in [("L", "t1"), ("R", "t2")] {
+        b.processor_with_behavior(name, behavior)
+            .in_port("x", PortType::atom(BaseType::String))
+            .out_port("y", PortType::atom(BaseType::String));
+    }
+    b.arc_from_input("in", "L", "x").unwrap();
+    b.arc("L", "y", "R", "x").unwrap();
+    b.output("out", PortType::nested(BaseType::String, 9));
+    b.arc_to_output("R", "y", "out").unwrap();
+    let df = b.build().unwrap();
+    let (store, run) = execute(&df, vec![("in".into(), nine_deep())]);
+
+    let out = PortRef::new("wf", "out");
+    let deep = |i: u32, j: u32| Index::from_slice(&[i, 0, 0, 0, 0, 0, 0, 0, j]);
+    let focus = |names: &[&str]| names.iter().map(|&n| ProcessorName::from(n)).collect::<Vec<_>>();
+    let cases = [
+        // Focused, on a leaf: L's one consumed element.
+        (
+            LineageQuery::focused(out.clone(), deep(1, 1), focus(&["L"])),
+            vec!["L:x[1,0,0,0,0,0,0,0,1]=\"v11\""],
+        ),
+        // Partial: a 4-deep prefix addresses a sub-list of two leaves.
+        (
+            LineageQuery::focused(out.clone(), Index::from_slice(&[0, 0, 0, 0]), focus(&["wf"])),
+            vec!["wf:in[0,0,0,0,0,0,0,0,0]=\"v00\"", "wf:in[0,0,0,0,0,0,0,0,1]=\"v01\""],
+        ),
+        // Unfocused, on a leaf: every processor and the workflow input.
+        (
+            LineageQuery::unfocused(out.clone(), deep(0, 1), &df),
+            vec![
+                "R:x[0,0,0,0,0,0,0,0,1]=\"v01-1\"",
+                "L:x[0,0,0,0,0,0,0,0,1]=\"v01\"",
+                "wf:in[0,0,0,0,0,0,0,0,1]=\"v01\"",
+            ],
+        ),
+    ];
+    for (q, want) in cases {
+        let ni = NaiveLineage::new().run(&store, run, &q).unwrap();
+        let ip = IndexProj::new(&df).run(&store, run, &q).unwrap();
+        assert!(ni.same_bindings(&ip), "{q:?}");
+        let mut got: Vec<String> =
+            ni.bindings.iter().map(|b| format!("{}{}={}", b.port, b.index, b.value)).collect();
+        let mut by_ip: Vec<String> =
+            ip.bindings.iter().map(|b| format!("{}{}={}", b.port, b.index, b.value)).collect();
+        got.sort();
+        by_ip.sort();
+        let mut want: Vec<String> = want.into_iter().map(String::from).collect();
+        want.sort();
+        assert_eq!(got, want, "NI {q:?}");
+        assert_eq!(by_ip, want, "INDEXPROJ {q:?}");
+    }
+}

@@ -6,7 +6,10 @@
 //! found through a processor directory: a vector indexed by the dense
 //! processor symbol (less the run's first one), holding that processor's
 //! few port slices. A slice is a column of its distinct element indexes,
-//! sorted and searched alone, beside a column of their rows. A key's only
+//! sorted and searched alone, beside a column of their rows. The key
+//! column holds 16-byte [`IndexKey`]s, four to a cache line, spilled keys
+//! included (see [`crate::symbols`] for the byte layout), so a binary
+//! search touches as few lines as the column allows. A key's only
 //! row — one producing invocation per element, the common case — sits
 //! inline in the row column; a key filed again (a cross product's inner
 //! port) moves its rows to a list that grows by push. Filing a row is a
@@ -20,7 +23,8 @@
 //!
 //! * **ancestors** — rows whose index is a (non-strict) prefix of the query
 //!   index, for coarse rows such as whole-value transfers: one exact probe
-//!   per prefix, `|p| + 1` in all;
+//!   per prefix, `|p| + 1` in all (the empty prefix, which sorts first,
+//!   reads the column's first key without a search);
 //! * **descendants** — rows whose index *extends* the query index, for a
 //!   query that addresses a sub-collection: they are contiguous from the
 //!   query index onwards, so one scan from there bounds them.
@@ -157,12 +161,15 @@ impl CompositeIndex {
         let keys = &slice.keys[..];
         // Each prefix sorts after the shorter ones, so every search resumes
         // where the previous one stopped; the descendants start where the
-        // exact key's search lands.
+        // exact key's search lands. The empty prefix sorts before every
+        // key, so its search would land on 0: it reads the first key alone.
         let (mut from, mut exact): (usize, &[u64]) = (0, &[]);
         for k in 0..=index.len() {
             stats.count_index_lookup();
             let prefix = index.prefix(k);
-            from += keys[from..].partition_point(|key| *key < prefix);
+            if k > 0 {
+                from += keys[from..].partition_point(|key| *key < prefix);
+            }
             exact = match keys.get(from) {
                 Some(key) if *key == prefix => slice.rows(from),
                 _ => &[],
@@ -359,59 +366,100 @@ mod tests {
     }
 
     /// Short indexes over a small alphabet collide, nest and repeat; the
-    /// other two shapes spill (too deep, or a component too large to pack).
+    /// other shapes sit at the packing limits: too deep or just shallow
+    /// enough (eight against nine components), or a component at the
+    /// largest packed value or above it, after a prefix the short shapes
+    /// share.
     fn components() -> impl Strategy<Value = Vec<u32>> {
         prop_oneof![
             proptest::collection::vec(0u32..3, 0..4),
             proptest::collection::vec(0u32..2, 9..11),
             proptest::collection::vec(0xFFFEu32..0x1_0001, 1..3),
+            proptest::collection::vec(0u32..2, 8..10),
+            (proptest::collection::vec(0u32..2, 0..9), 0xFFFDu32..0x1_0001).prop_map(
+                |(mut prefix, last)| {
+                    prefix.push(last);
+                    prefix
+                }
+            ),
         ]
     }
 
     const CASES: u32 = if cfg!(miri) { 4 } else { 256 };
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(CASES))]
+    /// One case: `(processor, port, index, row)` filings, repeats that file
+    /// an earlier filing's key again, and `(processor, port, index)` probes.
+    type Case = (Vec<(u32, u32, Vec<u32>, u64)>, Vec<(usize, u64)>, Vec<(u32, u32, Vec<u32>)>);
 
-        #[test]
-        fn sorted_slices_match_the_ordered_map_reference(
+    fn cases() -> impl Strategy<Value = Case> {
+        (
             // Processors 0, 3, 6 and 9: interned with gaps, filed in any order.
-            inserts in proptest::collection::vec(
+            proptest::collection::vec(
                 ((0u32..4).prop_map(|p| 3 * p), 0u32..2, components(), 0u64..24),
                 0..40,
             ),
             // Keys filed again after later keys: a 2nd or a 3rd row each.
-            repeats in proptest::collection::vec((0usize..40, 1u64..3), 0..6),
-            probes in proptest::collection::vec((0u32..13, 0u32..3, components()), 1..12),
-        ) {
-            let mut ix = CompositeIndex::default();
-            let mut reference = Reference::default();
-            let mut file = |p: u32, x: u32, idx: &[u32], row: u64| {
-                ix.insert(Sym(p), Sym(x), ik(idx), row);
-                reference.0.entry((Sym(p), Sym(x), ik(idx))).or_default().push(row);
-            };
-            for (p, x, idx, row) in &inserts {
-                file(*p, *x, idx, *row);
+            proptest::collection::vec((0usize..40, 1u64..3), 0..6),
+            proptest::collection::vec((0u32..13, 0u32..3, components()), 1..12),
+        )
+    }
+
+    /// Files `inserts` and `repeats` into a [`CompositeIndex`] and the
+    /// [`Reference`] alike, then checks that every probe finds the same
+    /// rows in the same order at the same cost.
+    fn matches_the_reference((inserts, repeats, probes): Case) {
+        let mut ix = CompositeIndex::default();
+        let mut reference = Reference::default();
+        let mut file = |p: u32, x: u32, idx: &[u32], row: u64| {
+            ix.insert(Sym(p), Sym(x), ik(idx), row);
+            reference.0.entry((Sym(p), Sym(x), ik(idx))).or_default().push(row);
+        };
+        for (p, x, idx, row) in &inserts {
+            file(*p, *x, idx, *row);
+        }
+        for (at, times) in repeats {
+            if inserts.is_empty() {
+                break;
             }
-            for (at, times) in repeats {
-                if inserts.is_empty() {
-                    break;
-                }
-                let (p, x, idx, row) = &inserts[at % inserts.len()];
-                for extra in 0..times {
-                    file(*p, *x, idx, row + 24 * (extra + 1));
-                }
+            let (p, x, idx, row) = &inserts[at % inserts.len()];
+            for extra in 0..times {
+                file(*p, *x, idx, row + 24 * (extra + 1));
             }
-            prop_assert_eq!(ix.key_count(), reference.0.len());
-            for (p, x, idx) in probes {
-                // 10 and 11 lie past the directory; 12 stands in for MISSING.
-                let p = if p == 12 { Sym::MISSING } else { Sym(p) };
-                let key = ik(&idx);
-                let (mut got, mut want) = (ProbeStats::new(), ProbeStats::new());
-                let rows = probe(&ix, p, Sym(x), &key, &mut got);
-                prop_assert_eq!(rows, reference.get_overlapping(p, Sym(x), &key, &mut want));
-                prop_assert_eq!(got, want);
-            }
+        }
+        assert_eq!(ix.key_count(), reference.0.len());
+        for (p, x, idx) in probes {
+            // 10 and 11 lie past the directory; 12 stands in for MISSING.
+            let p = if p == 12 { Sym::MISSING } else { Sym(p) };
+            let key = ik(&idx);
+            let (mut got, mut want) = (ProbeStats::new(), ProbeStats::new());
+            let rows = probe(&ix, p, Sym(x), &key, &mut got);
+            assert_eq!(rows, reference.get_overlapping(p, Sym(x), &key, &mut want), "{idx:?}");
+            assert_eq!(got, want, "{idx:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+        #[test]
+        fn sorted_slices_match_the_ordered_map_reference(case in cases()) {
+            matches_the_reference(case);
+        }
+    }
+
+    /// The same check from a seed taken from `CRASH_TORTURE_SEED` (printed,
+    /// so a failing pass replays), for randomized passes beyond the fixed
+    /// stream above.
+    #[test]
+    fn seeded_reference_check() {
+        let seed = std::env::var("CRASH_TORTURE_SEED")
+            .ok()
+            .and_then(|s| s.parse::<u64>().ok())
+            .unwrap_or(0x1DE7);
+        eprintln!("index reference seed: {seed} (replay with CRASH_TORTURE_SEED={seed})");
+        let mut rng = proptest::test_runner::TestRng::from_name(&seed.to_string());
+        for _ in 0..CASES {
+            matches_the_reference(cases().generate(&mut rng));
         }
     }
 }

@@ -106,27 +106,24 @@ pub struct XferRecord {
 // materialised from these at the API boundary by resolving symbols through
 // the store's symbol table.
 
-use crate::symbols::Sym;
+use crate::symbols::{IndexKey, Sym};
 
-/// Internal form of [`XformRecord`].
+/// Internal form of [`XformRecord`]. The run is the shard's, and the
+/// port rows are the range `ports_from..ports_to` of the shard's port
+/// column: inputs then outputs, in port order.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct XformRow {
     pub id: u64,
-    pub run: RunId,
     pub processor: Sym,
     pub invocation: u32,
-    pub ports: Vec<XformPortRow>,
+    pub ports_from: u32,
+    pub ports_to: u32,
 }
 
 impl XformRow {
-    /// Iterator over the input-side port rows.
-    pub fn inputs(&self) -> impl Iterator<Item = &XformPortRow> {
-        self.ports.iter().filter(|p| p.direction == PortDirection::In)
-    }
-
-    /// Iterator over the output-side port rows.
-    pub fn outputs(&self) -> impl Iterator<Item = &XformPortRow> {
-        self.ports.iter().filter(|p| p.direction == PortDirection::Out)
+    /// The row's range in the shard's port column.
+    pub fn ports(&self) -> std::ops::Range<usize> {
+        self.ports_from as usize..self.ports_to as usize
     }
 }
 
@@ -135,21 +132,20 @@ impl XformRow {
 pub(crate) struct XformPortRow {
     pub direction: PortDirection,
     pub port: Sym,
-    pub index: Index,
+    pub index: IndexKey,
     pub value: ValueId,
 }
 
-/// Internal form of [`XferRecord`].
+/// Internal form of [`XferRecord`]. The run is the shard's.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct XferRow {
     pub id: u64,
-    pub run: RunId,
     pub src_processor: Sym,
     pub src_port: Sym,
-    pub src_index: Index,
+    pub src_index: IndexKey,
     pub dst_processor: Sym,
     pub dst_port: Sym,
-    pub dst_index: Index,
+    pub dst_index: IndexKey,
     pub value: ValueId,
 }
 

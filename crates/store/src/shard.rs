@@ -25,9 +25,19 @@
 //! returns and panics included. The whole-record reads (the record
 //! probes, the run scans) flush through a guard of their own per call.
 //!
-//! Walks step through row positions: [`ReadView::rows`] fills a
-//! caller-owned buffer, so NI and impact keep one buffer per access path
-//! for a whole walk and a hop probes the indexes without allocating.
+//! Walks step through row positions: [`ReadView::rows`] and
+//! [`ReadView::bindings_at`] fill a caller-owned buffer, so NI, impact and
+//! INDEXPROJ keep one buffer per access path for a whole query and a hop
+//! or a step probes the indexes without allocating.
+//!
+//! Row layout: rows hold the same 16-byte [`IndexKey`]s the index columns
+//! do, and a [`Node`] is two symbols and a key (24 bytes), so a hop copies
+//! a key out of a row rather than re-packing an element index. An xfer
+//! row is 64 bytes, one cache line (its run is the shard's). An xform row
+//! is 24 bytes: its port bindings, 32 bytes each, are the range
+//! `ports_from..ports_to` of one shard-wide port column, inputs then
+//! outputs, so an invocation's bindings are one contiguous read and
+//! capturing one allocates nothing of its own.
 
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
@@ -48,10 +58,12 @@ use prov_engine::{XferEvent, XformEvent};
 
 /// All trace state of one run: row heaps plus the four secondary indexes,
 /// keyed by shard-local row *positions* (rows additionally carry their
-/// global ids for the public records).
+/// global ids for the public records). Every xform row's port bindings
+/// sit in one shard-wide column, each row's contiguous.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct RunShard {
     pub(crate) xforms: Vec<XformRow>,
+    ports: Vec<XformPortRow>,
     pub(crate) xfers: Vec<XferRow>,
     /// The secondary indexes, in [`IndexId::ALL`] order: xform rows by
     /// output and by input binding, xfer rows by destination and by source.
@@ -64,19 +76,30 @@ impl RunShard {
         &self.indexes[id.pos()]
     }
 
+    /// The port bindings of xform `row`: inputs then outputs.
+    pub(crate) fn ports(&self, row: &XformRow) -> &[XformPortRow] {
+        &self.ports[row.ports()]
+    }
+
+    /// The port column's length, as a row's range bound.
+    fn ports_end(&self) -> u32 {
+        let end = self.ports.len();
+        assert!(end <= u32::MAX as usize, "a shard holds fewer than 2^32 port bindings");
+        end as u32
+    }
+
     /// Appends an xform row (global id `id`), interning names and values
     /// through the shared tables.
     pub(crate) fn insert_xform(
         &mut self,
         id: u64,
-        run: RunId,
         event: &XformEvent,
         symbols: &mut SymbolTable,
         values: &mut ValueTable,
     ) {
         let pos = self.xforms.len() as u64;
         let processor = symbols.intern(&event.processor.0);
-        let mut ports = Vec::with_capacity(event.inputs.len() + event.outputs.len());
+        let ports_from = self.ports_end();
         for (direction, index_id, bindings) in [
             (PortDirection::In, IndexId::XformIn, &event.inputs),
             (PortDirection::Out, IndexId::XformOut, &event.outputs),
@@ -84,19 +107,20 @@ impl RunShard {
             for b in bindings {
                 let value = values.intern(&b.value);
                 let port = symbols.intern(&b.port);
-                ports.push(XformPortRow { direction, port, index: b.index.clone(), value });
-                let key = IndexKey::from(&b.index);
-                self.indexes[index_id.pos()].insert(processor, port, key, pos);
+                let index = IndexKey::from(&b.index);
+                self.indexes[index_id.pos()].insert(processor, port, index.clone(), pos);
+                self.ports.push(XformPortRow { direction, port, index, value });
             }
         }
-        self.xforms.push(XformRow { id, run, processor, invocation: event.invocation, ports });
+        let ports_to = self.ports_end();
+        let invocation = event.invocation;
+        self.xforms.push(XformRow { id, processor, invocation, ports_from, ports_to });
     }
 
     /// Appends an xfer row (global id `id`).
     pub(crate) fn insert_xfer(
         &mut self,
         id: u64,
-        run: RunId,
         event: &XferEvent,
         symbols: &mut SymbolTable,
         values: &mut ValueTable,
@@ -108,18 +132,17 @@ impl RunShard {
         let dst_processor = symbols.intern(&event.dst.processor.0);
         let dst_port = symbols.intern(&event.dst.port);
         let dst_key = IndexKey::from(&event.dst_index);
-        self.indexes[IndexId::XferDst.pos()].insert(dst_processor, dst_port, dst_key, pos);
+        self.indexes[IndexId::XferDst.pos()].insert(dst_processor, dst_port, dst_key.clone(), pos);
         let src_key = IndexKey::from(&event.src_index);
-        self.indexes[IndexId::XferSrc.pos()].insert(src_processor, src_port, src_key, pos);
+        self.indexes[IndexId::XferSrc.pos()].insert(src_processor, src_port, src_key.clone(), pos);
         self.xfers.push(XferRow {
             id,
-            run,
             src_processor,
             src_port,
-            src_index: event.src_index.clone(),
+            src_index: src_key,
             dst_processor,
             dst_port,
-            dst_index: event.dst_index.clone(),
+            dst_index: dst_key,
             value,
         });
     }
@@ -137,20 +160,23 @@ pub struct Node {
 }
 
 impl Hash for Node {
-    /// One `u64` for the two symbols and one `u128` for a packed key (its
+    /// One `u64` for the two symbols and the two words of a packed key (its
     /// bits determine its length), so a visited-set lookup hashes 24 bytes.
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_u64(u64::from(self.processor.0) << 32 | u64::from(self.port.0));
         match &self.index {
-            IndexKey::Packed { bits, .. } => state.write_u128(*bits),
+            IndexKey::Packed { hi, lo } => {
+                state.write_u64(hi.get());
+                state.write_u64(*lo);
+            }
             spilled => spilled.hash(state),
         }
     }
 }
 
 /// A stored binding one walk step reached: its node and its element.
-fn hop(processor: Sym, port: Sym, index: &Index, value: ValueId) -> (Node, ValueId) {
-    (Node { processor, port, index: IndexKey::from(index) }, value)
+fn hop(processor: Sym, port: Sym, index: &IndexKey, value: ValueId) -> (Node, ValueId) {
+    (Node { processor, port, index: index.clone() }, value)
 }
 
 /// Processor names interned against one view, so a walk tests a
@@ -263,7 +289,7 @@ impl ReadView {
         direction: PortDirection,
     ) -> impl Iterator<Item = (Node, ValueId)> + '_ {
         let row = &self.shard.xforms[pos as usize];
-        let ports = row.ports.iter().filter(move |p| p.direction == direction);
+        let ports = self.shard.ports(row).iter().filter(move |p| p.direction == direction);
         ports.map(|p| hop(row.processor, p.port, &p.index, p.value))
     }
 
@@ -305,23 +331,26 @@ impl ReadView {
     /// input port, which exists in the trace only as xfer sources. A
     /// binding several rows share (a whole value every invocation
     /// consumes, an element fanned out along several arcs) is reported
-    /// once. Costs what [`ReadView::rows`] costs, counted into `probe`.
+    /// once. Costs what [`ReadView::rows`] costs, counted into `probe`,
+    /// and like it fills the caller's `rows` buffer with the row positions
+    /// it reads, so a plan or a walk probes without allocating one.
     pub fn bindings_at(
         &self,
         id: IndexId,
         node: &Node,
         probe: &mut ProbeStats,
+        rows: &mut Vec<u64>,
     ) -> crate::Result<Vec<Binding>> {
-        let mut rows = Vec::new();
-        self.rows(id, node, probe, &mut rows);
-        let want = node.index.to_index();
+        self.rows(id, node, probe, rows);
         let direction =
             if id == IndexId::XformOut { PortDirection::Out } else { PortDirection::In };
-        let mut found: Vec<(ValueId, &Index)> = Vec::new();
-        for pos in rows.into_iter().map(|pos| pos as usize) {
+        let mut found: Vec<(ValueId, &IndexKey)> = Vec::new();
+        for pos in rows.iter().map(|&pos| pos as usize) {
             // The row's bindings on the side `id` indexes.
             let (ports, xfer): (&[XformPortRow], _) = match id {
-                IndexId::XformOut | IndexId::XformIn => (&self.shard.xforms[pos].ports, None),
+                IndexId::XformOut | IndexId::XformIn => {
+                    (self.shard.ports(&self.shard.xforms[pos]), None)
+                }
                 IndexId::XferDst => {
                     let r = &self.shard.xfers[pos];
                     (&[], Some((r.value, &r.dst_index)))
@@ -333,7 +362,8 @@ impl ReadView {
             };
             let on_port = ports.iter().filter(|p| p.direction == direction && p.port == node.port);
             for b in on_port.map(|p| (p.value, &p.index)).chain(xfer) {
-                if (b.1.is_prefix_of(&want) || want.is_prefix_of(b.1)) && !found.contains(&b) {
+                let overlaps = b.1.is_prefix_of(&node.index) || node.index.is_prefix_of(b.1);
+                if overlaps && !found.contains(&b) {
                     found.push(b);
                 }
             }
@@ -344,7 +374,7 @@ impl ReadView {
             .into_iter()
             .map(|(value, index)| {
                 let value = self.value(value).ok_or(StoreError::DanglingValue(value))?;
-                Ok(Binding { port: port.clone(), index: index.clone(), value })
+                Ok(Binding { port: port.clone(), index: index.to_index(), value })
             })
             .collect()
     }
@@ -366,16 +396,17 @@ impl ReadView {
     fn xform_record(&self, row: &XformRow) -> XformRecord {
         XformRecord {
             id: row.id,
-            run: row.run,
+            run: self.run,
             processor: ProcessorName(self.symbols.resolve(row.processor)),
             invocation: row.invocation,
-            ports: row
-                .ports
+            ports: self
+                .shard
+                .ports(row)
                 .iter()
                 .map(|p| XformPortRecord {
                     direction: p.direction,
                     port: self.symbols.resolve(p.port),
-                    index: p.index.clone(),
+                    index: p.index.to_index(),
                     value: p.value,
                 })
                 .collect(),
@@ -386,13 +417,13 @@ impl ReadView {
     fn xfer_record(&self, row: &XferRow) -> XferRecord {
         XferRecord {
             id: row.id,
-            run: row.run,
+            run: self.run,
             src_processor: ProcessorName(self.symbols.resolve(row.src_processor)),
             src_port: self.symbols.resolve(row.src_port),
-            src_index: row.src_index.clone(),
+            src_index: row.src_index.to_index(),
             dst_processor: ProcessorName(self.symbols.resolve(row.dst_processor)),
             dst_port: self.symbols.resolve(row.dst_port),
-            dst_index: row.dst_index.clone(),
+            dst_index: row.dst_index.to_index(),
             value: row.value,
         }
     }
@@ -470,15 +501,19 @@ impl ReadView {
         let Some(&vid) = self.values.lookup(value) else { return Vec::new() };
         let mut probe = self.probe_guard();
         probe.count_rows_scanned(self.shard.xforms.len() + self.shard.xfers.len());
-        let mut found: Vec<(Sym, Sym, &Index)> = Vec::new();
+        let mut found: Vec<(Sym, Sym, &IndexKey)> = Vec::new();
         let mut push = |b| {
             if !found.contains(&b) {
                 found.push(b);
             }
         };
-        for row in self.shard.xforms.iter().filter(|row| row.ports.iter().any(|p| p.value == vid)) {
+        for row in self.shard.xforms.iter() {
+            let ports = self.shard.ports(row);
+            if !ports.iter().any(|p| p.value == vid) {
+                continue;
+            }
             probe.count_records(1);
-            for p in row.ports.iter().filter(|p| p.value == vid) {
+            for p in ports.iter().filter(|p| p.value == vid) {
                 push((row.processor, p.port, &p.index));
             }
         }
@@ -494,7 +529,7 @@ impl ReadView {
                     processor: ProcessorName(self.symbols.resolve(processor)),
                     port: self.symbols.resolve(port),
                 },
-                index: index.clone(),
+                index: index.to_index(),
                 value: value.clone(),
             })
             .collect()
@@ -526,6 +561,18 @@ mod tests {
 
     use super::*;
     use crate::TraceStore;
+
+    /// What a walk touches per hop, pinned to the byte: a key column entry,
+    /// a node on the stack or in the visited set, and the rows a hop reads.
+    #[test]
+    fn walk_structures_are_cache_dense() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<IndexKey>(), 16);
+        assert_eq!(size_of::<Node>(), 24);
+        assert_eq!(size_of::<XformRow>(), 24);
+        assert_eq!(size_of::<XformPortRow>(), 32);
+        assert_eq!(size_of::<XferRow>(), 64);
+    }
 
     /// A 3×3 cross product: invocation `(i, j)` of `X` consumes `a[i]` and
     /// `b[j]` and emits `Y[i,j]`, so `X:a` and `X:b` file each key three
@@ -668,7 +715,7 @@ mod tests {
     ) -> (Vec<String>, ProbeStats) {
         let node = view.node(&processor.into(), port, &Index::from_slice(index));
         let mut stats = ProbeStats::new();
-        let found = view.bindings_at(id, &node, &mut stats).unwrap();
+        let found = view.bindings_at(id, &node, &mut stats, &mut vec![7]).unwrap();
         (found.iter().map(|b| format!("{}{}={}", b.port, b.index, b.value)).collect(), stats)
     }
 
@@ -691,6 +738,83 @@ mod tests {
         let (found, _) = bindings_at(&view, IndexId::XformOut, ("X", "Y", &[2]));
         assert_eq!(found, [r#"X:Y[2,0]="Y""#, r#"X:Y[2,1]="Y""#, r#"X:Y[2,2]="Y""#]);
         assert!(bindings_at(&view, IndexId::XformIn, ("X", "Y", &[])).0.is_empty());
+    }
+
+    /// Keys on both sides of the packing limits under one port: components
+    /// up to `0xFFFE` pack and larger ones spill, eight components pack and
+    /// nine spill, and spilled keys share prefixes with packed ones.
+    const SPILL_EDGES: [&[u32]; 8] = [
+        &[0xFFFD],
+        &[0xFFFE],
+        &[0xFFFF],
+        &[0x1_0000],
+        &[1, 2, 3, 4, 5, 6, 7, 8],
+        &[1, 2, 3, 4, 5, 6, 7, 8, 9],
+        &[1, 2, 3, 4, 5, 6, 7, 9],
+        &[1, 2, 3, 4, 5, 6, 7, 8, 0x1_0000],
+    ];
+
+    #[test]
+    fn spilled_keys_probe_like_packed_ones_at_every_prefix() {
+        let store = TraceStore::in_memory();
+        let run = store.begin_run(&"wf".into());
+        for (invocation, index) in (0..).zip(SPILL_EDGES) {
+            let event = XformEvent {
+                processor: "X".into(),
+                invocation,
+                inputs: vec![PortBinding::new(
+                    "a",
+                    Index::from_slice(index),
+                    Value::str(&format!("v{invocation}")),
+                )],
+                outputs: vec![PortBinding::new("Y", Index::single(invocation), Value::str("y"))],
+            };
+            store.record_xform(run, event);
+        }
+        let view = store.pin(run);
+        let mut out = Vec::new();
+        // Spot checks: the neighbours of each limit stay apart.
+        probe(&view, IndexId::XformIn, "a", &[0xFFFE], &mut out);
+        assert_eq!(out, [1]);
+        probe(&view, IndexId::XformIn, "a", &[0xFFFF], &mut out);
+        assert_eq!(out, [2]);
+        let stats = probe(&view, IndexId::XformIn, "a", &[1, 2, 3, 4, 5, 6, 7, 8], &mut out);
+        assert_eq!(out, [4, 5, 7]);
+        assert_eq!((stats.index_lookups, stats.records_read), (10, 4));
+        let stats = probe(&view, IndexId::XformIn, "a", &[1, 2, 3, 4, 5, 6, 7], &mut out);
+        assert_eq!(out, [4, 5, 6, 7]);
+        assert_eq!((stats.index_lookups, stats.records_read), (9, 4));
+
+        // Every prefix of every key, and one step past each full key,
+        // against the element-index semantics the keys encode.
+        let queries = SPILL_EDGES.iter().flat_map(|key| {
+            (0..=key.len()).map(|n| key[..n].to_vec()).chain([[*key, &[0]].concat()])
+        });
+        for q in queries {
+            let q_index = Index::from_slice(&q);
+            let overlaps =
+                |stored: &Index| stored.is_prefix_of(&q_index) || q_index.is_prefix_of(stored);
+            let filed: Vec<(u64, Index)> =
+                (0..).zip(SPILL_EDGES.iter().map(|k| Index::from_slice(k))).collect();
+            let want: Vec<u64> =
+                filed.iter().filter(|(_, stored)| overlaps(stored)).map(|(pos, _)| *pos).collect();
+            let stats = probe(&view, IndexId::XformIn, "a", &q, &mut out);
+            assert_eq!(out, want, "a{q:?}");
+            // The prefix chain reads each ancestor once; the scan reads the
+            // exact key again with every descendant.
+            let ancestors = filed.iter().filter(|(_, s)| s.is_prefix_of(&q_index)).count();
+            let descendants = filed.iter().filter(|(_, s)| q_index.is_prefix_of(s)).count();
+            let want_stats = (q.len() as u64 + 2, (ancestors + descendants) as u64);
+            assert_eq!((stats.index_lookups, stats.records_read), want_stats, "a{q:?}");
+
+            let (found, bstats) = bindings_at(&view, IndexId::XformIn, ("X", "a", &q));
+            let want_found: Vec<String> = want
+                .iter()
+                .map(|&pos| format!("X:a{}=\"v{pos}\"", filed[pos as usize].1))
+                .collect();
+            assert_eq!(found, want_found, "a{q:?}");
+            assert_eq!(bstats, stats, "a{q:?}");
+        }
     }
 
     #[test]

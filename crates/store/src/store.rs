@@ -625,8 +625,10 @@ impl TraceStore {
             let mut events = Vec::with_capacity(SNAPSHOT_BATCH_EVENTS);
             for info in inner.runs.values() {
                 let Some(shard) = inner.shards.get(&info.id) else { continue };
-                let xforms =
-                    shard.xforms.iter().map(|row| inner.xform_to_event(row).map(TraceEvent::Xform));
+                let xforms = shard
+                    .xforms
+                    .iter()
+                    .map(|row| inner.xform_to_event(shard, row).map(TraceEvent::Xform));
                 let xfers =
                     shard.xfers.iter().map(|row| inner.xfer_to_event(row).map(TraceEvent::Xfer));
                 for event in xforms.chain(xfers) {
@@ -1094,7 +1096,7 @@ impl Inner {
         let symbols = Arc::make_mut(&mut self.symbols);
         let values = Arc::make_mut(&mut self.values);
         let shard = Arc::make_mut(self.shards.entry(run).or_default());
-        shard.insert_xform(id, run, event, symbols, values);
+        shard.insert_xform(id, event, symbols, values);
         if let Some(info) = self.runs.get_mut(&run) {
             info.xform_count += 1;
         }
@@ -1106,17 +1108,17 @@ impl Inner {
         let symbols = Arc::make_mut(&mut self.symbols);
         let values = Arc::make_mut(&mut self.values);
         let shard = Arc::make_mut(self.shards.entry(run).or_default());
-        shard.insert_xfer(id, run, event, symbols, values);
+        shard.insert_xfer(id, event, symbols, values);
         if let Some(info) = self.runs.get_mut(&run) {
             info.xfer_count += 1;
         }
     }
 
-    fn xform_to_event(&self, row: &XformRow) -> Result<XformEvent, StoreError> {
+    fn xform_to_event(&self, shard: &RunShard, row: &XformRow) -> Result<XformEvent, StoreError> {
         let binding = |p: &XformPortRow| -> Result<prov_engine::PortBinding, StoreError> {
             Ok(prov_engine::PortBinding {
                 port: self.symbols.resolve(p.port),
-                index: p.index.clone(),
+                index: p.index.to_index(),
                 value: self
                     .values
                     .get(p.value)
@@ -1124,11 +1126,13 @@ impl Inner {
                     .ok_or(StoreError::DanglingValue(p.value))?,
             })
         };
+        let ports = shard.ports(row);
+        let side = |direction| ports.iter().filter(move |p| p.direction == direction);
         Ok(XformEvent {
             processor: ProcessorName(self.symbols.resolve(row.processor)),
             invocation: row.invocation,
-            inputs: row.inputs().map(binding).collect::<Result<_, _>>()?,
-            outputs: row.outputs().map(binding).collect::<Result<_, _>>()?,
+            inputs: side(PortDirection::In).map(binding).collect::<Result<_, _>>()?,
+            outputs: side(PortDirection::Out).map(binding).collect::<Result<_, _>>()?,
         })
     }
 
@@ -1138,12 +1142,12 @@ impl Inner {
                 processor: ProcessorName(self.symbols.resolve(row.src_processor)),
                 port: self.symbols.resolve(row.src_port),
             },
-            src_index: row.src_index.clone(),
+            src_index: row.src_index.to_index(),
             dst: PortRef {
                 processor: ProcessorName(self.symbols.resolve(row.dst_processor)),
                 port: self.symbols.resolve(row.dst_port),
             },
-            dst_index: row.dst_index.clone(),
+            dst_index: row.dst_index.to_index(),
             value: self
                 .values
                 .get(row.value)

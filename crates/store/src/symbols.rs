@@ -13,14 +13,22 @@
 //!   the store has never seen degenerates to a comparison against
 //!   [`Sym::MISSING`] and finds nothing — exactly like the string key it
 //!   replaces, with the same stats accounting.
-//! * [`IndexKey`] — an element index packed into a single `u128` (eight
-//!   16-bit groups, big-endian) whenever it fits, spilling to a boxed slice
-//!   only for pathological indices. The packing is order-preserving:
-//!   comparing two packed keys is one integer compare, and all extensions
-//!   of a prefix stay contiguous — the property descendant scans rely on.
+//! * [`IndexKey`] — an element index in 16 bytes: eight 16-bit groups,
+//!   big-endian, in a high and a low `u64` word. Component `c` is stored as
+//!   `c + 1`, so an index of up to eight components of at most `0xFFFE`
+//!   packs, and comparing two packed keys is one 128-bit integer compare
+//!   that orders them as their component sequences: all extensions of a
+//!   prefix stay contiguous, the property descendant scans rely on. The
+//!   empty key stores its high word as 1, so a packed key's high word is
+//!   never 0; a spilled key (deeper than eight, or with a component above
+//!   `0xFFFE`) is tagged by that free 0 and holds a pointer to its boxed
+//!   [`Index`] in the other word, and compares by components. One type,
+//!   one width, one order: the key column, the rows and the walks all
+//!   hold the same 16 bytes.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::num::NonZeroU64;
 use std::sync::Arc;
 
 use prov_model::Index;
@@ -82,33 +90,43 @@ impl SymbolTable {
 const GROUPS: usize = 8;
 /// Largest component value that still packs (stored biased by +1).
 const MAX_PACKED_COMPONENT: u32 = 0xFFFE;
+/// The high word of the packed empty key. A non-empty packed key has a
+/// non-zero first group, so its high word is at least `1 << 48`: the
+/// empty key's own high word, 0, is free to mark a spilled key, and 1
+/// still sorts below every other packed key.
+const EMPTY_HI: NonZeroU64 = NonZeroU64::MIN;
 
-/// An element index in key form.
+/// An element index in key form: 16 bytes, no heap, for every index that
+/// packs.
 ///
-/// The packed representation stores component `c` as the 16-bit group
-/// `c + 1` (0 is reserved for "no component"), groups ordered from the most
-/// significant bits down. Two consequences, both load-bearing:
+/// The packed form is one 128-bit integer of eight 16-bit groups, most
+/// significant first, split into a high and a low word. Component `c` is
+/// stored as the group `c + 1`, and 0 marks "no component", so:
 ///
-/// * numeric `u128` comparison equals lexicographic comparison of the
-///   component sequences (`[] < [0] < [0,0] < [1]`), and
+/// * comparing two packed keys is one integer comparison, and it orders
+///   them as their component sequences (`[] < [0] < [0,0] < [1]`);
 /// * the first `k` groups of a key are a bit-mask away, so prefix tests
-///   need no decoding.
+///   need no decoding;
+/// * the empty key is all zeros, but stores its high word as 1 (see
+///   [`EMPTY_HI`]): that keeps the high word non-zero, and a zero high word
+///   is what tells a spilled key from a packed one without a tag field.
 ///
-/// Indices deeper than [`GROUPS`] components or with components above
-/// [`MAX_PACKED_COMPONENT`] spill to a boxed slice. The representation is
-/// canonical — a sequence is `Packed` iff it fits — so derived equality is
-/// correct.
+/// An index deeper than [`GROUPS`] components, or with a component above
+/// [`MAX_PACKED_COMPONENT`], spills to a boxed [`Index`]; it compares,
+/// nests and hashes by its components like any other key. The
+/// representation is canonical — a sequence is `Packed` iff it fits — so
+/// derived equality and hashing are correct.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum IndexKey {
-    /// Up to eight small components, bit-packed.
+    /// Up to eight components of at most [`MAX_PACKED_COMPONENT`], packed.
     Packed {
-        /// Number of valid component groups.
-        len: u8,
-        /// The biased, big-endian component groups.
-        bits: u128,
+        /// Groups 0–3 (or [`EMPTY_HI`] for the empty key).
+        hi: NonZeroU64,
+        /// Groups 4–7.
+        lo: u64,
     },
-    /// The rare index that does not fit the packed form.
-    Spilled(Box<[u32]>),
+    /// The rare index that does not pack.
+    Spilled(Box<Index>),
 }
 
 /// The bit-mask covering the first `k` component groups.
@@ -120,7 +138,32 @@ fn group_mask(k: usize) -> u128 {
     }
 }
 
+/// The 128-bit integer of a packed key's two words.
+fn join(hi: NonZeroU64, lo: u64) -> u128 {
+    let hi = if hi == EMPTY_HI { 0 } else { hi.get() };
+    u128::from(hi) << 64 | u128::from(lo)
+}
+
+/// Number of component groups in packed `bits`: the zero groups all trail.
+fn groups_in(bits: u128) -> usize {
+    GROUPS - bits.trailing_zeros() as usize / 16
+}
+
 impl IndexKey {
+    /// The packed key of canonical `bits`.
+    fn packed(bits: u128) -> Self {
+        let hi = NonZeroU64::new((bits >> 64) as u64).unwrap_or(EMPTY_HI);
+        IndexKey::Packed { hi, lo: bits as u64 }
+    }
+
+    /// The 128-bit integer of a packed key; `None` for a spilled one.
+    fn bits(&self) -> Option<u128> {
+        match self {
+            IndexKey::Packed { hi, lo } => Some(join(*hi, *lo)),
+            IndexKey::Spilled(_) => None,
+        }
+    }
+
     /// Builds the canonical key for a component sequence.
     pub fn from_components(components: &[u32]) -> Self {
         if components.len() <= GROUPS && components.iter().all(|&c| c <= MAX_PACKED_COMPONENT) {
@@ -128,9 +171,9 @@ impl IndexKey {
             for (g, &c) in components.iter().enumerate() {
                 bits |= u128::from(c + 1) << (128 - 16 * (g + 1));
             }
-            IndexKey::Packed { len: components.len() as u8, bits }
+            Self::packed(bits)
         } else {
-            IndexKey::Spilled(components.into())
+            IndexKey::Spilled(Box::new(Index::from_slice(components)))
         }
     }
 
@@ -141,36 +184,31 @@ impl IndexKey {
 
     /// Converts back to an [`Index`].
     pub fn to_index(&self) -> Index {
-        match self {
-            IndexKey::Packed { .. } => {
-                let mut buf = [0u32; GROUPS];
-                let n = self.decode_into(&mut buf);
-                Index::from_slice(&buf[..n])
-            }
-            IndexKey::Spilled(v) => Index::from_slice(v),
-        }
+        let mut buf = [0u32; GROUPS];
+        Index::from_slice(self.components(&mut buf))
     }
 
     /// Number of components.
     pub fn len(&self) -> usize {
         match self {
-            IndexKey::Packed { len, .. } => *len as usize,
-            IndexKey::Spilled(v) => v.len(),
+            IndexKey::Packed { hi, lo } => groups_in(join(*hi, *lo)),
+            IndexKey::Spilled(index) => index.len(),
         }
     }
 
-    /// Decodes a packed key's components into `buf`, returning the count.
-    /// (Only meaningful for the packed variant.)
-    fn decode_into(&self, buf: &mut [u32; GROUPS]) -> usize {
+    /// The components: decoded into `buf` for a packed key, borrowed from
+    /// the box for a spilled one.
+    fn components<'a>(&'a self, buf: &'a mut [u32; GROUPS]) -> &'a [u32] {
         match self {
-            IndexKey::Packed { len, bits } => {
-                for (g, slot) in buf.iter_mut().enumerate().take(*len as usize) {
-                    let group = (bits >> (128 - 16 * (g + 1))) as u32 & 0xFFFF;
-                    *slot = group - 1;
+            IndexKey::Spilled(index) => index.as_slice(),
+            IndexKey::Packed { hi, lo } => {
+                let bits = join(*hi, *lo);
+                let n = groups_in(bits);
+                for (g, slot) in buf.iter_mut().enumerate().take(n) {
+                    *slot = ((bits >> (128 - 16 * (g + 1))) as u32 & 0xFFFF) - 1;
                 }
-                *len as usize
+                &buf[..n]
             }
-            IndexKey::Spilled(_) => 0,
         }
     }
 
@@ -178,38 +216,23 @@ impl IndexKey {
     /// packed keys, a repack for spilled ones.
     pub fn prefix(&self, n: usize) -> Self {
         match self {
-            IndexKey::Packed { len, bits } => {
-                if n >= *len as usize {
-                    self.clone()
-                } else {
-                    IndexKey::Packed { len: n as u8, bits: bits & group_mask(n) }
-                }
+            IndexKey::Packed { hi, lo } => Self::packed(join(*hi, *lo) & group_mask(n)),
+            IndexKey::Spilled(index) => {
+                Self::from_components(&index.as_slice()[..n.min(index.len())])
             }
-            IndexKey::Spilled(v) => Self::from_components(&v[..n.min(v.len())]),
         }
     }
 
     /// Whether `self` is a (non-strict) prefix of `other`.
     pub fn is_prefix_of(&self, other: &IndexKey) -> bool {
-        match (self, other) {
-            (IndexKey::Packed { len: a, bits: pa }, IndexKey::Packed { len: b, bits: pb }) => {
-                a <= b && (pb & group_mask(*a as usize)) == *pa
+        match (self.bits(), other.bits()) {
+            (Some(a), Some(b)) => b & group_mask(groups_in(a)) == a,
+            // A spilled key CAN be short (one huge component), so compare
+            // components whenever either side spills.
+            _ => {
+                let (mut a, mut b) = ([0; GROUPS], [0; GROUPS]);
+                other.components(&mut b).starts_with(self.components(&mut a))
             }
-            (IndexKey::Packed { .. }, IndexKey::Spilled(o)) => {
-                let mut buf = [0u32; GROUPS];
-                let n = self.decode_into(&mut buf);
-                o.starts_with(&buf[..n])
-            }
-            // A spilled key never prefixes a packed one unless it equals it
-            // component-wise, which canonicality rules out for len ≤ 8 —
-            // but a spilled key CAN be short (one huge component), so check
-            // properly.
-            (IndexKey::Spilled(s), IndexKey::Packed { .. }) => {
-                let mut buf = [0u32; GROUPS];
-                let n = other.decode_into(&mut buf);
-                buf[..n].starts_with(s)
-            }
-            (IndexKey::Spilled(s), IndexKey::Spilled(o)) => o.starts_with(s),
         }
     }
 }
@@ -219,25 +242,12 @@ impl Ord for IndexKey {
     /// packed (the overwhelmingly common case).
     fn cmp(&self, other: &Self) -> Ordering {
         match (self, other) {
-            (IndexKey::Packed { bits: a, .. }, IndexKey::Packed { bits: b, .. }) => a.cmp(b),
+            (IndexKey::Packed { hi: a, lo: b }, IndexKey::Packed { hi: c, lo: d }) => {
+                (a, b).cmp(&(c, d))
+            }
             _ => {
-                let mut ab = [0u32; GROUPS];
-                let mut bb = [0u32; GROUPS];
-                let a: &[u32] = match self {
-                    IndexKey::Packed { .. } => {
-                        let n = self.decode_into(&mut ab);
-                        &ab[..n]
-                    }
-                    IndexKey::Spilled(v) => v,
-                };
-                let b: &[u32] = match other {
-                    IndexKey::Packed { .. } => {
-                        let n = other.decode_into(&mut bb);
-                        &bb[..n]
-                    }
-                    IndexKey::Spilled(v) => v,
-                };
-                a.cmp(b)
+                let (mut a, mut b) = ([0; GROUPS], [0; GROUPS]);
+                self.components(&mut a).cmp(other.components(&mut b))
             }
         }
     }
