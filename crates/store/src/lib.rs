@@ -55,7 +55,7 @@ pub use fault::{FaultFile, FaultPlan, FaultReader};
 pub use rows::{PortDirection, XferRecord, XformPortRecord, XformRecord};
 pub use shard::{Node, ProcessorSet, ReadView};
 pub use shared::SharedStore;
-pub use snapshot::{valid_snapshot, CompactionPolicy, SnapshotMetrics};
+pub use snapshot::{valid_snapshot, SnapshotMetrics};
 pub use stats::{ProbeGuard, ProbeStats, QueryStats, StatsSnapshot};
 pub use store::{ReplPosition, RunInfo, StoreError, TraceStore};
 pub use verify::{prefix_crc, verify_store, SnapshotVerdict, VerifyReport};

@@ -1,4 +1,4 @@
-//! Store snapshots and the WAL compaction policy.
+//! Store snapshots.
 //!
 //! A WAL alone makes recovery time grow without bound: every reopen
 //! replays the whole log. A *snapshot* bounds it — the full store state is
@@ -17,44 +17,16 @@
 //! before the binary codec hold one JSON frame per row; recovery replays
 //! them unchanged.
 //!
-//! [`CompactionPolicy`] drives automatic snapshots: once the pending WAL
-//! tail crosses either bound, the store compacts, so a crash at any moment
-//! replays at most `max_frames` tail frames on reopen.
+//! Nothing snapshots on its own: `TraceStore::snapshot` runs when a
+//! `tprov serve` daemon drains and when a follower's bootstrap finds no
+//! valid snapshot to ship, and a caller that wants bounded replay calls it
+//! as it records.
 
 use std::path::{Path, PathBuf};
 
 use prov_obs::{Counter, Histogram, Registry};
 
 use crate::wal::{LogRecord, WalCursor, WalReader};
-
-/// Bounds on the pending (post-snapshot) WAL tail; crossing either one
-/// triggers an automatic snapshot-and-truncate cycle at the next append.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompactionPolicy {
-    /// Compact once the pending tail reaches this many bytes.
-    pub max_wal_bytes: u64,
-    /// Compact once the pending tail reaches this many frames — the bound
-    /// on how many WAL frames any recovery has to replay.
-    pub max_frames: u64,
-}
-
-impl CompactionPolicy {
-    /// A policy bounded by frame count only.
-    pub fn frames(max_frames: u64) -> Self {
-        CompactionPolicy { max_wal_bytes: u64::MAX, max_frames: max_frames.max(1) }
-    }
-
-    /// A policy bounded by tail bytes only.
-    pub fn bytes(max_wal_bytes: u64) -> Self {
-        CompactionPolicy { max_wal_bytes: max_wal_bytes.max(1), max_frames: u64::MAX }
-    }
-
-    /// Whether a tail of `frames` frames / `bytes` bytes is due for
-    /// compaction.
-    pub fn due(&self, frames: u64, bytes: u64) -> bool {
-        frames >= self.max_frames || bytes >= self.max_wal_bytes
-    }
-}
 
 /// Snapshot lifecycle counters, shared by the owning store and adopted
 /// into a metrics registry under stable `store.*` names.
@@ -181,24 +153,6 @@ mod tests {
     use super::*;
     use crate::wal::WalWriter;
     use prov_model::RunId;
-
-    #[test]
-    fn policy_triggers_on_either_bound() {
-        let p = CompactionPolicy { max_wal_bytes: 100, max_frames: 4 };
-        assert!(!p.due(3, 99));
-        assert!(p.due(4, 0));
-        assert!(p.due(0, 100));
-        assert!(CompactionPolicy::frames(2).due(2, 0));
-        assert!(!CompactionPolicy::frames(2).due(1, u64::MAX - 1));
-        assert!(CompactionPolicy::bytes(10).due(0, 10));
-    }
-
-    #[test]
-    fn policy_floors_are_one() {
-        // A zero bound would compact on every append forever.
-        assert_eq!(CompactionPolicy::frames(0).max_frames, 1);
-        assert_eq!(CompactionPolicy::bytes(0).max_wal_bytes, 1);
-    }
 
     #[test]
     fn paths_are_siblings_and_tmp_never_parses() {

@@ -10,7 +10,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
@@ -20,14 +20,14 @@ use prov_model::{Index, PortRef, ProcessorName, RunId, Value, ValueId};
 
 use crate::catalog::{IndexCatalog, IndexId};
 use crate::codec;
-use crate::fault::FaultPlan;
+use crate::fault::{FaultFile, FaultPlan};
 use crate::rows::{PortDirection, XferRecord, XferRow, XformPortRow, XformRecord, XformRow};
 use crate::shard::{ReadView, RunShard};
-use crate::snapshot::{self, CompactionPolicy, SnapshotMetrics};
+use crate::snapshot::{self, SnapshotMetrics};
 use crate::stats::QueryStats;
 use crate::symbols::SymbolTable;
 use crate::values::ValueTable;
-use crate::wal::{LogRecord, TailState, WalError, WalMetrics, WalReader, WalWriter};
+use crate::wal::{LogRecord, TailState, WalError, WalFile, WalMetrics, WalReader, WalWriter};
 
 /// Most events one snapshot frame carries: frames large enough that the
 /// codec's per-frame name and value tables pay, small enough that a
@@ -129,12 +129,91 @@ struct Inner {
     shards: HashMap<RunId, Arc<RunShard>>,
 }
 
-/// The pending (post-snapshot) WAL tail: what a crash right now would
-/// force recovery to replay. Drives the [`CompactionPolicy`] check.
-#[derive(Debug, Default, Clone, Copy)]
-struct TailUsage {
+/// The WAL's one owner: the writer and everything that changes only with
+/// it, behind [`TraceStore`]'s `wal` lock.
+struct Log {
+    /// Where frames go: `None` for in-memory stores, and once a durability
+    /// failure has shut the writer down (see [`StoreError::WalPoisoned`]).
+    writer: Option<WalWriter>,
+    /// Frames in the WAL file, including any leading snapshot marker.
     frames: u64,
-    bytes: u64,
+    /// Bytes in the WAL file.
+    len: u64,
+    /// Frames appended since the last sync: the group the next
+    /// [`prov_obs::JournalEvent::WalSync`] reports.
+    unsynced_frames: u64,
+    /// Bytes appended since the last sync.
+    unsynced_bytes: u64,
+    /// Newest snapshot generation on disk; the next snapshot numbers above.
+    snapshot_gen: u64,
+    /// The plan every WAL and snapshot writer opens under (crash-torture
+    /// only; budgets are per handle).
+    fault_plan: Option<FaultPlan>,
+    /// The store's WAL metrics, shared by every writer the log opens.
+    metrics: WalMetrics,
+}
+
+impl Log {
+    /// A writer appending to `path` cut to its first `len` bytes (created
+    /// if missing), through a [`FaultFile`] under a fault plan. Its
+    /// metrics are standalone.
+    fn open_writer(&self, path: &Path, len: u64) -> Result<WalWriter, WalError> {
+        // Deliberately not `truncate(true)`: `set_len` keeps the prefix.
+        #[allow(clippy::suspicious_open_options)]
+        std::fs::OpenOptions::new().create(true).write(true).open(path)?.set_len(len)?;
+        let file: Box<dyn WalFile> = match self.fault_plan {
+            None => Box::new(std::fs::OpenOptions::new().append(true).open(path)?),
+            Some(plan) => Box::new(FaultFile::append_to(path, plan)?),
+        };
+        Ok(WalWriter::over(file))
+    }
+
+    /// Points the log at `path` cut to its first `len` bytes, which hold
+    /// `frames` frames, then appends and syncs the snapshot marker of
+    /// `marker` when given. The old writer is retired first, so its
+    /// buffered frames land before the cut, never after it.
+    fn restart(
+        &mut self,
+        path: &Path,
+        len: u64,
+        frames: u64,
+        marker: Option<u64>,
+    ) -> Result<(), WalError> {
+        drop(self.writer.take());
+        self.writer = Some(self.open_writer(path, len)?.with_metrics(self.metrics.clone()));
+        (self.frames, self.len, self.unsynced_frames, self.unsynced_bytes) = (frames, len, 0, 0);
+        if let Some(generation) = marker {
+            self.append(|w| w.append(&LogRecord::Snapshot { generation }))?;
+            self.sync()?;
+        }
+        Ok(())
+    }
+
+    /// Appends one frame through `write` and counts it toward the file and
+    /// the next sync's group. Without a writer it does nothing.
+    fn append(
+        &mut self,
+        write: impl FnOnce(&mut WalWriter) -> Result<(), WalError>,
+    ) -> Result<(), WalError> {
+        let Some(w) = self.writer.as_mut() else { return Ok(()) };
+        let before = self.metrics.bytes_written.get();
+        write(w)?;
+        let bytes = self.metrics.bytes_written.get() - before;
+        self.frames += 1;
+        self.len += bytes;
+        self.unsynced_frames += 1;
+        self.unsynced_bytes += bytes;
+        Ok(())
+    }
+
+    /// Fsyncs the writer and returns the `(frames, bytes)` group it made
+    /// durable; `None` without a writer.
+    fn sync(&mut self) -> Result<Option<(u64, u64)>, WalError> {
+        let Some(w) = self.writer.as_mut() else { return Ok(None) };
+        w.sync()?;
+        let frames = std::mem::take(&mut self.unsynced_frames);
+        Ok(Some((frames, std::mem::take(&mut self.unsynced_bytes))))
+    }
 }
 
 /// The durable replication position of a store: which WAL lineage it is on
@@ -160,44 +239,33 @@ pub struct ReplPosition {
 /// The embedded relational trace store. Cheap to share (`Arc` inside); all
 /// methods take `&self`.
 ///
-/// Lock order (where multiple locks are held): `wal` → `inner` →
-/// (`wal_tail` | `snapshot_gen` | `compaction`). Recording methods hold the
-/// `wal` lock across both the WAL append *and* the in-memory insert, so
-/// [`TraceStore::snapshot`] (which takes the same lock) can never truncate
-/// a frame whose effect the snapshot has not captured.
+/// Lock order (where multiple locks are held): `wal` → (`inner` |
+/// `repl_pos`). Recording methods hold the `wal` lock across both the WAL
+/// append *and* the in-memory insert, so [`TraceStore::snapshot`] (which
+/// takes the same lock) can never truncate a frame whose effect the
+/// snapshot has not captured.
 pub struct TraceStore {
     inner: RwLock<Inner>,
-    wal: Mutex<Option<WalWriter>>,
+    wal: Mutex<Log>,
     path: Option<PathBuf>,
     stats: QueryStats,
     wal_metrics: WalMetrics,
-    /// First durability failure, if any; set when the WAL writer is shut
-    /// down mid-session (see [`StoreError::WalPoisoned`]).
-    wal_failure: Mutex<Option<String>>,
+    /// First durability failure, if any; set once, when a failed append or
+    /// sync shuts the WAL writer down (see [`StoreError::WalPoisoned`]).
+    wal_failure: OnceLock<String>,
     /// What recovery found past the clean prefix at open time (`None` for
     /// in-memory stores, which never recover).
     recovered_tail: Option<TailState>,
     /// Snapshot lifecycle counters.
     snap_metrics: SnapshotMetrics,
-    /// Frames/bytes appended since the last snapshot (or open).
-    wal_tail: Mutex<TailUsage>,
-    /// Automatic compaction policy, checked after every recording call.
-    compaction: Mutex<Option<CompactionPolicy>>,
-    /// Newest snapshot generation on disk; the next snapshot numbers above.
-    snapshot_gen: Mutex<u64>,
-    /// Frames appended to the current WAL since its first byte (including
-    /// any leading snapshot marker) — the frame-count twin of the WAL's
-    /// byte length, advertised to replicas.
-    wal_frames: Mutex<u64>,
-    /// The durable replication position (updated at open, sync and
-    /// snapshot; see [`ReplPosition`]).
+    /// The durable replication position (set at open, sync and snapshot;
+    /// see [`ReplPosition`]). Its own lock rather than part of the `Log`:
+    /// every ingest ack and every follower poll reads it, and none of them
+    /// may wait behind an append and its fsync.
     repl_pos: Mutex<ReplPosition>,
-    /// Fault-injection plan new WAL/snapshot writers are created under
-    /// (crash-torture only; budgets are per-handle).
-    fault_plan: Option<FaultPlan>,
     /// Optional event journal; WAL syncs and snapshot writes are recorded
     /// into it once attached (see [`TraceStore::attach_journal`]).
-    journal: std::sync::OnceLock<prov_obs::Journal>,
+    journal: OnceLock<prov_obs::Journal>,
 }
 
 impl std::fmt::Debug for TraceStore {
@@ -217,22 +285,34 @@ impl std::fmt::Debug for TraceStore {
 impl TraceStore {
     /// A purely in-memory store (the benchmark configuration).
     pub fn in_memory() -> Self {
+        Self::new(None, None, None)
+    }
+
+    /// An empty store whose log has no writer yet; `open_inner` recovers
+    /// into it and then opens the writer.
+    fn new(path: Option<PathBuf>, tail: Option<TailState>, fault_plan: Option<FaultPlan>) -> Self {
+        let wal_metrics = WalMetrics::new();
+        let log = Log {
+            writer: None,
+            frames: 0,
+            len: 0,
+            unsynced_frames: 0,
+            unsynced_bytes: 0,
+            snapshot_gen: 0,
+            fault_plan,
+            metrics: wal_metrics.clone(),
+        };
         TraceStore {
             inner: RwLock::new(Inner::default()),
-            wal: Mutex::new(None),
-            path: None,
+            wal: Mutex::new(log),
+            path,
             stats: QueryStats::new(),
-            wal_metrics: WalMetrics::new(),
-            wal_failure: Mutex::new(None),
-            recovered_tail: None,
+            wal_metrics,
+            wal_failure: OnceLock::new(),
+            recovered_tail: tail,
             snap_metrics: SnapshotMetrics::new(),
-            wal_tail: Mutex::new(TailUsage::default()),
-            compaction: Mutex::new(None),
-            snapshot_gen: Mutex::new(0),
-            wal_frames: Mutex::new(0),
             repl_pos: Mutex::new(ReplPosition::default()),
-            fault_plan: None,
-            journal: std::sync::OnceLock::new(),
+            journal: OnceLock::new(),
         }
     }
 
@@ -262,23 +342,7 @@ impl TraceStore {
 
     fn open_inner(path: PathBuf, plan: Option<FaultPlan>) -> crate::Result<Self> {
         let recovery = WalReader::read_all(&path)?;
-        let store = TraceStore {
-            inner: RwLock::new(Inner::default()),
-            wal: Mutex::new(None),
-            path: Some(path.clone()),
-            stats: QueryStats::new(),
-            wal_metrics: WalMetrics::new(),
-            wal_failure: Mutex::new(None),
-            recovered_tail: Some(recovery.tail),
-            snap_metrics: SnapshotMetrics::new(),
-            wal_tail: Mutex::new(TailUsage::default()),
-            compaction: Mutex::new(None),
-            snapshot_gen: Mutex::new(0),
-            wal_frames: Mutex::new(0),
-            repl_pos: Mutex::new(ReplPosition::default()),
-            fault_plan: plan,
-            journal: std::sync::OnceLock::new(),
-        };
+        let store = Self::new(Some(path.clone()), Some(recovery.tail), plan);
         match recovery.tail {
             TailState::Clean => {}
             TailState::TornTail { .. } => store.wal_metrics.torn_tails.inc(),
@@ -287,122 +351,85 @@ impl TraceStore {
 
         let existing = snapshot::generations(&path);
         let total_frames = recovery.records.len() as u64;
-        let marked_gen = match recovery.records.first() {
+        let marked = match recovery.records.first() {
             Some(LogRecord::Snapshot { generation }) => Some(*generation),
             _ => None,
         };
-        let mut replayed = 0u64;
-        let mut rewrite_marker: Option<u64> = None;
-        match recovery.records.first() {
+        let mut inner = store.inner.write();
+        let mut rewrite_marker = None;
+        match marked {
             // The WAL opens with a snapshot marker: base state lives in a
-            // snapshot file; replay only the tail past the marker. If the
-            // marked generation is torn, fall back one generation at a time
-            // (each skip loses the records between the two snapshots —
-            // possible only under external corruption, since a generation's
-            // marker is appended only after its file is durable — so a
-            // degraded answer beats none).
-            Some(LogRecord::Snapshot { generation }) => {
-                let marked = *generation;
-                let mut inner = store.inner.write();
-                let mut candidate = Some(marked);
-                while let Some(generation) = candidate {
-                    if let Some(records) =
-                        snapshot::load(&snapshot::snapshot_path(&path, generation), generation)
-                    {
-                        for record in records {
-                            inner.apply(record);
-                        }
-                        break;
-                    }
-                    store.snap_metrics.fallbacks.inc();
-                    candidate = existing.iter().rev().find(|&&g| g < generation).copied();
-                }
-                for record in recovery.records.into_iter().skip(1) {
-                    inner.apply(record);
-                    replayed += 1;
-                }
-            }
-            // Records with no leading marker: a store that has never
-            // compacted, or a crash between a snapshot's rename and the
-            // WAL truncation. Any snapshot files are stale; a full replay
-            // is lossless.
-            Some(_) => {
-                let mut inner = store.inner.write();
-                for record in recovery.records {
-                    inner.apply(record);
-                    replayed += 1;
-                }
+            // snapshot file; replay only the tail past the marker.
+            Some(generation) => {
+                store.load_snapshot(&mut inner, &path, &existing, generation);
             }
             // Empty WAL. If snapshots exist, a compaction crashed between
             // the WAL truncation and the marker append — load the newest
             // valid generation and rewrite the marker below so the next
             // recovery has its base again.
-            None => {
-                let mut inner = store.inner.write();
-                for &generation in existing.iter().rev() {
-                    if let Some(records) =
-                        snapshot::load(&snapshot::snapshot_path(&path, generation), generation)
-                    {
-                        for record in records {
-                            inner.apply(record);
-                        }
-                        rewrite_marker = Some(generation);
-                        break;
-                    }
-                    store.snap_metrics.fallbacks.inc();
-                }
+            None if total_frames == 0 => {
+                rewrite_marker = existing
+                    .last()
+                    .and_then(|&g| store.load_snapshot(&mut inner, &path, &existing, g));
             }
+            // Records with no leading marker: a store that has never
+            // compacted, or a crash between a snapshot's rename and the
+            // WAL truncation. Any snapshot files are stale; a full replay
+            // is lossless.
+            None => {}
         }
-        store.wal_metrics.recovery_replayed_frames.add(replayed);
-        *store.snapshot_gen.lock() = existing.last().copied().unwrap_or(0);
+        // A leading marker applies as a no-op and is not a replayed frame.
+        for record in recovery.records {
+            inner.apply(record);
+        }
+        drop(inner);
+        store.wal_metrics.recovery_replayed_frames.add(total_frames - u64::from(marked.is_some()));
 
-        let mut writer = if rewrite_marker.is_some() {
-            Self::make_writer(&path, 0, plan, store.wal_metrics.clone())?
-        } else {
-            Self::make_writer(&path, recovery.clean_len, plan, store.wal_metrics.clone())?
-        };
-        if let Some(generation) = rewrite_marker {
-            writer.append(&LogRecord::Snapshot { generation })?;
-            writer.sync()?;
-        } else {
-            *store.wal_tail.lock() = TailUsage { frames: replayed, bytes: recovery.clean_len };
+        let mut log = store.wal.lock();
+        log.snapshot_gen = existing.last().copied().unwrap_or(0);
+        match rewrite_marker {
+            Some(generation) => log.restart(&path, 0, 0, Some(generation))?,
+            None => log.restart(&path, recovery.clean_len, total_frames, None)?,
         }
-        *store.wal.lock() = Some(writer);
         // The replication position the reopened store advertises: the WAL
         // lineage (leading marker generation, or 0 for a marker-less log)
         // and its durable extent. A rewritten marker is the whole log.
-        let frames = if rewrite_marker.is_some() { 1 } else { total_frames };
-        let generation = rewrite_marker.or(marked_gen).unwrap_or(0);
-        let durable_len = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        *store.wal_frames.lock() = frames;
-        *store.repl_pos.lock() = ReplPosition { generation, durable_len, durable_frames: frames };
+        *store.repl_pos.lock() = ReplPosition {
+            generation: rewrite_marker.or(marked).unwrap_or(0),
+            durable_len: log.len,
+            durable_frames: log.frames,
+        };
+        drop(log);
         Ok(store)
     }
 
-    /// A WAL writer positioned after the `clean_len`-byte durable prefix —
-    /// through the fault layer when the store runs under a [`FaultPlan`].
-    fn make_writer(
+    /// Applies the newest whole snapshot at or below generation `from` to
+    /// `inner` and returns its generation. Each generation skipped because
+    /// it is missing or torn counts as a fallback; each skip loses the
+    /// records between two snapshots — possible only under external
+    /// corruption, since a generation's marker is appended only after its
+    /// file is durable — so a degraded answer beats none.
+    fn load_snapshot(
+        &self,
+        inner: &mut Inner,
         path: &Path,
-        clean_len: u64,
-        plan: Option<FaultPlan>,
-        metrics: WalMetrics,
-    ) -> crate::Result<WalWriter> {
-        match plan {
-            None => Ok(WalWriter::open_truncated(path, clean_len)?.with_metrics(metrics)),
-            Some(plan) => {
-                let file = std::fs::OpenOptions::new()
-                    .create(true)
-                    .truncate(false)
-                    .write(true)
-                    .open(path)
-                    .map_err(WalError::from)?;
-                file.set_len(clean_len).map_err(WalError::from)?;
-                drop(file);
-                let backend =
-                    crate::fault::FaultFile::append_to(path, plan).map_err(WalError::from)?;
-                Ok(WalWriter::over(Box::new(backend)).with_metrics(metrics))
+        existing: &[u64],
+        from: u64,
+    ) -> Option<u64> {
+        let mut candidate = Some(from);
+        while let Some(generation) = candidate {
+            if let Some(records) =
+                snapshot::load(&snapshot::snapshot_path(path, generation), generation)
+            {
+                for record in records {
+                    inner.apply(record);
+                }
+                return Some(generation);
             }
+            self.snap_metrics.fallbacks.inc();
+            candidate = existing.iter().rev().find(|&&g| g < generation).copied();
         }
+        None
     }
 
     /// What WAL recovery found past the clean prefix when this store was
@@ -417,9 +444,9 @@ impl TraceStore {
     /// opened (in which case the writer was shut down and recording is
     /// memory-only). Call after a run to confirm its trace is durable.
     pub fn durability(&self) -> crate::Result<()> {
-        match self.wal_failure.lock().clone() {
+        match self.wal_failure.get() {
             None => Ok(()),
-            Some(message) => Err(StoreError::WalPoisoned { message }),
+            Some(message) => Err(StoreError::WalPoisoned { message: message.clone() }),
         }
     }
 
@@ -486,24 +513,12 @@ impl TraceStore {
     pub fn apply_replicated(&self, payload: &[u8]) -> crate::Result<()> {
         let record = codec::decode(payload)
             .map_err(|e| StoreError::Serialize(format!("replicated frame: {e}")))?;
-        let mut guard = self.wal.lock();
-        if self.path.is_some() {
-            let Some(w) = guard.as_mut() else {
-                drop(guard);
-                self.durability()?;
-                return Err(StoreError::WalPoisoned { message: "writer closed".into() });
-            };
-            let before = self.wal_metrics.bytes_written.get();
-            if let Err(e) = w.append_payload(payload) {
-                Self::poison(&mut guard, &self.wal_failure, e.to_string());
-                drop(guard);
-                return self.durability();
-            }
-            let mut tail = self.wal_tail.lock();
-            tail.frames += 1;
-            tail.bytes += self.wal_metrics.bytes_written.get() - before;
-            drop(tail);
-            *self.wal_frames.lock() += 1;
+        let mut log = self.wal.lock();
+        self.append(&mut log, |w| w.append_payload(payload));
+        if self.path.is_some() && log.writer.is_none() {
+            drop(log);
+            let closed = StoreError::WalPoisoned { message: "writer closed".into() };
+            return self.durability().and(Err(closed));
         }
         self.inner.write().apply(record);
         Ok(())
@@ -513,9 +528,9 @@ impl TraceStore {
     /// surfaces any durability failure as a typed error — the follower's
     /// per-chunk commit point.
     pub fn sync_wal(&self) -> crate::Result<()> {
-        let mut guard = self.wal.lock();
-        self.sync_locked(&mut guard);
-        drop(guard);
+        let mut log = self.wal.lock();
+        self.sync_locked(&mut log);
+        drop(log);
         self.durability()
     }
 
@@ -527,70 +542,61 @@ impl TraceStore {
     /// a failure poisons the writer (recording continues memory-only) as
     /// well as being returned.
     pub fn snapshot(&self) -> crate::Result<()> {
-        let Some(path) = self.path.clone() else { return Ok(()) };
-        let mut guard = self.wal.lock();
-        if guard.is_none() {
+        let Some(path) = self.path.as_deref() else { return Ok(()) };
+        let mut log = self.wal.lock();
+        if log.writer.is_none() {
             // Already poisoned: there is no consistent durable tail to
             // compact into a snapshot.
-            drop(guard);
+            drop(log);
             return self.durability();
         }
-        let generation = *self.snapshot_gen.lock() + 1;
-        let tmp = snapshot::tmp_path(&path);
-        let size = match self.write_snapshot(&tmp, generation) {
+        let generation = log.snapshot_gen + 1;
+        let size = match self.install_snapshot(&mut log, path, generation) {
             Ok(size) => size,
             Err(e) => {
-                Self::poison(&mut guard, &self.wal_failure, e.to_string());
+                self.poison(&mut log, &e);
                 return Err(e);
             }
         };
-        // The directory is synced before the marker that names the file is
-        // written: otherwise a power cut could keep the marker and lose the
-        // rename.
-        let renamed = std::fs::rename(&tmp, snapshot::snapshot_path(&path, generation))
-            .and_then(|()| sync_dir(&path));
-        if let Err(e) = renamed {
-            let e = StoreError::Wal(WalError::from(e));
-            Self::poison(&mut guard, &self.wal_failure, e.to_string());
-            return Err(e);
-        }
-        // Retire the old writer *before* truncating: its append-mode
-        // handle may still hold buffered frames, and dropping it later
-        // would flush them after the marker. Flushing into the
-        // about-to-be-truncated file is harmless — that state is in the
-        // snapshot.
-        drop(guard.take());
-        // Truncate the WAL and plant the marker. A crash between the
-        // rename above and the truncation leaves a marker-less WAL (full
-        // replay ignoring snapshots); between the truncation and the
-        // marker append, an empty WAL beside valid snapshots (recovery
-        // loads the newest and rewrites the marker). Both are lossless.
-        match Self::fresh_wal(&path, generation, self.fault_plan, self.wal_metrics.clone()) {
-            Ok(w) => *guard = Some(w),
-            Err(e) => {
-                Self::poison(&mut guard, &self.wal_failure, e.to_string());
-                return Err(e);
-            }
-        }
-        *self.wal_tail.lock() = TailUsage::default();
-        *self.snapshot_gen.lock() = generation;
+        log.snapshot_gen = generation;
         // The WAL is now exactly one synced marker frame on a new lineage.
-        *self.wal_frames.lock() = 1;
-        let durable_len = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        *self.repl_pos.lock() = ReplPosition { generation, durable_len, durable_frames: 1 };
-        self.wal_metrics.compactions.inc();
+        *self.repl_pos.lock() =
+            ReplPosition { generation, durable_len: log.len, durable_frames: log.frames };
         self.snap_metrics.snapshots.inc();
         self.snap_metrics.snapshot_bytes.record(size);
         if let Some(j) = self.journal() {
             j.record(prov_obs::JournalEvent::SnapshotWrite { generation, bytes: size });
         }
-        drop(guard);
-        for old in snapshot::generations(&path) {
+        drop(log);
+        for old in snapshot::generations(path) {
             if old + 1 < generation {
-                let _ = std::fs::remove_file(snapshot::snapshot_path(&path, old));
+                let _ = std::fs::remove_file(snapshot::snapshot_path(path, old));
             }
         }
         Ok(())
+    }
+
+    /// Writes snapshot `generation` beside the WAL at `path`, makes its
+    /// rename durable, and starts the WAL over as that generation's
+    /// marker. Returns the snapshot file's size.
+    fn install_snapshot(&self, log: &mut Log, path: &Path, generation: u64) -> crate::Result<u64> {
+        let tmp = snapshot::tmp_path(path);
+        let size = self.write_snapshot(log, &tmp, generation)?;
+        // The directory is synced before the marker that names the file is
+        // written: otherwise a power cut could keep the marker and lose the
+        // rename.
+        std::fs::rename(&tmp, snapshot::snapshot_path(path, generation))
+            .and_then(|()| sync_dir(path))
+            .map_err(WalError::from)?;
+        // Truncate the WAL and plant the marker. A crash between the
+        // rename above and the truncation leaves a marker-less WAL (full
+        // replay ignoring snapshots); between the truncation and the
+        // marker append, an empty WAL beside valid snapshots (recovery
+        // loads the newest and rewrites the marker). Both are lossless.
+        // Flushing the retired writer into the about-to-be-truncated file
+        // is harmless — that state is in the snapshot.
+        log.restart(path, 0, 0, Some(generation))?;
+        Ok(size)
     }
 
     /// Streams current state into `tmp` in the WAL frame format, bracketed
@@ -602,16 +608,8 @@ impl TraceStore {
     /// goes through a fresh fault handle (its budget relative to the
     /// snapshot's first byte), which is what lets torture sweeps crash
     /// mid-snapshot.
-    fn write_snapshot(&self, tmp: &Path, generation: u64) -> crate::Result<u64> {
-        let _ = std::fs::remove_file(tmp);
-        let mut w = match self.fault_plan {
-            None => WalWriter::open(tmp)?,
-            Some(plan) => {
-                let backend =
-                    crate::fault::FaultFile::append_to(tmp, plan).map_err(WalError::from)?;
-                WalWriter::over(Box::new(backend))
-            }
-        };
+    fn write_snapshot(&self, log: &Log, tmp: &Path, generation: u64) -> crate::Result<u64> {
+        let mut w = log.open_writer(tmp, 0)?;
         let marker = LogRecord::Snapshot { generation };
         w.append(&marker)?;
         {
@@ -653,52 +651,9 @@ impl TraceStore {
         Ok(std::fs::metadata(tmp).map_err(WalError::from)?.len())
     }
 
-    /// A truncated WAL holding exactly one synced `Snapshot` marker frame.
-    fn fresh_wal(
-        path: &Path,
-        generation: u64,
-        plan: Option<FaultPlan>,
-        metrics: WalMetrics,
-    ) -> crate::Result<WalWriter> {
-        let mut w = Self::make_writer(path, 0, plan, metrics)?;
-        w.append(&LogRecord::Snapshot { generation })?;
-        w.sync()?;
-        Ok(w)
-    }
-
-    /// Sets (or clears) the automatic compaction policy. With a policy in
-    /// place every recording call checks the pending WAL tail and
-    /// snapshots once a bound is crossed, so crash recovery replays at
-    /// most `max_frames` frames. Setting a policy runs an immediate check.
-    pub fn set_compaction_policy(&self, policy: Option<CompactionPolicy>) {
-        *self.compaction.lock() = policy;
-        if policy.is_some() {
-            self.maybe_compact();
-        }
-    }
-
-    /// The active automatic compaction policy, if any.
-    pub fn compaction_policy(&self) -> Option<CompactionPolicy> {
-        *self.compaction.lock()
-    }
-
     /// Snapshot lifecycle metrics (counts, sizes, recovery fallbacks).
     pub fn snapshot_metrics(&self) -> &SnapshotMetrics {
         &self.snap_metrics
-    }
-
-    /// Snapshots if the pending WAL tail has crossed the configured
-    /// policy. Failures are not surfaced here — they have already poisoned
-    /// the writer, and [`TraceStore::durability`] reports them.
-    fn maybe_compact(&self) {
-        let Some(policy) = *self.compaction.lock() else { return };
-        let due = {
-            let tail = self.wal_tail.lock();
-            policy.due(tail.frames, tail.bytes)
-        };
-        if due {
-            let _ = self.snapshot();
-        }
     }
 
     // Durability failures must not pass silently, but the `TraceSink`
@@ -707,60 +662,17 @@ impl TraceStore {
     // failure shuts it down (no further appends can land past an
     // inconsistent tail), the message is retained, and
     // [`TraceStore::durability`] reports it as a typed `StoreError`.
-    fn append_locked(
-        &self,
-        guard: &mut parking_lot::MutexGuard<'_, Option<WalWriter>>,
-        record: &LogRecord,
-    ) {
-        if let Some(w) = guard.as_mut() {
-            let before = self.wal_metrics.bytes_written.get();
-            match w.append(record) {
-                Ok(()) => {
-                    let mut tail = self.wal_tail.lock();
-                    tail.frames += 1;
-                    tail.bytes += self.wal_metrics.bytes_written.get() - before;
-                    drop(tail);
-                    *self.wal_frames.lock() += 1;
-                }
-                Err(e) => Self::poison(guard, &self.wal_failure, e.to_string()),
-            }
-        }
-    }
-
-    /// Group commit: one WAL frame for a whole event batch.
-    fn append_batch_locked(
-        &self,
-        guard: &mut parking_lot::MutexGuard<'_, Option<WalWriter>>,
-        run: RunId,
-        events: &[TraceEvent],
-    ) {
-        if let Some(w) = guard.as_mut() {
-            let before = self.wal_metrics.bytes_written.get();
-            match w.append_batch(run, events) {
-                Ok(()) => {
-                    let mut tail = self.wal_tail.lock();
-                    tail.frames += 1;
-                    tail.bytes += self.wal_metrics.bytes_written.get() - before;
-                    drop(tail);
-                    *self.wal_frames.lock() += 1;
-                }
-                Err(e) => Self::poison(guard, &self.wal_failure, e.to_string()),
-            }
+    fn append(&self, log: &mut Log, write: impl FnOnce(&mut WalWriter) -> Result<(), WalError>) {
+        if let Err(e) = log.append(write) {
+            self.poison(log, &e);
         }
     }
 
     /// Shuts the writer down after a durability failure, retaining the
     /// first failure message for [`TraceStore::durability`].
-    fn poison(
-        guard: &mut parking_lot::MutexGuard<'_, Option<WalWriter>>,
-        failure: &Mutex<Option<String>>,
-        message: String,
-    ) {
-        **guard = None;
-        let mut f = failure.lock();
-        if f.is_none() {
-            *f = Some(message);
-        }
+    fn poison(&self, log: &mut Log, failure: &dyn std::fmt::Display) {
+        log.writer = None;
+        let _ = self.wal_failure.set(failure.to_string());
     }
 
     // ------------------------------------------------------------------
@@ -920,23 +832,18 @@ impl TraceStore {
     /// heap rows are tombstoned and reclaimed by the next
     /// [`TraceStore::snapshot`]. Dropping an unknown run errors.
     pub fn drop_run(&self, run: RunId) -> crate::Result<()> {
-        let mut guard = self.wal.lock();
-        {
-            let inner = self.inner.read();
-            if !inner.runs.contains_key(&run) {
-                return Err(StoreError::UnknownRun(run));
-            }
+        let mut log = self.wal.lock();
+        if !self.inner.read().runs.contains_key(&run) {
+            return Err(StoreError::UnknownRun(run));
         }
-        let had_writer = guard.is_some();
-        self.append_locked(&mut guard, &LogRecord::DropRun { run });
+        let had_writer = log.writer.is_some();
+        self.append(&mut log, |w| w.append(&LogRecord::DropRun { run }));
         self.inner.write().apply(LogRecord::DropRun { run });
-        self.sync_locked(&mut guard);
-        if had_writer && guard.is_none() {
-            drop(guard);
+        self.sync_locked(&mut log);
+        if had_writer && log.writer.is_none() {
+            drop(log);
             return self.durability();
         }
-        drop(guard);
-        self.maybe_compact();
         Ok(())
     }
 
@@ -946,40 +853,27 @@ impl TraceStore {
     /// store does not depend on the dataflow crate).
     pub fn register_workflow(&self, name: &ProcessorName, json: String) {
         let record = LogRecord::Workflow { name: name.clone(), json };
-        let mut guard = self.wal.lock();
-        self.append_locked(&mut guard, &record);
+        let mut log = self.wal.lock();
+        self.append(&mut log, |w| w.append(&record));
         self.inner.write().apply(record);
-        self.sync_locked(&mut guard);
-        drop(guard);
-        self.maybe_compact();
+        self.sync_locked(&mut log);
     }
 
-    /// Syncs the WAL through an already-held guard, poisoning the writer
-    /// on failure (see [`TraceStore::durability`]). A silent
-    /// `let _ = sync()` would report a trace as recorded that never
-    /// reached the disk.
-    fn sync_locked(&self, guard: &mut parking_lot::MutexGuard<'_, Option<WalWriter>>) {
-        if let Some(w) = guard.as_mut() {
-            if let Err(e) = w.sync() {
-                Self::poison(guard, &self.wal_failure, e.to_string());
-            } else {
+    /// Syncs the WAL under the held lock, poisoning the writer on failure
+    /// (see [`TraceStore::durability`]). A silent `let _ = sync()` would
+    /// report a trace as recorded that never reached the disk.
+    fn sync_locked(&self, log: &mut Log) {
+        match log.sync() {
+            Err(e) => self.poison(log, &e),
+            Ok(None) => {}
+            Ok(Some((frames, bytes))) => {
                 // Everything appended so far is now durable: advance the
                 // position replicas are allowed to read up to.
-                if let Some(path) = &self.path {
-                    if let Ok(meta) = std::fs::metadata(path) {
-                        let mut pos = self.repl_pos.lock();
-                        pos.durable_len = meta.len();
-                        pos.durable_frames = *self.wal_frames.lock();
-                    }
-                }
+                let mut pos = self.repl_pos.lock();
+                (pos.durable_len, pos.durable_frames) = (log.len, log.frames);
+                drop(pos);
                 if let Some(j) = self.journal() {
-                    // Frames/bytes appended since the last snapshot (the
-                    // tail this sync made durable).
-                    let tail = self.wal_tail.lock();
-                    j.record(prov_obs::JournalEvent::WalSync {
-                        frames: tail.frames,
-                        bytes: tail.bytes,
-                    });
+                    j.record(prov_obs::JournalEvent::WalSync { frames, bytes });
                 }
             }
         }
@@ -1158,38 +1052,30 @@ impl Inner {
 }
 
 // Every method holds the `wal` lock across the append *and* the in-memory
-// insert (see the lock-order note on [`TraceStore`]), then checks the
-// compaction policy once the locks are released.
+// insert (see the lock-order note on [`TraceStore`]).
 impl TraceSink for TraceStore {
     fn begin_run(&self, workflow: &ProcessorName) -> RunId {
-        let mut guard = self.wal.lock();
+        let mut log = self.wal.lock();
         let mut inner = self.inner.write();
         let run = RunId(inner.next_run);
-        inner.apply(LogRecord::BeginRun { run, workflow: clone_name(workflow) });
+        inner.apply(LogRecord::BeginRun { run, workflow: workflow.clone() });
         drop(inner);
-        self.append_locked(
-            &mut guard,
-            &LogRecord::BeginRun { run, workflow: clone_name(workflow) },
-        );
-        drop(guard);
-        self.maybe_compact();
+        self.append(&mut log, |w| {
+            w.append(&LogRecord::BeginRun { run, workflow: workflow.clone() })
+        });
         run
     }
 
     fn record_xform(&self, run: RunId, event: XformEvent) {
-        let mut guard = self.wal.lock();
-        self.append_locked(&mut guard, &LogRecord::Xform { run, event: event.clone() });
+        let mut log = self.wal.lock();
+        self.append(&mut log, |w| w.append(&LogRecord::Xform { run, event: event.clone() }));
         self.inner.write().insert_xform(run, &event);
-        drop(guard);
-        self.maybe_compact();
     }
 
     fn record_xfer(&self, run: RunId, event: XferEvent) {
-        let mut guard = self.wal.lock();
-        self.append_locked(&mut guard, &LogRecord::Xfer { run, event: event.clone() });
+        let mut log = self.wal.lock();
+        self.append(&mut log, |w| w.append(&LogRecord::Xfer { run, event: event.clone() }));
         self.inner.write().insert_xfer(run, &event);
-        drop(guard);
-        self.maybe_compact();
     }
 
     fn record_batch(&self, run: RunId, events: Vec<TraceEvent>) {
@@ -1198,30 +1084,24 @@ impl TraceSink for TraceStore {
         }
         // One WAL frame, then one write-lock acquisition for the whole
         // batch — the group commit the per-event path can't amortise.
-        let mut guard = self.wal.lock();
-        self.append_batch_locked(&mut guard, run, &events);
-        {
-            let mut inner = self.inner.write();
-            for event in &events {
-                match event {
-                    TraceEvent::Xform(e) => inner.insert_xform(run, e),
-                    TraceEvent::Xfer(e) => inner.insert_xfer(run, e),
-                }
+        let mut log = self.wal.lock();
+        self.append(&mut log, |w| w.append_batch(run, &events));
+        let mut inner = self.inner.write();
+        for event in &events {
+            match event {
+                TraceEvent::Xform(e) => inner.insert_xform(run, e),
+                TraceEvent::Xfer(e) => inner.insert_xfer(run, e),
             }
         }
-        drop(guard);
-        self.maybe_compact();
     }
 
     fn finish_run(&self, run: RunId) {
-        let mut guard = self.wal.lock();
+        let mut log = self.wal.lock();
         self.inner.write().apply(LogRecord::FinishRun { run });
-        self.append_locked(&mut guard, &LogRecord::FinishRun { run });
+        self.append(&mut log, |w| w.append(&LogRecord::FinishRun { run }));
         // Durability failure poisons the writer instead of panicking;
         // `durability()` surfaces it as a typed error.
-        self.sync_locked(&mut guard);
-        drop(guard);
-        self.maybe_compact();
+        self.sync_locked(&mut log);
     }
 }
 
@@ -1275,10 +1155,6 @@ impl prov_engine::ResumeSource for TraceStore {
                 && view.value(r.value).as_ref() == Some(&event.value)
         })
     }
-}
-
-fn clone_name(n: &ProcessorName) -> ProcessorName {
-    n.clone()
 }
 
 #[cfg(test)]
@@ -1884,34 +1760,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_compaction_bounds_recovery_replay() {
-        let path = tmp_snap("auto-compact");
-        {
-            let s = TraceStore::open(&path).unwrap();
-            s.set_compaction_policy(Some(CompactionPolicy::frames(4)));
-            let r = s.begin_run(&"wf".into());
-            for i in 0..40 {
-                s.record_xfer(r, xfer(("A", "y"), ("B", "x"), &[i], "v"));
-            }
-            s.finish_run(r);
-            s.durability().unwrap();
-            assert!(s.wal_metrics().compactions.get() > 1);
-            assert_eq!(s.snapshot_metrics().snapshots.get(), s.wal_metrics().compactions.get());
-        }
-        let s = TraceStore::open(&path).unwrap();
-        // The pending tail at any crash point is bounded by the policy.
-        assert!(
-            s.wal_metrics().recovery_replayed_frames.get() <= 4,
-            "replayed {} frames",
-            s.wal_metrics().recovery_replayed_frames.get()
-        );
-        assert_eq!(s.trace_record_count(RunId(0)), 40);
-        assert!(s.runs()[0].finished);
-        // At most two generations are retained.
-        assert!(crate::snapshot::generations(&path).len() <= 2);
-    }
-
-    #[test]
     fn torn_newest_snapshot_falls_back_a_generation() {
         let path = tmp_snap("snap-fallback");
         {
@@ -1987,5 +1835,106 @@ mod tests {
         assert_eq!(s.runs().len(), 1);
         assert!(s.runs()[0].finished);
         assert_eq!(s.repl_position().generation, 0, "a marker-less log is lineage 0");
+    }
+
+    #[test]
+    fn wal_sync_reports_the_frames_appended_since_the_previous_sync() {
+        let path = tmp_snap("sync-groups");
+        let batch = |i: u32| vec![TraceEvent::Xfer(xfer(("A", "y"), ("B", "x"), &[i], "v"))];
+        let syncs = |journal: &prov_obs::Journal| -> Vec<(u64, u64)> {
+            let events = journal.events().into_iter().map(|e| e.event);
+            events
+                .filter_map(|e| match e {
+                    prov_obs::JournalEvent::WalSync { frames, bytes } => Some((frames, bytes)),
+                    _ => None,
+                })
+                .collect()
+        };
+        let start;
+        let mut groups = Vec::new();
+        {
+            let s = TraceStore::open(&path).unwrap();
+            let r = s.begin_run(&"wf".into());
+            s.sync_wal().unwrap();
+            start = std::fs::metadata(&path).unwrap().len();
+            let journal = prov_obs::Journal::new(64);
+            s.attach_journal(&journal);
+            for i in 0..3 {
+                s.record_batch(r, batch(i));
+            }
+            s.sync_wal().unwrap();
+            for i in 3..5 {
+                s.record_batch(r, batch(i));
+            }
+            s.sync_wal().unwrap();
+            groups.extend(syncs(&journal));
+        }
+        // A reopened store reports only its own appends, not the replayed
+        // log it recovered.
+        let s = TraceStore::open(&path).unwrap();
+        let journal = prov_obs::Journal::new(64);
+        s.attach_journal(&journal);
+        s.record_batch(RunId(0), batch(5));
+        s.sync_wal().unwrap();
+        groups.extend(syncs(&journal));
+
+        let frames: Vec<u64> = groups.iter().map(|g| g.0).collect();
+        assert_eq!(frames, vec![3, 2, 1]);
+        let growth = std::fs::metadata(&path).unwrap().len() - start;
+        assert_eq!(groups.iter().map(|g| g.1).sum::<u64>(), growth);
+    }
+
+    #[test]
+    fn repl_position_matches_the_wal_file() {
+        let path = tmp_snap("repl-pos");
+        let agrees = |s: &TraceStore, step: &str| {
+            let mut cursor = crate::wal::WalCursor::open(&path).unwrap();
+            let mut frames = 0;
+            while cursor.next_record().unwrap().is_some() {
+                frames += 1;
+            }
+            let pos = s.repl_position();
+            assert_eq!(pos.durable_len, std::fs::metadata(&path).unwrap().len(), "{step}");
+            assert_eq!(pos.durable_frames, frames, "{step}");
+        };
+        let s = TraceStore::open(&path).unwrap();
+        agrees(&s, "open empty");
+        let r = s.begin_run(&"wf".into());
+        s.record_xform(r, xform("P", 0, &[0], &[0]));
+        s.sync_wal().unwrap();
+        agrees(&s, "record_xform");
+        s.record_batch(r, vec![TraceEvent::Xfer(xfer(("A", "y"), ("P", "x"), &[0], "v"))]);
+        s.sync_wal().unwrap();
+        agrees(&s, "record_batch");
+        s.register_workflow(&"wf".into(), "{}".to_string());
+        agrees(&s, "register_workflow");
+        let gone = s.begin_run(&"wf".into());
+        s.drop_run(gone).unwrap();
+        agrees(&s, "drop_run");
+        let replicated = LogRecord::Xfer { run: r, event: xfer(("P", "y"), ("Q", "x"), &[0], "w") };
+        s.apply_replicated(&codec::encode(&replicated).unwrap()).unwrap();
+        s.sync_wal().unwrap();
+        agrees(&s, "apply_replicated");
+        s.finish_run(r);
+        agrees(&s, "finish_run");
+        drop(s);
+
+        let s = TraceStore::open(&path).unwrap();
+        agrees(&s, "reopen marker-less");
+        s.snapshot().unwrap();
+        agrees(&s, "snapshot");
+        s.record_xform(r, xform("P", 1, &[1], &[1]));
+        s.sync_wal().unwrap();
+        agrees(&s, "append past the marker");
+        drop(s);
+
+        let s = TraceStore::open(&path).unwrap();
+        agrees(&s, "reopen past a marker");
+        drop(s);
+        // A crash between the WAL truncation and the marker append.
+        std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(0).unwrap();
+        let s = TraceStore::open(&path).unwrap();
+        agrees(&s, "reopen empty beside snapshots");
+        assert_eq!(s.repl_position().generation, 1);
     }
 }

@@ -61,11 +61,8 @@ pub struct WalMetrics {
     /// recovery (unexpected damage; replay stops before them).
     pub corrupt_frames: Counter,
     /// WAL tail frames replayed at the most recent recovery — the cost a
-    /// crash actually paid. Bounded by `CompactionPolicy::max_frames` when
-    /// automatic compaction is enabled.
+    /// crash actually paid: the frames past the leading snapshot marker.
     pub recovery_replayed_frames: Counter,
-    /// Snapshot-and-truncate compaction cycles completed.
-    pub compactions: Counter,
 }
 
 impl Default for WalMetrics {
@@ -86,7 +83,6 @@ impl WalMetrics {
             torn_tails: Counter::standalone(),
             corrupt_frames: Counter::standalone(),
             recovery_replayed_frames: Counter::standalone(),
-            compactions: Counter::standalone(),
         }
     }
 
@@ -101,7 +97,6 @@ impl WalMetrics {
         registry.adopt_counter("wal.torn_tails", &self.torn_tails);
         registry.adopt_counter("wal.corrupt_frames", &self.corrupt_frames);
         registry.adopt_counter("wal.recovery_replayed_frames", &self.recovery_replayed_frames);
-        registry.adopt_counter("wal.compactions", &self.compactions);
     }
 }
 

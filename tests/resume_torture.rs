@@ -1,25 +1,81 @@
 //! Resume torture: crash a run at an arbitrary byte offset of its durable
-//! trace — including mid-compaction and mid-snapshot, via the per-handle
-//! fault budgets — then reopen the store and `Engine::resume`. The resumed
-//! run must be indistinguishable from an uninterrupted one:
+//! trace — including mid-snapshot, via the per-handle fault budgets — then
+//! reopen the store and `Engine::resume`. The resumed run must be
+//! indistinguishable from an uninterrupted one:
 //!
 //! * bit-identical outputs, status, and failed-invocation accounting;
 //! * bit-identical NI **and** INDEXPROJ lineage answers;
-//! * recovery bounded by the compaction policy (`recovery_replayed_frames
-//!   <= max_frames`).
+//! * recovery bounded by the snapshot cadence of [`Snapshotting`]
+//!   (`recovery_replayed_frames <= MAX_FRAMES`).
 //!
 //! Two drivers share one oracle, mirroring `crash_torture.rs`: a fixed
 //! offset sweep and a randomized pass seeded from `CRASH_TORTURE_SEED`
 //! (printed, so failures replay).
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use prov_engine::{Backoff, RetryPolicy, VirtualClock};
-use prov_store::{CompactionPolicy, FaultPlan};
+use prov_engine::{
+    Backoff, RetryPolicy, TraceEvent, TraceSink, VirtualClock, XferEvent, XformEvent,
+};
+use prov_store::FaultPlan;
 use taverna_prov::prelude::*;
 
 const MAX_FRAMES: u64 = 4;
+
+/// Records into `store` and snapshots it once `MAX_FRAMES` WAL frames have
+/// landed since the last snapshot, so a crash at any point leaves at most
+/// that many frames to replay. Counts the snapshots that failed on a
+/// healthy store: the crashes that landed inside a snapshot.
+struct Snapshotting<'a> {
+    store: &'a TraceStore,
+    /// `wal_metrics().frames` right after the last snapshot.
+    mark: AtomicU64,
+    failed: AtomicU64,
+}
+
+impl<'a> Snapshotting<'a> {
+    fn new(store: &'a TraceStore) -> Self {
+        Snapshotting { store, mark: AtomicU64::new(0), failed: AtomicU64::new(0) }
+    }
+
+    fn after_append(&self) {
+        let frames = || self.store.wal_metrics().frames.get();
+        if frames() - self.mark.load(Ordering::Relaxed) < MAX_FRAMES {
+            return;
+        }
+        let healthy = self.store.durability().is_ok();
+        if self.store.snapshot().is_err() && healthy {
+            self.failed.fetch_add(1, Ordering::Relaxed);
+        }
+        self.mark.store(frames(), Ordering::Relaxed);
+    }
+}
+
+impl TraceSink for Snapshotting<'_> {
+    fn begin_run(&self, workflow: &ProcessorName) -> RunId {
+        let run = self.store.begin_run(workflow);
+        self.after_append();
+        run
+    }
+    fn record_xform(&self, run: RunId, event: XformEvent) {
+        self.store.record_xform(run, event);
+        self.after_append();
+    }
+    fn record_xfer(&self, run: RunId, event: XferEvent) {
+        self.store.record_xfer(run, event);
+        self.after_append();
+    }
+    fn record_batch(&self, run: RunId, events: Vec<TraceEvent>) {
+        self.store.record_batch(run, events);
+        self.after_append();
+    }
+    fn finish_run(&self, run: RunId) {
+        self.store.finish_run(run);
+        self.after_append();
+    }
+}
 
 /// The workload: tag each element, pass it through a nested scope, then a
 /// flaky processor that exhausts its retries on "bad" elements. Covers
@@ -149,12 +205,11 @@ fn reference() -> Reference {
     let df = workflow();
     let path = tmp("reference");
     let store = TraceStore::open(&path).unwrap();
-    store.set_compaction_policy(Some(CompactionPolicy::frames(MAX_FRAMES)));
-    let outcome = engine().execute(&df, inputs(), &store).unwrap();
+    let outcome = engine().execute(&df, inputs(), &Snapshotting::new(&store)).unwrap();
     store.durability().unwrap();
     assert!(
-        store.wal_metrics().compactions.get() > 0,
-        "the workload must be big enough to compact at least once"
+        store.snapshot_metrics().snapshots.get() > 0,
+        "the workload must be big enough to snapshot at least once"
     );
     let (ni, ip) = answers(&df, &store, outcome.run_id);
     let wal_bytes = store.wal_metrics().bytes_written.get();
@@ -178,8 +233,10 @@ fn answers(
 
 /// The oracle: run under a fault plan, "crash" (drop the store), reopen,
 /// resume, and compare everything against the uninterrupted reference.
-fn torture_case(reference: &Reference, tag: &str, plan: FaultPlan) {
+/// Returns how many snapshots the crash failed.
+fn torture_case(reference: &Reference, tag: &str, plan: FaultPlan) -> u64 {
     let path = tmp(tag);
+    let mut failed_snapshots = 0;
 
     // Crashed attempt. The engine itself always finishes (durability
     // failures poison the store, they don't abort execution) — the crash
@@ -187,8 +244,9 @@ fn torture_case(reference: &Reference, tag: &str, plan: FaultPlan) {
     {
         match TraceStore::open_with_fault(&path, plan) {
             Ok(store) => {
-                store.set_compaction_policy(Some(CompactionPolicy::frames(MAX_FRAMES)));
-                let _ = engine().execute(&reference.df, inputs(), &store);
+                let sink = Snapshotting::new(&store);
+                let _ = engine().execute(&reference.df, inputs(), &sink);
+                failed_snapshots = sink.failed.into_inner();
             }
             Err(_) => {
                 // The budget tripped before the store finished opening:
@@ -202,7 +260,7 @@ fn torture_case(reference: &Reference, tag: &str, plan: FaultPlan) {
     let store = TraceStore::open(&path).unwrap();
     assert!(
         store.wal_metrics().recovery_replayed_frames.get() <= MAX_FRAMES,
-        "{tag}: recovery replayed {} frames, policy allows {MAX_FRAMES}",
+        "{tag}: recovery replayed {} frames, snapshots every {MAX_FRAMES}",
         store.wal_metrics().recovery_replayed_frames.get()
     );
     let run0 = store.runs().iter().any(|i| i.id == RunId(0));
@@ -234,6 +292,7 @@ fn torture_case(reference: &Reference, tag: &str, plan: FaultPlan) {
 
     drop(store);
     cleanup(&path);
+    failed_snapshots
 }
 
 #[test]
@@ -243,13 +302,16 @@ fn fixed_crash_offsets_resume_bit_identically() {
     assert!(total > 64, "workload too small to be interesting");
     // Fault budgets are per file handle, so one offset exercises different
     // phases on different handles: small ones tear the first WAL handle,
-    // mid-range ones crash snapshot writes or post-compaction WAL tails,
+    // mid-range ones crash snapshot writes or post-snapshot WAL tails,
     // and out-of-range ones never fire (a finished run is resumed as-is).
     let offsets =
         [0, 1, 7, 13, total / 4, total / 2, (total * 3) / 4, total - 1, total, total + 64];
+    let mut failed_snapshots = 0;
     for (i, &offset) in offsets.iter().enumerate() {
-        torture_case(&r, &format!("fixed-{i}-{offset}"), FaultPlan::crash_at(offset));
+        failed_snapshots +=
+            torture_case(&r, &format!("fixed-{i}-{offset}"), FaultPlan::crash_at(offset));
     }
+    assert!(failed_snapshots > 0, "no fixed offset crashed inside a snapshot");
     // A failed fsync poisons the writer without tearing bytes: everything
     // flushed is durable, nothing was confirmed — resume must still agree.
     torture_case(&r, "fsync", FaultPlan::fail_sync(1));
