@@ -390,14 +390,20 @@ fn open_db(args: &Args) -> Result<TraceStore, String> {
     TraceStore::open(path).map_err(|e| format!("cannot open {path}: {e}"))
 }
 
+/// The one byte form every command (`run --server` too) registers a spec
+/// in, so the store logs equal specs once.
+fn spec_json(df: &Dataflow) -> Result<String, String> {
+    serde_json::to_string(df).map_err(|e| e.to_string())
+}
+
 /// Persists the workflow spec both inside the database (self-contained
-/// lineage queries) and as a sidecar JSON file (for editing/`dot`).
+/// lineage queries) and as a pretty sidecar JSON file (for editing/`dot`).
 fn save_workflow(args: &Args, store: &TraceStore, df: &Dataflow) -> Result<(), String> {
-    let json = serde_json::to_string_pretty(df).map_err(|e| e.to_string())?;
-    store.register_workflow(&df.name, json.clone());
+    store.register_workflow(&df.name, spec_json(df)?);
     let db = args.required("db")?;
     let path = format!("{db}.{}.json", df.name);
-    std::fs::write(&path, json).map_err(|e| e.to_string())?;
+    let pretty = serde_json::to_string_pretty(df).map_err(|e| e.to_string())?;
+    std::fs::write(&path, pretty).map_err(|e| e.to_string())?;
     println!("workflow spec saved to {path} (and registered in the db)");
     Ok(())
 }
@@ -518,8 +524,7 @@ fn run_via_server(args: &Args, addr: &str) -> Result<ExitCode, String> {
     }
     let df = load_workflow(args)?;
     let inputs = parse_inputs(args)?;
-    let wf_json = serde_json::to_string(&df).map_err(|e| e.to_string())?;
-    let sink = prov_serve::RemoteSink::connect(addr, Some(wf_json))
+    let sink = prov_serve::RemoteSink::connect(addr, Some(spec_json(&df)?))
         .map_err(|e| format!("server {addr}: {e}"))?;
     let registry = BehaviorRegistry::new().with_builtins();
     let mut engine = Engine::new(registry);
@@ -615,6 +620,8 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
         Some(run) => engine.resume(&df, inputs, &store, RunId(run)).map_err(|e| e.to_string())?,
         None => engine.execute(&df, inputs, &store).map_err(|e| e.to_string())?,
     };
+    // The database answers for the runs it holds without `--workflow`.
+    store.register_workflow(&df.name, spec_json(&df)?);
     let code = report_run(args, &df, &out, resumed_from)?;
     journal_io::persist(args.required("db")?, &journal)?;
     Ok(code)

@@ -322,6 +322,44 @@ fn run_partial_failure_exits_3_and_reports_failures_in_json() {
     let _ = std::fs::remove_file(&wf_path);
 }
 
+/// `run --db` registers the spec it ran, so the database answers for its
+/// runs without `--workflow`.
+#[test]
+fn run_db_registers_its_workflow_for_query_and_explain() {
+    let db = TempDb::new("run-registers");
+    let wf_path = author_upper_workflow(&db);
+    let input = r#"xs={"List":[{"Atom":{"Str":"ab"}},{"Atom":{"Str":"cd"}}]}"#;
+    let out = tprov(&["run", "--db", db.arg(), "--workflow", &wf_path, "--input", input]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let query = "lin(<U:y[1]>, {U})";
+    let out = tprov(&["query", "--db", db.arg(), "--algo", "indexproj", "--query", query]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out).contains("\"cd\""), "{}", stdout(&out));
+    let out = tprov(&["explain", query, "--db", db.arg()]);
+    assert!(out.status.success(), "{}{}", stdout(&out), stderr(&out));
+}
+
+/// Every local command registers a spec in one byte form, so capturing
+/// into the same database again logs no second copy of it.
+#[test]
+fn testbed_twice_logs_its_spec_once() {
+    let db = TempDb::new("spec-once");
+    let workflow_frames = || {
+        let records = prov_store::WalReader::read_all(&db.path).unwrap().records;
+        records.iter().filter(|r| matches!(r, prov_store::LogRecord::Workflow { .. })).count()
+    };
+    for _ in 0..2 {
+        assert!(tprov(&["testbed", "--db", db.arg(), "--l", "3", "--d", "2"]).status.success());
+        assert_eq!(workflow_frames(), 1);
+    }
+    // The pretty sidecar parses back to the spec that was registered.
+    let sidecar = std::fs::read_to_string(db.sidecar("testbed")).unwrap();
+    let df = prov_dataflow::Dataflow::from_json(&sidecar).unwrap();
+    let store = prov_store::TraceStore::open(&db.path).unwrap();
+    let registered = store.workflow_json(&"testbed".into()).unwrap();
+    assert_eq!(&*registered, serde_json::to_string(&df).unwrap());
+}
+
 #[test]
 fn lineage_uses_db_registered_workflow_when_flag_omitted() {
     let db = TempDb::new("registry");

@@ -223,7 +223,7 @@ impl RemoteSink {
     pub fn finish(&self) -> Result<(), ServeError> {
         let mut st = self.state.lock();
         if let Some(run) = st.run {
-            Self::flush_locked(&mut st, self.batch_events, true);
+            Self::flush_locked(&mut st, true);
             if st.error.is_none() {
                 let last = st.next_seq.wrapping_sub(1);
                 let finish = p::IngestFinish {
@@ -264,7 +264,7 @@ impl RemoteSink {
 
     /// Ships the buffered events as one batch; with `drain`, also waits
     /// for every outstanding ack.
-    fn flush_locked(st: &mut SinkState, _batch_events: usize, drain: bool) {
+    fn flush_locked(st: &mut SinkState, drain: bool) {
         if st.error.is_some() {
             return;
         }
@@ -291,7 +291,7 @@ impl RemoteSink {
         }
         st.buffer.push(event);
         if st.buffer.len() >= self.batch_events {
-            Self::flush_locked(&mut st, self.batch_events, false);
+            Self::flush_locked(&mut st, false);
             // Pipeline bound: absorb acks until back under the window.
             while st.error.is_none() && st.outstanding >= DEFAULT_PIPELINE_DEPTH as u64 {
                 Self::read_one_ack(&mut st);

@@ -22,7 +22,7 @@
 //!   group commit, so every acked batch survives any crash;
 //! * **idle reaping** and a **graceful drain** (SIGTERM/ctrl-c/remote
 //!   shutdown): stop accepting, let sessions finish and ack queued
-//!   ingest, fsync, snapshot, exit cleanly.
+//!   ingest, snapshot, exit cleanly.
 //!
 //! The daemon that owns a database is also its replication primary, on
 //! the same port: a follower's `HELLO` turns its session into a stream of

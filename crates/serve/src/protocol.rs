@@ -127,8 +127,8 @@ pub struct Welcome {
 }
 
 /// Opens an ingest stream. When `workflow_json` is present the server
-/// registers the workflow spec before beginning the run, so `indexproj`
-/// queries can plan against it without out-of-band setup.
+/// registers the spec (logging it only if new) before beginning the run,
+/// so `indexproj` queries can plan against it without out-of-band setup.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct IngestBegin {
     /// Workflow (dataflow) name the run belongs to.

@@ -29,8 +29,10 @@
 //! anywhere on the path.
 //!
 //! The applier drains whatever is queued, applies every batch, performs
-//! **one** `sync_wal` for the group, and only then acks each batch — an
-//! acked batch is durable by construction.
+//! **one** `sync_wal` for the group (which also covers the run's
+//! `BeginRun`), and only then acks each batch — an acked batch is durable
+//! by construction. `INGEST_FINISH` is acked only after `finish_run`'s
+//! fsync; a failed one gets `ingest_failed`.
 //!
 //! # Drain state machine
 //!
@@ -39,8 +41,8 @@
 //! loop exits; sessions finish the request in flight, drain and ack their
 //! ingest queues, and close; WAL streams end at their next poll tick;
 //! `shutdown` waits for the session count to hit zero (bounded by the
-//! drain deadline), fsyncs, snapshots, and returns — so the snapshot is
-//! cut after the last chunk has gone out.
+//! drain deadline), snapshots, and returns — so the snapshot is cut after
+//! the last chunk has gone out.
 //!
 //! # Read replicas
 //!
@@ -48,9 +50,9 @@
 //! [`Follower`]'s store instead of owning one. Ingest requests and a
 //! `HELLO` get a typed `read_only` (a follower does not ship onward),
 //! each answer carries the follower's position, and
-//! the drain neither fsyncs nor snapshots: the follower fsyncs every
-//! chunk it applies, and a snapshot would truncate a WAL that must stay
-//! a byte prefix of the primary's.
+//! the drain does not snapshot: the follower fsyncs every chunk it
+//! applies, and a snapshot would truncate a WAL that must stay a byte
+//! prefix of the primary's.
 
 use std::collections::HashMap;
 use std::io;
@@ -147,7 +149,7 @@ impl ServeMetrics {
 
 /// Where a server's store comes from.
 enum Source {
-    /// A store this server owns: it takes ingest, and its drain fsyncs and
+    /// A store this server owns: it takes ingest, and its drain
     /// snapshots.
     Owned(SharedStore),
     /// A follower's replica, read-only. Read per query, because a
@@ -208,7 +210,7 @@ impl Drop for SessionGuard {
 }
 
 /// A running daemon. Dropping it begins a drain but does not wait; call
-/// [`ProvServer::shutdown`] for the orderly fsync-snapshot-exit path.
+/// [`ProvServer::shutdown`] for the orderly snapshot-and-exit path.
 pub struct ProvServer {
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
@@ -291,9 +293,8 @@ impl ProvServer {
     }
 
     /// Drains and shuts down: waits (up to the drain deadline) for
-    /// sessions to finish, then — on a store it owns — fsyncs the WAL and
-    /// writes a snapshot so the next open replays nothing. Returns what
-    /// the drain observed.
+    /// sessions to finish, then — on a store it owns — writes a snapshot
+    /// so the next open replays nothing. Returns what the drain observed.
     pub fn shutdown(mut self) -> DrainReport {
         self.begin_drain();
         if let Some(h) = self.accept.take() {
@@ -306,7 +307,6 @@ impl ProvServer {
         }
         let active = self.active();
         if let Source::Owned(store) = &self.shared.source {
-            let _ = store.sync_wal();
             let _ = store.snapshot();
         }
         DrainReport { forced: active > 0, active_at_exit: active }
@@ -565,9 +565,11 @@ fn handle_frame(
                 return true;
             };
             pipe.close(); // drains + acks every queued batch
-            let run = RunId(finish.run);
-            store.finish_run(run);
-            let _ = store.sync_wal();
+            store.finish_run(RunId(finish.run));
+            if let Err(e) = store.durability() {
+                let msg = ServeErrorMsg::new("ingest_failed", e.to_string());
+                return p::write_json(&mut *writer.lock(), p::TAG_ERR, &msg).is_ok();
+            }
             let ack = p::IngestAck {
                 run: finish.run,
                 seq: finish.seq,

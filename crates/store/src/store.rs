@@ -207,9 +207,11 @@ impl Log {
     }
 
     /// Fsyncs the writer and returns the `(frames, bytes)` group it made
-    /// durable; `None` without a writer.
+    /// durable; `None`, with no fsync, without a writer or a frame to sync.
     fn sync(&mut self) -> Result<Option<(u64, u64)>, WalError> {
-        let Some(w) = self.writer.as_mut() else { return Ok(None) };
+        let Some(w) = self.writer.as_mut().filter(|_| self.unsynced_frames > 0) else {
+            return Ok(None);
+        };
         w.sync()?;
         let frames = std::mem::take(&mut self.unsynced_frames);
         Ok(Some((frames, std::mem::take(&mut self.unsynced_bytes))))
@@ -240,10 +242,10 @@ pub struct ReplPosition {
 /// methods take `&self`.
 ///
 /// Lock order (where multiple locks are held): `wal` → (`inner` |
-/// `repl_pos`). Recording methods hold the `wal` lock across both the WAL
-/// append *and* the in-memory insert, so [`TraceStore::snapshot`] (which
-/// takes the same lock) can never truncate a frame whose effect the
-/// snapshot has not captured.
+/// `repl_pos`). Every state change goes through one write path that
+/// holds the `wal` lock across both the WAL append *and* the in-memory
+/// apply, so [`TraceStore::snapshot`] (which takes the same lock) can
+/// never truncate a frame whose effect the snapshot has not captured.
 pub struct TraceStore {
     inner: RwLock<Inner>,
     wal: Mutex<Log>,
@@ -832,31 +834,47 @@ impl TraceStore {
     /// heap rows are tombstoned and reclaimed by the next
     /// [`TraceStore::snapshot`]. Dropping an unknown run errors.
     pub fn drop_run(&self, run: RunId) -> crate::Result<()> {
-        let mut log = self.wal.lock();
-        if !self.inner.read().runs.contains_key(&run) {
-            return Err(StoreError::UnknownRun(run));
-        }
-        let had_writer = log.writer.is_some();
-        self.append(&mut log, |w| w.append(&LogRecord::DropRun { run }));
-        self.inner.write().apply(LogRecord::DropRun { run });
-        self.sync_locked(&mut log);
-        if had_writer && log.writer.is_none() {
-            drop(log);
-            return self.durability();
-        }
-        Ok(())
+        self.write(true, |inner| match inner.runs.contains_key(&run) {
+            true => Ok(Some(LogRecord::DropRun { run })),
+            false => Err(StoreError::UnknownRun(run)),
+        })
     }
 
     /// Registers (or overwrites) a workflow specification, making the
     /// database self-contained: INDEXPROJ consumers can fetch the spec of
     /// any recorded workflow by name. The payload is opaque JSON (the
-    /// store does not depend on the dataflow crate).
+    /// store does not depend on the dataflow crate); identical bytes log
+    /// nothing.
     pub fn register_workflow(&self, name: &ProcessorName, json: String) {
-        let record = LogRecord::Workflow { name: name.clone(), json };
+        let _ = self.write(true, |inner| {
+            let same = inner.workflows.get(name).is_some_and(|old| **old == *json);
+            Ok((!same).then(|| LogRecord::Workflow { name: name.clone(), json }))
+        });
+    }
+
+    /// The one write path of every state change. Under the `wal` lock,
+    /// `make` builds the record from the current state (`None`: it would
+    /// change nothing, so nothing is logged); its frame is appended, the
+    /// record applied to the tables, and at a `durable` point the log
+    /// synced. Returns the durability failure this write hit, if any.
+    fn write(
+        &self,
+        durable: bool,
+        make: impl FnOnce(&Inner) -> crate::Result<Option<LogRecord>>,
+    ) -> crate::Result<()> {
         let mut log = self.wal.lock();
+        let Some(record) = make(&self.inner.read())? else { return Ok(()) };
+        let had_writer = log.writer.is_some();
         self.append(&mut log, |w| w.append(&record));
         self.inner.write().apply(record);
-        self.sync_locked(&mut log);
+        if durable {
+            self.sync_locked(&mut log);
+        }
+        if had_writer && log.writer.is_none() {
+            drop(log);
+            return self.durability();
+        }
+        Ok(())
     }
 
     /// Syncs the WAL under the held lock, poisoning the writer on failure
@@ -893,11 +911,7 @@ impl TraceStore {
 
     /// Number of distinct interned values (diagnostics).
     pub fn value_count(&self) -> usize {
-        let inner = self.inner.read();
-        if inner.values.is_empty() {
-            return 0;
-        }
-        inner.values.len()
+        self.inner.read().values.len()
     }
 
     /// Number of distinct interned processor/port names (diagnostics: the
@@ -966,8 +980,8 @@ impl Inner {
                 self.shards.remove(&run);
             }
             LogRecord::Workflow { name, json } => {
-                // Identical bytes (every `IngestBegin` re-registers its
-                // spec) keep the registration's identity.
+                // Identical bytes keep the registration's identity (logs
+                // written before the write path skipped them hold some).
                 if self.workflows.get(&name).map(|old| &**old) != Some(json.as_str()) {
                     self.workflows.insert(name, json.into());
                 }
@@ -1051,57 +1065,38 @@ impl Inner {
     }
 }
 
-// Every method holds the `wal` lock across the append *and* the in-memory
-// insert (see the lock-order note on [`TraceStore`]).
+// Every method is one record through `TraceStore::write`; only
+// `finish_run` is a durable point.
 impl TraceSink for TraceStore {
     fn begin_run(&self, workflow: &ProcessorName) -> RunId {
-        let mut log = self.wal.lock();
-        let mut inner = self.inner.write();
-        let run = RunId(inner.next_run);
-        inner.apply(LogRecord::BeginRun { run, workflow: workflow.clone() });
-        drop(inner);
-        self.append(&mut log, |w| {
-            w.append(&LogRecord::BeginRun { run, workflow: workflow.clone() })
+        let mut run = RunId(0);
+        let _ = self.write(false, |inner| {
+            run = RunId(inner.next_run);
+            Ok(Some(LogRecord::BeginRun { run, workflow: workflow.clone() }))
         });
         run
     }
 
     fn record_xform(&self, run: RunId, event: XformEvent) {
-        let mut log = self.wal.lock();
-        self.append(&mut log, |w| w.append(&LogRecord::Xform { run, event: event.clone() }));
-        self.inner.write().insert_xform(run, &event);
+        let _ = self.write(false, |_| Ok(Some(LogRecord::Xform { run, event })));
     }
 
     fn record_xfer(&self, run: RunId, event: XferEvent) {
-        let mut log = self.wal.lock();
-        self.append(&mut log, |w| w.append(&LogRecord::Xfer { run, event: event.clone() }));
-        self.inner.write().insert_xfer(run, &event);
+        let _ = self.write(false, |_| Ok(Some(LogRecord::Xfer { run, event })));
     }
 
     fn record_batch(&self, run: RunId, events: Vec<TraceEvent>) {
-        if events.is_empty() {
-            return;
-        }
         // One WAL frame, then one write-lock acquisition for the whole
         // batch — the group commit the per-event path can't amortise.
-        let mut log = self.wal.lock();
-        self.append(&mut log, |w| w.append_batch(run, &events));
-        let mut inner = self.inner.write();
-        for event in &events {
-            match event {
-                TraceEvent::Xform(e) => inner.insert_xform(run, e),
-                TraceEvent::Xfer(e) => inner.insert_xfer(run, e),
-            }
+        if !events.is_empty() {
+            let _ = self.write(false, |_| Ok(Some(LogRecord::Batch { run, events })));
         }
     }
 
     fn finish_run(&self, run: RunId) {
-        let mut log = self.wal.lock();
-        self.inner.write().apply(LogRecord::FinishRun { run });
-        self.append(&mut log, |w| w.append(&LogRecord::FinishRun { run }));
         // Durability failure poisons the writer instead of panicking;
         // `durability()` surfaces it as a typed error.
-        self.sync_locked(&mut log);
+        let _ = self.write(true, |_| Ok(Some(LogRecord::FinishRun { run })));
     }
 }
 
@@ -1366,14 +1361,27 @@ mod tests {
         // Tear the tail.
         let len = std::fs::metadata(&path).unwrap().len();
         std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(len - 2).unwrap();
+        let torn = WalReader::read_all(&path).unwrap();
+        assert_eq!(torn.records.len(), 2);
+        assert!(!torn.tail.is_clean());
         let s = TraceStore::open(&path).unwrap();
+        assert_eq!(s.recovered_tail(), Some(TailState::TornTail { offset: torn.clean_len }));
         // FinishRun frame was torn: run exists, unfinished, xform intact.
         assert_eq!(s.runs().len(), 1);
         assert!(!s.runs()[0].finished);
         assert_eq!(s.trace_record_count(RunId(0)), 1);
-        // Appending after truncation keeps the log clean.
+        // Appending after truncation lands right after the clean prefix and
+        // keeps the log clean.
         let r2 = s.begin_run(&"wf".into());
         s.finish_run(r2);
+        let rec = WalReader::read_all(&path).unwrap();
+        assert_eq!(rec.records[..2], torn.records[..]);
+        let appended = [
+            LogRecord::BeginRun { run: r2, workflow: "wf".into() },
+            LogRecord::FinishRun { run: r2 },
+        ];
+        assert_eq!(rec.records[2..], appended);
+        assert_eq!(rec.tail, TailState::Clean);
         let s2 = TraceStore::open(&path).unwrap();
         assert_eq!(s2.runs().len(), 2);
     }

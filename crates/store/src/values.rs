@@ -38,11 +38,6 @@ impl ValueTable {
     pub fn len(&self) -> usize {
         self.by_id.len()
     }
-
-    /// Whether no values are stored.
-    pub fn is_empty(&self) -> bool {
-        self.by_id.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -72,7 +67,7 @@ mod tests {
     #[test]
     fn ids_are_dense_and_ordered() {
         let mut t = ValueTable::default();
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
         let ids: Vec<ValueId> = (0..5i64).map(|i| t.intern(&Value::int(i))).collect();
         for (k, id) in ids.iter().enumerate() {
             assert_eq!(id.0, k as u64);

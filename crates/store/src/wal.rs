@@ -226,19 +226,6 @@ impl WalWriter {
         Ok(WalWriter::over(Box::new(file)))
     }
 
-    /// Opens the log for appending after truncating it to `len` bytes —
-    /// used to drop a torn tail detected during recovery.
-    pub fn open_truncated(path: &Path, len: u64) -> Result<Self, WalError> {
-        // Deliberately NOT `truncate(true)`: the file is cut to `len` via
-        // `set_len`, preserving the clean prefix.
-        #[allow(clippy::suspicious_open_options)]
-        let file = OpenOptions::new().create(true).write(true).open(path)?;
-        file.set_len(len)?;
-        let mut file = OpenOptions::new().append(true).open(path)?;
-        file.seek(SeekFrom::End(0))?;
-        Ok(WalWriter::over(Box::new(file)))
-    }
-
     /// Wraps an arbitrary backend — the entry point of the fault-injection
     /// harness ([`crate::fault`]).
     pub fn over(backend: Box<dyn WalFile>) -> Self {
@@ -252,10 +239,15 @@ impl WalWriter {
         self
     }
 
-    /// Appends one record (buffered; call [`WalWriter::sync`] to flush).
-    /// A value nested deeper than the codec's cap is refused as an
-    /// `InvalidInput` I/O error rather than written unreadable.
+    /// Appends one record (buffered; call [`WalWriter::sync`] to flush);
+    /// a [`LogRecord::Batch`] is written and counted exactly as
+    /// [`WalWriter::append_batch`] writes it. A value nested deeper than
+    /// the codec's cap is refused as an `InvalidInput` I/O error rather
+    /// than written unreadable.
     pub fn append(&mut self, record: &LogRecord) -> Result<(), WalError> {
+        if let LogRecord::Batch { run, events } = record {
+            return self.append_batch(*run, events);
+        }
         let payload = codec::encode(record)?;
         self.append_payload(&payload)
     }
@@ -330,8 +322,8 @@ impl TailState {
 pub struct WalRecovery {
     /// Every record of the clean prefix, in append order.
     pub records: Vec<LogRecord>,
-    /// Bytes of clean frames; the safe truncation point for
-    /// [`WalWriter::open_truncated`].
+    /// Bytes of clean frames: where a reopened store cuts the file
+    /// before it appends again.
     pub clean_len: u64,
     /// State of the bytes past the clean prefix.
     pub tail: TailState,
@@ -741,13 +733,15 @@ mod tests {
             w.append(&r).unwrap();
         }
         w.sync().unwrap();
-        // Corrupt the tail, recover, truncate, append a fresh record.
+        // Corrupt the tail, recover, cut to the clean prefix, append a
+        // fresh record: `clean_len` is a safe point to resume from.
         let full = std::fs::metadata(&path).unwrap().len();
         OpenOptions::new().write(true).open(&path).unwrap().set_len(full - 1).unwrap();
         let rec = WalReader::read_all(&path).unwrap();
         assert_eq!(rec.records.len(), 2);
         assert!(!rec.tail.is_clean());
-        let mut w = WalWriter::open_truncated(&path, rec.clean_len).unwrap();
+        OpenOptions::new().write(true).open(&path).unwrap().set_len(rec.clean_len).unwrap();
+        let mut w = WalWriter::open(&path).unwrap();
         w.append(&LogRecord::FinishRun { run: RunId(9) }).unwrap();
         w.sync().unwrap();
         let rec = WalReader::read_all(&path).unwrap();

@@ -1,0 +1,250 @@
+//! Counted write budget: the exact fsyncs, frames and bytes each write
+//! path costs the WAL, read from `wal_metrics()`, the journal and the log
+//! itself. Nothing here is timed, so every pin is machine-independent. A
+//! change that lowers a number updates its pin and says so in CHANGES.md;
+//! one that raises a number justifies it there. Only counts that depend on
+//! how the daemon's applier groups batches — which depends on timing — are
+//! pinned as bounds. The last test holds the served write path to its
+//! promise when a count goes wrong: a finish whose fsync failed is not
+//! acked.
+
+use std::path::{Path, PathBuf};
+
+use prov_dataflow::Dataflow;
+use prov_obs::{Journal, JournalEvent, Obs};
+use prov_serve::{ProvServer, RemoteSink, ServeConfig, ServeError};
+use prov_store::{FaultPlan, LogRecord, SharedStore, TraceStore, WalCursor};
+use prov_workgen::testbed;
+
+fn tmp(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join("prov-cost-budget");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{tag}-{}.wal", std::process::id()));
+    cleanup(&path);
+    path
+}
+
+/// Removes the WAL at `path` and every `<wal>.*` file beside it.
+fn cleanup(path: &Path) {
+    let _ = std::fs::remove_file(path);
+    let (Some(dir), Some(name)) = (path.parent(), path.file_name().and_then(|n| n.to_str())) else {
+        return;
+    };
+    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        if entry.file_name().to_string_lossy().starts_with(&format!("{name}.")) {
+            let _ = std::fs::remove_file(entry.path());
+        }
+    }
+}
+
+/// What one step cost the WAL.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Cost {
+    fsyncs: u64,
+    frames: u64,
+    bytes: u64,
+    group_commits: u64,
+    /// The `frames` of each `WalSync` the step journaled, in order.
+    sync_groups: Vec<u64>,
+    /// `Workflow` records among the frames the step appended.
+    workflow_frames: usize,
+}
+
+/// Runs `step` against `store` (its WAL at `path`, fully synced, with
+/// `journal` attached) and returns what it cost.
+fn cost(store: &TraceStore, path: &Path, journal: &Journal, step: impl FnOnce()) -> Cost {
+    let m = store.wal_metrics();
+    let before = (m.syncs.get(), m.frames.get(), m.bytes_written.get(), m.group_commits.get());
+    let offset = store.repl_position().durable_len;
+    assert_eq!(offset, std::fs::metadata(path).unwrap().len(), "the step must start synced");
+    journal.drain();
+    step();
+    let sync_groups = journal
+        .drain()
+        .into_iter()
+        .filter_map(|e| match e.event {
+            JournalEvent::WalSync { frames, .. } => Some(frames),
+            _ => None,
+        })
+        .collect();
+    let mut cursor = WalCursor::open_at(path, offset).unwrap();
+    let mut workflow_frames = 0;
+    while let Some(record) = cursor.next_record().unwrap() {
+        workflow_frames += usize::from(matches!(record, LogRecord::Workflow { .. }));
+    }
+    Cost {
+        fsyncs: m.syncs.get() - before.0,
+        frames: m.frames.get() - before.1,
+        bytes: m.bytes_written.get() - before.2,
+        group_commits: m.group_commits.get() - before.3,
+        sync_groups,
+        workflow_frames,
+    }
+}
+
+fn spec(df: &Dataflow) -> String {
+    serde_json::to_string(df).unwrap()
+}
+
+/// A daemon over `store` with `journal` attached to it.
+fn daemon(store: TraceStore, journal: &Journal) -> (ProvServer, SharedStore) {
+    store.attach_journal(journal);
+    let store = SharedStore::new(store);
+    let server =
+        ProvServer::start(store.clone(), Obs::disabled(), ServeConfig::default(), "127.0.0.1:0")
+            .unwrap();
+    (server, store)
+}
+
+/// Streams one testbed run of list size `d` to the daemon at `server` in
+/// batches of `batch_events`, and returns what `finish` reported.
+fn served_run(
+    server: &ProvServer,
+    df: &Dataflow,
+    d: usize,
+    batch_events: usize,
+    spec: Option<String>,
+) -> Result<(), ServeError> {
+    let addr = server.local_addr().to_string();
+    let sink = RemoteSink::connect(&addr, spec)?.with_batch_events(batch_events);
+    testbed::run(df, d, &sink);
+    sink.finish()
+}
+
+#[test]
+fn a_served_run_logs_its_spec_once_and_fsyncs_once_per_durable_point() {
+    let path = tmp("served");
+    let journal = Journal::new(1024);
+    let (server, store) = daemon(TraceStore::open(&path).unwrap(), &journal);
+    let df = testbed::generate(2);
+
+    // The first run of a new spec logs it, under its own fsync: the spec,
+    // then `BeginRun` and the one batch under the applier's fsync, then
+    // `FinishRun` under its own.
+    let first = cost(&store, &path, &journal, || {
+        served_run(&server, &df, 3, 256, Some(spec(&df))).unwrap();
+    });
+    let want = Cost {
+        fsyncs: 3,
+        frames: 4,
+        bytes: 3_537,
+        group_commits: 1,
+        sync_groups: vec![1, 2, 1],
+        workflow_frames: 1,
+    };
+    assert_eq!(first, want);
+
+    // Every later run with the same spec logs it no more: `BeginRun` and
+    // the batch under one fsync, `FinishRun` under the other, and no empty
+    // fsync.
+    for _ in 0..2 {
+        let again = cost(&store, &path, &journal, || {
+            served_run(&server, &df, 3, 256, Some(spec(&df))).unwrap();
+        });
+        let want = Cost {
+            fsyncs: 2,
+            frames: 3,
+            bytes: 967,
+            group_commits: 1,
+            sync_groups: vec![2, 1],
+            workflow_frames: 0,
+        };
+        assert_eq!(again, want);
+    }
+    server.shutdown();
+    cleanup(&path);
+}
+
+#[test]
+fn multi_batch_served_runs_take_at_most_one_fsync_per_batch_plus_one() {
+    let path = tmp("served-multi");
+    let journal = Journal::new(1024);
+    let store = TraceStore::open(&path).unwrap();
+    let df = testbed::generate(3);
+    store.register_workflow(&df.name, spec(&df));
+    let (server, store) = daemon(store, &journal);
+    for _ in 0..3 {
+        let c = cost(&store, &path, &journal, || {
+            served_run(&server, &df, 4, 8, Some(spec(&df))).unwrap();
+        });
+        // Frames and bytes follow from the client's batching alone; how
+        // many batches one applier fsync covers depends on timing.
+        let batches = c.group_commits;
+        assert_eq!(batches, 12, "{c:?}");
+        assert_eq!((c.frames, c.bytes, c.workflow_frames), (batches + 2, 2_556, 0), "{c:?}");
+        assert!((2..=batches + 1).contains(&c.fsyncs), "{c:?}");
+        assert_eq!(c.sync_groups.len() as u64, c.fsyncs, "{c:?}");
+        assert!(!c.sync_groups.contains(&0), "an empty fsync: {c:?}");
+        assert_eq!(c.sync_groups.iter().sum::<u64>(), c.frames, "{c:?}");
+    }
+    server.shutdown();
+    cleanup(&path);
+}
+
+#[test]
+fn an_identical_registration_and_an_empty_sync_cost_nothing() {
+    let path = tmp("nothing");
+    let journal = Journal::new(64);
+    let store = TraceStore::open(&path).unwrap();
+    store.attach_journal(&journal);
+    let (name, json) = (prov_model::ProcessorName::from("wf"), "{\"fake\":1}".to_string());
+
+    let first = cost(&store, &path, &journal, || store.register_workflow(&name, json.clone()));
+    let want = Cost {
+        fsyncs: 1,
+        frames: 1,
+        bytes: 27,
+        sync_groups: vec![1],
+        workflow_frames: 1,
+        ..Cost::default()
+    };
+    assert_eq!(first, want);
+    let registered = store.workflow_json(&name).unwrap();
+    let position = store.repl_position();
+
+    let again = cost(&store, &path, &journal, || store.register_workflow(&name, json.clone()));
+    assert_eq!(again, Cost::default());
+    let empty = cost(&store, &path, &journal, || store.sync_wal().unwrap());
+    assert_eq!(empty, Cost::default());
+    // Neither moved the durable position or the registration's identity.
+    assert_eq!(store.repl_position(), position);
+    assert!(std::sync::Arc::ptr_eq(&registered, &store.workflow_json(&name).unwrap()));
+    cleanup(&path);
+}
+
+#[test]
+fn local_capture_costs_one_fsync_per_run() {
+    let path = tmp("local");
+    let journal = Journal::new(64);
+    let store = TraceStore::open(&path).unwrap();
+    store.attach_journal(&journal);
+    let df = testbed::generate(4);
+    for _ in 0..2 {
+        let c = cost(&store, &path, &journal, || {
+            testbed::run(&df, 3, &store);
+        });
+        let want = Cost {
+            fsyncs: 1,
+            frames: 13,
+            bytes: 1_911,
+            group_commits: 11,
+            sync_groups: vec![13],
+            workflow_frames: 0,
+        };
+        assert_eq!(c, want);
+    }
+    cleanup(&path);
+}
+
+#[test]
+fn a_failed_finish_fsync_is_not_acked() {
+    let path = tmp("finish-fault");
+    // Fsync 1 is the applier's group commit; fsync 2, `FinishRun`'s, fails.
+    let store = TraceStore::open_with_fault(&path, FaultPlan::fail_sync(2)).unwrap();
+    let (server, store) = daemon(store, &Journal::disabled());
+    let err = served_run(&server, &testbed::generate(2), 3, 256, None).unwrap_err();
+    assert!(matches!(&err, ServeError::Remote { code, .. } if code == "ingest_failed"), "{err:?}");
+    assert!(store.durability().is_err());
+    server.shutdown();
+    cleanup(&path);
+}
