@@ -339,6 +339,32 @@ fn run_db_registers_its_workflow_for_query_and_explain() {
     assert!(out.status.success(), "{}{}", stdout(&out), stderr(&out));
 }
 
+/// A run the engine refuses before it starts — a task whose behaviour is
+/// not registered — leaves no run in the database.
+#[test]
+fn run_that_cannot_start_records_no_run() {
+    let db = TempDb::new("unstartable");
+    let mut b = prov_dataflow::DataflowBuilder::new("ghost");
+    b.input("xs", prov_dataflow::PortType::list(prov_dataflow::BaseType::String));
+    b.processor_with_behavior("G", "no_such_behavior")
+        .in_port("x", prov_dataflow::PortType::atom(prov_dataflow::BaseType::String))
+        .out_port("y", prov_dataflow::PortType::atom(prov_dataflow::BaseType::String));
+    b.arc_from_input("xs", "G", "x").unwrap();
+    b.output("ys", prov_dataflow::PortType::list(prov_dataflow::BaseType::String));
+    b.arc_to_output("G", "y", "ys").unwrap();
+    let wf_path = format!("{}.authored.json", db.arg());
+    std::fs::write(&wf_path, serde_json::to_string(&b.build().unwrap()).unwrap()).unwrap();
+
+    let input = r#"xs={"List":[{"Atom":{"Str":"ab"}}]}"#;
+    let out = tprov(&["run", "--db", db.arg(), "--workflow", &wf_path, "--input", input]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(stderr(&out).contains("no_such_behavior"), "{}", stderr(&out));
+    let out = tprov(&["runs", "--db", db.arg()]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(!stdout(&out).contains("run:"), "{}", stdout(&out));
+    let _ = std::fs::remove_file(&wf_path);
+}
+
 /// Every local command registers a spec in one byte form, so capturing
 /// into the same database again logs no second copy of it.
 #[test]

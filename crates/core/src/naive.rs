@@ -78,6 +78,19 @@ impl NaiveLineage {
         obs: &Obs,
         ctx: &QueryCtx,
     ) -> Result<LineageAnswer> {
+        self.walk(view, query, obs, ctx, &mut Walk::default())
+    }
+
+    /// One NI traversal of `view`'s run, in `state` (cleared first); see
+    /// [`NaiveLineage::run_pinned`].
+    fn walk(
+        &self,
+        view: &ReadView,
+        query: &LineageQuery,
+        obs: &Obs,
+        ctx: &QueryCtx,
+        state: &mut Walk,
+    ) -> Result<LineageAnswer> {
         let run = view.run();
         let life = Lifecycle::start(obs, ctx);
         // One guard spans the whole traversal: exactly one flush into the
@@ -88,14 +101,13 @@ impl NaiveLineage {
         let mut traverse = obs.span("ni.traverse", "query");
         let target = &query.target;
         let focus = view.processor_set(query.focus.iter());
-        let mut visited: HashSet<Node> = HashSet::new();
-        let mut stack: Vec<(Node, u64)> =
-            vec![(view.node(&target.processor, &target.port, &query.index), 0)];
+        let Walk { visited, stack, producers, incoming, outgoing } = state;
+        visited.clear();
+        stack.clear();
+        stack.push((view.node(&target.processor, &target.port, &query.index), 0));
         let mut bindings: Vec<Binding> = Vec::new();
         let mut trace_queries = 0usize;
         let mut max_depth = 0u64;
-        // Probe buffers, reused by every hop.
-        let (mut producers, mut incoming, mut outgoing) = (Vec::new(), Vec::new(), Vec::new());
 
         while let Some((node, depth)) = stack.pop() {
             if !visited.insert(node.clone()) {
@@ -116,8 +128,8 @@ impl NaiveLineage {
 
             // xform case: the node as an invocation output.
             trace_queries += 1;
-            view.rows(IndexId::XformOut, &node, &mut probe, &mut producers);
-            for &pos in &producers {
+            view.rows(IndexId::XformOut, &node, &mut probe, producers);
+            for &pos in producers.iter() {
                 for (input, value) in view.xform_ports(pos, PortDirection::In) {
                     if focused {
                         bindings.push(view.binding(&input, value)?);
@@ -128,8 +140,8 @@ impl NaiveLineage {
 
             // xfer case: the node as an arc destination.
             trace_queries += 1;
-            view.rows(IndexId::XferDst, &node, &mut probe, &mut incoming);
-            for &pos in &incoming {
+            view.rows(IndexId::XferDst, &node, &mut probe, incoming);
+            for &pos in incoming.iter() {
                 stack.push((view.xfer_src(pos).0, depth + 1));
             }
 
@@ -146,7 +158,7 @@ impl NaiveLineage {
                     trace_queries += 1;
                     let processor = view.processor_name(&node);
                     let scope_prefix = format!("{processor}/");
-                    view.rows(IndexId::XferSrc, &node, &mut probe, &mut outgoing);
+                    view.rows(IndexId::XferSrc, &node, &mut probe, outgoing);
                     outgoing.iter().any(|&pos| {
                         let dst = view.processor_name(&view.xfer_dst(pos).0);
                         dst.as_str().starts_with(&scope_prefix) || dst == processor
@@ -154,8 +166,7 @@ impl NaiveLineage {
                 };
                 if is_source || is_scope_input {
                     trace_queries += 1;
-                    let inputs =
-                        view.bindings_at(IndexId::XferSrc, &node, &mut probe, &mut outgoing)?;
+                    let inputs = view.bindings_at(IndexId::XferSrc, &node, &mut probe, outgoing)?;
                     bindings.extend(inputs);
                 }
             }
@@ -176,7 +187,7 @@ impl NaiveLineage {
     /// are traversed in order, each pinned once and traversed lock-free;
     /// the first failing run's error is the sweep's. Every run's traversal
     /// journals its own `QueryStarted`/`QueryFinished` pair under the
-    /// shared trace id.
+    /// shared trace id, and all of them reuse one walk state.
     pub fn run_multi_ctx(
         &self,
         store: &TraceStore,
@@ -185,8 +196,21 @@ impl NaiveLineage {
         obs: &Obs,
         ctx: &QueryCtx,
     ) -> Result<Vec<LineageAnswer>> {
-        runs.iter().map(|&r| self.run_pinned(&store.pin(r), query, obs, ctx)).collect()
+        let mut state = Walk::default();
+        runs.iter().map(|&r| self.walk(&store.pin(r), query, obs, ctx, &mut state)).collect()
     }
+}
+
+/// What an NI traversal grows as it goes — its visited set, its stack and
+/// its probe buffers — kept across the runs of one request so a later run
+/// finds them already sized.
+#[derive(Default)]
+struct Walk {
+    visited: HashSet<Node>,
+    stack: Vec<(Node, u64)>,
+    producers: Vec<u64>,
+    incoming: Vec<u64>,
+    outgoing: Vec<u64>,
 }
 
 #[cfg(test)]
@@ -301,6 +325,47 @@ mod tests {
         assert_eq!(answers.len(), 2);
         assert_eq!(answers[0].bindings[0].value, Value::str("r0"));
         assert_eq!(answers[1].bindings[0].value, Value::str("r1"));
+    }
+
+    #[test]
+    fn multi_run_walk_equals_one_walk_per_run() {
+        use prov_engine::RunStatus;
+        use prov_workgen::testbed;
+
+        let df = testbed::generate(3);
+        let store = TraceStore::in_memory();
+        let mut runs: Vec<RunId> =
+            [2, 5, 3].iter().map(|&d| testbed::run(&df, d, &store).run_id).collect();
+        // A partial failure: every chain step refuses the second element.
+        let mut registry = testbed::registry();
+        registry.register_fn("testbed_step", |inputs| match inputs[0].as_atom() {
+            Some(atom) if atom.as_str() == Some("item-1") => Err("refused".into()),
+            _ => Ok(vec![inputs[0].clone()]),
+        });
+        let partial = Engine::new(registry)
+            .execute(&df, vec![("ListSize".into(), Value::int(4))], &store)
+            .unwrap();
+        assert!(matches!(partial.status, RunStatus::PartialFailure { .. }));
+        runs.push(partial.run_id);
+
+        let (obs, ctx) = (Obs::disabled(), QueryCtx::detached());
+        let target = PortRef::new("2TO1_FINAL", "Y");
+        let focused = |p: &[u32]| {
+            LineageQuery::focused(target.clone(), Index::from_slice(p), ["LISTGEN_1".into()])
+        };
+        for query in [
+            focused(&[1, 1]),
+            focused(&[]),
+            LineageQuery::unfocused(target.clone(), Index::from_slice(&[1, 2]), &df),
+        ] {
+            let multi = NaiveLineage::new().run_multi_ctx(&store, &runs, &query, &obs, &ctx);
+            let one_by_one: Vec<LineageAnswer> = runs
+                .iter()
+                .map(|&r| NaiveLineage::new().run_pinned(&store.pin(r), &query, &obs, &ctx))
+                .collect::<Result<_>>()
+                .unwrap();
+            assert_eq!(multi.unwrap(), one_by_one, "{query:?}");
+        }
     }
 
     #[test]

@@ -358,12 +358,16 @@ impl Engine {
                 return Err(EngineError::Preflight { errors });
             }
         }
+        let input_map: HashMap<Arc<str>, Value> =
+            inputs.into_iter().map(|(k, v)| (Arc::from(k.as_str()), v)).collect();
+        // A run that cannot start is refused before the sink hears of it,
+        // so a failed attempt records no empty run.
+        check_inputs(df, &df.name, &input_map)?;
+        self.check_behaviors(df)?;
         let run_id = match resume {
             Some(ctx) => ctx.run,
             None => sink.begin_run(&df.name),
         };
-        let input_map: HashMap<Arc<str>, Value> =
-            inputs.into_iter().map(|(k, v)| (Arc::from(k.as_str()), v)).collect();
         let offsets = ScopeOffsets::top_level();
         let mut failed_xforms = Vec::new();
         let outputs = self.execute_scoped(
@@ -388,6 +392,19 @@ impl Engine {
         Ok(RunOutcome { run_id, outputs, status })
     }
 
+    /// Fails with [`EngineError::UnknownBehavior`] if a task of `df`, or of
+    /// a dataflow nested in it, names a behaviour the registry lacks —
+    /// whether or not the task would ever fire.
+    fn check_behaviors(&self, df: &Dataflow) -> Result<()> {
+        df.processors.iter().try_for_each(|p| match &p.kind {
+            ProcessorKind::Task { behavior } => match self.registry.get(behavior) {
+                Some(_) => Ok(()),
+                None => Err(EngineError::UnknownBehavior(behavior.clone())),
+            },
+            ProcessorKind::Nested { dataflow } => self.check_behaviors(dataflow),
+        })
+    }
+
     /// Executes one (possibly nested) dataflow.
     ///
     /// * `scope_name` — the processor name under which this workflow's own
@@ -396,6 +413,8 @@ impl Engine {
     ///   processor.
     /// * `prefix` — prepended to inner processor names in events, so that
     ///   nested traces stay addressable (`outer/inner` style).
+    /// * `inputs` — checked by the caller against the scope's declared
+    ///   inputs ([`check_inputs`]).
     /// * `offsets` — how element-relative indices inside this scope map to
     ///   absolute indices on the enclosing values. Events on the scope's
     ///   own I/O ports are emitted with **absolute** indices so that traces
@@ -414,14 +433,6 @@ impl Engine {
         failures: &mut Vec<FailedInvocation>,
         resume: Option<ResumeCtx<'_>>,
     ) -> Result<Vec<(Arc<str>, Value)>> {
-        // Assumption 2 (§3.1): workflow inputs carry values of declared type.
-        for port in &df.inputs {
-            let v = inputs
-                .get(&port.name)
-                .ok_or_else(|| EngineError::MissingWorkflowInput(port.name.to_string()))?;
-            check_depth(v, port.declared.depth, &format!("{scope_name}:{}", port.name))?;
-        }
-
         let depths = DepthInfo::compute(df)?;
         let mut out_values: HashMap<(ProcessorName, Arc<str>), Value> = HashMap::new();
 
@@ -687,6 +698,7 @@ impl Engine {
                                 .collect(),
                             global: q_abs.clone(),
                         };
+                        check_inputs(dataflow, &qualified, &inner_inputs)?;
                         self.execute_scoped(
                             dataflow,
                             qualified.clone(),
@@ -879,6 +891,22 @@ fn qualify(prefix: &str, name: &str) -> ProcessorName {
     } else {
         ProcessorName::from(format!("{prefix}{name}"))
     }
+}
+
+/// Assumption 2 (§3.1): the inputs of `df`, run as `scope_name`, carry
+/// values of their declared depth.
+fn check_inputs(
+    df: &Dataflow,
+    scope_name: &ProcessorName,
+    inputs: &HashMap<Arc<str>, Value>,
+) -> Result<()> {
+    for port in &df.inputs {
+        let v = inputs
+            .get(&port.name)
+            .ok_or_else(|| EngineError::MissingWorkflowInput(port.name.to_string()))?;
+        check_depth(v, port.declared.depth, &format!("{scope_name}:{}", port.name))?;
+    }
+    Ok(())
 }
 
 /// Checks a runtime value depth against the statically computed depth,
@@ -1153,6 +1181,16 @@ mod tests {
             &sink,
         );
         assert!(matches!(err, Err(EngineError::UnknownBehavior(_))));
+        // Refused up front, even where no task would fire.
+        let err = Engine::new(BehaviorRegistry::new()).execute(
+            &df,
+            vec![("in".into(), Value::empty_list())],
+            &sink,
+        );
+        assert!(matches!(err, Err(EngineError::UnknownBehavior(_))));
+        // No attempt began a run: the sink's first run id is unused.
+        assert_eq!(sink.begin_run(&df.name), RunId(0));
+        assert_eq!(sink.record_count(), 0);
     }
 
     #[test]

@@ -16,10 +16,10 @@
 //! binary search plus a push, wherever the key sorts, and nothing is
 //! allocated per key.
 //!
-//! Every probe finds its port slice once and then binary-searches its key
-//! column. Element indexes are ordered lexicographically (the packed
-//! encoding preserves that order), which gives the two access paths
-//! lineage queries need:
+//! Every probe finds its port slice once and then searches its key column.
+//! Element indexes are ordered lexicographically (the packed encoding
+//! preserves that order), which gives the two access paths lineage queries
+//! need:
 //!
 //! * **ancestors** — rows whose index is a (non-strict) prefix of the query
 //!   index, for coarse rows such as whole-value transfers: one exact probe
@@ -28,6 +28,16 @@
 //! * **descendants** — rows whose index *extends* the query index, for a
 //!   query that addresses a sub-collection: they are contiguous from the
 //!   query index onwards, so one scan from there bounds them.
+//!
+//! An element index is a path of list positions, and a run's column is
+//! almost always whole lists: `[0] … [n−1]`, or `n` lists of `m` keys. So
+//! each prefix's search first tries the position the list shape predicts —
+//! child `c` of a list of single keys at `c` past its parent, of a list of
+//! `w`-key lists at `c·w` past it — and keeps that guess only when it is
+//! the search's own answer: the key there sorts at or past the prefix and
+//! the key before it below. Any other column (gaps, coarse rows, ragged
+//! lists, spilled keys) falls back to the binary search, so the rows,
+//! their order and every [`ProbeStats`] count are the search's.
 
 use crate::catalog::PortCardinality;
 use crate::stats::ProbeStats;
@@ -89,6 +99,33 @@ impl PortSlice {
             }
         }
     }
+}
+
+/// Where a search of `keys[base..]` for `prefix`, the probe's `k`-component
+/// prefix, lands, when the list shape under `parent` (its `k - 1`-component
+/// prefix, whose children start at `base`) predicts it; `None` to search.
+///
+/// Child `c` of a list of single keys sits at `base + c`; of a list of
+/// lists `w` keys each, at `base + c·w`, `w` read off the column's last key
+/// when that key lies under `parent`. A guess is taken only when it is the
+/// search's own answer — the first key at or past `prefix` — so gaps, coarse
+/// rows and ragged lists merely fall back to the search.
+fn positional(
+    keys: &[IndexKey],
+    base: usize,
+    parent: &IndexKey,
+    prefix: &IndexKey,
+    k: usize,
+) -> Option<usize> {
+    let c = prefix.packed_component(k - 1)? as usize;
+    let last = keys.last()?;
+    let width = match last.packed_component(k - 1) {
+        Some(end) if parent.is_prefix_of(last) => ((keys.len() - base) / (end as usize + 1)).max(1),
+        _ => 1,
+    };
+    let at = base + c * width;
+    let at_or_past = keys.get(at).map_or(at == keys.len(), |key| key >= prefix);
+    (at_or_past && (at == base || keys[at - 1] < *prefix)).then_some(at)
 }
 
 /// A secondary index mapping `(processor, port, element index)` keys to row
@@ -164,11 +201,17 @@ impl CompositeIndex {
         // exact key's search lands. The empty prefix sorts before every
         // key, so its search would land on 0: it reads the first key alone.
         let (mut from, mut exact): (usize, &[u64]) = (0, &[]);
+        let mut parent = IndexKey::from_components(&[]);
         for k in 0..=index.len() {
             stats.count_index_lookup();
             let prefix = index.prefix(k);
             if k > 0 {
-                from += keys[from..].partition_point(|key| *key < prefix);
+                // The parent's children start just past its own key, if filed.
+                let base = from + usize::from(!exact.is_empty());
+                from = match positional(keys, base, &parent, &prefix, k) {
+                    Some(at) => at,
+                    None => from + keys[from..].partition_point(|key| *key < prefix),
+                };
             }
             exact = match keys.get(from) {
                 Some(key) if *key == prefix => slice.rows(from),
@@ -176,6 +219,7 @@ impl CompositeIndex {
             };
             stats.count_records(exact.len());
             out.extend_from_slice(exact);
+            parent = prefix;
         }
         stats.count_index_lookup();
         let descendants = keys[from..].iter().take_while(|key| index.is_prefix_of(key));
@@ -392,16 +436,89 @@ mod tests {
     type Case = (Vec<(u32, u32, Vec<u32>, u64)>, Vec<(usize, u64)>, Vec<(u32, u32, Vec<u32>)>);
 
     fn cases() -> impl Strategy<Value = Case> {
-        (
-            // Processors 0, 3, 6 and 9: interned with gaps, filed in any order.
-            proptest::collection::vec(
-                ((0u32..4).prop_map(|p| 3 * p), 0u32..2, components(), 0u64..24),
-                0..40,
+        prop_oneof![
+            (
+                // Processors 0, 3, 6 and 9: interned with gaps, filed in any
+                // order.
+                proptest::collection::vec(
+                    ((0u32..4).prop_map(|p| 3 * p), 0u32..2, components(), 0u64..24),
+                    0..40,
+                ),
+                // Keys filed again after later keys: a 2nd or a 3rd row each.
+                proptest::collection::vec((0usize..40, 1u64..3), 0..6),
+                proptest::collection::vec((0u32..13, 0u32..3, components()), 1..12),
             ),
-            // Keys filed again after later keys: a 2nd or a 3rd row each.
-            proptest::collection::vec((0usize..40, 1u64..3), 0..6),
-            proptest::collection::vec((0u32..13, 0u32..3, components()), 1..12),
-        )
+            list_shapes(),
+        ]
+    }
+
+    /// A column shaped like the collections a run files — a flat list
+    /// `[0..n)`, an `n×m` grid or a ragged two-level list, `n, m ≤ 20` — so
+    /// probes take the positional path. Some elements are left out (gaps),
+    /// a whole-value `[]` row and coarse `[i]` rows may join them, and all
+    /// are filed into one port in shuffled order. The probes name every
+    /// element, one past the end of each list, and components that spill.
+    fn list_shapes() -> impl Strategy<Value = Case> {
+        // Per top-level element: `None` for a leaf `[i]`, `Some(m)` for the
+        // list `[i, 0..m)`.
+        prop_oneof![
+            (1usize..21).prop_map(|n| vec![None; n]),
+            (1usize..21, 1usize..21).prop_map(|(n, m)| vec![Some(m); n]),
+            proptest::collection::vec((0usize..21).prop_map(Some), 1..21),
+        ]
+        .prop_flat_map(|lists: Vec<Option<usize>>| {
+            let (n, elements) = (lists.len() as u32, list_elements(&lists).len());
+            (
+                Just(lists),
+                // A gap rate in eighths, then one draw per element.
+                (0u8..3, proptest::collection::vec(0u8..8, elements)),
+                // The whole-value row, then up to two coarse `[i]` rows.
+                (any::<bool>(), proptest::collection::vec(0..n, 0..3)),
+                // Shuffle keys for every filing.
+                proptest::collection::vec(any::<u64>(), elements + 3),
+            )
+        })
+        .prop_map(|(lists, (rate, draws), (whole, coarse), order)| {
+            let elements = list_elements(&lists);
+            let mut filings: Vec<(u64, Vec<u32>)> = elements
+                .iter()
+                .zip(&draws)
+                .filter(|(_, &draw)| draw >= rate)
+                .map(|(e, _)| e.clone())
+                .chain(whole.then(Vec::new))
+                .chain(coarse.iter().map(|&i| vec![i]))
+                .zip(order)
+                .map(|(idx, key)| (key, idx))
+                .collect();
+            filings.sort();
+            let inserts = (0..).zip(filings).map(|(row, (_, idx))| (0, 0, idx, row)).collect();
+            let n = lists.len() as u32;
+            let past_end = [vec![], vec![n], vec![n, 0], vec![SPILLS]];
+            let probes = elements
+                .into_iter()
+                .chain(past_end)
+                .chain((0..).zip(&lists).flat_map(|(i, list)| {
+                    let m = list.unwrap_or(0) as u32;
+                    [vec![i], vec![i, m], vec![i, SPILLS]]
+                }))
+                .map(|idx| (0, 0, idx))
+                .collect();
+            (inserts, Vec::new(), probes)
+        })
+    }
+
+    /// The smallest component that does not pack.
+    const SPILLS: u32 = 0x1_0000;
+
+    /// The element indexes of a [`list_shapes`] shape, in order.
+    fn list_elements(lists: &[Option<usize>]) -> Vec<Vec<u32>> {
+        (0..)
+            .zip(lists)
+            .flat_map(|(i, list)| match *list {
+                None => vec![vec![i]],
+                Some(m) => (0..m as u32).map(|j| vec![i, j]).collect(),
+            })
+            .collect()
     }
 
     /// Files `inserts` and `repeats` into a [`CompositeIndex`] and the

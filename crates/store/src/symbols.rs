@@ -212,6 +212,14 @@ impl IndexKey {
         }
     }
 
+    /// Component `i` of a packed key: `None` past its end, and always for a
+    /// spilled key.
+    pub(crate) fn packed_component(&self, i: usize) -> Option<u32> {
+        let bits = self.bits().filter(|_| i < GROUPS)?;
+        let group = (bits >> (128 - 16 * (i + 1))) as u32 & 0xFFFF;
+        group.checked_sub(1)
+    }
+
     /// The first `n` components (the whole key if shorter) — a mask for
     /// packed keys, a repack for spilled ones.
     pub fn prefix(&self, n: usize) -> Self {
