@@ -675,7 +675,7 @@ fn run_selection(args: &Args) -> Result<RunSelection, String> {
 fn select_runs(args: &Args, store: &TraceStore) -> Result<Vec<RunId>, String> {
     Ok(match run_selection(args)? {
         RunSelection::All => store.runs().iter().map(|i| i.id).collect(),
-        RunSelection::One(run) => vec![run],
+        RunSelection::One(run) | RunSelection::Lagging(run) => vec![run],
     })
 }
 

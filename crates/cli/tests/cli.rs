@@ -191,6 +191,24 @@ fn query_command_parses_paper_notation() {
 }
 
 #[test]
+fn a_query_on_a_run_the_store_does_not_hold_exits_1() {
+    let db = TempDb::new("unknown-run");
+    let testbed = ["testbed", "--db", db.arg(), "--l", "3", "--d", "2", "--runs", "3"];
+    assert!(tprov(&testbed).status.success());
+    let missing = TempDb::new("unknown-run-missing");
+    let query = "lin(<2TO1_FINAL:Y[0,1]>, {LISTGEN_1})";
+    for (store, run) in [(&db, "7"), (&missing, "0")] {
+        let out = tprov(&["query", "--db", store.arg(), "--run", run, "--query", query]);
+        assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+        assert!(stderr(&out).contains(&format!("unknown run {run}")), "{}", stderr(&out));
+        assert!(!stdout(&out).contains("binding(s)"), "{}", stdout(&out));
+    }
+    // The runs it holds still answer.
+    let out = tprov(&["query", "--db", db.arg(), "--run", "2", "--query", query]);
+    assert!(out.status.success(), "{}", stderr(&out));
+}
+
+#[test]
 fn audit_reports_clean_for_engine_traces() {
     let db = TempDb::new("audit");
     assert!(tprov(&["testbed", "--db", db.arg(), "--l", "3", "--d", "2"]).status.success());

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use prov_dataflow::Dataflow;
 use prov_model::{ProcessorName, RunId};
 use prov_obs::{Obs, QueryCtx};
-use prov_store::TraceStore;
+use prov_store::{StoreError, TraceStore};
 
 use crate::verify::explain_plan;
 use crate::{
@@ -49,8 +49,13 @@ pub struct Env<'a> {
 /// Which runs a request targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunSelection {
-    /// Exactly this run.
+    /// Exactly this run; a run the store does not hold is refused.
     One(RunId),
+    /// Exactly this run, on a store that lags the run's writer (a
+    /// follower behind its primary): a run it does not hold yet answers
+    /// empty, and the follower's lag tells the client whether to trust
+    /// that.
+    Lagging(RunId),
     /// Every run the store holds when the request executes.
     All,
 }
@@ -82,8 +87,11 @@ pub struct Executed {
 }
 
 /// Executes one request. Refusals are typed: [`CoreError::Parse`],
-/// [`CoreError::UnknownAlgo`], [`CoreError::NoWorkflow`] /
-/// [`CoreError::AmbiguousWorkflow`] / [`CoreError::WorkflowNotRegistered`],
+/// [`CoreError::Store`] with [`StoreError::UnknownRun`] for a
+/// [`RunSelection::One`] run the store does not hold (a begun run with no
+/// records answers empty), [`CoreError::UnknownAlgo`],
+/// [`CoreError::NoWorkflow`] / [`CoreError::AmbiguousWorkflow`] /
+/// [`CoreError::WorkflowNotRegistered`],
 /// [`CoreError::Dataflow`] for a registered spec that does not load,
 /// [`CoreError::DeadlineExceeded`] once `env.ctx`'s deadline passes.
 ///
@@ -95,11 +103,20 @@ pub struct Executed {
 /// either, and both are skipped.
 pub fn exec(env: &Env<'_>, req: &QueryRequest<'_>) -> Result<Executed> {
     let Env { store, obs, .. } = *env;
+    let query = parse_query(req.query)?;
     let runs: Vec<RunId> = match req.runs {
-        RunSelection::One(run) => vec![run],
+        // A request already past its deadline is refused as such, whatever
+        // it selected.
+        RunSelection::One(run) if !store.has_run(run) => {
+            return Err(if env.ctx.deadline_exceeded() {
+                CoreError::DeadlineExceeded { query: env.ctx.query.clone() }
+            } else {
+                CoreError::Store(StoreError::UnknownRun(run))
+            });
+        }
+        RunSelection::One(run) | RunSelection::Lagging(run) => vec![run],
         RunSelection::All => store.runs().iter().map(|i| i.id).collect(),
     };
-    let query = parse_query(req.query)?;
     let journalled = obs.journal.is_enabled();
     let mut ctx = std::borrow::Cow::Borrowed(env.ctx);
     if journalled {

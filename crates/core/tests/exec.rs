@@ -10,7 +10,7 @@ use prov_core::{
 use prov_dataflow::{Dataflow, DataflowError};
 use prov_model::{ProcessorName, RunId};
 use prov_obs::{JournalEvent, Obs, QueryCtx, TimeSource};
-use prov_store::TraceStore;
+use prov_store::{StoreError, TraceStore};
 use prov_workgen::testbed;
 
 const LIN: &str = "lin(<2TO1_FINAL:Y[0,1]>, {LISTGEN_1})";
@@ -180,6 +180,17 @@ fn every_refusal_is_typed() {
     // A query target the spec does not define is the planner's refusal.
     let e = run(&sole, &ctx, request("lin(<nope:Y[]>)", one, "indexproj"));
     assert!(matches!(e, CoreError::UnknownTarget { .. }), "{e:?}");
+
+    // A run the store does not hold is refused, whichever algorithm; a
+    // typo is not an empty lineage.
+    for (query, algo) in [(LIN, "ni"), (LIN, "indexproj"), (IMPACT, "ni")] {
+        let e = run(&sole, &ctx, request(query, RunSelection::One(RunId(7)), algo));
+        assert!(
+            matches!(e, CoreError::Store(StoreError::UnknownRun(RunId(7))))
+                && e.to_string() == "unknown run 7",
+            "{algo} {query}: {e:?}"
+        );
+    }
 
     // Deadline already in the past on the injected clock: every
     // algorithm abandons at its first step.

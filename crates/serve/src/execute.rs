@@ -23,19 +23,26 @@ pub fn execute_query(
     obs: &Obs,
     ctx: &QueryCtx,
 ) -> Result<Vec<String>, CoreError> {
-    execute_resident(store, &WorkflowCache::new(), req, obs, ctx)
+    execute_resident(store, &WorkflowCache::new(), req, false, obs, ctx)
 }
 
 /// [`execute_query`] against the workflows and plans a daemon keeps
-/// resident across requests.
+/// resident across requests. On a `lagging` store — a follower behind its
+/// primary — a run it does not hold yet answers empty rather than being
+/// refused: the reply's lag lets the client judge it.
 pub(crate) fn execute_resident(
     store: &TraceStore,
     workflows: &WorkflowCache,
     req: &ServeQuery,
+    lagging: bool,
     obs: &Obs,
     ctx: &QueryCtx,
 ) -> Result<Vec<String>, CoreError> {
-    let runs = if req.all_runs { RunSelection::All } else { RunSelection::One(RunId(req.run)) };
+    let runs = match (req.all_runs, lagging) {
+        (true, _) => RunSelection::All,
+        (false, true) => RunSelection::Lagging(RunId(req.run)),
+        (false, false) => RunSelection::One(RunId(req.run)),
+    };
     let request = QueryRequest { query: &req.query, runs, algo: &req.algo, wf: req.wf.as_deref() };
     let done = exec(&Env { store, workflow: None, workflows, obs, ctx }, &request)?;
     Ok(done.answers.iter().map(|a| a.to_string()).collect())

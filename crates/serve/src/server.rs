@@ -592,7 +592,8 @@ fn handle_frame(
                 ctx = ctx.with_clock_deadline(source, deadline_micros);
             }
             let (store, replica) = shared.source.for_query();
-            match execute_resident(&store, &shared.workflows, &req, &shared.obs, &ctx) {
+            let lagging = replica.as_ref().is_some_and(|at| at.lag_frames > 0);
+            match execute_resident(&store, &shared.workflows, &req, lagging, &shared.obs, &ctx) {
                 Ok(answers) => {
                     let ok = p::ServeQueryOk { answers, replica };
                     p::write_json(&mut *writer.lock(), p::TAG_QUERY_OK, &ok).is_ok()

@@ -7,7 +7,7 @@ use std::net::TcpStream;
 
 use prov_obs::{JournalEvent, MetricsSnapshot, Obs};
 use prov_serve::protocol::{self as p, ServeQuery};
-use prov_serve::{ProvServer, RemoteSink, ServeClient, ServeConfig};
+use prov_serve::{ProvServer, RemoteSink, ServeClient, ServeConfig, ServeError};
 use prov_store::{SharedStore, TraceStore};
 use prov_workgen::testbed;
 
@@ -142,5 +142,24 @@ fn a_deep_nested_query_frame_is_a_bad_request_and_the_daemon_lives() {
     assert!(!fresh.ping().unwrap().draining);
     assert!(!fresh.query(&indexproj(LIN)).unwrap().is_empty());
     drop((raw, fresh));
+    d.server.shutdown();
+}
+
+/// A query on a run the store does not hold is the typed `query_failed`
+/// naming the run, not an empty lineage, and the same session keeps
+/// serving.
+#[test]
+fn a_query_on_an_unknown_run_fails_and_the_session_keeps_serving() {
+    let d = Daemon::start();
+    let mut client = ServeClient::connect(&d.addr).unwrap();
+    let err = client.query(&ServeQuery { run: 7, all_runs: false, ..indexproj(LIN) }).unwrap_err();
+    assert!(
+        matches!(&err, ServeError::Remote { code, message }
+            if code == "query_failed" && message.contains("unknown run 7")),
+        "{err:?}"
+    );
+    let one = client.query(&ServeQuery { all_runs: false, ..indexproj(LIN) }).unwrap();
+    assert_eq!(one.len(), 1);
+    drop(client);
     d.server.shutdown();
 }

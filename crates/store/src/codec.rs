@@ -24,21 +24,33 @@
 //! self-contained payload.
 //!
 //! A payload whose first byte is `{` was written before this codec existed,
-//! as the serde JSON of the record; [`decode`] still reads it through the
+//! as the serde JSON of the record; the decoder still reads it through the
 //! serde derive, so old databases (and old prefixes with binary frames
 //! appended) keep opening. Nothing writes JSON.
+//!
+//! There is one parser, [`Stage::stage`]: it decodes a payload into
+//! buffers kept from frame to frame — names as byte ranges of the payload,
+//! each table value once, events as table positions and packed
+//! [`IndexKey`]s. Replay applies a staged frame straight into a run's
+//! shard; [`Stage::decode`] materialises it into an owned [`LogRecord`]
+//! for everything else (`WalReader`, `WalCursor::next_record`, tests).
 //!
 //! Decoding is total: every length and count is checked against the bytes
 //! left before anything is allocated, table positions are bounds-checked,
 //! list nesting is capped at [`MAX_DEPTH`], and trailing bytes are an
-//! error.
+//! error. A frame stages whole or not at all, so nothing of a payload that
+//! does not decode reaches a store.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use prov_engine::{PortBinding, TraceEvent, XferEvent, XformEvent};
-use prov_model::{Atom, ErrorToken, Index, PortRef, ProcessorName, RunId, Value, F64};
+use prov_model::{Atom, ErrorToken, Index, PortRef, ProcessorName, RunId, Value, ValueId, F64};
 
+use crate::rows::PortDirection;
+use crate::symbols::{IndexKey, Sym, SymbolTable};
+use crate::values::ValueTable;
 use crate::wal::{LogRecord, WalError};
 
 /// First byte of every payload this codec writes.
@@ -318,71 +330,302 @@ fn put_value(out: &mut Vec<u8>, value: &Value, depth: usize) -> Result<(), TooDe
 
 // ------------------------------------------------------------------ decode
 
-/// Decodes one payload: binary after [`VERSION`], serde JSON after `{`.
+/// Decodes one payload in a fresh stage ([`Stage::decode`]): tests and
+/// replay oracles.
+#[cfg(test)]
 pub(crate) fn decode(payload: &[u8]) -> Result<LogRecord, DecodeError> {
-    match payload.split_first() {
-        Some((&VERSION, rest)) => Decoder::new(rest)?.record(),
-        Some((b'{', _)) => serde_json::from_slice(payload).map_err(|e| DecodeError(e.to_string())),
-        Some((b, _)) => Err(DecodeError(format!("unknown payload version {b:#04x}"))),
-        None => bad("empty payload"),
-    }
+    Stage::default().decode(payload)
 }
 
-struct Decoder<'a> {
-    rest: &'a [u8],
-    names: Vec<Arc<str>>,
+/// One payload decoded into table positions: what [`Stage::decode`]
+/// materialises into a [`LogRecord`], and what the store applies straight into a run's
+/// shard without materialising it. Names stay byte ranges of the payload,
+/// each table value is decoded once, and an event is positions into the
+/// two tables plus packed [`IndexKey`]s. The buffers are kept from frame
+/// to frame, so staging allocates only what table values and spilled keys
+/// own. A payload that does not decode leaves a stage that nothing may
+/// apply.
+#[derive(Debug, Default)]
+pub(crate) struct Stage {
+    /// The record, less its events.
+    pub(crate) head: Head,
+    /// A batch's events, or the one event of an `Xform` or `Xfer` record.
+    pub(crate) events: Vec<Event>,
+    /// Every xform event's bindings, each event's contiguous.
+    pub(crate) ports: Vec<Port>,
+    /// The frame's name and value tables.
+    pub(crate) table: Table,
+    /// Components of the index being read, when it is too long for the
+    /// stack.
+    components: Vec<u32>,
+}
+
+/// A staged record without its events; a variant named like a
+/// [`LogRecord`] variant stages that record.
+#[derive(Debug, Default)]
+pub(crate) enum Head {
+    /// Nothing staged yet.
+    #[default]
+    Empty,
+    /// `LogRecord::BeginRun`; the workflow is a name position.
+    BeginRun {
+        run: RunId,
+        workflow: u32,
+    },
+    /// `LogRecord::Xform` or `LogRecord::Xfer` (one event), or
+    /// `LogRecord::Batch`.
+    Events {
+        run: RunId,
+        batch: bool,
+    },
+    FinishRun {
+        run: RunId,
+    },
+    DropRun {
+        run: RunId,
+    },
+    /// `LogRecord::Workflow`: a name position and the JSON's byte range.
+    Workflow {
+        name: u32,
+        json: Range<usize>,
+    },
+    Snapshot {
+        generation: u64,
+    },
+    /// A JSON-era payload, decoded whole through the serde derive.
+    Json(LogRecord),
+}
+
+/// A staged event: names and values are table positions.
+#[derive(Debug)]
+pub(crate) enum Event {
+    /// Its bindings are `ports` of [`Stage::ports`].
+    Xform { processor: u32, invocation: u32, ports: Range<usize> },
+    /// `src` and `dst` are (processor, port) name positions.
+    Xfer { src: [u32; 2], src_index: IndexKey, dst: [u32; 2], dst_index: IndexKey, value: u32 },
+}
+
+/// A staged xform binding.
+#[derive(Debug)]
+pub(crate) struct Port {
+    pub(crate) direction: PortDirection,
+    pub(crate) port: u32,
+    pub(crate) index: IndexKey,
+    pub(crate) value: u32,
+}
+
+/// A frame's name and value tables, and what each entry interned to once
+/// an event used it.
+#[derive(Debug, Default)]
+pub(crate) struct Table {
+    /// Byte ranges of the payload, checked UTF-8.
+    names: Vec<Range<usize>>,
     values: Vec<Value>,
+    syms: Vec<Option<Sym>>,
+    ids: Vec<Option<ValueId>>,
 }
 
-impl<'a> Decoder<'a> {
-    /// Reads both tables, leaving the record body.
-    fn new(rest: &'a [u8]) -> Result<Self, DecodeError> {
-        let mut d = Decoder { rest, names: Vec::new(), values: Vec::new() };
-        let n = d.count(1)?;
-        d.names.reserve_exact(n);
-        for _ in 0..n {
-            let name = d.str()?;
-            d.names.push(Arc::from(name));
-        }
-        let n = d.count(MIN_VALUE)?;
-        d.values.reserve_exact(n);
-        for _ in 0..n {
-            let value = d.value(0)?;
-            d.values.push(value);
-        }
-        Ok(d)
+impl Table {
+    /// The name at position `at` of the frame staged from `payload`.
+    pub(crate) fn name<'p>(&self, payload: &'p [u8], at: u32) -> &'p str {
+        text(payload, &self.names[at as usize])
     }
 
-    fn record(mut self) -> Result<LogRecord, DecodeError> {
-        let record = match self.byte()? {
-            BEGIN_RUN => LogRecord::BeginRun { run: self.run()?, workflow: self.processor()? },
-            XFORM => LogRecord::Xform { run: self.run()?, event: self.xform()? },
-            XFER => LogRecord::Xfer { run: self.run()?, event: self.xfer()? },
+    /// The symbol of name `at`, interned into `symbols` the first time an
+    /// event asks, so symbols number as the event path numbers them.
+    pub(crate) fn sym(&mut self, payload: &[u8], at: u32, symbols: &mut SymbolTable) -> Sym {
+        if let Some(sym) = self.syms[at as usize] {
+            return sym;
+        }
+        let sym = symbols.intern_str(self.name(payload, at));
+        self.syms[at as usize] = Some(sym);
+        sym
+    }
+
+    /// The id of value `at`, interned into `values` the first time an
+    /// event asks: the decoded value moves into the table, or is dropped
+    /// if the table holds it already.
+    pub(crate) fn value_id(&mut self, at: u32, values: &mut ValueTable) -> ValueId {
+        let at = at as usize;
+        if let Some(id) = self.ids[at] {
+            return id;
+        }
+        let id = values.intern_owned(std::mem::replace(&mut self.values[at], Value::empty_list()));
+        self.ids[at] = Some(id);
+        id
+    }
+}
+
+/// The bytes of `range` of a staged payload, which staging checked are
+/// UTF-8.
+pub(crate) fn text<'p>(payload: &'p [u8], range: &Range<usize>) -> &'p str {
+    std::str::from_utf8(&payload[range.clone()]).unwrap_or_default()
+}
+
+impl Stage {
+    /// Decodes `payload` into this stage, replacing what it held: binary
+    /// after [`VERSION`], serde JSON after `{`.
+    pub(crate) fn stage(&mut self, payload: &[u8]) -> Result<(), DecodeError> {
+        self.head = Head::Empty;
+        self.events.clear();
+        self.ports.clear();
+        self.table.names.clear();
+        self.table.values.clear();
+        self.table.syms.clear();
+        self.table.ids.clear();
+        match payload.split_first() {
+            Some((&VERSION, rest)) => Decoder { payload, rest, stage: self }.frame(),
+            Some((b'{', _)) => {
+                let record =
+                    serde_json::from_slice(payload).map_err(|e| DecodeError(e.to_string()))?;
+                self.head = Head::Json(record);
+                Ok(())
+            }
+            Some((b, _)) => Err(DecodeError(format!("unknown payload version {b:#04x}"))),
+            None => bad("empty payload"),
+        }
+    }
+
+    /// The generation of the staged record if it is a snapshot marker.
+    pub(crate) fn marker(&self) -> Option<u64> {
+        match self.head {
+            Head::Snapshot { generation } | Head::Json(LogRecord::Snapshot { generation }) => {
+                Some(generation)
+            }
+            _ => None,
+        }
+    }
+
+    /// Decodes one payload — binary after [`VERSION`], serde JSON after
+    /// `{` — by staging it into this stage's buffers and materialising the
+    /// record: for a reader that decodes frame after frame.
+    pub(crate) fn decode(&mut self, payload: &[u8]) -> Result<LogRecord, DecodeError> {
+        self.stage(payload)?;
+        self.record(payload)
+    }
+
+    /// The staged record, owned.
+    fn record(&mut self, payload: &[u8]) -> Result<LogRecord, DecodeError> {
+        let names: Vec<Arc<str>> =
+            self.table.names.iter().map(|r| Arc::from(text(payload, r))).collect();
+        let name = |at: u32| Arc::clone(&names[at as usize]);
+        let values = &self.table.values;
+        let value = |at: u32| values[at as usize].clone();
+        let side = |ports: &[Port], direction| -> Vec<PortBinding> {
+            let ports = ports.iter().filter(|p| p.direction == direction);
+            let binding = |p: &Port| PortBinding {
+                port: name(p.port),
+                index: p.index.to_index(),
+                value: value(p.value),
+            };
+            ports.map(binding).collect()
+        };
+        let event = |e: &Event| match e {
+            Event::Xform { processor, invocation, ports } => TraceEvent::Xform(XformEvent {
+                processor: ProcessorName(name(*processor)),
+                invocation: *invocation,
+                inputs: side(&self.ports[ports.clone()], PortDirection::In),
+                outputs: side(&self.ports[ports.clone()], PortDirection::Out),
+            }),
+            Event::Xfer { src, src_index, dst, dst_index, value: at } => {
+                TraceEvent::Xfer(XferEvent {
+                    src: PortRef { processor: ProcessorName(name(src[0])), port: name(src[1]) },
+                    src_index: src_index.to_index(),
+                    dst: PortRef { processor: ProcessorName(name(dst[0])), port: name(dst[1]) },
+                    dst_index: dst_index.to_index(),
+                    value: value(*at),
+                })
+            }
+        };
+        Ok(match std::mem::take(&mut self.head) {
+            Head::Empty => return bad("nothing staged"),
+            Head::BeginRun { run, workflow } => {
+                LogRecord::BeginRun { run, workflow: ProcessorName(name(workflow)) }
+            }
+            Head::Events { run, batch } => {
+                let mut events: Vec<TraceEvent> = self.events.iter().map(event).collect();
+                match events.pop() {
+                    Some(TraceEvent::Xform(event)) if !batch => LogRecord::Xform { run, event },
+                    Some(TraceEvent::Xfer(event)) if !batch => LogRecord::Xfer { run, event },
+                    last => {
+                        events.extend(last);
+                        LogRecord::Batch { run, events }
+                    }
+                }
+            }
+            Head::FinishRun { run } => LogRecord::FinishRun { run },
+            Head::DropRun { run } => LogRecord::DropRun { run },
+            Head::Workflow { name: at, json } => LogRecord::Workflow {
+                name: ProcessorName(name(at)),
+                json: text(payload, &json).into(),
+            },
+            Head::Snapshot { generation } => LogRecord::Snapshot { generation },
+            Head::Json(record) => record,
+        })
+    }
+}
+
+/// Stages one binary payload: the tables, then the record.
+struct Decoder<'a, 's> {
+    payload: &'a [u8],
+    rest: &'a [u8],
+    stage: &'s mut Stage,
+}
+
+impl<'a> Decoder<'a, '_> {
+    /// Reads both tables and the record; nothing may follow it.
+    fn frame(mut self) -> Result<(), DecodeError> {
+        let n = self.count(1)?;
+        self.stage.table.names.reserve(n);
+        for _ in 0..n {
+            let name = self.str_range()?;
+            self.stage.table.names.push(name);
+        }
+        let n = self.count(MIN_VALUE)?;
+        self.stage.table.values.reserve(n);
+        for _ in 0..n {
+            let value = self.value(0)?;
+            self.stage.table.values.push(value);
+        }
+        let head = match self.byte()? {
+            BEGIN_RUN => Head::BeginRun { run: self.run()?, workflow: self.name()? },
+            XFORM => {
+                let run = self.run()?;
+                self.xform()?;
+                Head::Events { run, batch: false }
+            }
+            XFER => {
+                let run = self.run()?;
+                self.xfer()?;
+                Head::Events { run, batch: false }
+            }
             BATCH => {
                 let run = self.run()?;
                 let n = self.count(MIN_EVENT)?;
-                let mut events = Vec::with_capacity(n);
+                self.stage.events.reserve(n);
                 for _ in 0..n {
-                    events.push(match self.byte()? {
-                        EVENT_XFORM => TraceEvent::Xform(self.xform()?),
-                        EVENT_XFER => TraceEvent::Xfer(self.xfer()?),
+                    match self.byte()? {
+                        EVENT_XFORM => self.xform()?,
+                        EVENT_XFER => self.xfer()?,
                         _ => return bad("unknown event tag"),
-                    });
+                    }
                 }
-                LogRecord::Batch { run, events }
+                Head::Events { run, batch: true }
             }
-            FINISH_RUN => LogRecord::FinishRun { run: self.run()? },
-            DROP_RUN => LogRecord::DropRun { run: self.run()? },
-            WORKFLOW => {
-                LogRecord::Workflow { name: self.processor()?, json: self.str()?.to_string() }
-            }
-            SNAPSHOT => LogRecord::Snapshot { generation: self.uint()? },
+            FINISH_RUN => Head::FinishRun { run: self.run()? },
+            DROP_RUN => Head::DropRun { run: self.run()? },
+            WORKFLOW => Head::Workflow { name: self.name()?, json: self.str_range()? },
+            SNAPSHOT => Head::Snapshot { generation: self.uint()? },
             _ => return bad("unknown record tag"),
         };
         if !self.rest.is_empty() {
             return bad("trailing bytes after the record");
         }
-        Ok(record)
+        let table = &mut self.stage.table;
+        table.syms.resize(table.names.len(), None);
+        table.ids.resize(table.values.len(), None);
+        self.stage.head = head;
+        Ok(())
     }
 
     fn byte(&mut self) -> Result<u8, DecodeError> {
@@ -437,77 +680,79 @@ impl<'a> Decoder<'a> {
         std::str::from_utf8(self.take(len)?).or_else(|_| bad("string is not UTF-8"))
     }
 
+    /// A length-prefixed UTF-8 string, as its byte range in the payload.
+    fn str_range(&mut self) -> Result<Range<usize>, DecodeError> {
+        let len = self.str()?.len();
+        let end = self.payload.len() - self.rest.len();
+        Ok(end - len..end)
+    }
+
     fn run(&mut self) -> Result<RunId, DecodeError> {
         Ok(RunId(self.uint()?))
     }
 
-    fn name(&mut self) -> Result<Arc<str>, DecodeError> {
-        let at = self.uint()?;
-        match usize::try_from(at).ok().and_then(|at| self.names.get(at)) {
-            Some(name) => Ok(Arc::clone(name)),
-            None => bad("name position out of range"),
+    /// A position into the name table.
+    fn name(&mut self) -> Result<u32, DecodeError> {
+        match u32::try_from(self.uint()?) {
+            Ok(at) if (at as usize) < self.stage.table.names.len() => Ok(at),
+            _ => bad("name position out of range"),
         }
     }
 
-    fn processor(&mut self) -> Result<ProcessorName, DecodeError> {
-        self.name().map(ProcessorName)
-    }
-
-    fn table_value(&mut self) -> Result<Value, DecodeError> {
-        let at = self.uint()?;
-        match usize::try_from(at).ok().and_then(|at| self.values.get(at)) {
-            Some(value) => Ok(value.clone()),
-            None => bad("value position out of range"),
+    /// A position into the value table.
+    fn table_value(&mut self) -> Result<u32, DecodeError> {
+        match u32::try_from(self.uint()?) {
+            Ok(at) if (at as usize) < self.stage.table.values.len() => Ok(at),
+            _ => bad("value position out of range"),
         }
     }
 
-    fn index(&mut self) -> Result<Index, DecodeError> {
+    fn index(&mut self) -> Result<IndexKey, DecodeError> {
         let len = self.count(1)?;
         if len <= Index::INLINE {
             let mut buf = [0u32; Index::INLINE];
             for c in &mut buf[..len] {
                 *c = self.u32()?;
             }
-            Ok(Index::from_slice(&buf[..len]))
+            Ok(IndexKey::from_components(&buf[..len]))
         } else {
-            let mut components = Vec::with_capacity(len);
+            self.stage.components.clear();
             for _ in 0..len {
-                components.push(self.u32()?);
+                let c = self.u32()?;
+                self.stage.components.push(c);
             }
-            Ok(Index::from(components))
+            Ok(IndexKey::from_components(&self.stage.components))
         }
     }
 
-    fn bindings(&mut self) -> Result<Vec<PortBinding>, DecodeError> {
+    fn bindings(&mut self, direction: PortDirection) -> Result<(), DecodeError> {
         let n = self.count(MIN_BINDING)?;
-        let mut bindings = Vec::with_capacity(n);
+        self.stage.ports.reserve(n);
         for _ in 0..n {
-            bindings.push(PortBinding {
-                port: self.name()?,
-                index: self.index()?,
-                value: self.table_value()?,
-            });
+            let (port, index, value) = (self.name()?, self.index()?, self.table_value()?);
+            self.stage.ports.push(Port { direction, port, index, value });
         }
-        Ok(bindings)
+        Ok(())
     }
 
-    fn xform(&mut self) -> Result<XformEvent, DecodeError> {
-        Ok(XformEvent {
-            processor: self.processor()?,
-            invocation: self.u32()?,
-            inputs: self.bindings()?,
-            outputs: self.bindings()?,
-        })
+    fn xform(&mut self) -> Result<(), DecodeError> {
+        let (processor, invocation) = (self.name()?, self.u32()?);
+        let from = self.stage.ports.len();
+        self.bindings(PortDirection::In)?;
+        self.bindings(PortDirection::Out)?;
+        let ports = from..self.stage.ports.len();
+        self.stage.events.push(Event::Xform { processor, invocation, ports });
+        Ok(())
     }
 
-    fn xfer(&mut self) -> Result<XferEvent, DecodeError> {
-        Ok(XferEvent {
-            src: PortRef { processor: self.processor()?, port: self.name()? },
-            src_index: self.index()?,
-            dst: PortRef { processor: self.processor()?, port: self.name()? },
-            dst_index: self.index()?,
-            value: self.table_value()?,
-        })
+    fn xfer(&mut self) -> Result<(), DecodeError> {
+        let src = [self.name()?, self.name()?];
+        let src_index = self.index()?;
+        let dst = [self.name()?, self.name()?];
+        let dst_index = self.index()?;
+        let value = self.table_value()?;
+        self.stage.events.push(Event::Xfer { src, src_index, dst, dst_index, value });
+        Ok(())
     }
 
     /// Reads a table value that sits inside `depth` lists.
@@ -545,8 +790,7 @@ impl<'a> Decoder<'a> {
                 Atom::Bytes(bytes::Bytes::from(self.take(len)?))
             }
             ERROR => {
-                let message = self.str()?;
-                let origin = self.str()?;
+                let (message, origin) = (self.str()?, self.str()?);
                 Atom::Error(Box::new(ErrorToken::new(message, origin, self.u32()?)))
             }
             _ => return bad("unknown value tag"),
@@ -556,14 +800,15 @@ impl<'a> Decoder<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    /// splitmix64: every generated record is a function of one seed.
-    struct Gen(u64);
+    /// splitmix64: every generated record is a function of one seed. The
+    /// replay property test records its runs from the same shapes.
+    pub(crate) struct Gen(pub(crate) u64);
 
     impl Gen {
-        fn next(&mut self) -> u64 {
+        pub(crate) fn next(&mut self) -> u64 {
             self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -571,18 +816,18 @@ mod tests {
             z ^ (z >> 31)
         }
 
-        fn below(&mut self, n: u64) -> u64 {
+        pub(crate) fn below(&mut self, n: u64) -> u64 {
             self.next() % n
         }
 
-        fn name(&mut self) -> Arc<str> {
+        pub(crate) fn name(&mut self) -> Arc<str> {
             const NAMES: [&str; 6] = ["", "P", "LISTGEN_1", "x", "générateur", "入力/ポート"];
             Arc::from(NAMES[self.below(NAMES.len() as u64) as usize])
         }
 
         /// Short indexes, long ones that spill inline storage, and ones
         /// whose components do not pack.
-        fn index(&mut self) -> Index {
+        pub(crate) fn index(&mut self) -> Index {
             let (len, max) = match self.below(3) {
                 0 => (self.below(4), 3),
                 1 => (9 + self.below(4), 2),
@@ -595,7 +840,7 @@ mod tests {
             Index::from_slice(&components)
         }
 
-        fn atom(&mut self) -> Atom {
+        pub(crate) fn atom(&mut self) -> Atom {
             match self.below(9) {
                 0 => Atom::Str(self.name()),
                 1 => Atom::Int(self.next() as i64),
@@ -615,7 +860,7 @@ mod tests {
             }
         }
 
-        fn value(&mut self, depth: usize) -> Value {
+        pub(crate) fn value(&mut self, depth: usize) -> Value {
             if depth < 3 && self.below(3) == 0 {
                 Value::List((0..self.below(4)).map(|_| self.value(depth + 1)).collect())
             } else {
@@ -623,7 +868,7 @@ mod tests {
             }
         }
 
-        fn bindings(&mut self) -> Vec<PortBinding> {
+        pub(crate) fn bindings(&mut self) -> Vec<PortBinding> {
             (0..self.below(3))
                 .map(|_| PortBinding {
                     port: self.name(),
@@ -633,7 +878,7 @@ mod tests {
                 .collect()
         }
 
-        fn xform(&mut self) -> XformEvent {
+        pub(crate) fn xform(&mut self) -> XformEvent {
             XformEvent {
                 processor: ProcessorName(self.name()),
                 invocation: self.next() as u32,
@@ -642,7 +887,7 @@ mod tests {
             }
         }
 
-        fn xfer(&mut self) -> XferEvent {
+        pub(crate) fn xfer(&mut self) -> XferEvent {
             XferEvent {
                 src: PortRef { processor: ProcessorName(self.name()), port: self.name() },
                 src_index: self.index(),
@@ -652,11 +897,11 @@ mod tests {
             }
         }
 
-        fn run(&mut self) -> RunId {
+        pub(crate) fn run(&mut self) -> RunId {
             RunId(if self.below(2) == 0 { self.below(4) } else { self.next() })
         }
 
-        fn record(&mut self) -> LogRecord {
+        pub(crate) fn record(&mut self) -> LogRecord {
             match self.below(8) {
                 0 => LogRecord::BeginRun { run: self.run(), workflow: ProcessorName(self.name()) },
                 1 => LogRecord::Xform { run: self.run(), event: self.xform() },

@@ -13,8 +13,9 @@
 //! row — one producing invocation per element, the common case — sits
 //! inline in the row column; a key filed again (a cross product's inner
 //! port) moves its rows to a list that grows by push. Filing a row is a
-//! binary search plus a push, wherever the key sorts, and nothing is
-//! allocated per key.
+//! binary search plus a push, wherever the key sorts — or one compare,
+//! when it sorts after the column's last key, as keys mostly arrive in
+//! order — and nothing is allocated per key.
 //!
 //! Every probe finds its port slice once and then searches its key column.
 //! Element indexes are ordered lexicographically (the packed encoding
@@ -81,7 +82,12 @@ impl PortSlice {
     /// Files `row` under `index`; whether the key is new to the slice.
     fn file(&mut self, index: IndexKey, row: u64) -> bool {
         debug_assert_eq!(row & LIST, 0, "row position {row} collides with the list tag");
-        match self.keys.binary_search(&index) {
+        // Keys recorded or replayed in order append after one compare.
+        let at = match self.keys.last() {
+            Some(last) if *last < index => Err(self.keys.len()),
+            _ => self.keys.binary_search(&index),
+        };
+        match at {
             Ok(i) => {
                 let r = self.rows[i];
                 if r & LIST == 0 {

@@ -37,6 +37,8 @@ mod crc;
 mod export;
 pub mod fault;
 mod indexes;
+#[cfg(test)]
+mod replay_props;
 mod rows;
 mod shard;
 mod shared;

@@ -88,8 +88,9 @@ impl RunShard {
         end as u32
     }
 
-    /// Appends an xform row (global id `id`), interning names and values
-    /// through the shared tables.
+    /// Appends an xform row (global id `id`) for a live event, interning
+    /// its names and values through the shared tables on the way into
+    /// [`RunShard::push_xform`].
     pub(crate) fn insert_xform(
         &mut self,
         id: u64,
@@ -97,27 +98,44 @@ impl RunShard {
         symbols: &mut SymbolTable,
         values: &mut ValueTable,
     ) {
-        let pos = self.xforms.len() as u64;
         let processor = symbols.intern(&event.processor.0);
+        let inputs = event.inputs.iter().map(|b| (PortDirection::In, b));
+        let outputs = event.outputs.iter().map(|b| (PortDirection::Out, b));
+        let ports = inputs.chain(outputs).map(|(direction, b)| XformPortRow {
+            direction,
+            value: values.intern(&b.value),
+            port: symbols.intern(&b.port),
+            index: IndexKey::from(&b.index),
+        });
+        self.push_xform(id, processor, event.invocation, ports);
+    }
+
+    /// Appends an xform row (global id `id`) whose bindings, inputs then
+    /// outputs, are already interned: the one xform row writer, behind
+    /// the live path and replay alike.
+    pub(crate) fn push_xform(
+        &mut self,
+        id: u64,
+        processor: Sym,
+        invocation: u32,
+        ports: impl Iterator<Item = XformPortRow>,
+    ) {
+        let pos = self.xforms.len() as u64;
         let ports_from = self.ports_end();
-        for (direction, index_id, bindings) in [
-            (PortDirection::In, IndexId::XformIn, &event.inputs),
-            (PortDirection::Out, IndexId::XformOut, &event.outputs),
-        ] {
-            for b in bindings {
-                let value = values.intern(&b.value);
-                let port = symbols.intern(&b.port);
-                let index = IndexKey::from(&b.index);
-                self.indexes[index_id.pos()].insert(processor, port, index.clone(), pos);
-                self.ports.push(XformPortRow { direction, port, index, value });
-            }
+        for port in ports {
+            let index_id = match port.direction {
+                PortDirection::In => IndexId::XformIn,
+                PortDirection::Out => IndexId::XformOut,
+            };
+            self.indexes[index_id.pos()].insert(processor, port.port, port.index.clone(), pos);
+            self.ports.push(port);
         }
         let ports_to = self.ports_end();
-        let invocation = event.invocation;
         self.xforms.push(XformRow { id, processor, invocation, ports_from, ports_to });
     }
 
-    /// Appends an xfer row (global id `id`).
+    /// Appends an xfer row (global id `id`) for a live event, interning
+    /// on the way into [`RunShard::push_xfer`].
     pub(crate) fn insert_xfer(
         &mut self,
         id: u64,
@@ -125,26 +143,26 @@ impl RunShard {
         symbols: &mut SymbolTable,
         values: &mut ValueTable,
     ) {
-        let pos = self.xfers.len() as u64;
         let value = values.intern(&event.value);
-        let src_processor = symbols.intern(&event.src.processor.0);
-        let src_port = symbols.intern(&event.src.port);
-        let dst_processor = symbols.intern(&event.dst.processor.0);
-        let dst_port = symbols.intern(&event.dst.port);
-        let dst_key = IndexKey::from(&event.dst_index);
-        self.indexes[IndexId::XferDst.pos()].insert(dst_processor, dst_port, dst_key.clone(), pos);
-        let src_key = IndexKey::from(&event.src_index);
-        self.indexes[IndexId::XferSrc.pos()].insert(src_processor, src_port, src_key.clone(), pos);
-        self.xfers.push(XferRow {
+        self.push_xfer(XferRow {
             id,
-            src_processor,
-            src_port,
-            src_index: src_key,
-            dst_processor,
-            dst_port,
-            dst_index: dst_key,
+            src_processor: symbols.intern(&event.src.processor.0),
+            src_port: symbols.intern(&event.src.port),
+            src_index: IndexKey::from(&event.src_index),
+            dst_processor: symbols.intern(&event.dst.processor.0),
+            dst_port: symbols.intern(&event.dst.port),
+            dst_index: IndexKey::from(&event.dst_index),
             value,
         });
+    }
+
+    /// Appends an interned xfer row: the one xfer row writer.
+    pub(crate) fn push_xfer(&mut self, row: XferRow) {
+        let pos = self.xfers.len() as u64;
+        let (dst, src) = (IndexId::XferDst.pos(), IndexId::XferSrc.pos());
+        self.indexes[dst].insert(row.dst_processor, row.dst_port, row.dst_index.clone(), pos);
+        self.indexes[src].insert(row.src_processor, row.src_port, row.src_index.clone(), pos);
+        self.xfers.push(row);
     }
 }
 

@@ -17,6 +17,9 @@
 //! before the binary codec hold one JSON frame per row; recovery replays
 //! them unchanged.
 //!
+//! [`LogRecord::Snapshot`]: crate::LogRecord::Snapshot
+//! [`LogRecord::Batch`]: crate::LogRecord::Batch
+//!
 //! Nothing snapshots on its own: `TraceStore::snapshot` runs when a
 //! `tprov serve` daemon drains and when a follower's bootstrap finds no
 //! valid snapshot to ship, and a caller that wants bounded replay calls it
@@ -26,7 +29,8 @@ use std::path::{Path, PathBuf};
 
 use prov_obs::{Counter, Histogram, Registry};
 
-use crate::wal::{LogRecord, WalCursor, WalReader};
+use crate::codec::Stage;
+use crate::wal::WalCursor;
 
 /// Snapshot lifecycle counters, shared by the owning store and adopted
 /// into a metrics registry under stable `store.*` names.
@@ -111,47 +115,50 @@ pub(crate) fn generations(wal: &Path) -> Vec<u64> {
     gens
 }
 
-/// The snapshot bracket rule: a snapshot of generation `g` is whole when
-/// its frame stream ends `clean`, and both its `first` record and its
-/// `last` record after that one are the `Snapshot` marker of `g` (the
-/// footer marker catches a snapshot truncated on a frame boundary, which a
-/// CRC scan alone cannot).
-fn bracketed(g: u64, clean: bool, first: Option<&LogRecord>, last: Option<&LogRecord>) -> bool {
-    let marker = LogRecord::Snapshot { generation: g };
-    clean && first == Some(&marker) && last == Some(&marker)
-}
-
-/// Reads a snapshot file back whole, validated by the bracket rule.
-/// Returns `None` for anything invalid — recovery then falls back a
-/// generation.
-pub(crate) fn load(path: &Path, generation: u64) -> Option<Vec<LogRecord>> {
-    let recovery = WalReader::read_all(path).ok()?;
-    let records = recovery.records;
-    let last = records.get(1..).and_then(<[LogRecord]>::last);
-    bracketed(generation, recovery.tail.is_clean(), records.first(), last).then_some(records)
+/// Streams the snapshot file at `path` one staged frame at a time through
+/// `apply`, and returns whether it is a whole snapshot of `generation` by
+/// the bracket rule: its frame stream ends clean, and both its first frame
+/// and its last frame after that one are the `Snapshot` marker of
+/// `generation` (the footer marker catches a snapshot truncated on a frame
+/// boundary, which a CRC scan alone cannot). A file that does not open
+/// with that marker stops before `apply` sees anything; a caller applying
+/// into a store drops what it applied when the answer is `false`.
+pub(crate) fn stream(
+    path: &Path,
+    generation: u64,
+    mut apply: impl FnMut(&mut Stage, &[u8]),
+) -> bool {
+    let Ok(mut cursor) = WalCursor::open(path) else { return false };
+    let mut stage = Stage::default();
+    let (mut frames, mut last) = (0u64, None);
+    loop {
+        match cursor.next_staged(&mut stage) {
+            Ok(true) => {}
+            Ok(false) => break,
+            Err(_) => return false,
+        }
+        last = stage.marker();
+        if frames == 0 && last != Some(generation) {
+            return false;
+        }
+        frames += 1;
+        apply(&mut stage, cursor.payload());
+    }
+    cursor.tail().is_clean() && frames > 1 && last == Some(generation)
 }
 
 /// Whether the file at `path` is a whole snapshot of `generation` by the
-/// same bracket rule recovery's `load` applies, checked with the streaming
-/// cursor so a multi-GB snapshot is never held in memory.
+/// bracket rule recovery applies — a clean frame stream whose first frame,
+/// and last frame after that, are the generation's marker — in one
+/// frame's worth of memory however large the snapshot.
 pub fn valid_snapshot(path: &Path, generation: u64) -> bool {
-    let Ok(mut cursor) = WalCursor::open(path) else { return false };
-    let (mut first, mut last) = (None, None);
-    loop {
-        match cursor.next_record() {
-            Ok(Some(record)) if first.is_none() => first = Some(record),
-            Ok(Some(record)) => last = Some(record),
-            Ok(None) => break,
-            Err(_) => return false,
-        }
-    }
-    bracketed(generation, cursor.tail().is_clean(), first.as_ref(), last.as_ref())
+    stream(path, generation, |_, _| {})
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::WalWriter;
+    use crate::wal::{LogRecord, WalWriter};
     use prov_model::RunId;
 
     #[test]
@@ -189,11 +196,13 @@ mod tests {
     fn load_rejects_missing_torn_unbracketed_and_wrong_generation() {
         let wal = tmp_wal("load");
         let snap = snapshot_path(&wal, 2);
-        // The streaming check and the whole-file load agree on every case.
+        // The streaming check and the load agree on every case; a whole
+        // snapshot answers how many frames it streamed.
         let load = |path: &Path, generation| {
-            let records = load(path, generation);
-            assert_eq!(valid_snapshot(path, generation), records.is_some());
-            records
+            let mut frames = 0;
+            let whole = stream(path, generation, |_, _| frames += 1);
+            assert_eq!(valid_snapshot(path, generation), whole);
+            whole.then_some(frames)
         };
         assert!(load(&snap, 2).is_none()); // missing
 
@@ -206,7 +215,7 @@ mod tests {
         w.append(&LogRecord::Snapshot { generation: 2 }).unwrap();
         w.sync().unwrap();
         drop(w);
-        assert_eq!(load(&snap, 2).unwrap().len(), 3); // valid
+        assert_eq!(load(&snap, 2), Some(3)); // valid
         assert!(load(&snap, 3).is_none()); // wrong generation
 
         // Frame-aligned truncation (drop the footer frame): the CRC scan is

@@ -19,7 +19,7 @@ use prov_engine::{TraceEvent, TraceSink, XferEvent, XformEvent};
 use prov_model::{Index, PortRef, ProcessorName, RunId, Value, ValueId};
 
 use crate::catalog::{IndexCatalog, IndexId};
-use crate::codec;
+use crate::codec::{self, Event, Head, Stage, Table};
 use crate::fault::{FaultFile, FaultPlan};
 use crate::rows::{PortDirection, XferRecord, XferRow, XformPortRow, XformRecord, XformRow};
 use crate::shard::{ReadView, RunShard};
@@ -27,7 +27,7 @@ use crate::snapshot::{self, SnapshotMetrics};
 use crate::stats::QueryStats;
 use crate::symbols::SymbolTable;
 use crate::values::ValueTable;
-use crate::wal::{LogRecord, TailState, WalError, WalFile, WalMetrics, WalReader, WalWriter};
+use crate::wal::{LogRecord, TailState, WalCursor, WalError, WalFile, WalMetrics, WalWriter};
 
 /// Most events one snapshot frame carries: frames large enough that the
 /// codec's per-frame name and value tables pay, small enough that a
@@ -68,7 +68,7 @@ impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StoreError::Wal(e) => write!(f, "{e}"),
-            StoreError::UnknownRun(r) => write!(f, "unknown run {r}"),
+            StoreError::UnknownRun(r) => write!(f, "unknown run {}", r.0),
             StoreError::DanglingValue(v) => write!(f, "dangling value reference {v}"),
             StoreError::WalPoisoned { message } => {
                 write!(f, "wal writer shut down after durability failure: {message}")
@@ -151,6 +151,9 @@ struct Log {
     fault_plan: Option<FaultPlan>,
     /// The store's WAL metrics, shared by every writer the log opens.
     metrics: WalMetrics,
+    /// Where a replicated payload is staged before it is appended, kept
+    /// from frame to frame.
+    stage: Stage,
 }
 
 impl Log {
@@ -287,12 +290,12 @@ impl std::fmt::Debug for TraceStore {
 impl TraceStore {
     /// A purely in-memory store (the benchmark configuration).
     pub fn in_memory() -> Self {
-        Self::new(None, None, None)
+        Self::new(None, None)
     }
 
     /// An empty store whose log has no writer yet; `open_inner` recovers
     /// into it and then opens the writer.
-    fn new(path: Option<PathBuf>, tail: Option<TailState>, fault_plan: Option<FaultPlan>) -> Self {
+    fn new(path: Option<PathBuf>, fault_plan: Option<FaultPlan>) -> Self {
         let wal_metrics = WalMetrics::new();
         let log = Log {
             writer: None,
@@ -303,6 +306,7 @@ impl TraceStore {
             snapshot_gen: 0,
             fault_plan,
             metrics: wal_metrics.clone(),
+            stage: Stage::default(),
         };
         TraceStore {
             inner: RwLock::new(Inner::default()),
@@ -311,7 +315,7 @@ impl TraceStore {
             stats: QueryStats::new(),
             wal_metrics,
             wal_failure: OnceLock::new(),
-            recovered_tail: tail,
+            recovered_tail: None,
             snap_metrics: SnapshotMetrics::new(),
             repl_pos: Mutex::new(ReplPosition::default()),
             journal: OnceLock::new(),
@@ -343,22 +347,24 @@ impl TraceStore {
     }
 
     fn open_inner(path: PathBuf, plan: Option<FaultPlan>) -> crate::Result<Self> {
-        let recovery = WalReader::read_all(&path)?;
-        let store = Self::new(Some(path.clone()), Some(recovery.tail), plan);
-        match recovery.tail {
-            TailState::Clean => {}
-            TailState::TornTail { .. } => store.wal_metrics.torn_tails.inc(),
-            TailState::CorruptFrame { .. } => store.wal_metrics.corrupt_frames.inc(),
-        }
-
+        let mut store = Self::new(Some(path.clone()), plan);
         let existing = snapshot::generations(&path);
-        let total_frames = recovery.records.len() as u64;
-        let marked = match recovery.records.first() {
-            Some(LogRecord::Snapshot { generation }) => Some(*generation),
-            _ => None,
+        // Frames stream through one stage, each applied once it has staged
+        // whole; the first decides where the base state comes from.
+        let mut cursor = match WalCursor::open(&path) {
+            Ok(cursor) => Some(cursor),
+            Err(WalError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) => return Err(e.into()),
         };
+        let mut stage = Stage::default();
+        let mut frames = 0u64;
         let mut inner = store.inner.write();
         let mut rewrite_marker = None;
+        let first = match cursor.as_mut() {
+            Some(cursor) => cursor.next_staged(&mut stage)?,
+            None => false,
+        };
+        let marked = stage.marker();
         match marked {
             // The WAL opens with a snapshot marker: base state lives in a
             // snapshot file; replay only the tail past the marker.
@@ -369,7 +375,7 @@ impl TraceStore {
             // the WAL truncation and the marker append — load the newest
             // valid generation and rewrite the marker below so the next
             // recovery has its base again.
-            None if total_frames == 0 => {
+            None if !first => {
                 rewrite_marker = existing
                     .last()
                     .and_then(|&g| store.load_snapshot(&mut inner, &path, &existing, g));
@@ -380,18 +386,34 @@ impl TraceStore {
             // is lossless.
             None => {}
         }
-        // A leading marker applies as a no-op and is not a replayed frame.
-        for record in recovery.records {
-            inner.apply(record);
-        }
+        let (clean_len, tail) = match cursor.as_mut() {
+            Some(cursor) => {
+                // A leading marker applies as a no-op and is not a replayed
+                // frame.
+                let mut more = first;
+                while more {
+                    inner.apply_staged(&mut stage, cursor.payload());
+                    frames += 1;
+                    more = cursor.next_staged(&mut stage)?;
+                }
+                (cursor.offset(), cursor.tail())
+            }
+            None => (0, TailState::Clean),
+        };
         drop(inner);
-        store.wal_metrics.recovery_replayed_frames.add(total_frames - u64::from(marked.is_some()));
+        store.recovered_tail = Some(tail);
+        match tail {
+            TailState::Clean => {}
+            TailState::TornTail { .. } => store.wal_metrics.torn_tails.inc(),
+            TailState::CorruptFrame { .. } => store.wal_metrics.corrupt_frames.inc(),
+        }
+        store.wal_metrics.recovery_replayed_frames.add(frames - u64::from(marked.is_some()));
 
         let mut log = store.wal.lock();
         log.snapshot_gen = existing.last().copied().unwrap_or(0);
         match rewrite_marker {
             Some(generation) => log.restart(&path, 0, 0, Some(generation))?,
-            None => log.restart(&path, recovery.clean_len, total_frames, None)?,
+            None => log.restart(&path, clean_len, frames, None)?,
         }
         // The replication position the reopened store advertises: the WAL
         // lineage (leading marker generation, or 0 for a marker-less log)
@@ -405,9 +427,10 @@ impl TraceStore {
         Ok(store)
     }
 
-    /// Applies the newest whole snapshot at or below generation `from` to
-    /// `inner` and returns its generation. Each generation skipped because
-    /// it is missing or torn counts as a fallback; each skip loses the
+    /// Streams the newest whole snapshot at or below generation `from`
+    /// into `inner`, which is empty, and returns its generation. A
+    /// generation that is missing or torn is dropped whole — `inner` is
+    /// emptied again — and counts as a fallback; each skip loses the
     /// records between two snapshots — possible only under external
     /// corruption, since a generation's marker is appended only after its
     /// file is durable — so a degraded answer beats none.
@@ -420,14 +443,13 @@ impl TraceStore {
     ) -> Option<u64> {
         let mut candidate = Some(from);
         while let Some(generation) = candidate {
-            if let Some(records) =
-                snapshot::load(&snapshot::snapshot_path(path, generation), generation)
-            {
-                for record in records {
-                    inner.apply(record);
-                }
+            let file = snapshot::snapshot_path(path, generation);
+            if snapshot::stream(&file, generation, |stage, payload| {
+                inner.apply_staged(stage, payload)
+            }) {
                 return Some(generation);
             }
+            *inner = Inner::default();
             self.snap_metrics.fallbacks.inc();
             candidate = existing.iter().rev().find(|&&g| g < generation).copied();
         }
@@ -505,24 +527,26 @@ impl TraceStore {
     }
 
     /// Applies one replicated WAL payload (the bytes inside a frame the
-    /// primary shipped): decodes it, re-appends the *same* payload bytes to
+    /// primary shipped): stages it, re-appends the *same* payload bytes to
     /// the local WAL — the resulting frame is byte-identical to the
     /// primary's, keeping the follower's log a byte-for-byte prefix of the
-    /// primary's — and applies it in memory. Frames are buffered; call
-    /// [`TraceStore::sync_wal`] to advance the durable position. A payload
-    /// that does not decode, or a local durability failure, is an error
-    /// (the follower treats either as grounds for re-sync).
+    /// primary's — and applies the staged frame in memory. Frames are
+    /// buffered; call [`TraceStore::sync_wal`] to advance the durable
+    /// position. A payload that does not decode, or a local durability
+    /// failure, is an error (the follower treats either as grounds for
+    /// re-sync).
     pub fn apply_replicated(&self, payload: &[u8]) -> crate::Result<()> {
-        let record = codec::decode(payload)
-            .map_err(|e| StoreError::Serialize(format!("replicated frame: {e}")))?;
         let mut log = self.wal.lock();
+        log.stage
+            .stage(payload)
+            .map_err(|e| StoreError::Serialize(format!("replicated frame: {e}")))?;
         self.append(&mut log, |w| w.append_payload(payload));
         if self.path.is_some() && log.writer.is_none() {
             drop(log);
             let closed = StoreError::WalPoisoned { message: "writer closed".into() };
             return self.durability().and(Err(closed));
         }
-        self.inner.write().apply(record);
+        self.inner.write().apply_staged(&mut log.stage, payload);
         Ok(())
     }
 
@@ -784,6 +808,12 @@ impl TraceStore {
         self.inner.read().runs.values().cloned().collect()
     }
 
+    /// Whether the store holds `run` (begun and not dropped), under one
+    /// read lock and without copying any run's metadata.
+    pub fn has_run(&self, run: RunId) -> bool {
+        self.inner.read().runs.contains_key(&run)
+    }
+
     /// Ids of the runs of one workflow, in id order (the scope set `𝒯` of
     /// multi-run queries, §3.4).
     pub fn runs_of(&self, workflow: &ProcessorName) -> Vec<RunId> {
@@ -948,15 +978,11 @@ impl Inner {
         self.shards.values().map(|s| s.xfers.len()).sum()
     }
 
+    /// Applies an owned record: the live write path, and replay of a
+    /// JSON-era payload.
     fn apply(&mut self, record: LogRecord) {
         match record {
-            LogRecord::BeginRun { run, workflow } => {
-                self.runs.insert(
-                    run,
-                    RunInfo { id: run, workflow, finished: false, xform_count: 0, xfer_count: 0 },
-                );
-                self.next_run = self.next_run.max(run.0 + 1);
-            }
+            LogRecord::BeginRun { run, workflow } => self.begin_run(run, workflow),
             LogRecord::Xform { run, event } => self.insert_xform(run, &event),
             LogRecord::Xfer { run, event } => self.insert_xfer(run, &event),
             LogRecord::Batch { run, events } => {
@@ -967,27 +993,63 @@ impl Inner {
                     }
                 }
             }
-            LogRecord::FinishRun { run } => {
-                if let Some(info) = self.runs.get_mut(&run) {
-                    info.finished = true;
-                }
-            }
-            LogRecord::DropRun { run } => {
-                // The run's rows, indexes, and value entries all live in
-                // its shard: removing it reclaims everything at once (a
-                // pinned view keeps its `Arc` alive until it drops).
-                self.runs.remove(&run);
-                self.shards.remove(&run);
-            }
-            LogRecord::Workflow { name, json } => {
-                // Identical bytes keep the registration's identity (logs
-                // written before the write path skipped them hold some).
-                if self.workflows.get(&name).map(|old| &**old) != Some(json.as_str()) {
-                    self.workflows.insert(name, json.into());
-                }
-            }
+            LogRecord::FinishRun { run } => self.finish_run(run),
+            LogRecord::DropRun { run } => self.drop_run(run),
+            LogRecord::Workflow { name, json } => self.register_workflow(name, &json),
             // Markers delimit recovery phases; replay itself ignores them.
             LogRecord::Snapshot { .. } => {}
+        }
+    }
+
+    /// Applies a frame staged from `payload` — replay's path — to the
+    /// same state [`Inner::apply`] reaches from the record the stage
+    /// materialises. Events go straight into the run's shard, each frame
+    /// table entry interned the first time an event uses it.
+    fn apply_staged(&mut self, stage: &mut Stage, payload: &[u8]) {
+        let Stage { head, events, ports, table, .. } = stage;
+        match std::mem::take(head) {
+            Head::Empty | Head::Snapshot { .. } => {}
+            Head::Json(record) => self.apply(record),
+            Head::BeginRun { run, workflow } => {
+                self.begin_run(run, ProcessorName::from(table.name(payload, workflow)))
+            }
+            Head::Events { run, .. } => self.insert_staged(run, events, ports, table, payload),
+            Head::FinishRun { run } => self.finish_run(run),
+            Head::DropRun { run } => self.drop_run(run),
+            Head::Workflow { name, json } => {
+                let name = ProcessorName::from(table.name(payload, name));
+                self.register_workflow(name, codec::text(payload, &json));
+            }
+        }
+    }
+
+    fn begin_run(&mut self, run: RunId, workflow: ProcessorName) {
+        self.runs.insert(
+            run,
+            RunInfo { id: run, workflow, finished: false, xform_count: 0, xfer_count: 0 },
+        );
+        self.next_run = self.next_run.max(run.0 + 1);
+    }
+
+    fn finish_run(&mut self, run: RunId) {
+        if let Some(info) = self.runs.get_mut(&run) {
+            info.finished = true;
+        }
+    }
+
+    fn drop_run(&mut self, run: RunId) {
+        // The run's rows, indexes, and value entries all live in its shard:
+        // removing it reclaims everything at once (a pinned view keeps its
+        // `Arc` alive until it drops).
+        self.runs.remove(&run);
+        self.shards.remove(&run);
+    }
+
+    fn register_workflow(&mut self, name: ProcessorName, json: &str) {
+        // Identical bytes keep the registration's identity (logs written
+        // before the write path skipped them hold some).
+        if self.workflows.get(&name).map(|old| &**old) != Some(json) {
+            self.workflows.insert(name, json.into());
         }
     }
 
@@ -1019,6 +1081,62 @@ impl Inner {
         shard.insert_xfer(id, event, symbols, values);
         if let Some(info) = self.runs.get_mut(&run) {
             info.xfer_count += 1;
+        }
+    }
+
+    /// Inserts a staged frame's events into `run`'s shard in event order,
+    /// interning through `table` in the order the event path interns:
+    /// an xform's processor, then each binding's value and port; an
+    /// xfer's value, then its source and destination names.
+    fn insert_staged(
+        &mut self,
+        run: RunId,
+        events: &[Event],
+        ports: &[codec::Port],
+        table: &mut Table,
+        payload: &[u8],
+    ) {
+        if events.is_empty() {
+            return;
+        }
+        let symbols = Arc::make_mut(&mut self.symbols);
+        let values = Arc::make_mut(&mut self.values);
+        let shard = Arc::make_mut(self.shards.entry(run).or_default());
+        let (mut xforms, mut xfers) = (0, 0);
+        for event in events {
+            match event {
+                Event::Xform { processor, invocation, ports: at } => {
+                    let processor = table.sym(payload, *processor, symbols);
+                    let rows = ports[at.clone()].iter().map(|p| XformPortRow {
+                        direction: p.direction,
+                        value: table.value_id(p.value, values),
+                        port: table.sym(payload, p.port, symbols),
+                        index: p.index.clone(),
+                    });
+                    shard.push_xform(self.next_xform_id, processor, *invocation, rows);
+                    self.next_xform_id += 1;
+                    xforms += 1;
+                }
+                Event::Xfer { src, src_index, dst, dst_index, value } => {
+                    let value = table.value_id(*value, values);
+                    shard.push_xfer(XferRow {
+                        id: self.next_xfer_id,
+                        src_processor: table.sym(payload, src[0], symbols),
+                        src_port: table.sym(payload, src[1], symbols),
+                        src_index: src_index.clone(),
+                        dst_processor: table.sym(payload, dst[0], symbols),
+                        dst_port: table.sym(payload, dst[1], symbols),
+                        dst_index: dst_index.clone(),
+                        value,
+                    });
+                    self.next_xfer_id += 1;
+                    xfers += 1;
+                }
+            }
+        }
+        if let Some(info) = self.runs.get_mut(&run) {
+            info.xform_count += xforms;
+            info.xfer_count += xfers;
         }
     }
 
@@ -1152,9 +1270,28 @@ impl prov_engine::ResumeSource for TraceStore {
     }
 }
 
+/// What replay oracles need from a store.
+#[cfg(test)]
+impl TraceStore {
+    /// The event path: applies `record` as an owned record, logging
+    /// nothing.
+    pub(crate) fn apply_record(&self, record: LogRecord) {
+        self.inner.write().apply(record);
+    }
+
+    /// Every interned name, in symbol order.
+    pub(crate) fn symbol_names(&self) -> Vec<Arc<str>> {
+        let inner = self.inner.read();
+        (0..inner.symbols.len() as u32)
+            .map(|i| inner.symbols.resolve(crate::symbols::Sym(i)))
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::WalReader;
     use prov_engine::PortBinding;
 
     fn xform(proc: &str, inv: u32, q: &[u32], in_idx: &[u32]) -> XformEvent {

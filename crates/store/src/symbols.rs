@@ -67,6 +67,15 @@ impl SymbolTable {
         sym
     }
 
+    /// Interns a borrowed `name`, allocating its `Arc` only on first sight
+    /// (the replay path, whose names are bytes of a frame).
+    pub fn intern_str(&mut self, name: &str) -> Sym {
+        match self.by_name.get(name) {
+            Some(&sym) => sym,
+            None => self.intern(&Arc::from(name)),
+        }
+    }
+
     /// Read-path lookup: the symbol for `name`, or [`Sym::MISSING`] if it
     /// was never interned. Never allocates.
     pub fn lookup(&self, name: &str) -> Sym {

@@ -24,6 +24,18 @@ impl ValueTable {
         id
     }
 
+    /// Interns an owned `value`, which moves into the table on first sight
+    /// and is dropped otherwise (the replay path, which decoded it).
+    pub fn intern_owned(&mut self, value: Value) -> ValueId {
+        if let Some(&id) = self.by_value.get(&value) {
+            return id;
+        }
+        let id = ValueId(self.by_id.len() as u64);
+        self.by_value.insert(value.clone(), id);
+        self.by_id.push(value);
+        id
+    }
+
     /// Resolves an id to its value.
     pub fn get(&self, id: ValueId) -> Option<&Value> {
         self.by_id.get(id.0 as usize)

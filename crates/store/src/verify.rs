@@ -2,18 +2,20 @@
 //! offline integrity sweep behind `tprov wal verify <db>`, and the CRC-32
 //! of a WAL prefix.
 //!
-//! Every frame is CRC-checked *and* decoded through the streaming
-//! [`WalCursor`], so a multi-GB log verifies in one frame's worth of
-//! memory; every snapshot file beside the WAL is judged by the same
-//! bracket rule recovery applies ([`valid_snapshot`]).
+//! Every frame is CRC-checked *and* staged through the streaming
+//! [`WalCursor`] — the parser recovery replays with, so the sweep and a
+//! reopen agree on which payloads are clean — and a multi-GB log verifies
+//! in one frame's worth of memory; every snapshot file beside the WAL is
+//! judged by the same bracket rule recovery applies ([`valid_snapshot`]).
 
 use std::fs::File;
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 
+use crate::codec::Stage;
 use crate::crc::Crc32;
 use crate::snapshot::{self, valid_snapshot};
-use crate::wal::{LogRecord, TailState, WalCursor, WalError};
+use crate::wal::{TailState, WalCursor, WalError};
 
 /// The verdict on one snapshot file.
 #[derive(Debug, Clone)]
@@ -67,9 +69,10 @@ pub fn verify_store(db: &Path) -> Result<VerifyReport, WalError> {
     let mut marker = None;
     match WalCursor::open(db) {
         Ok(mut cursor) => {
-            while let Some(record) = cursor.next_record()? {
-                if let (0, LogRecord::Snapshot { generation }) = (wal_frames, record) {
-                    marker = Some(generation);
+            let mut stage = Stage::default();
+            while cursor.next_staged(&mut stage)? {
+                if wal_frames == 0 {
+                    marker = stage.marker();
                 }
                 wal_frames += 1;
             }
@@ -121,6 +124,7 @@ pub fn prefix_crc(path: &Path, len: u64) -> io::Result<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::LogRecord;
     use crate::TraceStore;
     use prov_engine::TraceSink;
 

@@ -17,10 +17,13 @@
 //! frames appended by a later open) replays unchanged. Every frame is
 //! self-contained, so a shipped frame needs nothing but its own bytes.
 //!
-//! Recovery ([`WalReader::read_all`]) replays frames until EOF or the first
+//! Recovery streams frames through a [`WalCursor`] until EOF or the first
 //! corrupt/truncated frame, and reports how many clean bytes precede the
 //! damage so the writer can truncate the tail and continue appending — the
-//! standard "torn tail" discipline.
+//! standard "torn tail" discipline. The store applies each frame as it
+//! stages it and holds nothing of the log but the frame in hand;
+//! [`WalReader::read_all`] is the same scan collected into owned records,
+//! for tools and tests.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -33,7 +36,7 @@ use prov_engine::{TraceEvent, XferEvent, XformEvent};
 use prov_model::{ProcessorName, RunId};
 use prov_obs::{Counter, Histogram, Registry};
 
-use crate::codec;
+use crate::codec::{self, DecodeError, Stage};
 
 /// Shared WAL throughput and durability-latency metrics.
 ///
@@ -336,7 +339,11 @@ const MAX_FRAME_LEN: usize = 256 * 1024 * 1024;
 /// A streaming, CRC-checking frame reader over a WAL (or snapshot) byte
 /// stream. Holds exactly **one** frame in memory at a time in a reusable
 /// buffer — recovery scans and replication shipping never buffer the whole
-/// log, no matter how large it grew.
+/// log, no matter how large it grew. Recovery keeps it that way by staging
+/// each frame into one reused decode buffer and applying it before reading
+/// the next, so what a reopen holds besides the store it builds is one
+/// frame and its staged form; only [`WalReader::read_all`] collects
+/// records, and recovery does not call it.
 ///
 /// The cursor is generic over any [`Read`] source: a `BufReader<File>` for
 /// on-disk scans ([`WalCursor::open_at`]), a byte slice or socket for
@@ -356,6 +363,8 @@ pub struct WalCursor<R> {
     /// High-water mark of the frame buffer's capacity — what the scan
     /// actually held in memory (regression-tested to stay one-frame-sized).
     peak_buf: usize,
+    /// The decode buffers [`WalCursor::next_record`] reuses.
+    stage: Stage,
 }
 
 impl WalCursor<BufReader<File>> {
@@ -392,6 +401,7 @@ impl<R: Read> WalCursor<R> {
             tail: TailState::Clean,
             done: false,
             peak_buf: 0,
+            stage: Stage::default(),
         }
     }
 
@@ -480,13 +490,33 @@ impl<R: Read> WalCursor<R> {
     /// stops *before* it (its bytes are excluded from `offset()`), exactly
     /// like recovery.
     pub fn next_record(&mut self) -> Result<Option<LogRecord>, WalError> {
+        let mut stage = std::mem::take(&mut self.stage);
+        let record = self.next_decoded(|payload| stage.decode(payload));
+        self.stage = stage;
+        record
+    }
+
+    /// Reads the next clean frame and stages its payload into `stage`
+    /// ([`WalCursor::payload`] keeps the bytes its names point into);
+    /// `false` once the scan stops. The clean prefix ends before a payload
+    /// that does not stage, as with [`WalCursor::next_record`], which
+    /// decodes through the same parser.
+    pub(crate) fn next_staged(&mut self, stage: &mut Stage) -> Result<bool, WalError> {
+        Ok(self.next_decoded(|payload| stage.stage(payload))?.is_some())
+    }
+
+    /// Reads the next clean frame and decodes its payload with `decode`,
+    /// rolling the clean boundary back to before the frame if it fails.
+    fn next_decoded<T>(
+        &mut self,
+        decode: impl FnOnce(&[u8]) -> Result<T, DecodeError>,
+    ) -> Result<Option<T>, WalError> {
         if self.next_frame()?.is_none() {
             return Ok(None);
         }
-        match codec::decode(&self.buf[8..]) {
-            Ok(r) => Ok(Some(r)),
+        match decode(&self.buf[8..]) {
+            Ok(decoded) => Ok(Some(decoded)),
             Err(_) => {
-                // Roll the clean boundary back to before the bad frame.
                 self.offset -= self.buf.len() as u64;
                 self.tail = TailState::CorruptFrame { offset: self.offset };
                 self.done = true;
@@ -501,10 +531,11 @@ impl<R: Read> WalCursor<R> {
 pub struct WalReader;
 
 impl WalReader {
-    /// Replays every clean record in the log, streaming one frame at a
-    /// time through a [`WalCursor`]. A torn or corrupt tail stops the
-    /// replay without erroring (crashes are the expected shape of a WAL's
-    /// end) and is reported in [`WalRecovery::tail`] with the damage
+    /// Decodes every clean record in the log into memory, streaming one
+    /// frame at a time through a [`WalCursor`]: for tools and tests (a
+    /// store's recovery stages and applies frame by frame instead). A torn
+    /// or corrupt tail stops the scan without erroring (crashes are the
+    /// expected shape of a WAL's end) and is reported in [`WalRecovery::tail`] with the damage
     /// offset; a genuine mid-read I/O failure — the disk erroring, not the
     /// file merely ending — is returned as [`WalError::Io`].
     pub fn read_all(path: &Path) -> Result<WalRecovery, WalError> {

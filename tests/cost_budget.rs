@@ -1,13 +1,16 @@
-//! Counted write budget: the exact fsyncs, frames and bytes each write
+//! Counted cost budget: the exact fsyncs, frames and bytes each write
 //! path costs the WAL, read from `wal_metrics()`, the journal and the log
-//! itself. Nothing here is timed, so every pin is machine-independent. A
-//! change that lowers a number updates its pin and says so in CHANGES.md;
-//! one that raises a number justifies it there. Only counts that depend on
-//! how the daemon's applier groups batches — which depends on timing — are
-//! pinned as bounds. The last test holds the served write path to its
-//! promise when a count goes wrong: a finish whose fsync failed is not
-//! acked.
+//! itself, and the exact allocations a reopen makes per replayed record,
+//! read from a counting global allocator. Nothing here is timed, so every
+//! pin is machine-independent. A change that lowers a number updates its
+//! pin and says so in CHANGES.md; one that raises a number justifies it
+//! there. Only counts that depend on how the daemon's applier groups
+//! batches — which depends on timing — are pinned as bounds. One test
+//! holds the served write path to its promise when a count goes wrong: a
+//! finish whose fsync failed is not acked.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::path::{Path, PathBuf};
 
 use prov_dataflow::Dataflow;
@@ -15,6 +18,55 @@ use prov_obs::{Journal, JournalEvent, Obs};
 use prov_serve::{ProvServer, RemoteSink, ServeConfig, ServeError};
 use prov_store::{FaultPlan, LogRecord, SharedStore, TraceStore, WalCursor};
 use prov_workgen::testbed;
+
+/// Counts the allocations (reallocations included) this thread makes and
+/// the bytes they ask for. The cells are thread-local, so tests running in
+/// parallel do not mix their counts.
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counting touches only `const`-initialised thread-local cells, which
+// never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// What `f` allocated on this thread: its result, allocations and bytes.
+fn allocated<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let before = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before.0, BYTES.with(Cell::get) - before.1)
+}
 
 fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("prov-cost-budget");
@@ -247,4 +299,56 @@ fn a_failed_finish_fsync_is_not_acked() {
     assert!(store.durability().is_err());
     server.shutdown();
     cleanup(&path);
+}
+
+/// A store path in a directory of its own whose length is the same on
+/// every machine and in every process: a reopen allocates path buffers,
+/// and an exact byte pin must not move with the temp dir or the pid.
+fn fixed_length_path(tag: &str) -> PathBuf {
+    const LEN: usize = 120;
+    let base = std::env::temp_dir().join("prov-cost-budget");
+    let name = format!("{tag}-{}-", std::process::id());
+    let used = base.as_os_str().len() + 1 + name.len();
+    assert!(used < LEN, "the temp dir {} is too long for a fixed-length path", base.display());
+    let dir = base.join(format!("{name}{}", "x".repeat(LEN - used)));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join("store.wal")
+}
+
+/// What reopening a fixed testbed store allocates, from the WAL alone and
+/// from a snapshot: `l = 75`, runs of `d` = 50, 10 and 10. A reopen decodes
+/// each frame once into reused buffers and moves each value it decodes
+/// into the value table, so what remains per record is the rows, index
+/// keys and table entries the store keeps.
+#[test]
+fn a_reopen_allocates_a_pinned_budget_per_replayed_record() {
+    let df = testbed::generate(75);
+    let (wal, snap) = (fixed_length_path("reopen-wal"), fixed_length_path("reopen-snap"));
+    for path in [&wal, &snap] {
+        let store = TraceStore::open(path).unwrap();
+        for d in [50, 10, 10] {
+            testbed::run(&df, d, &store);
+        }
+        if path == &snap {
+            store.snapshot().unwrap();
+        }
+    }
+    let records = TraceStore::open(&wal).unwrap().total_record_count();
+    assert_eq!(records, 26_546);
+    for (path, want, what) in
+        [(&wal, (32_667, 12_446_522), "WAL"), (&snap, (23_073, 11_837_026), "snapshot")]
+    {
+        let (store, allocs, bytes) = allocated(|| TraceStore::open(path).unwrap());
+        assert_eq!(store.total_record_count(), records);
+        if path == &snap {
+            assert_eq!(store.snapshot_metrics().fallbacks.get(), 0);
+            assert_eq!(store.wal_metrics().recovery_replayed_frames.get(), 0);
+        }
+        let per_record = (allocs as f64 / records as f64, bytes as f64 / records as f64);
+        eprintln!("{what} reopen: {allocs} allocations, {bytes} B: {per_record:.2?} per record");
+        assert_eq!((allocs, bytes), want, "{what} reopen");
+        drop(store);
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
 }
