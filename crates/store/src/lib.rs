@@ -34,6 +34,8 @@
 mod catalog;
 mod codec;
 mod crc;
+#[cfg(test)]
+mod encode_props;
 mod export;
 pub mod fault;
 mod indexes;

@@ -89,6 +89,12 @@ impl SymbolTable {
         self.names.get(sym.0 as usize).cloned().unwrap_or_else(|| Arc::from(""))
     }
 
+    /// The name of `sym`, borrowed; the empty name for a symbol out of
+    /// range, as [`SymbolTable::resolve`].
+    pub(crate) fn name(&self, sym: Sym) -> &str {
+        self.names.get(sym.0 as usize).map_or("", |name| name)
+    }
+
     /// Number of distinct interned names.
     pub fn len(&self) -> usize {
         self.names.len()
@@ -96,7 +102,7 @@ impl SymbolTable {
 }
 
 /// Number of 16-bit component groups in a packed key.
-const GROUPS: usize = 8;
+pub(crate) const GROUPS: usize = 8;
 /// Largest component value that still packs (stored biased by +1).
 const MAX_PACKED_COMPONENT: u32 = 0xFFFE;
 /// The high word of the packed empty key. A non-empty packed key has a
@@ -207,7 +213,7 @@ impl IndexKey {
 
     /// The components: decoded into `buf` for a packed key, borrowed from
     /// the box for a spilled one.
-    fn components<'a>(&'a self, buf: &'a mut [u32; GROUPS]) -> &'a [u32] {
+    pub(crate) fn components<'a>(&'a self, buf: &'a mut [u32; GROUPS]) -> &'a [u32] {
         match self {
             IndexKey::Spilled(index) => index.as_slice(),
             IndexKey::Packed { hi, lo } => {

@@ -29,7 +29,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::Buf;
 use serde::{Deserialize, Serialize};
 
 use prov_engine::{TraceEvent, XferEvent, XformEvent};
@@ -260,22 +260,28 @@ impl WalWriter {
     /// events are borrowed; nothing is cloned to build the frame.
     pub fn append_batch(&mut self, run: RunId, events: &[TraceEvent]) -> Result<(), WalError> {
         let payload = codec::encode_batch(run, events)?;
+        self.append_group(&payload)
+    }
+
+    /// Appends an encoded [`LogRecord::Batch`] payload: a group commit.
+    pub(crate) fn append_group(&mut self, payload: &[u8]) -> Result<(), WalError> {
         self.metrics.group_commits.inc();
-        self.append_payload(&payload)
+        self.append_payload(payload)
     }
 
     /// Appends an already-encoded payload — the replication apply path,
     /// where the follower re-frames the exact payload bytes the primary
     /// shipped (len and CRC are functions of the payload, so the resulting
-    /// frame is byte-identical to the primary's).
+    /// frame is byte-identical to the primary's). The header and the
+    /// payload go straight into the buffered writer.
     pub(crate) fn append_payload(&mut self, payload: &[u8]) -> Result<(), WalError> {
-        let mut frame = BytesMut::with_capacity(8 + payload.len());
-        frame.put_u32_le(payload.len() as u32);
-        frame.put_u32_le(crate::crc32(payload));
-        frame.put_slice(payload);
-        self.out.write_all(&frame)?;
+        let mut header = [0u8; 8];
+        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[4..].copy_from_slice(&crate::crc32(payload).to_le_bytes());
+        self.out.write_all(&header)?;
+        self.out.write_all(payload)?;
         self.metrics.frames.inc();
-        self.metrics.bytes_written.add(frame.len() as u64);
+        self.metrics.bytes_written.add(8 + payload.len() as u64);
         Ok(())
     }
 
